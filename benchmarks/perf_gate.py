@@ -4,7 +4,8 @@
 Four bench-scale workloads (the ops the ``repro.engine`` refactor targets):
 
 * ``mdrc``                — MDRC at d = 4 (frontier-batched corner probes);
-* ``ksetr``               — K-SETr sampling (quantized screening, byte dedup);
+* ``ksetr``               — K-SETr sampling (k-skyband candidate set,
+  quantized screening, byte dedup); asserts the candidate path ran;
 * ``rank_regret_sampled`` — the Monte-Carlo estimator (pruned rank counting);
 * ``update_throughput``   — incremental row churn on a long-lived engine
   (insert/delete + query) vs delete-rebuild-requery from scratch;
@@ -42,8 +43,11 @@ Usage::
 
     PYTHONPATH=src python benchmarks/perf_gate.py [--repeats 5] [--quick]
                                                   [--jobs N] [--smoke]
-                                                  [--faults]
+                                                  [--faults] [--pr N]
 
+A full run writes ``BENCH_PR<N>.json`` at the repository root, with ``N``
+from ``--pr`` or, by default, one past the newest ``- PR N`` entry of
+CHANGES.md (so a run never overwrites an earlier PR's file).
 ``--quick`` shrinks the workloads ~4x for a fast smoke run (its numbers are
 NOT meant to be committed).  ``--jobs`` runs the current implementations
 with the engine's process fan-out (the references stay serial).
@@ -80,7 +84,6 @@ from pathlib import Path
 import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_NAME = "BENCH_PR9.json"
 REGRESSION_SLACK = 1.20  # fail when median_s exceeds previous by >20%
 
 
@@ -149,6 +152,7 @@ def _bench_mdrc(repeats: int, quick: bool, jobs: int | None, backend_jobs: int) 
 
 def _bench_ksetr(repeats: int, quick: bool, jobs: int | None, backend_jobs: int) -> dict:
     from repro.datasets import independent
+    from repro.engine import ScoreEngine
     from repro.engine.reference import reference_sample_ksets
     from repro.geometry.ksets import sample_ksets
 
@@ -164,6 +168,16 @@ def _bench_ksetr(repeats: int, quick: bool, jobs: int | None, backend_jobs: int)
     assert new.ksets == base.ksets and new.draws == base.draws, (
         "sample_ksets output diverged from reference"
     )
+    # K-SETr's batches are nonnegative-weight top-k calls, which the
+    # engine answers from its k-skyband candidate set; an engine kept
+    # outside the sampler shows that the path really ran.
+    with ScoreEngine(values, float32=True, n_jobs=jobs) as engine:
+        probed = sample_ksets(values, k, patience=100, rng=0, engine=engine)
+        candidate_columns = engine.stats["candidate_columns"]
+    assert probed.ksets == base.ksets and probed.draws == base.draws, (
+        "sample_ksets diverged from reference on a shared engine"
+    )
+    assert candidate_columns > 0, "ksetr never answered from the candidate set"
     backends = _backend_column(
         lambda backend, bj: sample_ksets(
             values, k, patience=100, rng=0, jobs=bj, backend=backend
@@ -178,6 +192,7 @@ def _bench_ksetr(repeats: int, quick: bool, jobs: int | None, backend_jobs: int)
         "d": d,
         "k": k,
         "draws": new.draws,
+        "candidate_columns": candidate_columns,
         "median_s": new_s,
         "baseline_median_s": base_s,
         "speedup": base_s / new_s,
@@ -1146,6 +1161,14 @@ def _discover_benches(skip: Path | None = None) -> list[tuple[int, Path, dict]]:
     return benches
 
 
+def _default_pr() -> int:
+    """One past the newest ``- PR N`` entry of CHANGES.md (1 without any)."""
+    changes = REPO_ROOT / "CHANGES.md"
+    text = changes.read_text() if changes.exists() else ""
+    numbers = [int(num) for num in re.findall(r"^- PR (\d+)", text, flags=re.M)]
+    return max(numbers, default=0) + 1
+
+
 def _previous_bench(output: Path) -> tuple[Path, dict] | None:
     """The newest committed BENCH_PR*.json other than ``output``."""
     benches = _discover_benches(skip=output)
@@ -1220,8 +1243,19 @@ def main(argv: list[str] | None = None) -> int:
         help="print a cross-PR speedup table from every committed "
         "BENCH_PR*.json and exit (no benchmarks run)",
     )
-    parser.add_argument("--output", type=Path, default=REPO_ROOT / BENCH_NAME)
+    parser.add_argument(
+        "--pr", type=int, default=None,
+        help="PR number naming the output BENCH_PR<N>.json (default: one "
+        "past the newest PR entry in CHANGES.md)",
+    )
+    parser.add_argument(
+        "--output", type=Path, default=None,
+        help="output path (default: BENCH_PR<N>.json at the repo root)",
+    )
     args = parser.parse_args(argv)
+    bench_name = f"BENCH_PR{args.pr if args.pr is not None else _default_pr()}"
+    if args.output is None:
+        args.output = REPO_ROOT / f"{bench_name}.json"
 
     if args.history:
         return _print_history()
@@ -1319,7 +1353,7 @@ def main(argv: list[str] | None = None) -> int:
 
     report = {
         "schema": 1,
-        "bench": BENCH_NAME.removesuffix(".json"),
+        "bench": bench_name,
         "quick": args.quick,
         "jobs": args.jobs,
         "python": platform.python_version(),

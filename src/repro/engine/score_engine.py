@@ -54,6 +54,33 @@ only the columns it can prove and promotes the rest:
 With ``float32=True`` the batch tier runs in single precision (≈2× GEMM
 throughput, half the memory traffic), block ordering is recomputed in
 float64, and the same fallback applies with a float32-wide band.
+
+**The k-skyband candidate set.**  For weights ``w ≥ 0`` only rows with
+fewer than k dominators can reach a top-k, and K-SETr's batches are all
+such functions.  Row ``q`` *robustly dominates* row ``p`` when ``q_j >
+fl(p_j + δ)`` in every coordinate, with ``δ = 4·d·eps·max|x|``.  Then
+``q_j − p_j ≥ δ − eps·max|x|`` exactly, so the exact gap ``w·q − w·p``
+is at least ``(4d − 1)·eps·max|x|·Σw``.  Any summation order of a
+d-term dot product (GEMV, blocked GEMM, FMA) errs by at most
+``γ_d·Σw·max|x|`` with ``γ_d = d·u/(1 − d·u) ≈ d·eps/2``, so two such
+errors stay below the gap and ``fl(w·q) > fl(w·p)`` strictly — as long
+as no partial sum overflows and the gap sits far above the subnormal
+range, where absolute underflow errors would swamp it.  A row with k or
+more robust dominators therefore has k rows strictly above it in the
+scalar order (score descending, then index ascending) and is never in
+the scalar top-k; any superset of the robust k-skyband holds every
+answer.  :meth:`topk_orders` uses this for a call with at least
+``_CANDIDATE_MIN_FUNCTIONS`` functions passing four guards: every
+``w_j ≥ 0``; ``δ`` is a normal float; ``δ·Σw ≥ tiny/eps`` and
+``max|x|·Σw ≤ max/4``; and ``4k < n``.  Those functions are answered
+by a serial child engine over the band rows
+(:func:`repro.geometry.skyline.robust_skyband`, built lazily per k and
+dropped on every compaction) that runs the ladder above verbatim except
+that a contested column falls back to *this* engine's full-matrix scalar
+kernel.  Contested columns thus equal the scalar path by construction;
+uncontested ones equal it by the ulp-band argument, since every
+non-candidate row scores strictly below the k-th answer; and the child
+keeps row order, so index tie-breaks carry over.
 """
 
 from __future__ import annotations
@@ -77,6 +104,25 @@ __all__ = ["ScoreEngine", "TopKBatch"]
 # Deliberately NOT part of the tuning profile: this constant is
 # load-bearing for exactness, not performance.
 _TIE_BAND_ULPS = 64.0
+
+# Candidate-set routing (see ``_candidate_split``).  A k-skyband build
+# costs ~20 ms at 20k x 4 and saves ~19 µs per function answered from it,
+# so it pays for itself after ~1,000 functions at one k; the cache keeps
+# it until the next compaction.  The per-call floor keeps every K-SETr
+# batch (1,024 draws) on the path and every coalesced serving batch (at
+# most 64 functions) off it.
+_CANDIDATE_MIN_FUNCTIONS = 256
+# Stage-1 survivors above this share of n: the band would barely prune,
+# so that k stays on the full path until the next compaction.
+_CANDIDATE_MAX_SHARE = 0.5
+# Robust-dominance margin δ in units of d·eps·max|x| (module docstring).
+_ROBUST_MARGIN = 4.0
+# Candidate engines kept, one per k.
+_CANDIDATE_CACHE_SIZE = 4
+# Per-function guards on Σw·max|x|: the exact gap δ·Σw must sit far
+# above the subnormal range, and no score or partial sum may overflow.
+_ROBUST_FLOOR = float(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
+_ROBUST_CEILING = float(np.finfo(np.float64).max) / 4.0
 
 # Every performance constant that used to live here — chunk sizes, the
 # fan-out cutover, the quantized/scalar routing caps, the adaptive
@@ -363,6 +409,9 @@ class ScoreEngine:
         # reused across batches by _prefix_needs.
         self._grid_cache: dict[tuple[int, int], list] = {}
         self._max_row_norm: float | None = None  # lazy, see _noise_scale
+        # k -> serial child engine over the robust k-skyband, or None when
+        # that k does not prune (see _candidate_engine); LRU order.
+        self._candidates: OrderedDict[int, _CandidateEngine | None] = OrderedDict()
         # Row-mutation journal (see repro.engine.delta): pending inserted
         # rows, the sorted live-slot tombstone array (None = no pending
         # deletes since the last compaction), and the committed matrix
@@ -391,6 +440,8 @@ class ScoreEngine:
             "row_deletes": 0,
             "cancelled_inserts": 0,
             "compactions": 0,
+            "candidate_columns": 0,
+            "candidate_builds": 0,
         }
 
     # ------------------------------------------------------------------
@@ -455,6 +506,7 @@ class ScoreEngine:
             self._quantizer.promote_window = int(profile.quant_promote_window)
             self._quantizer.promote_limit = float(profile.quant_promote_limit)
         self._grid_cache.clear()
+        self._candidates.clear()
         # Live pools were built with the old granularity; rebuild lazily.
         self.close()
 
@@ -537,11 +589,13 @@ class ScoreEngine:
         single-probe LRU memo (keyed on weight bytes only — a mutated
         matrix would silently serve stale top-k sets), the per-(k,
         orderings) grid gathers, the cached max row norm behind the
-        ulp noise bands, the chunk geometry, and the worker pools
-        (whose clones/shared segments hold the pre-mutation matrix).
+        ulp noise bands, the k-skyband candidate engines, the chunk
+        geometry, and the worker pools (whose clones/shared segments hold
+        the pre-mutation matrix).
         """
         self._memo.clear()
         self._grid_cache.clear()
+        self._candidates.clear()
         self._max_row_norm = None
         self._chunk_cols = max(1, self._chunk_bytes // (8 * self.n))
         self._close_pools()
@@ -739,6 +793,8 @@ class ScoreEngine:
         # a pickled copy must not invoke them (and they may be
         # unpicklable bound methods holding whole view states).
         state["_delta_subscribers"] = []
+        # Candidate engines are a cache (and point back at this engine).
+        state["_candidates"] = OrderedDict()
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -771,6 +827,7 @@ class ScoreEngine:
         clone._submit_lock = threading.Lock()
         clone._memo = OrderedDict()
         clone._grid_cache = {}
+        clone._candidates = OrderedDict()
         clone._excess_work = 0
         clone._attr_orderings_built = True
         # Clones are created inside a bulk call, i.e. after _sync():
@@ -836,13 +893,28 @@ class ScoreEngine:
 
         For callers that never touch the packed members (K-SETr dedups
         on the index rows directly) this skips the ``O(m · n)`` bit
-        packing entirely.
+        packing entirely.  A large enough batch of nonnegative-weight
+        functions is answered from the k-skyband candidate engine (see
+        the module docstring); the other functions of the call take the
+        full path.
         """
         self._sync()
         W = self._check_weights(weight_matrix)
         k = self._check_k(k)
-        m = W.shape[0]
-        plan = self._parallel_plan(m)
+        split = self._candidate_split(W, k)
+        if split is None:
+            return self._topk_orders_full(W, k)
+        eligible, child = split
+        order = np.empty((W.shape[0], k), dtype=np.int64)
+        order[eligible] = self._candidate_topk(child, W[eligible], k)
+        rest = ~eligible
+        if rest.any():
+            order[rest] = self._topk_orders_full(np.ascontiguousarray(W[rest]), k)
+        return order
+
+    def _topk_orders_full(self, W: np.ndarray, k: int) -> np.ndarray:
+        """:meth:`topk_orders` over the whole matrix, fan-out plan included."""
+        plan = self._parallel_plan(W.shape[0])
         if plan == "functions":
             parts = self._supervised().run_function_chunks("topk", W, args=(k,))
             return np.concatenate(parts, axis=0)
@@ -850,6 +922,71 @@ class ScoreEngine:
             parts = self._supervised().run_row_chunks("topk_rows", W, self.n, args=(k,))
             return self._topk_merge_candidates(W, k, parts)
         return self.topk_order_batch(W, k)
+
+    # ------------------------------------------------------------------
+    # k-skyband candidate engines (see module docstring, "Exactness")
+    def _candidate_split(
+        self, W: np.ndarray, k: int
+    ) -> tuple[np.ndarray, "_CandidateEngine"] | None:
+        """The functions of this call a candidate engine answers, and it.
+
+        ``None`` sends the whole call down the full path: too few
+        functions pass the guards, or this k has no candidate set.
+        """
+        if W.shape[0] < _CANDIDATE_MIN_FUNCTIONS or 4 * k >= self.n:
+            return None
+        scale = float(np.abs(self.values).max())
+        delta = _ROBUST_MARGIN * self.d * float(np.finfo(np.float64).eps) * scale
+        if not delta >= np.finfo(np.float64).tiny:
+            return None
+        sums = W.sum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            eligible = (
+                (W >= 0.0).all(axis=1)
+                & (delta * sums >= _ROBUST_FLOOR)
+                & (scale * sums <= _ROBUST_CEILING)
+            )
+        if np.count_nonzero(eligible) < _CANDIDATE_MIN_FUNCTIONS:
+            return None
+        child = self._candidate_engine(k, delta)
+        if child is None:
+            return None
+        return eligible, child
+
+    def _candidate_engine(self, k: int, delta: float) -> "_CandidateEngine | None":
+        """The cached candidate engine for ``k``, built on first use."""
+        if k in self._candidates:
+            self._candidates.move_to_end(k)
+            return self._candidates[k]
+        # Lazy: repro.geometry imports the engine (through ksets).
+        from repro.geometry.skyline import robust_skyband
+
+        self.stats["candidate_builds"] += 1
+        rows = robust_skyband(
+            self.values, k, delta, limit=int(_CANDIDATE_MAX_SHARE * self.n)
+        )
+        child = None if rows is None else _CandidateEngine(self, rows)
+        self._candidates[k] = child
+        if len(self._candidates) > _CANDIDATE_CACHE_SIZE:
+            self._candidates.popitem(last=False)
+        return child
+
+    def _candidate_topk(
+        self, child: "_CandidateEngine", W: np.ndarray, k: int
+    ) -> np.ndarray:
+        """Top-k of ``W`` from ``child``, in this engine's row ids.
+
+        The child's counters are folded into ours, so the tier ratios
+        keep counting every function, whichever engine answered it.
+        """
+        # The chunk loop, not a public entry point: the child never has
+        # journaled rows or pending calibration to settle.
+        local = child._topk_chunks(W, k)
+        for key, value in child.stats.items():
+            self.stats[key] += value
+            child.stats[key] = 0
+        self.stats["candidate_columns"] += W.shape[0]
+        return child.rows[local]
 
     def topk_order_batch(self, weight_matrix: np.ndarray, k: int) -> np.ndarray:
         """The ``(m, k)`` best-first index rows of :meth:`topk_batch`,
@@ -862,6 +999,10 @@ class ScoreEngine:
         self._sync()
         W = self._check_weights(weight_matrix)
         k = self._check_k(k)
+        return self._topk_chunks(W, k)
+
+    def _topk_chunks(self, W: np.ndarray, k: int) -> np.ndarray:
+        """The serial chunk loop of :meth:`topk_order_batch`, unchecked."""
         m = W.shape[0]
         order = np.empty((m, k), dtype=np.int64)
         for lo in range(0, m, self._chunk_cols):
@@ -1885,3 +2026,24 @@ class ScoreEngine:
             else:
                 out[i] = cand[order[:k]]
         return out
+
+
+class _CandidateEngine(ScoreEngine):
+    """A serial engine over a parent's robust k-skyband rows.
+
+    Runs the parent's tier ladder unchanged over ``parent.values[rows]``
+    with the parent's float32/quantize/tuning settings.  The one
+    difference is the scalar fallback: a contested column is resolved by
+    the *parent's* full-matrix kernel and mapped to child row ids, so it
+    equals the scalar path over the whole matrix by construction.
+    """
+
+    def __init__(self, parent: ScoreEngine, rows: np.ndarray) -> None:
+        super().__init__(parent.values[rows], **parent._worker_config())
+        self.parent = parent
+        self.rows = rows
+
+    def _verified_topk_column(self, w: np.ndarray, k: int) -> np.ndarray:
+        # The parent's answer lies inside the band (module docstring), and
+        # ``rows`` is sorted, so the position of each id is its child id.
+        return np.searchsorted(self.rows, self.parent._verified_topk_column(w, k))

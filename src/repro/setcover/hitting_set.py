@@ -18,6 +18,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.exceptions import InfeasibleError, ValidationError
 
 __all__ = ["greedy_hitting_set", "exact_hitting_set", "is_hitting_set"]
@@ -29,6 +31,22 @@ def _normalize(sets: Iterable[Iterable[int]]) -> list[frozenset[int]]:
         if not members:
             raise InfeasibleError("an empty set can never be hit")
     return family
+
+
+def _flatten(sets: Iterable[Iterable[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Every member of every set once, and the index of its set.
+
+    Sets and frozensets (what K-SETr returns) are read as they are;
+    other iterables are deduplicated first.
+    """
+    family = [s if isinstance(s, (set, frozenset)) else frozenset(s) for s in sets]
+    sizes = np.fromiter(map(len, family), dtype=np.int64, count=len(family))
+    if (sizes == 0).any():
+        raise InfeasibleError("an empty set can never be hit")
+    members = np.fromiter(
+        itertools.chain.from_iterable(family), dtype=np.int64, count=int(sizes.sum())
+    )
+    return members, np.repeat(np.arange(len(family)), sizes)
 
 
 def is_hitting_set(sets: Iterable[Iterable[int]], chosen: Iterable[int]) -> bool:
@@ -43,28 +61,25 @@ def greedy_hitting_set(sets: Sequence[Iterable[int]]) -> list[int]:
     At every step selects the element contained in the largest number of
     not-yet-hit sets (ties: smallest element, for determinism).  Returns
     the chosen elements in selection order.
+
+    The family is stored flat — every member once, beside the id of the
+    set that owns it — so a pick is one ``bincount`` over the members of
+    the still-unhit sets and one ``argmax`` over the sorted universe
+    (whose first maximum is the smallest element).
     """
-    family = _normalize(sets)
-    if not family:
+    members, owner = _flatten(sets)
+    if not members.size:
         return []
-    alive: set[int] = set(range(len(family)))
-    containing: dict[int, set[int]] = {}
-    for set_index, members in enumerate(family):
-        for element in members:
-            containing.setdefault(element, set()).add(set_index)
+    universe, element = np.unique(members, return_inverse=True)
+    alive = np.ones(int(owner[-1]) + 1, dtype=bool)  # every set owns a member
     chosen: list[int] = []
-    while alive:
-        best_element = -1
-        best_hits = 0
-        for element, where in containing.items():
-            hits = len(where & alive)
-            if hits > best_hits or (hits == best_hits and hits > 0 and element < best_element):
-                best_hits = hits
-                best_element = element
-        if best_hits == 0:  # pragma: no cover - impossible: sets are non-empty
-            raise InfeasibleError("no element hits the remaining sets")
-        chosen.append(best_element)
-        alive -= containing[best_element]
+    while element.size:
+        best = int(np.argmax(np.bincount(element, minlength=universe.size)))
+        chosen.append(int(universe[best]))
+        alive[owner[element == best]] = False
+        keep = alive[owner]
+        element = element[keep]
+        owner = owner[keep]
     return chosen
 
 

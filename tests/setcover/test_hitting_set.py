@@ -2,9 +2,41 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import InfeasibleError
 from repro.setcover import exact_hitting_set, greedy_hitting_set, is_hitting_set
+
+
+def _greedy_loop(sets):
+    """The original element-by-element greedy loop: the oracle."""
+    family = [frozenset(int(i) for i in s) for s in sets]
+    alive = set(range(len(family)))
+    containing: dict[int, set[int]] = {}
+    for set_index, members in enumerate(family):
+        for element in members:
+            containing.setdefault(element, set()).add(set_index)
+    chosen = []
+    while alive:
+        best_element = -1
+        best_hits = 0
+        for element, where in containing.items():
+            hits = len(where & alive)
+            if hits > best_hits or (
+                hits == best_hits and hits > 0 and element < best_element
+            ):
+                best_hits = hits
+                best_element = element
+        chosen.append(best_element)
+        alive -= containing[best_element]
+    return chosen
+
+
+# Few distinct elements and many small sets: most picks are ties.
+_tie_heavy = st.lists(
+    st.lists(st.integers(-3, 8), min_size=1, max_size=4), min_size=1, max_size=40
+)
 
 
 class TestIsHittingSet:
@@ -61,6 +93,26 @@ class TestGreedy:
             optimal = exact_hitting_set(family)
             harmonic = sum(1.0 / i for i in range(1, len(family) + 1))
             assert len(greedy) <= np.ceil(harmonic * len(optimal))
+
+
+    @given(_tie_heavy)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_loop_oracle_on_tie_heavy_families(self, family):
+        # Lists may repeat members; frozensets and sets are read as-is.
+        assert greedy_hitting_set(family) == _greedy_loop(family)
+        as_sets = [frozenset(s) for s in family]
+        assert greedy_hitting_set(as_sets) == _greedy_loop(as_sets)
+
+    def test_matches_loop_oracle_on_kset_family(self):
+        from repro.geometry.ksets import sample_ksets
+
+        values = np.random.default_rng(3).random((400, 3))
+        family = sample_ksets(values, 6, rng=3).ksets
+        assert greedy_hitting_set(family) == _greedy_loop(family)
+
+    def test_rejects_empty_member_set_among_others(self):
+        with pytest.raises(InfeasibleError):
+            greedy_hitting_set([{1, 2}, [], {3}])
 
 
 class TestExact:

@@ -49,3 +49,14 @@ def test_history_without_bench_files_fails_cleanly(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(gate, "REPO_ROOT", tmp_path)
     assert gate._print_history() == 1
     assert "no BENCH_PR*.json" in capsys.readouterr().out
+
+
+def test_output_name_follows_changes_log(tmp_path, monkeypatch):
+    gate = _load_perf_gate()
+    monkeypatch.setattr(gate, "REPO_ROOT", tmp_path)
+    assert gate._default_pr() == 1  # no CHANGES.md yet
+    (tmp_path / "CHANGES.md").write_text(
+        "- PR 2: first\n- PR 10 review fixes: later\n- PR 9: out of order\n"
+        "  - PR 99: nested, not an entry\n"
+    )
+    assert gate._default_pr() == 11

@@ -636,78 +636,6 @@ def _bench_recovery(repeats: int, quick: bool) -> dict:
     }
 
 
-def _bench_sharded_load(repeats: int, quick: bool) -> dict:
-    """Sharded engine overhead: fleet queries + churn vs one engine.
-
-    Boots a :class:`ShardedScoreEngine` (in-process shards — the
-    benchmark measures routing/merge overhead, not process transport)
-    and an unsharded :class:`ScoreEngine` on the same matrix, drives an
-    identical mix of ``topk_batch`` / ``rank_of_best_batch`` queries
-    and keyed fleet mutations through both, and asserts every response
-    bit-identical — the sharding exactness contract, measured.  The
-    gate reads the fleet's ``median_s``; ``speedup`` below 1 is the
-    price of supervision, per-shard durability hooks and deterministic
-    merges.
-    """
-    from repro.engine import ScoreEngine
-    from repro.engine.sharded import ShardedScoreEngine
-    from repro.ranking.sampling import sample_functions
-
-    n, d, k, m = (4_000, 4, 10, 64) if quick else (16_000, 4, 10, 256)
-    shards = 4
-    rng = np.random.default_rng(3)
-    values = rng.random((n, d))
-    weights = sample_functions(d, m, 7)
-    subset = sorted(int(x) for x in rng.choice(n // 2, 6, replace=False))
-    churn = [(rng.random((8, d)), sorted(int(x) for x in rng.integers(0, n // 2, 4)))
-             for _ in range(3)]
-
-    def drive(engine, keyed: bool) -> list:
-        out = [engine.topk_batch(weights, k)]
-        for i, (rows, doomed) in enumerate(churn):
-            if keyed:
-                engine.fleet_insert(rows, key=f"bench-ins-{i}")
-                engine.fleet_delete(doomed, key=f"bench-del-{i}")
-            else:
-                engine.insert_rows(rows)
-                engine.delete_rows(doomed)
-            engine.compact()
-            out.append(engine.topk_batch(weights, k))
-        out.append(engine.rank_of_best_batch(weights, subset))
-        return out
-
-    def fleet_run() -> list:
-        with ShardedScoreEngine(values.copy(), shards=shards, isolation="local") as fleet:
-            return drive(fleet, keyed=True)
-
-    def solo_run() -> list:
-        with ScoreEngine(values.copy(), float32=True) as engine:
-            return drive(engine, keyed=False)
-
-    fleet_s, fleet_out = _median_time(fleet_run, repeats)
-    solo_s, solo_out = _median_time(solo_run, repeats)
-    for got, want in zip(fleet_out, solo_out):
-        if isinstance(want, np.ndarray):
-            assert np.array_equal(got, want), "sharded rank diverged from unsharded"
-        else:
-            assert np.array_equal(got.order, want.order) and np.array_equal(
-                got.members, want.members
-            ), "sharded top-k diverged from unsharded"
-    return {
-        "op": "sharded_load",
-        "dataset": "uniform",
-        "n": n,
-        "d": d,
-        "k": k,
-        "shards": shards,
-        "functions": m,
-        "revisions": 2 * len(churn),
-        "median_s": fleet_s,
-        "baseline_median_s": solo_s,
-        "speedup": solo_s / fleet_s,
-    }
-
-
 def _quant_hit_rates(quick: bool) -> dict:
     """Quantized-tier hit rate: resolved / screened columns per workload."""
     from repro.datasets import independent, synthetic_dot
@@ -1063,91 +991,6 @@ def _smoke_crash_recovery() -> None:
     )
 
 
-def _smoke_shard_chaos() -> None:
-    """Shard-kill chaos drill: crash/corrupt/hang a live fleet, same answers.
-
-    Boots a process-isolated :class:`ShardedScoreEngine` next to an
-    unsharded oracle, SIGKILLs one shard outright, then drives keyed
-    churn with injected crash, corrupt and hang tokens landing on the
-    shard RPCs.  Supervision must rebuild every shard from its own
-    snapshot + WAL suffix, mutations must apply exactly once under
-    keyed retry, and every post-chaos response must stay bit-identical
-    to the oracle — a silent partial merge anywhere shows up here.
-    """
-    import os as _os
-    import signal as _signal
-
-    from repro.engine import FaultInjector, RetryPolicy, ScoreEngine
-    from repro.engine import faults as fault_layer
-    from repro.engine.sharded import ShardedScoreEngine
-
-    n, d, k = 400, 4, 8
-    rng = np.random.default_rng(41)
-    matrix = rng.random((n, d))
-    weights = rng.random((6, d))
-    subset = np.asarray([0, 7, 19], dtype=np.int64)
-
-    oracle = ScoreEngine(matrix.copy())
-    fleet = ShardedScoreEngine(
-        matrix.copy(), shards=2, isolation="process",
-        policy=RetryPolicy(timeout_s=60.0, max_retries=3, backoff_base_s=0.01),
-    )
-    try:
-        # Hard SIGKILL of a serving shard: the next query recovers it.
-        _os.kill(fleet._supervisor.hosts[0].pid, _signal.SIGKILL)
-        assert np.array_equal(
-            fleet.topk_batch(weights, k).order, oracle.topk_batch(weights, k).order
-        ), "post-SIGKILL top-k diverged from the unsharded oracle"
-        assert fleet.stats["shard_recoveries"] >= 1, "SIGKILL went unnoticed"
-
-        # Crash token mid-insert, then a keyed retry: exactly once.
-        rows = rng.standard_normal((3, d))
-        injector = FaultInjector(seed=0, plan={0: "crash"})
-        fault_layer.install(injector)
-        try:
-            first = fleet.fleet_insert(rows, key="chaos-burst")
-        finally:
-            fault_layer.uninstall()
-        assert injector.injected["crash"] == 1, "crash token was not drawn"
-        oracle.insert_rows(rows)
-        oracle.compact()
-        retry = fleet.fleet_insert(rows, key="chaos-burst")
-        assert retry["replayed"] and retry["indices"] == first["indices"], (
-            "keyed retry after shard crash did not replay the stored response"
-        )
-        assert fleet.n == oracle.n, "shard crash re-applied the mutation"
-
-        # Corrupt + hang tokens on query RPCs: contained, never merged.
-        injector = FaultInjector(seed=1, plan={0: "corrupt", 1: "hang"}, hang_s=5.0)
-        fleet._supervisor.policy = RetryPolicy(
-            timeout_s=1.0, max_retries=3, backoff_base_s=0.01
-        )
-        fault_layer.install(injector)
-        try:
-            got = fleet.topk_batch(weights, k)
-        finally:
-            fault_layer.uninstall()
-        assert np.array_equal(got.order, oracle.topk_batch(weights, k).order), (
-            "corrupt/hang chaos leaked into a merged top-k"
-        )
-        assert np.array_equal(
-            fleet.rank_of_best_batch(weights, subset),
-            oracle.rank_of_best_batch(weights, subset),
-        ), "post-chaos rank counting diverged"
-        assert all(
-            state == "serving" for state in fleet.supervisor_states()
-        ), "a shard was left dead after the chaos drill"
-        recoveries = fleet.stats["shard_recoveries"]
-    finally:
-        fleet.close()
-        oracle.close()
-    print(
-        f"fault probe [shard chaos]: SIGKILL + crash/corrupt/hang tokens over "
-        f"2 process shards, {recoveries} shard recoveries, keyed retry "
-        "exactly-once, all merges bit-identical to the unsharded oracle"
-    )
-
-
 def _discover_benches(skip: Path | None = None) -> list[tuple[int, Path, dict]]:
     """All committed BENCH_PR*.json files, sorted by PR number."""
     benches = []
@@ -1199,16 +1042,17 @@ def _print_history() -> int:
             median = row.get("median_s") if row else None
             speedup = row.get("speedup") if row else None
             if median is None or speedup is None:
-                # Older BENCH files predate this op (or carry a partial
-                # row from an interrupted run) — render an em-dash cell
-                # instead of KeyError-ing the whole table.
+                # Older BENCH files predate this op, newer ones may have
+                # retired it, and an interrupted run can leave a partial
+                # row — render an em-dash cell instead of KeyError-ing
+                # the whole table.
                 cells.append(f"{'—':>16}")
             else:
                 cells.append(f"{median:>8.3f}s{speedup:>6.1f}x")
         print(f"{op:<22}" + "".join(cells))
     print(
         "\n(each cell: median_s of the then-current implementation and its "
-        "speedup over that PR's frozen baseline; '—' = op not benched yet)"
+        "speedup over that PR's frozen baseline; '—' = op not benched in that PR)"
     )
     return 0
 
@@ -1270,7 +1114,6 @@ def main(argv: list[str] | None = None) -> int:
         _bench_view_maintenance(repeats, quick),
         _bench_serving_load(repeats, quick),
         _bench_recovery(repeats, quick),
-        _bench_sharded_load(repeats, quick),
     ]
     quant = _quant_hit_rates(quick)
 
@@ -1323,14 +1166,6 @@ def main(argv: list[str] | None = None) -> int:
         f"bit-identical, snapshot {recovery['snapshot_bytes'] / 1024:.0f}KiB + "
         f"WAL {recovery['wal_bytes'] / 1024:.0f}KiB)"
     )
-    sharded = next(row for row in ops if row["op"] == "sharded_load")
-    print(
-        f"sharded[{sharded['n']}x{sharded['d']}, {sharded['shards']} shards, "
-        f"{sharded['functions']} functions, {sharded['revisions']} keyed "
-        f"revisions]: fleet {sharded['median_s']:.3f}s vs unsharded "
-        f"{sharded['baseline_median_s']:.3f}s ({sharded['speedup']:.2f}x, "
-        f"bit-identical merges)"
-    )
     for name, stats in quant.items():
         rate = stats["resolved"] / max(1, stats["screened"])
         print(
@@ -1343,13 +1178,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.faults:
             _smoke_fault_identity(args.jobs)
             _smoke_crash_recovery()
-            _smoke_shard_chaos()
         print("smoke mode: exactness checks passed; timing gate skipped")
         return 0
     if args.faults:
         _smoke_fault_identity(args.jobs)
         _smoke_crash_recovery()
-        _smoke_shard_chaos()
 
     report = {
         "schema": 1,

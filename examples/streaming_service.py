@@ -38,8 +38,6 @@ Run:  python examples/streaming_service.py
 """
 
 import argparse
-import os
-import signal
 import tempfile
 import threading
 import time
@@ -102,18 +100,9 @@ def main(argv=None) -> None:
         "without warning, restart it from its WAL, retry the in-flight "
         "keyed mutation (applied exactly once)",
     )
-    parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="serve through a ShardedScoreEngine with N crash-isolated "
-        "worker shards and run the shard-kill drill: SIGKILL one shard "
-        "mid-service and watch supervision rebuild it with every "
-        "response still bit-identical",
-    )
     args = parser.parse_args(argv)
     if args.durability and args.url is not None:
         raise SystemExit("--durability needs the in-process server (no --url)")
-    if args.shards is not None and args.url is not None:
-        raise SystemExit("--shards needs the in-process server (no --url)")
     n = 4_000 if args.smoke else 20_000
     ticks = 2 if args.smoke else 5
     storm = 6 if args.smoke else 16
@@ -138,14 +127,10 @@ def main(argv=None) -> None:
         config = ServerConfig(
             port=0, jobs=2, backend="thread",
             max_pending=8 if args.smoke else 32,
-            shards=args.shards,
         )
         local = ServerThread(data.values, config).start()
         url = local.url
-        print(
-            f"started local server at {url}"
-            + (f" ({args.shards} process shards)" if args.shards else "")
-        )
+        print(f"started local server at {url}")
     else:
         url = args.url
         print(f"targeting external server at {url}")
@@ -193,26 +178,6 @@ def main(argv=None) -> None:
                 f"    tick {tick}: +{m}/-{m} rows -> rev {rep['revision']}, "
                 f"|representative| = {len(rep['indices'])} "
                 f"(inserted at {inserted['indices'][0]}..)"
-            )
-
-        if args.shards is not None and local is not None:
-            print(f"\n[2b] shard kill: SIGKILL 1 of {args.shards} worker shards")
-            fleet = local.server.session.engine
-            victim = fleet._supervisor.hosts[0].pid
-            os.kill(victim, signal.SIGKILL)
-            # The next query notices the dead shard, rebuilds it from its
-            # own snapshot + WAL suffix, and still merges bit-identically.
-            check_bit_identity(client, reference, rng.random((3, d)), k)
-            health = client.health()
-            assert health["shards"]["serving"] == args.shards, (
-                "a killed shard was not recovered"
-            )
-            recoveries = fleet.stats["shard_recoveries"]
-            print(
-                f"    killed pid {victim}; supervisor rebuilt the shard "
-                f"({recoveries} recoveries), fleet serving "
-                f"{health['shards']['serving']}/{args.shards}, responses "
-                "bit-identical throughout"
             )
 
         if local is not None:

@@ -39,8 +39,6 @@ Every public free function shares one keyword vocabulary: ``jobs``
 (worker count), ``backend`` (``auto``/``serial``/``thread``/
 ``process``), ``tune`` (a :class:`~repro.engine.TuningProfile` or
 ``"auto"``) and ``policy`` (a :class:`~repro.engine.RetryPolicy`).
-Deprecated spellings (``n_jobs``) keep working with a
-:class:`DeprecationWarning`.
 """
 
 from repro.baselines import (

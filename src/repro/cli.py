@@ -206,17 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also snapshot when the oldest unsnapshotted mutation is "
         "older than SECONDS (default: size policy only)",
     )
-    srv.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="row-sharded fleet: N supervised worker shards with "
-        "per-shard durability and bit-identical merged results "
-        "(default: one engine)",
-    )
-    srv.add_argument(
-        "--shard-isolation", choices=("process", "local"), default="process",
-        help="shard worker isolation: crash-isolated child processes "
-        "(default) or in-process shards",
-    )
     return parser
 
 
@@ -485,8 +474,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         data_dir=args.data_dir,
         snapshot_wal_bytes=args.snapshot_wal_bytes,
         snapshot_interval_s=args.snapshot_interval,
-        shards=args.shards,
-        shard_isolation=args.shard_isolation,
     )
     serve(data.values, config)
     return 0

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._compat import renamed_kwargs
 from repro.core.mdrc import mdrc
 from repro.core.mdrrr import md_rrr
 from repro.core.rrr2d import two_d_rrr
@@ -80,7 +79,6 @@ def _extract(data: Dataset | np.ndarray) -> np.ndarray:
     return matrix
 
 
-@renamed_kwargs(n_jobs="jobs")
 def rank_regret_representative(
     data: Dataset | np.ndarray,
     k: int | float,
@@ -112,8 +110,7 @@ def rank_regret_representative(
         Workers for the engine-backed scoring inside MDRC and MDRRR
         (``None``/``1`` = serial, ``-1`` = all cores).  Results are
         bit-identical to the serial path; 2DRRR's sweep is inherently
-        sequential and ignores it.  (``n_jobs`` is the deprecated
-        spelling.)
+        sequential and ignores it.
     backend:
         Execution backend for that scoring (``"auto"`` | ``"serial"`` |
         ``"thread"`` | ``"process"``), as in

@@ -56,7 +56,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._compat import renamed_kwargs
 from repro.engine import ScoreEngine, pack_membership, packed_width
 from repro.exceptions import InvalidDataError, ValidationError
 from repro.ranking.functions import weights_from_angles_batch
@@ -327,7 +326,6 @@ class CornerCache:
             level.corners = remap[level.corners]
 
 
-@renamed_kwargs(n_jobs="jobs")
 def mdrc(
     values: np.ndarray,
     k: int,
@@ -370,7 +368,7 @@ def mdrc(
         Workers for the engine's fan-out layer when the engine is built
         here (``None``/``1`` = serial, ``-1`` = all cores); ignored when
         ``engine`` is passed — the caller's engine keeps its own
-        configuration.  (``n_jobs`` is the deprecated spelling.)
+        configuration.
     backend:
         Execution backend for the fan-out (``"auto"`` | ``"serial"`` |
         ``"thread"`` | ``"process"``), as in :class:`ScoreEngine`;

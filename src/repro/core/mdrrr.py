@@ -22,7 +22,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro._compat import renamed_kwargs
 from repro.exceptions import ValidationError
 from repro.geometry.ksets import enumerate_ksets_2d, enumerate_ksets_bfs, sample_ksets
 from repro.setcover.epsnet import epsnet_hitting_set
@@ -53,7 +52,6 @@ class MDRRRResult:
     sample_draws: int = 0
 
 
-@renamed_kwargs(n_jobs="jobs")
 def collect_ksets(
     values: np.ndarray,
     k: int,
@@ -100,7 +98,6 @@ def collect_ksets(
     raise ValidationError(f"unknown enumerator {enumerator!r}")
 
 
-@renamed_kwargs(n_jobs="jobs")
 def md_rrr(
     values: np.ndarray,
     k: int,
@@ -152,7 +149,6 @@ def md_rrr(
     jobs:
         Workers for K-SETr's batched scoring (``None``/``1`` = serial,
         ``-1`` = all cores); draws are bit-identical either way.
-        (``n_jobs`` is the deprecated spelling.)
     backend:
         Execution backend for that scoring (``"auto"`` | ``"serial"`` |
         ``"thread"`` | ``"process"``), as in

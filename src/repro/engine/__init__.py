@@ -68,16 +68,6 @@ tails truncated, bit flips rejected), atomic checksummed snapshots, and
 :func:`repro.engine.delta.replay_event`) restarts an engine
 bit-identical to one that never crashed, idempotency table included.
 
-:mod:`repro.engine.sharded` is the beyond-one-process layer:
-:class:`ShardedScoreEngine` partitions the rows across N supervised
-worker shards (each a full engine with its own tuning profile and
-optional shard-local :class:`DurableStore`), merges queries under the
-exactness contract bit-identically to an unsharded engine, journals
-fleet mutations as intent/commit frames, and recovers killed or hung
-shards from their own snapshot + WAL suffix while the fleet serves —
-with a two-level exactly-once table so retried fleet mutations re-apply
-only on shards whose commit record is missing.
-
 :mod:`repro.engine.reference` keeps the frozen pre-engine
 implementations that the equivalence tests and the perf-regression gate
 (``benchmarks/perf_gate.py``) compare against.
@@ -110,11 +100,6 @@ from repro.engine.resilience import (
     set_default_policy,
 )
 from repro.engine.score_engine import ScoreEngine, TopKBatch
-from repro.engine.sharded import (
-    ShardedScoreEngine,
-    ShardSupervisor,
-    ShardWorker,
-)
 from repro.engine.wal import (
     Commit,
     DurableStore,
@@ -134,9 +119,6 @@ from repro.engine.views import (
 
 __all__ = [
     "ScoreEngine",
-    "ShardedScoreEngine",
-    "ShardSupervisor",
-    "ShardWorker",
     "TopKBatch",
     "MaterializedView",
     "MDRCView",

@@ -172,11 +172,6 @@ class Commit:
     events: tuple
     key: str | None = None
     response: dict | None = None
-    # Optional JSON-safe dict for layers that log routing/coordination
-    # state alongside the mutation (the sharded router's fleet intent /
-    # commit frames); plain engine commits leave it None and their
-    # on-disk bytes are unchanged from earlier versions.
-    meta: dict | None = None
 
     def to_payload(self) -> bytes:
         body = {
@@ -188,12 +183,11 @@ class Commit:
             "key": self.key,
             "response": self.response,
         }
-        if self.meta is not None:
-            body["meta"] = self.meta
         return json.dumps(body, separators=(",", ":")).encode("utf-8")
 
     @classmethod
     def from_payload(cls, payload: bytes) -> "Commit":
+        # Unknown keys are ignored: older records may carry a "meta" field.
         try:
             body = json.loads(payload.decode("utf-8"))
             events = tuple(
@@ -205,7 +199,6 @@ class Commit:
                 events=events,
                 key=body.get("key"),
                 response=body.get("response"),
-                meta=body.get("meta"),
             )
         except CorruptStateError:
             raise
@@ -351,7 +344,6 @@ class Snapshot:
     revision: int
     idempotency: dict[str, dict] = field(default_factory=dict)
     profile: dict | None = None  # TuningProfile JSON payload, if captured
-    extra: dict | None = None  # layer-specific JSON state (sharded router map)
 
 
 def write_snapshot(
@@ -361,7 +353,6 @@ def write_snapshot(
     *,
     idempotency: dict[str, dict] | None = None,
     profile: dict | None = None,
-    extra: dict | None = None,
 ) -> None:
     """Atomically persist a snapshot (mkstemp + fsync + ``os.replace``).
 
@@ -383,7 +374,6 @@ def write_snapshot(
             "matrix_sha256": hashlib.sha256(body).hexdigest(),
             "idempotency": idempotency or {},
             "profile": profile,
-            "extra": extra,
         },
         separators=(",", ":"),
     ).encode("utf-8")
@@ -412,7 +402,8 @@ def load_snapshot(path) -> Snapshot:
 
     Raises :class:`CorruptStateError` on any mismatch (magic, header
     CRC, matrix checksum, truncated body) — the caller falls back to an
-    older snapshot rather than serving doubtful state.
+    older snapshot rather than serving doubtful state.  Header keys not
+    modelled here (older files carry an ``"extra"`` field) are ignored.
     """
     path = os.fspath(path)
     with open(path, "rb") as handle:
@@ -434,7 +425,6 @@ def load_snapshot(path) -> Snapshot:
         revision = int(header["revision"])
         idempotency = dict(header.get("idempotency") or {})
         profile = header.get("profile")
-        extra = header.get("extra")
     except (KeyError, TypeError, ValueError, UnicodeDecodeError) as exc:
         raise CorruptStateError(f"{path}: snapshot header is malformed: {exc}") from None
     body = raw[offset + _FRAME.size + length :]
@@ -446,13 +436,7 @@ def load_snapshot(path) -> Snapshot:
     if hashlib.sha256(body).hexdigest() != header.get("matrix_sha256"):
         raise CorruptStateError(f"{path}: snapshot matrix failed its sha256")
     values = np.frombuffer(body, dtype=dtype).reshape(shape).copy()
-    return Snapshot(
-        values=values,
-        revision=revision,
-        idempotency=idempotency,
-        profile=profile,
-        extra=extra,
-    )
+    return Snapshot(values=values, revision=revision, idempotency=idempotency, profile=profile)
 
 
 # ----------------------------------------------------------------------
@@ -814,41 +798,21 @@ class DurableStore:
             )
         )
 
-    def commit(
-        self,
-        key: str | None,
-        response: dict | None,
-        revision: int,
-        *,
-        events=None,
-        meta: dict | None = None,
-    ) -> None:
+    def commit(self, key: str | None, response: dict | None, revision: int) -> None:
         """Durably record one acknowledged mutation (events + key + response).
 
         Must run on the engine dispatch thread, after the mutation
         compacted and before its response is released: the fsync here is
         the moment the mutation becomes guaranteed-replayable, which is
-        the moment an acknowledgment becomes safe to send.
-
-        By default the record carries the delta events buffered since
-        the last commit (the :meth:`attach` subscription).  Callers that
-        manage their own events — the sharded router's intent/commit
-        frames, shard workers committing explicit per-mutation deltas —
-        pass ``events`` directly; the pending buffer is left untouched.
-        ``meta`` rides along in the record for caller-defined framing.
+        the moment an acknowledgment becomes safe to send.  The record
+        carries the delta events buffered since the last commit (the
+        :meth:`attach` subscription).
         """
         if self._wal is None:
             raise ValidationError("DurableStore.commit() requires open() first")
-        if events is None:
-            events, self._pending_events = self._pending_events, []
+        events, self._pending_events = self._pending_events, []
         self._wal.append(
-            Commit(
-                revision=int(revision),
-                events=tuple(events),
-                key=key,
-                response=response,
-                meta=meta,
-            )
+            Commit(revision=int(revision), events=tuple(events), key=key, response=response)
         )
         self.stats["commits"] += 1
 
@@ -871,7 +835,6 @@ class DurableStore:
         *,
         idempotency: dict[str, dict] | None = None,
         profile: dict | None = None,
-        extra: dict | None = None,
     ) -> str:
         """Write a snapshot at ``revision``, truncate the WAL, prune old files."""
         if self._wal is None:
@@ -880,10 +843,7 @@ class DurableStore:
             self.data_dir,
             f"{self.SNAPSHOT_PREFIX}{int(revision):016d}{self.SNAPSHOT_SUFFIX}",
         )
-        write_snapshot(
-            path, values, revision, idempotency=idempotency, profile=profile,
-            extra=extra,
-        )
+        write_snapshot(path, values, revision, idempotency=idempotency, profile=profile)
         # Only after the snapshot is durable may the WAL records it
         # covers be dropped; a crash in between replays them harmlessly
         # (their revisions sit at or below the new watermark).

@@ -14,7 +14,6 @@ from typing import Iterable
 
 import numpy as np
 
-from repro._compat import renamed_kwargs
 from repro.engine import ScoreEngine
 from repro.evaluation.regret import (
     rank_regret_exact_2d,
@@ -51,7 +50,6 @@ class RepresentativeReport:
     exact: bool
 
 
-@renamed_kwargs(n_jobs="jobs")
 def evaluate_representative(
     values: np.ndarray,
     subset: Iterable[int],
@@ -71,9 +69,9 @@ def evaluate_representative(
     sampled estimator otherwise; pass True/False to force either.
     ``jobs``/``backend`` fan the Monte-Carlo measurements out over
     the engine's worker pool (``None``/``1`` = serial, ``-1`` = all
-    cores; thread, process or auto backend); ``n_jobs`` is the
-    deprecated spelling.  Pass a pre-built ``engine`` over the same
-    matrix to reuse its pool/orderings across calls.
+    cores; thread, process or auto backend).  Pass a pre-built
+    ``engine`` over the same matrix to reuse its pool/orderings across
+    calls.
     """
     matrix = np.asarray(values, dtype=np.float64)
     if matrix.ndim != 2:

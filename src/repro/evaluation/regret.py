@@ -14,7 +14,6 @@ from typing import Iterable
 
 import numpy as np
 
-from repro._compat import renamed_kwargs
 from repro.engine import ScoreEngine
 from repro.exceptions import ValidationError
 from repro.geometry.sweep import AngularSweep
@@ -96,7 +95,6 @@ def rank_regret_exact_2d(values: np.ndarray, subset: Iterable[int]) -> int:
     return worst + 1
 
 
-@renamed_kwargs(n_jobs="jobs")
 def rank_regret_sampled(
     values: np.ndarray,
     subset: Iterable[int],
@@ -125,10 +123,10 @@ def rank_regret_sampled(
     :func:`repro.ranking.topk.rank_of` even on degenerate data.
     ``jobs``/``backend`` fan the counting out over the engine's
     worker pool (``None``/``1`` = serial, ``-1`` = all cores; thread,
-    process or auto backend) with bit-identical results (``n_jobs`` is
-    the deprecated spelling).  Pass a pre-built ``engine`` over the same
-    matrix to reuse its pool/orderings across calls (``jobs``/``backend``
-    are then ignored — the engine keeps its own configuration).
+    process or auto backend) with bit-identical results.  Pass a
+    pre-built ``engine`` over the same matrix to reuse its
+    pool/orderings across calls (``jobs``/``backend`` are then ignored
+    — the engine keeps its own configuration).
     """
     matrix = np.asarray(values, dtype=np.float64)
     if matrix.ndim != 2:
@@ -167,7 +165,6 @@ def regret_ratio_for_function(
     return max(0.0, (top - float(scores[members].max())) / top)
 
 
-@renamed_kwargs(n_jobs="jobs")
 def regret_ratio_sampled(
     values: np.ndarray,
     subset: Iterable[int],

@@ -23,7 +23,6 @@ from repro.experiments.report import (
     format_kset_table,
     summarize_shapes,
 )
-from repro._compat import renamed_kwargs
 from repro.experiments.runner import run_experiment, run_kset_count
 
 __all__ = ["reproduce_all", "PAPER_CLAIMS"]
@@ -89,7 +88,6 @@ Shape checks applied to every comparison experiment:
 """
 
 
-@renamed_kwargs(n_jobs="jobs")
 def reproduce_all(
     scale: str = "bench",
     progress: Callable[[str], None] | None = None,

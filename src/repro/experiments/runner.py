@@ -15,7 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro._compat import renamed_kwargs
 from repro.baselines.hd_rrms import hd_rrms
 from repro.core.api import resolve_k
 from repro.core.mdrc import mdrc
@@ -112,7 +111,6 @@ def _run_algorithm(
     return list(indices), elapsed
 
 
-@renamed_kwargs(n_jobs="jobs")
 def run_experiment(
     config: ExperimentConfig,
     progress: Callable[[str], None] | None = None,
@@ -192,7 +190,6 @@ class MaintenanceRow:
     identical: bool
 
 
-@renamed_kwargs(n_jobs="jobs")
 def run_maintenance(
     values: np.ndarray,
     k: int,
@@ -293,7 +290,6 @@ def run_maintenance(
     return rows
 
 
-@renamed_kwargs(n_jobs="jobs")
 def run_kset_count(
     config: KSetCountConfig,
     progress: Callable[[str], None] | None = None,

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro._compat import renamed_kwargs
 from repro.engine import ScoreEngine
 from repro.exceptions import InvalidDataError, ValidationError
 from repro.geometry.halfspace import is_separable
@@ -190,7 +189,6 @@ class KSetDrawState:
         return sum(len(weights) for weights in self.weights)
 
 
-@renamed_kwargs(n_jobs="jobs")
 def sample_ksets(
     values: np.ndarray,
     k: int,

@@ -43,18 +43,6 @@ and the engine is untouched — exactly-once, across restarts.  Snapshots
 are cut on a WAL size/age policy and on graceful drain (SIGTERM /
 SIGINT in :func:`serve`: stop admissions with 503, drain the coalescer,
 snapshot, exit 0).
-
-**Sharding** (``ServerConfig(shards=N)``, ``repro serve --shards``):
-the Session is backed by a :class:`~repro.engine.ShardedScoreEngine` —
-rows partitioned across N supervised worker shards, queries merged
-bit-identically to the unsharded engine, a dead/hung shard rebuilt from
-its own snapshot + WAL suffix while the fleet serves.  The fleet owns
-durability and exactly-once end to end (router intent/commit WAL +
-per-shard stores + the two-level idempotency table), so the
-server-level store stays off and mutation handlers route through
-``fleet_insert`` / ``fleet_delete``.  ``/health`` grows a ``shards``
-section (serving/recovering/dead counts) and ``/v1/stats`` a per-shard
-durability section, so operators can watch a recovery in flight.
 """
 
 from __future__ import annotations
@@ -97,8 +85,6 @@ class ServerConfig:
     data_dir: str | None = None  # WAL + snapshots; None = memory-only
     snapshot_wal_bytes: int = 4 * 2**20  # snapshot once the WAL grows past this
     snapshot_interval_s: float | None = None  # and/or this old (None = size-only)
-    shards: int | None = None  # row-sharded fleet (ShardedScoreEngine); None = one engine
-    shard_isolation: str = "process"  # "process" (crash-isolated) | "local"
 
 
 def _warm_tuning(config: ServerConfig, values: np.ndarray):
@@ -152,9 +138,6 @@ class Server:
         self.port: int | None = None  # resolved at start (0 = ephemeral)
 
     def _boot(self, values: np.ndarray, stack: contextlib.ExitStack) -> None:
-        if self.config.shards is not None:
-            self._boot_sharded(values, stack)
-            return
         snapshot, commits = None, []
         if self.config.data_dir is not None:
             self._store = DurableStore(
@@ -198,32 +181,6 @@ class Server:
                 # the exact boot matrix.
                 self._snapshot_now()
 
-    def _boot_sharded(self, values: np.ndarray, stack: contextlib.ExitStack) -> None:
-        """Boot the row-sharded fleet behind the same serving surface.
-
-        The sharded engine owns every durability concern itself: the
-        router WAL journals fleet mutations as intent/commit frames, the
-        per-shard stores journal their slices, and the fleet-level
-        idempotency table is the exactly-once seam — so the server-level
-        :class:`DurableStore` stays off and mutations route through
-        :meth:`~repro.engine.ShardedScoreEngine.fleet_insert` /
-        ``fleet_delete`` instead of :meth:`_commit_mutation`.
-        """
-        self.session = Session(
-            values,
-            jobs=self.config.jobs,
-            backend=self.config.backend,
-            policy=self.config.policy,
-            shards=self.config.shards,
-            shard_isolation=self.config.shard_isolation,
-            data_dir=self.config.data_dir,
-        )
-        stack.callback(self.session.close)
-        self.recovery = {
-            "snapshot_revision": self.session.engine.revision,
-            "replayed_commits": 0,
-        }
-
     def _boot_tuning(self, snapshot, boot_values: np.ndarray):
         """Tuning for the recovered engine: snapshot-pinned, else warm."""
         if snapshot is not None and snapshot.profile is not None:
@@ -266,10 +223,8 @@ class Server:
             await self._server.wait_closed()
             self._server = None
         if self._coalescer.running:
-            # Drain in every mode so admitted requests finish instead of
-            # dying with a reset; the server-level final snapshot only
-            # exists unsharded (a sharded session snapshots its own
-            # router/shard stores inside session.close() below).
+            # Drain even without a store, so admitted requests finish
+            # instead of dying with a reset.
             try:
                 await asyncio.wait_for(self._coalescer.drain(), timeout=30.0)
                 if self._store is not None:
@@ -309,13 +264,8 @@ class Server:
         await self._coalescer.stop()
         for view in self._views.values():
             view.close()
-        # Sharded sessions abandon (SIGKILL semantics for the fleet's
-        # stores); unsharded close joins the engine thread before the
-        # server-level fd is dropped below.
-        if self.session.sharded:
-            self.session.abandon()
-        else:
-            self.session.close()
+        # Join the engine thread before the WAL fd is dropped below.
+        self.session.close()
         if self._store is not None:
             self._store.abandon()
             self._store = None
@@ -415,9 +365,7 @@ class Server:
             "d": engine.d,
             "revision": engine.revision,
             "queue_depth": self._coalescer.depth,
-            "durable": self._store is not None or (
-                self.session.sharded and self.config.data_dir is not None
-            ),
+            "durable": self._store is not None,
         }
         if self._store is not None:
             # Operators watch these two to see the snapshot cycle breathe:
@@ -425,16 +373,6 @@ class Server:
             out["durability"] = {
                 "wal_bytes_since_snapshot": self._store.wal_bytes,
                 "last_snapshot_age_s": self._store.last_snapshot_age_s,
-            }
-        if self.session.sharded:
-            # Cached supervisor states only — /health must answer even
-            # while a shard rebuild is holding the supervisor busy.
-            states = engine.supervisor_states()
-            out["shards"] = {
-                "count": len(states),
-                "serving": states.count("serving"),
-                "recovering": states.count("recovering"),
-                "dead": states.count("dead"),
             }
         return out
 
@@ -456,8 +394,6 @@ class Server:
                 "idempotency_keys": len(self._idempotency),
                 "recovery": dict(self.recovery),
             }
-        if self.session.sharded:
-            out["durability"] = self.session.engine.durability_stats()
         return out
 
     def stats(self) -> dict:
@@ -518,22 +454,15 @@ class Server:
         key = _parse_key(body)
         engine = self.session.engine
 
-        if self.session.sharded:
-            # The fleet owns exactly-once end to end: its two-level key
-            # table (router + per-shard) makes the retry re-apply only
-            # on shards whose commit record is missing.
-            def run():
-                return dict(engine.fleet_insert(rows, key=key))
-        else:
-            def run():
-                stored = self._idempotency.get(key) if key is not None else None
-                if stored is not None:
-                    return dict(stored)  # exactly-once: engine untouched
-                indices = engine.insert_rows(rows)
-                engine.compact()  # settle now: views repair, revision bumps
-                response = {"indices": indices.tolist(), "revision": engine.revision}
-                self._commit_mutation(key, response)
-                return response
+        def run():
+            stored = self._idempotency.get(key) if key is not None else None
+            if stored is not None:
+                return dict(stored)  # exactly-once: engine untouched
+            indices = engine.insert_rows(rows)
+            engine.compact()  # settle now: views repair, revision bumps
+            response = {"indices": indices.tolist(), "revision": engine.revision}
+            self._commit_mutation(key, response)
+            return response
 
         return 200, await self._barrier(run)
 
@@ -542,19 +471,15 @@ class Server:
         key = _parse_key(body)
         engine = self.session.engine
 
-        if self.session.sharded:
-            def run():
-                return dict(engine.fleet_delete(indices, key=key))
-        else:
-            def run():
-                stored = self._idempotency.get(key) if key is not None else None
-                if stored is not None:
-                    return dict(stored)
-                deleted = engine.delete_rows(indices)
-                engine.compact()
-                response = {"deleted": int(deleted), "revision": engine.revision}
-                self._commit_mutation(key, response)
-                return response
+        def run():
+            stored = self._idempotency.get(key) if key is not None else None
+            if stored is not None:
+                return dict(stored)
+            deleted = engine.delete_rows(indices)
+            engine.compact()
+            response = {"deleted": int(deleted), "revision": engine.revision}
+            self._commit_mutation(key, response)
+            return response
 
         return 200, await self._barrier(run)
 
@@ -614,13 +539,10 @@ class Server:
         if view is None:
             from repro.engine import MDRCView, MDRRRView
 
-            # Views run on the full algorithm engine (for a sharded
-            # session, the router's reference engine — it carries the
-            # fleet's delta stream, so maintenance works unchanged).
             if method == "mdrc":
-                view = MDRCView(self.session.algo_engine, k)
+                view = MDRCView(self.session.engine, k)
             else:
-                view = MDRRRView(self.session.algo_engine, k, rng=0)
+                view = MDRRRView(self.session.engine, k, rng=0)
             self._views[key] = view
         return view
 

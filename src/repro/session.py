@@ -64,20 +64,6 @@ class Session:
     float32:
         Enable the float32 tier (bit-identical by the exactness ladder;
         on by default because a shared engine amortizes its setup).
-    shards:
-        ``None`` (default) = one in-process engine.  ``N >= 1`` = a
-        :class:`~repro.engine.ShardedScoreEngine`: rows partitioned
-        across N supervised worker shards with deterministic merges —
-        every result still bit-identical to the unsharded engine.
-    shard_isolation:
-        ``"process"`` (crash-isolated child processes, the production
-        mode) or ``"local"`` (in-process shards, deterministic and
-        cheap).  Only meaningful with ``shards``.
-    data_dir:
-        Fleet state root for the sharded engine (router WAL + per-shard
-        stores); the fleet then survives restarts.  Only meaningful
-        with ``shards`` — unsharded durability lives in
-        :mod:`repro.serve`'s ``ServerConfig.data_dir``.
     """
 
     def __init__(
@@ -89,68 +75,22 @@ class Session:
         tune=None,
         policy=None,
         float32: bool = True,
-        shards: int | None = None,
-        shard_isolation: str = "process",
-        data_dir: str | None = None,
     ) -> None:
-        if shards is not None:
-            from repro.engine.sharded import ShardedScoreEngine
-
-            self._engine = ShardedScoreEngine(
-                values,
-                shards=shards,
-                isolation=shard_isolation,
-                data_dir=data_dir,
-                policy=policy,
-                engine_opts={
-                    "float32": float32,
-                    "backend": backend,
-                    "n_jobs": jobs,
-                    "tune": tune,
-                },
-            )
-        else:
-            if data_dir is not None:
-                raise ValueError(
-                    "Session(data_dir=...) requires shards; unsharded "
-                    "durability is configured via ServerConfig.data_dir"
-                )
-            self._engine = ScoreEngine(
-                values,
-                float32=float32,
-                n_jobs=jobs,
-                backend=backend,
-                tune=tune,
-                resilience=policy,
-            )
+        self._engine = ScoreEngine(
+            values,
+            float32=float32,
+            n_jobs=jobs,
+            backend=backend,
+            tune=tune,
+            resilience=policy,
+        )
 
     # ------------------------------------------------------------------
     # introspection
 
     @property
-    def engine(self):
-        """The shared engine (for views, ``repro.serve``, diagnostics).
-
-        An unsharded session returns its :class:`ScoreEngine`; a sharded
-        one returns the :class:`~repro.engine.ShardedScoreEngine` facade
-        (same query/mutation/submit surface, bit-identical results).
-        """
-        return self._engine
-
-    @property
-    def sharded(self) -> bool:
-        return not isinstance(self._engine, ScoreEngine)
-
-    @property
-    def algo_engine(self) -> ScoreEngine:
-        """The full :class:`ScoreEngine` the algorithm layer runs on.
-
-        For a sharded session this is the router's reference engine —
-        the journal of record the views subscribe to; its results are
-        bit-identical to the fleet's by the exactness contract.
-        """
-        if self.sharded:
-            return self._engine.reference_engine
+    def engine(self) -> ScoreEngine:
+        """The shared engine (for views, ``repro.serve``, diagnostics)."""
         return self._engine
 
     @property
@@ -195,19 +135,19 @@ class Session:
         """MDRC over the session matrix (see :func:`repro.mdrc`)."""
         from repro.core.mdrc import mdrc
 
-        return mdrc(self.values, self._level(k), engine=self.algo_engine, **options)
+        return mdrc(self.values, self._level(k), engine=self._engine, **options)
 
     def sample_ksets(self, k: int | float, **options):
         """K-SETr draws over the session matrix (see :func:`repro.sample_ksets`)."""
         from repro.geometry.ksets import sample_ksets
 
-        return sample_ksets(self.values, self._level(k), engine=self.algo_engine, **options)
+        return sample_ksets(self.values, self._level(k), engine=self._engine, **options)
 
     def md_rrr(self, k: int | float, **options):
         """MDRRR over the session matrix (see :func:`repro.md_rrr`)."""
         from repro.core.mdrrr import md_rrr
 
-        return md_rrr(self.values, self._level(k), engine=self.algo_engine, **options)
+        return md_rrr(self.values, self._level(k), engine=self._engine, **options)
 
     # ------------------------------------------------------------------
     # evaluation
@@ -216,16 +156,14 @@ class Session:
         """Sampled rank-regret of ``subset`` (see :func:`repro.rank_regret_sampled`)."""
         from repro.evaluation.regret import rank_regret_sampled
 
-        return rank_regret_sampled(
-            self.values, subset, engine=self.algo_engine, **options
-        )
+        return rank_regret_sampled(self.values, subset, engine=self._engine, **options)
 
     def evaluate(self, subset: Iterable[int], k: int | float, **options):
         """Full report for ``subset`` (see :func:`repro.evaluate_representative`)."""
         from repro.evaluation.metrics import evaluate_representative
 
         return evaluate_representative(
-            self.values, subset, self._level(k), engine=self.algo_engine, **options
+            self.values, subset, self._level(k), engine=self._engine, **options
         )
 
     # ------------------------------------------------------------------
@@ -244,16 +182,6 @@ class Session:
 
     def close(self) -> None:
         self._engine.close()
-
-    def abandon(self) -> None:
-        """Crash-simulation teardown: in-process handles dropped, disk
-        left exactly as a killed process would (sharded engines abandon
-        their stores; an unsharded engine has nothing durable here)."""
-        abandon = getattr(self._engine, "abandon", None)
-        if abandon is not None:
-            abandon()
-        else:
-            self._engine.close()
 
     def __enter__(self) -> "Session":
         return self

@@ -11,6 +11,9 @@ revision monotonicity, the pid lock, and replay under an installed
 ``FaultInjector``.
 """
 
+import base64
+import hashlib
+import json
 import os
 import struct
 import tempfile
@@ -224,10 +227,18 @@ def test_snapshot_truncates_wal_and_prunes(tmp_path):
     store._wal.append(_commit(1, [0], key="a", response={"x": 1}))
     assert store.wal_dirty
     for rev in (1, 2, 3):
-        store.snapshot(np.ones((2, 2)) * rev, rev)
+        store.snapshot(np.ones((2, 2)) * rev, rev, idempotency={"a": {"x": rev}})
     assert not store.wal_dirty
     snaps = [p for p in os.listdir(tmp_path) if p.startswith("snapshot-")]
     assert len(snaps) == 2  # oldest pruned
+    store.close()
+
+    # Reopened: the newest snapshot carries its key table, and no WAL
+    # record below its watermark survives.
+    store = DurableStore(tmp_path).open()
+    snap, commits = store.load()
+    assert snap.revision == 3 and snap.idempotency == {"a": {"x": 3}}
+    assert commits == [] and not store.wal_dirty
     store.close()
 
 
@@ -444,7 +455,7 @@ def test_duplicate_idempotency_keys_keep_first_response():
 
 
 # ----------------------------------------------------------------------
-# PR 10 satellites: flock race, prune durability, record framing fields
+# flock race and prune durability
 
 
 def test_concurrent_stale_reclaim_single_winner(tmp_path):
@@ -541,35 +552,86 @@ def test_snapshot_prune_fsyncs_directory(tmp_path, monkeypatch):
     assert len(pruning) >= 2
 
 
-def test_commit_meta_and_snapshot_extra_roundtrip(tmp_path):
-    """Caller-defined framing survives the disk: Commit.meta rides the
-    WAL record and Snapshot.extra rides the snapshot header (the sharded
-    router's intent/commit frames and shard map depend on both)."""
-    store = DurableStore(tmp_path).open()
-    meta = {"phase": "intent", "op": "insert", "fleet": 3}
-    store.commit(
-        "k1",
-        {"n": 5},
-        1,
-        events=((np.asarray([2], dtype=np.int64), np.zeros((1, 2))),),
-        meta=meta,
+# ----------------------------------------------------------------------
+# on-disk compatibility
+
+
+def _packed(arr):
+    return {
+        "dtype": arr.dtype.str,
+        "shape": list(arr.shape),
+        "data": base64.b64encode(arr.tobytes()).decode("ascii"),
+    }
+
+
+def test_loads_data_dir_with_extra_and_meta_fields(tmp_path):
+    """Older writers put an ``"extra"`` key in every snapshot header and
+    could add a ``"meta"`` key to a WAL record.  Both are written here
+    byte by byte; readers ignore keys they do not model, so the data dir
+    loads and replays unchanged."""
+    values = np.array([[5e-324, 1.0], [0.5, 0.25], [1.0, 1.0]])
+    body = values.tobytes()
+    idem = {"k1": {"indices": [2], "revision": 1}}
+    header = json.dumps(
+        {
+            "schema": 1,
+            "revision": 2,
+            "shape": [3, 2],
+            "dtype": "<f8",
+            "matrix_sha256": hashlib.sha256(body).hexdigest(),
+            "idempotency": idem,
+            "profile": None,
+            "extra": {"router": {"fleet_revision": 7, "revisions": [3, 4]}},
+        },
+        separators=(",", ":"),
+    ).encode("utf-8")
+    (tmp_path / "snapshot-0000000000000002.snap").write_bytes(
+        b"RSNAP1\n\x00" + struct.pack("<II", len(header), zlib.crc32(header)) + header + body
     )
-    store.commit("k2", None, 2, events=((np.empty(0, dtype=np.int64), np.zeros((0, 2))),))
-    extra = {"shards": 2, "fleet_revision": 7, "shard_revisions": [3, 4]}
-    path = store.snapshot(np.eye(3), 2, idempotency={"k1": {"n": 5}}, extra=extra)
-    snap = load_snapshot(path)
-    assert snap.extra == extra
-    assert snap.idempotency == {"k1": {"n": 5}}
-    store.close()
+    deleted = np.array([0], dtype=np.int64)
+    inserted = np.array([[0.75, 0.125]])
+    response = {"indices": [2], "revision": 3}
+    record = json.dumps(
+        {
+            "revision": 3,
+            "events": [{"deleted_ids": _packed(deleted), "inserted_rows": _packed(inserted)}],
+            "key": "k2",
+            "response": response,
+            "meta": {"phase": "commit", "op": "insert", "fleet": 3},
+        },
+        separators=(",", ":"),
+    ).encode("utf-8")
+    (tmp_path / "wal.log").write_bytes(
+        b"RWAL1\r\n\x00" + struct.pack("<II", len(record), zlib.crc32(record)) + record
+    )
 
     store = DurableStore(tmp_path).open()
-    # Records below the snapshot watermark were truncated; re-log one
-    # with meta and reload to check the frame round-trips bit-exactly.
-    store.commit("k3", {"ok": True}, 3, events=(), meta={"phase": "commit", "aborted": True})
-    store.close()
-    store = DurableStore(tmp_path).open()
     snap, commits = store.load()
-    assert snap.extra == extra
-    assert [c.meta for c in commits] == [{"phase": "commit", "aborted": True}]
-    assert commits[0].key == "k3" and commits[0].response == {"ok": True}
     store.close()
+    assert snap.revision == 2
+    assert snap.values.tobytes() == body
+    assert snap.idempotency == idem
+    assert len(commits) == 1
+    commit = commits[0]
+    assert commit.revision == 3 and commit.key == "k2" and commit.response == response
+    ((got_deleted, got_inserted),) = commit.events
+    assert got_deleted.tobytes() == deleted.tobytes()
+    assert got_inserted.tobytes() == inserted.tobytes()
+
+    # Replay lands where an engine that applied the mutation itself sits.
+    recovered = ScoreEngine(snap.values)
+    recovered.revision = snap.revision
+    table = dict(snap.idempotency)
+    assert replay_commits(recovered, commits, idempotency=table) == 1
+    oracle = ScoreEngine(values)
+    oracle.revision = 2
+    oracle.delete_rows(deleted)
+    oracle.insert_rows(inserted)
+    oracle.compact()
+    assert recovered.revision == oracle.revision == 3
+    assert recovered.values.tobytes() == oracle.values.tobytes()
+    assert table == {**idem, "k2": response}
+    W = np.array([[1.0, 0.5], [0.25, 1.0]])
+    assert np.array_equal(recovered.topk_batch(W, 2).order, oracle.topk_batch(W, 2).order)
+    recovered.close()
+    oracle.close()

@@ -16,7 +16,6 @@ import os
 import signal
 import subprocess
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -117,6 +116,19 @@ def test_graceful_stop_snapshots_and_releases(matrix, tmp_path):
         assert client.health()["revision"] == revision
     finally:
         durable.stop()
+
+
+def test_durable_health_reports_wal_state(matrix, tmp_path):
+    with ServerThread(matrix.copy(), _config(tmp_path)) as url:
+        client = ServiceClient(url)
+        client.insert(np.zeros((1, 3)), idempotency_key="one")
+        health = client.health()
+        assert health["durable"] is True
+        assert health["durability"]["wal_bytes_since_snapshot"] > 0
+        assert health["durability"]["last_snapshot_age_s"] >= 0.0
+        stats = client.stats()
+        assert stats["durability"]["wal_bytes_since_snapshot"] > 0
+        assert stats["durability"]["idempotency_keys"] == 1
 
 
 def test_duplicate_key_without_data_dir(matrix):

@@ -111,9 +111,9 @@ def test_session_exported_in_all():
     assert "RetryPolicy" in repro.__all__
 
 
-# -- deprecation shims -------------------------------------------------
+# -- keyword vocabulary ------------------------------------------------
 
-SHIMMED = [
+OLD_SPELLING = [
     lambda matrix: repro.mdrc(matrix, 5, n_jobs=1),
     lambda matrix: repro.md_rrr(matrix, 6, rng=0, n_jobs=1),
     lambda matrix: repro.sample_ksets(matrix, 4, rng=0, patience=50, n_jobs=1),
@@ -127,17 +127,14 @@ SHIMMED = [
 ]
 
 
-@pytest.mark.parametrize("call", SHIMMED, ids=[
+@pytest.mark.parametrize("call", OLD_SPELLING, ids=[
     "mdrc", "md_rrr", "sample_ksets", "rank_regret_sampled",
     "evaluate_representative", "rank_regret_representative",
 ])
 def test_n_jobs_spelling_warns_and_forwards(matrix, call):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    # The old spelling no longer warns or forwards: it is an unknown keyword.
+    with pytest.raises(TypeError, match="n_jobs"):
         call(matrix)
-    messages = [str(w.message) for w in caught
-                if issubclass(w.category, DeprecationWarning)]
-    assert any("n_jobs" in m and "jobs" in m for m in messages), messages
 
 
 def test_canonical_spelling_does_not_warn(matrix):
@@ -150,14 +147,6 @@ def test_canonical_spelling_does_not_warn(matrix):
 def test_both_spellings_is_a_type_error(matrix):
     with pytest.raises(TypeError, match="n_jobs"):
         repro.mdrc(matrix, 5, jobs=1, n_jobs=1)
-
-
-def test_deprecated_result_identical_to_canonical(matrix):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        old = repro.mdrc(matrix, 5, n_jobs=1)
-    new = repro.mdrc(matrix, 5, jobs=1)
-    assert list(old.indices) == list(new.indices)
 
 
 def test_experiment_runners_accept_jobs_keyword():

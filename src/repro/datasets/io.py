@@ -46,7 +46,7 @@ def load_csv(path: str | Path, name: str | None = None) -> Dataset:
         raise DatasetError(f"no such file: {path}")
     attributes: list[str] | None = None
     directions: list[bool] | None = None
-    rows: list[list[float]] = []
+    body: list[str] = []
     with path.open(newline="") as handle:
         for raw_line in handle:
             line = raw_line.strip()
@@ -58,17 +58,23 @@ def load_csv(path: str | Path, name: str | None = None) -> Dataset:
                 continue
             if line.startswith("#"):
                 continue
-            fields = next(csv.reader([line]))
             if attributes is None:
-                attributes = [f.strip() for f in fields]
+                attributes = [f.strip() for f in next(csv.reader([line]))]
                 continue
-            try:
-                rows.append([float(f) for f in fields])
-            except ValueError as exc:
-                raise DatasetError(f"non-numeric row in {path}: {line!r}") from exc
-    if attributes is None or not rows:
+            body.append(line)
+    if attributes is None or not body:
         raise DatasetError(f"{path} contains no data rows")
-    matrix = np.asarray(rows, dtype=np.float64)
+    # One C-level parse of the whole body: several times faster than a
+    # csv.reader plus float() per line, and bit-identical for every
+    # spelling save_csv writes.  Unlike float(), it rejects digit-group
+    # underscores ("1_000") and non-ASCII digits.
+    try:
+        matrix = np.loadtxt(
+            body, delimiter=",", quotechar='"', dtype=np.float64, ndmin=2,
+            comments=None,
+        )
+    except ValueError as exc:
+        raise DatasetError(f"non-numeric or ragged row in {path}: {exc}") from exc
     if matrix.shape[1] != len(attributes):
         raise DatasetError(
             f"{path}: rows have {matrix.shape[1]} fields, header has {len(attributes)}"

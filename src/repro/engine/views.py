@@ -585,6 +585,7 @@ class MDRCView(MaterializedView):
         seeds_lo = np.empty((0, d - 1), dtype=np.float64)
         seeds_hi = np.empty((0, d - 1), dtype=np.float64)
         depth = 0
+        cells_before = 0
         while True:
             cached = levels[depth] if depth < len(levels) else None
             apos = (
@@ -766,23 +767,22 @@ class MDRCView(MaterializedView):
                     children=np.concatenate([children_a, children_b]),
                 )
             )
+
+            # f) prove the budget path stays dormant.  A fresh run takes
+            # the order-independent vectorized path at a level only while
+            # its projected worst-case leaf count stays within max_cells;
+            # mirror that check exactly and bail at the first level that
+            # could engage the sequential path — before growing the next
+            # one, since a tree that keeps splitting grows geometrically.
+            resolved = int((state_level == CELL_RESOLVED).sum())
+            if cells_before + resolved + 2 * (state_level.size - resolved) > self.max_cells:
+                return False
+            cells_before += resolved + int(fallback.size)
+
             alive = alive_next
             seeds_lo, seeds_hi = next_lo, next_hi
             depth += 1
 
-        # ---- Phase 4: prove the budget path stays dormant. ------------
-        # A fresh run takes the order-independent vectorized path at a
-        # level only while its projected worst-case leaf count stays
-        # within max_cells; mirror that check exactly on the maintained
-        # tree and bail if any level could engage the sequential path.
-        cells_before = 0
-        for level in new_levels:
-            num = level.state.shape[0]
-            resolved = int((level.state == CELL_RESOLVED).sum())
-            fallen = int((level.state == CELL_FALLBACK).sum())
-            if cells_before + resolved + 2 * (num - resolved) > self.max_cells:
-                return False
-            cells_before += resolved + fallen
         cache.levels = new_levels
         return True
 

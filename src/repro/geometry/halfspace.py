@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Iterable
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.exceptions import GeometryError, ValidationError
 
@@ -34,6 +33,19 @@ __all__ = [
 ]
 
 _MARGIN_TOL = 1e-9
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first solve.
+
+    scipy.optimize is the package's heaviest import by far, and only the
+    exact LP tools reach this solver, so it is paid on their first call
+    rather than at ``import repro``.  Kept as a module global so tests
+    can patch the solver.
+    """
+    from scipy.optimize import linprog as solve  # deferred: heavy import
+
+    return solve(*args, **kwargs)
 
 
 def separating_function(

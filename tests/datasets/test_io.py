@@ -1,5 +1,7 @@
 """Unit tests for CSV persistence."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -78,5 +80,49 @@ class TestLoadErrors:
     def test_direction_row_length_mismatch(self, tmp_path):
         path = tmp_path / "dir.csv"
         path.write_text("x,y\n#direction:high\n1.0,2.0\n")
+        with pytest.raises(DatasetError):
+            load_csv(path)
+
+
+class TestBulkParse:
+    """The body goes through one np.loadtxt call; it must agree bit for bit
+    with csv.reader plus float() per field, the parse it replaced."""
+
+    FIELDS = [
+        "5e-324", "4.9406564584124654e-324", "2.2250738585072011e-308",
+        "2.2250738585072014e-308", "1.7976931348623157e+308", "0.30000000000000004",
+        "9007199254740993", "-0.0", "+7", ".5", "5.", "1e5", "1E-5", "  3.25",
+        "-1.5  ", '"1.25"', '"-0.0"',
+    ]
+
+    def test_matches_per_field_float(self, tmp_path):
+        rng = np.random.default_rng(11)
+        fields = list(self.FIELDS)
+        fields += ["%.17g" % v for v in rng.random(60) * 10.0 ** rng.integers(-300, 300, 60)]
+        fields += [repr(float(v)) for v in rng.random(20) * 1e-310]  # subnormals
+        fields += ["1.0"] * (-len(fields) % 3)
+        lines = [",".join(fields[i:i + 3]) for i in range(0, len(fields), 3)]
+        path = tmp_path / "adversarial.csv"
+        with path.open("w", newline="") as handle:
+            handle.write("a,b,c\r\n")
+            for i, line in enumerate(lines):
+                handle.write(line + ("\r\n" if i % 2 else "\n"))
+                if i == 3:
+                    handle.write("#direction:high,low,high\r\n")
+                if i % 5 == 0:
+                    handle.write("# a note\n\n")
+        expected = np.array(
+            [[float(f) for f in next(csv.reader([line]))] for line in lines],
+            dtype=np.float64,
+        )
+        loaded = load_csv(path)
+        assert loaded.values.tobytes() == expected.tobytes()
+        assert loaded.higher_is_better == (True, False, True)
+
+    def test_digit_group_underscores_rejected(self, tmp_path):
+        # float("1_000") is 1000.0, but save_csv never writes it and the
+        # bulk parser does not accept it.
+        path = tmp_path / "underscore.csv"
+        path.write_text("x,y\n1_000,2.0\n")
         with pytest.raises(DatasetError):
             load_csv(path)

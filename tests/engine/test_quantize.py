@@ -15,8 +15,9 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.engine import Quantizer, ScoreEngine
 from repro.engine.quantize import _LEVELS, _PROMOTE_WINDOW
@@ -169,6 +170,35 @@ def test_rank_bit_identity_ties_and_duplicates(seed, mode):
     weights[weights.sum(axis=1) == 0] = 1.0
     subset = [0, 40, 79]
     _assert_ranks_identical(values, weights, subset, quantize=mode)
+
+
+def _structured_unique_rows(matrix):
+    """Oracle: the probe's former count, np.unique over a structured row view."""
+    contiguous = np.ascontiguousarray(matrix)
+    as_bytes = contiguous.view([("", contiguous.dtype)] * contiguous.shape[1])
+    return int(np.unique(as_bytes).size)
+
+
+_SHAPES = st.tuples(st.integers(1, 30), st.integers(1, 4))
+_FLOATS = st.sampled_from([-0.0, 0.0, 0.5, 1.0, 5e-324]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+_INT16S = st.integers(-2, 2) | st.integers(-(2**15), 2**15 - 1)
+
+
+@given(
+    matrix=arrays(np.float64, _SHAPES, elements=_FLOATS)
+    | arrays(np.int16, _SHAPES, elements=_INT16S),
+    copies=st.integers(1, 3),
+)
+@example(matrix=np.array([[0.0, 1.0], [-0.0, 1.0], [-0.0, -0.0], [0.0, 0.0]]), copies=1)
+@example(matrix=np.array([[7.0, -0.0, 7.0]]), copies=1)
+@example(matrix=np.array([[1], [1], [-1]], dtype=np.int16), copies=2)
+@settings(max_examples=80, deadline=None)
+def test_distinct_rows_matches_structured_unique(matrix, copies):
+    # Tiling adds duplicate rows that are not adjacent in input order.
+    matrix = np.tile(matrix, (copies, 1))
+    assert Quantizer._distinct_rows(matrix) == _structured_unique_rows(matrix)
 
 
 # ----------------------------------------------------------------------

@@ -154,6 +154,26 @@ class TestMDRCViewEdgeCases:
                 engine.insert_rows(rng.random((10, 3)))
                 _assert_mdrc_identical(view, engine)
 
+    def test_over_budget_tree_bails_before_growing_deeper(self):
+        # Integer grid at denormal scale: after this insert the repaired
+        # tree keeps splitting, its cell count doubling every two levels.
+        # The fresh run takes the budget path; the view must bail at the
+        # first over-budget level, not grow toward max_depth.
+        grid = [
+            [3, 3, 2], [2, 1, 3], [3, 0, 2], [0, 4, 4], [3, 4, 3], [0, 3, 2],
+            [1, 2, 2], [1, 2, 4], [3, 2, 2], [4, 3, 1], [4, 3, 0], [1, 0, 4],
+            [4, 1, 1], [1, 0, 2], [4, 3, 2], [2, 1, 2], [0, 1, 2], [1, 0, 1],
+            [2, 2, 4], [4, 2, 3], [1, 4, 2], [1, 0, 3],
+        ]
+        values = np.asarray(grid, dtype=np.float64) * 1e-300
+        with ScoreEngine(values) as engine, MDRCView(engine, 3) as view:
+            view.refresh()
+            engine.delete_rows([11, 21])
+            engine.insert_rows(np.array([[2.0, 1.0, 3.0], [4.0, 1.0, 2.0]]) * 1e-300)
+            res = _assert_mdrc_identical(view, engine)
+            assert res.capped_cells > 0
+            assert view.stats["bails"] == 1
+
     def test_exact_duplicates_and_tie_rows(self, rng):
         values = rng.random((400, 3))
         values[50] = values[10]

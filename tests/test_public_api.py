@@ -2,6 +2,11 @@
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -59,3 +64,29 @@ class TestExports:
         assert issubclass(repro.InfeasibleError, repro.ReproError)
         assert issubclass(repro.ConvergenceError, repro.ReproError)
         assert issubclass(repro.ValidationError, ValueError)
+
+
+class TestColdImport:
+    def test_scipy_loads_on_first_lp_solve(self):
+        """Importing the library, CLI and server must not load scipy; the
+        first separability LP does."""
+        src = Path(repro.__file__).resolve().parents[1]
+        child = textwrap.dedent(
+            """
+            import sys
+            import numpy as np
+            import repro, repro.cli, repro.serve
+            assert "scipy" not in sys.modules, "scipy loaded at import"
+            values = np.array([[1.0, 0.0], [0.0, 1.0], [0.4, 0.4]])
+            assert repro.geometry.is_separable(values, [0])
+            assert not repro.geometry.is_separable(values, [2])
+            assert "scipy" in sys.modules
+            """
+        )
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", child],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr

@@ -28,7 +28,7 @@ For each op the script measures BOTH the current implementation and the
 frozen pre-engine reference (:mod:`repro.engine.reference`), asserts their
 outputs agree, and records ``median_s`` / ``baseline_median_s`` / ``speedup``
 in a machine-readable JSON file at the repository root.  Each op also
-carries a ``backends`` column — serial/thread/process wall time at
+carries a ``backends`` column — serial/thread wall time at
 ``--backend-jobs`` workers (ops whose per-call work sits below the
 engine's fan-out cutover legitimately time like serial) — and the report
 ends with a ``quant`` section: the quantized tier's resolved/screened
@@ -50,7 +50,7 @@ from ``--pr`` or, by default, one past the newest ``- PR N`` entry of
 CHANGES.md (so a run never overwrites an earlier PR's file).
 ``--quick`` shrinks the workloads ~4x for a fast smoke run (its numbers are
 NOT meant to be committed).  ``--jobs`` runs the current implementations
-with the engine's process fan-out (the references stay serial).
+with the engine's thread fan-out (the references stay serial).
 
 ``--smoke`` (alias ``--check-only``) is the CI mode: run every op at
 reduced scale, check *exactness* against the references plus
@@ -60,9 +60,9 @@ written in this mode; the timing gate stays a local/dev concern.
 
 ``--faults`` additionally runs the deterministic fault-injection probe
 (:mod:`repro.engine.faults` + :mod:`repro.engine.resilience`): injected
-worker crashes, hangs, corrupted payloads, shm allocation failures and a
-torn tuning profile must all recover without process death, bit-identical
-to the fault-free serial run, leaking no ``/dev/shm`` segment.  It also
+worker crashes and hangs on the thread pool and a torn tuning profile
+must all recover without process death, bit-identical to the fault-free
+serial run.  It also
 runs the kill-9 chaos drill: a real ``repro serve --data-dir`` process is
 SIGKILLed mid-churn, restarted on the same data dir, handed a keyed retry
 of the in-flight mutation (which must apply exactly once), and asserted
@@ -98,22 +98,18 @@ def _median_time(fn, repeats: int) -> tuple[float, object]:
 
 
 def _backend_column(fn, repeats: int, backend_jobs: int) -> dict:
-    """Per-backend medians of one op: serial, thread, process.
+    """Per-backend medians of one op: serial and thread.
 
-    ``fn(backend, jobs)`` runs the op once.  Thread/process run at
+    ``fn(backend, jobs)`` runs the op once.  Thread runs at
     ``backend_jobs`` workers; an op whose per-call work sits below the
     engine's serial cutover never fans out and legitimately times like
     serial.  Each call builds (and closes) its own engine, so the
-    process column includes per-call pool construction — the cost a
-    one-shot caller pays; persistent-engine callers amortize it away.
-    Informational only — the regression gate reads ``median_s``.
+    thread column includes per-call pool construction — the cost a
+    one-shot caller pays.  Informational only — the regression gate
+    reads ``median_s``.
     """
     column = {}
-    for backend, jobs in (
-        ("serial", None),
-        ("thread", backend_jobs),
-        ("process", backend_jobs),
-    ):
+    for backend, jobs in (("serial", None), ("thread", backend_jobs)):
         fn(backend, jobs)  # warm pool/caches for this backend
         column[backend], _ = _median_time(
             lambda: fn(backend, jobs), max(1, repeats - 2)
@@ -674,7 +670,7 @@ def _quant_hit_rates(quick: bool) -> dict:
 
 
 def _smoke_parallel_identity(jobs: int | None) -> None:
-    """Serial vs fan-out bit-identity probe, per backend (the CI check)."""
+    """Serial vs thread fan-out bit-identity probe (the CI check)."""
     from repro.engine import ScoreEngine
     from repro.ranking.sampling import sample_functions
 
@@ -686,38 +682,26 @@ def _smoke_parallel_identity(jobs: int | None) -> None:
     # score_batch in particular only fans out when m exceeds one serial
     # chunk, and the probe must not silently compare serial vs serial.
     serial = ScoreEngine(values, chunk_bytes=1)
-    for backend in ("thread", "process"):
-        with ScoreEngine(
-            values, n_jobs=jobs, parallel_min_work=0, chunk_bytes=1,
-            backend=backend,
-        ) as fanout:
-            a = serial.topk_batch(weights, 9)
-            b = fanout.topk_batch(weights, 9)
-            assert np.array_equal(a.order, b.order), f"{backend} topk diverged"
-            assert np.array_equal(a.members, b.members), (
-                f"{backend} bitsets diverged"
-            )
-            subset = [1, 300, 599]
-            assert np.array_equal(
-                serial.rank_of_best_batch(weights, subset),
-                fanout.rank_of_best_batch(weights, subset),
-            ), f"{backend} rank counting diverged"
-            assert np.array_equal(
-                serial.score_batch(weights), fanout.score_batch(weights)
-            ), f"{backend} score_batch diverged"
-            few = sample_functions(4, 2, 1)
-            assert np.array_equal(
-                serial.topk_batch(few, 5).order, fanout.topk_batch(few, 5).order
-            ), f"{backend} row-chunked topk diverged"
-        print(f"parallel identity probe [{backend}]: ok")
-
-
-def _shm_segments() -> set[str]:
-    """Current /dev/shm entries (empty off Linux): the leak probe."""
-    shm = Path("/dev/shm")
-    if not shm.is_dir():  # pragma: no cover - non-Linux dev machines
-        return set()
-    return {entry.name for entry in shm.iterdir()}
+    with ScoreEngine(
+        values, n_jobs=jobs, parallel_min_work=0, chunk_bytes=1, backend="thread",
+    ) as fanout:
+        a = serial.topk_batch(weights, 9)
+        b = fanout.topk_batch(weights, 9)
+        assert np.array_equal(a.order, b.order), "thread topk diverged"
+        assert np.array_equal(a.members, b.members), "thread bitsets diverged"
+        subset = [1, 300, 599]
+        assert np.array_equal(
+            serial.rank_of_best_batch(weights, subset),
+            fanout.rank_of_best_batch(weights, subset),
+        ), "thread rank counting diverged"
+        assert np.array_equal(
+            serial.score_batch(weights), fanout.score_batch(weights)
+        ), "thread score_batch diverged"
+        few = sample_functions(4, 2, 1)
+        assert np.array_equal(
+            serial.topk_batch(few, 5).order, fanout.topk_batch(few, 5).order
+        ), "thread row-chunked topk diverged"
+    print("parallel identity probe [thread]: ok")
 
 
 def _smoke_fault_identity(jobs: int | None) -> None:
@@ -725,11 +709,10 @@ def _smoke_fault_identity(jobs: int | None) -> None:
 
     Drives the deterministic fault harness (:mod:`repro.engine.faults`)
     through the supervision layer (:mod:`repro.engine.resilience`):
-    worker crashes, hangs past the per-unit timeout, corrupted return
-    payloads, shared-memory allocation failures, and a torn tuning
-    profile.  Each scenario must finish without process death, yield
-    results bit-identical to a fault-free serial run, and leave no
-    leaked /dev/shm segment behind.
+    worker crashes and hangs past the per-unit timeout on the thread
+    pool, and a torn tuning profile.  Each scenario must finish without
+    process death and yield results bit-identical to a fault-free
+    serial run.
     """
     from repro.engine import FaultInjector, RetryPolicy, ScoreEngine, TuningProfile
     from repro.engine import faults
@@ -745,47 +728,27 @@ def _smoke_fault_identity(jobs: int | None) -> None:
     ref_topk = serial.topk_batch(weights, 9)
     ref_rank = serial.rank_of_best_batch(weights, subset)
     policy = RetryPolicy(timeout_s=5.0, max_retries=2, backoff_base_s=0.0)
-    segments_before = _shm_segments()
 
-    for backend in ("thread", "process"):
-        for kind in ("crash", "hang", "corrupt"):
-            injector = FaultInjector(
-                seed=0, **{kind: 0.4}, max_faults=3, hang_s=20.0
+    for kind in ("crash", "hang"):
+        injector = FaultInjector(seed=0, **{kind: 0.4}, max_faults=3, hang_s=20.0)
+        with ScoreEngine(
+            values, n_jobs=jobs, parallel_min_work=0, chunk_bytes=1,
+            backend="thread", resilience=policy,
+        ) as fanout:
+            with faults.injected(injector):
+                got_topk = fanout.topk_batch(weights, 9)
+                got_rank = fanout.rank_of_best_batch(weights, subset)
+            assert injector.total_injected > 0, f"thread/{kind}: harness injected nothing"
+            assert np.array_equal(ref_topk.order, got_topk.order), (
+                f"thread/{kind}: topk diverged after recovery"
             )
-            with ScoreEngine(
-                values, n_jobs=jobs, parallel_min_work=0, chunk_bytes=1,
-                backend=backend, resilience=policy,
-            ) as fanout:
-                with faults.injected(injector):
-                    got_topk = fanout.topk_batch(weights, 9)
-                    got_rank = fanout.rank_of_best_batch(weights, subset)
-                assert injector.total_injected > 0, (
-                    f"{backend}/{kind}: harness injected nothing"
-                )
-                assert np.array_equal(ref_topk.order, got_topk.order), (
-                    f"{backend}/{kind}: topk diverged after recovery"
-                )
-                assert np.array_equal(ref_rank, got_rank), (
-                    f"{backend}/{kind}: rank counting diverged after recovery"
-                )
-            print(
-                f"fault probe [{backend}/{kind}]: recovered, bit-identical "
-                f"(injected={injector.total_injected})"
+            assert np.array_equal(ref_rank, got_rank), (
+                f"thread/{kind}: rank counting diverged after recovery"
             )
-
-    # Shared-memory allocation failure: the process backend cannot be
-    # built, the engine degrades to threads, results stay identical.
-    with ScoreEngine(
-        values, n_jobs=jobs, parallel_min_work=0, chunk_bytes=1,
-        backend="process", resilience=policy,
-    ) as fanout:
-        with faults.injected(FaultInjector(shm_errors=16)):
-            got = fanout.topk_batch(weights, 9)
-        assert np.array_equal(ref_topk.order, got.order), (
-            "shm-failure degradation diverged"
+        print(
+            f"fault probe [thread/{kind}]: recovered, bit-identical "
+            f"(injected={injector.total_injected})"
         )
-        assert fanout._degraded == "thread", "shm failure did not degrade"
-    print("fault probe [shm-OSError]: degraded process->thread, bit-identical")
 
     # Torn tuning-profile JSON: load must fail with the typed error (the
     # CLI recalibrates on it), and the atomic save must round-trip.
@@ -806,10 +769,10 @@ def _smoke_fault_identity(jobs: int | None) -> None:
     print("fault probe [torn-profile]: typed CorruptStateError, save atomic")
 
     # Maintained views under chaos: the view repair path fans work
-    # through the same supervised executors, so injected crashes and
-    # corrupted payloads must leave the maintained representative (and
-    # its patched regret estimate) bit-identical to a from-scratch
-    # recompute at every revision.
+    # through the same supervised executors, so injected crashes must
+    # leave the maintained representative (and its patched regret
+    # estimate) bit-identical to a from-scratch recompute at every
+    # revision.
     from repro.core import mdrc
     from repro.engine import MDRCView, RankRegretView
     from repro.evaluation import rank_regret_sampled
@@ -824,7 +787,7 @@ def _smoke_fault_identity(jobs: int | None) -> None:
         view_engine, view.refresh().indices, num_functions=96, rng=0
     )
     rview.refresh()
-    injector = FaultInjector(seed=1, crash=0.2, corrupt=0.2, max_faults=8)
+    injector = FaultInjector(seed=1, crash=0.4, max_faults=8)
     with faults.injected(injector):
         for revision in range(3):
             view_engine.delete_rows(
@@ -848,14 +811,11 @@ def _smoke_fault_identity(jobs: int | None) -> None:
     view.close()
     rview.close()
     view_engine.close()
+    assert injector.total_injected > 0, "maintained views: harness injected nothing"
     print(
         "fault probe [maintained-views]: 3 revisions under chaos, "
         f"bit-identical (injected={injector.total_injected})"
     )
-
-    leaked = _shm_segments() - segments_before
-    assert not leaked, f"leaked /dev/shm segments after fault runs: {leaked}"
-    print("fault probe [shm-leak]: no leaked segments")
 
 
 def _smoke_crash_recovery() -> None:
@@ -1078,9 +1038,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--faults", action="store_true",
         help="with --smoke: also run the deterministic fault-injection "
-        "probe (crash/hang/corrupt/shm + torn profile) and the kill-9 "
-        "durability drill, asserting every recovery path is "
-        "bit-identical and leak-free",
+        "probe (crash/hang + torn profile) and the kill-9 durability "
+        "drill, asserting every recovery path is bit-identical",
     )
     parser.add_argument(
         "--history", action="store_true",
@@ -1119,15 +1078,14 @@ def main(argv: list[str] | None = None) -> int:
 
     print(
         f"{'op':<22}{'n':>8}{'d':>3}  {'baseline':>10}  {'engine':>10}  "
-        f"{'speedup':>8}  {'serial':>8}  {'thread':>8}  {'process':>8}"
+        f"{'speedup':>8}  {'serial':>8}  {'thread':>8}"
     )
     for row in ops:
         backends = row.get("backends")
         backend_cells = (
             f"  {backends['serial']:>7.3f}s  {backends['thread']:>7.3f}s"
-            f"  {backends['process']:>7.3f}s"
             if backends
-            else f"  {'-':>8}{'-':>10}{'-':>10}"
+            else f"  {'-':>8}{'-':>10}"
         )
         print(
             f"{row['op']:<22}{row['n']:>8}{row['d']:>3}"

@@ -24,7 +24,10 @@ then exercises the full serving surface:
    typed 429 admission control.
 4. **Faults.**  With ``--faults`` a deterministic injector
    (:mod:`repro.engine.faults`) fires worker crashes inside the serving
-   engine while queries keep answering bit-identically.
+   engine while queries keep answering bit-identically.  The server
+   loads a tuning profile with a zero work cutover, so every engine
+   call fans out over the thread pool and the crashes hit real work
+   units; the drill fails if none was injected.
 5. **Durability.**  With ``--durability`` a second server boots on a
    ``data_dir``, acknowledges a keyed mutation, dies without warning
    (the in-process ``kill -9``), restarts from its write-ahead log, and
@@ -34,10 +37,12 @@ then exercises the full serving surface:
 Run:  python examples/streaming_service.py
       python examples/streaming_service.py --smoke   # bounded CI run
       python examples/streaming_service.py --smoke --durability
+      python examples/streaming_service.py --smoke --faults
       python examples/streaming_service.py --url http://127.0.0.1:8472
 """
 
 import argparse
+import os
 import tempfile
 import threading
 import time
@@ -45,7 +50,7 @@ import time
 import numpy as np
 
 from repro import synthetic_dot
-from repro.engine import FaultInjector, ScoreEngine, faults
+from repro.engine import FaultInjector, ScoreEngine, TuningProfile, faults
 from repro.serve import (
     ServerConfig,
     ServerThread,
@@ -112,6 +117,8 @@ def main(argv=None) -> None:
     rng = np.random.default_rng(seed)
 
     injector = None
+    profile_dir = None
+    tuning_profile = None
     if args.faults:
         if args.url is not None:
             raise SystemExit("--faults needs the in-process server (no --url)")
@@ -120,12 +127,18 @@ def main(argv=None) -> None:
         # ladder absorbs every crash without a wrong answer.
         injector = FaultInjector(seed=seed, crash=0.05, max_faults=10)
         faults.install(injector)
-        print("fault injector installed (crash=5%, bounded)")
+        # The demo's calls sit far below the default work cutover, so
+        # without a zero cutover the pool (and the injector) never run.
+        profile_dir = tempfile.TemporaryDirectory()
+        tuning_profile = os.path.join(profile_dir.name, "profile.json")
+        TuningProfile(parallel_min_work=0).save(tuning_profile)
+        print("fault injector installed (crash=5%, bounded; every call fans out)")
 
     local = None
     if args.url is None:
         config = ServerConfig(
             port=0, jobs=2, backend="thread",
+            tuning_profile=tuning_profile,
             max_pending=8 if args.smoke else 32,
         )
         local = ServerThread(data.values, config).start()
@@ -253,6 +266,12 @@ def main(argv=None) -> None:
             f"\nfinal: n={final['n']} rev={final['revision']} — every served "
             f"response bit-identical to a direct engine call"
         )
+        if injector is not None:
+            assert injector.total_injected > 0, "the fault drill injected nothing"
+            print(
+                f"faults: {injector.injected['crash']} crashes injected over "
+                f"{injector.draws} work units, all absorbed"
+            )
         reference.close()
     finally:
         client.close()
@@ -260,6 +279,7 @@ def main(argv=None) -> None:
             local.stop()
         if injector is not None:
             faults.uninstall()
+            profile_dir.cleanup()
     print("OK")
 
 

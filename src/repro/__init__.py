@@ -36,8 +36,7 @@ and ``repro.serve`` (``repro serve`` on the command line) exposes a
 Session over asyncio HTTP with request coalescing.
 
 Every public free function shares one keyword vocabulary: ``jobs``
-(worker count), ``backend`` (``auto``/``serial``/``thread``/
-``process``), ``tune`` (a :class:`~repro.engine.TuningProfile` or
+(worker count), ``backend`` (``auto``/``serial``/``thread``), ``tune`` (a :class:`~repro.engine.TuningProfile` or
 ``"auto"``) and ``policy`` (a :class:`~repro.engine.RetryPolicy`).
 """
 

@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="RRR: Rank-Regret Representative (SIGMOD 2019) toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # Shared by every subcommand: the engine's process fan-out knob.
+    # Shared by every subcommand: the engine's fan-out knobs.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--jobs", type=int, default=None, metavar="N",
@@ -70,11 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: serial; -1 = all cores); results are bit-identical",
     )
     common.add_argument(
-        "--backend", choices=("auto", "serial", "thread", "process"),
+        "--backend", choices=("auto", "serial", "thread"),
         default="auto",
-        help="execution backend for the fan-out: auto picks "
-        "serial/thread/process from problem size and measured per-call "
-        "work (default: auto)",
+        help="execution backend for the fan-out: serial never fans out; "
+        "thread and auto use a thread pool above the work cutover "
+        "(default: auto)",
     )
     common.add_argument(
         "--tuning-profile", default=None, metavar="PATH",
@@ -86,15 +86,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-work-unit deadline for parallel execution: a worker "
-        "that exceeds it is reaped and its unit retried, possibly on a "
-        "degraded backend (repro.engine.resilience; default: no deadline)",
+        help="per-work-unit deadline for parallel execution: a unit "
+        "that exceeds it is retried on a fresh thread pool, and serially "
+        "once retries run out (repro.engine.resilience; default: no "
+        "deadline)",
     )
     common.add_argument(
         "--max-retries", type=int, default=None, metavar="N",
-        help="failed attempts per work unit and backend before the engine "
-        "degrades process -> thread -> serial (default: 2); results stay "
-        "bit-identical on every rung",
+        help="failed attempts per work unit on the thread pool before the "
+        "engine falls back to serial (default: 2); results stay "
+        "bit-identical either way",
     )
 
     rep = sub.add_parser(
@@ -219,8 +220,7 @@ def _resolve_tuning(path: str | None, values=None, n_jobs: int | None = None):
     An existing file is loaded as-is.  A missing file triggers one
     calibration probe — on ``values`` when the command has a concrete
     dataset, else on a bench-scale synthetic stand-in, with the
-    command's ``--jobs`` setting so the derived cutover/escalation
-    values match the engines the run will actually build — and the
+    command's ``--jobs`` setting so the derived cutover values match the engines the run will actually build — and the
     derived profile is written to ``path`` so the next invocation skips
     the probe.  Returns a value for the ``tune=`` plumbing (``None``
     when no profile was requested).

@@ -113,7 +113,7 @@ def rank_regret_representative(
         sequential and ignores it.
     backend:
         Execution backend for that scoring (``"auto"`` | ``"serial"`` |
-        ``"thread"`` | ``"process"``), as in
+        ``"thread"``), as in
         :class:`~repro.engine.ScoreEngine`.
     tune:
         Engine runtime tuning (``None`` | ``"auto"`` | a

@@ -371,7 +371,7 @@ def mdrc(
         configuration.
     backend:
         Execution backend for the fan-out (``"auto"`` | ``"serial"`` |
-        ``"thread"`` | ``"process"``), as in :class:`ScoreEngine`;
+        ``"thread"``), as in :class:`ScoreEngine`;
         likewise ignored when ``engine`` is passed.
     tune:
         Runtime tuning for the engine built here (``None`` | ``"auto"``

@@ -151,7 +151,7 @@ def md_rrr(
         ``-1`` = all cores); draws are bit-identical either way.
     backend:
         Execution backend for that scoring (``"auto"`` | ``"serial"`` |
-        ``"thread"`` | ``"process"``), as in
+        ``"thread"``), as in
         :class:`~repro.engine.ScoreEngine`.
     engine / kset_state:
         Passed through to :func:`~repro.geometry.ksets.sample_ksets`

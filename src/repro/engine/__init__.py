@@ -27,10 +27,9 @@ path.
 ``ScoreEngine(..., n_jobs=N, backend=...)`` every bulk call above a
 calibrated work cutover is split into function-chunk or row-chunk work
 units, run over a persistent thread pool (zero-copy clones, GIL-free
-GEMM) or shared-memory process pool, and merged deterministically —
-bit-identical to the serial path.  ``backend="auto"`` picks
-serial/thread/process from problem size and the measured scalar-fallback
-ratio.
+GEMM), and merged deterministically — bit-identical to the serial path.
+``backend="serial"`` never fans out; ``"thread"`` and ``"auto"`` use the
+pool above the cutover.
 
 :mod:`repro.engine.autotune` is the self-tuning layer: every perf
 constant lives in a per-engine :class:`TuningProfile` (defaults = the
@@ -44,10 +43,9 @@ quantized stores instead of rebuilding them, bit-identical to a fresh
 engine on the mutated matrix.
 
 :mod:`repro.engine.resilience` is the supervision layer around the
-fan-out: dead workers are detected and their work units re-executed
-under bounded retry with backoff, hung units are reaped on a per-unit
-timeout, corrupted payloads are rejected structurally, and a backend
-that keeps failing degrades process → thread → serial (sticky) — always
+fan-out: failed work units are re-executed under bounded retry with
+backoff, hung units are abandoned on a per-unit timeout, and a thread
+pool that keeps failing falls back to serial (sticky) — always
 bit-identical, because merges key on unit index, not completion.
 :mod:`repro.engine.faults` is the matching deterministic fault-injection
 harness the chaos tests and ``perf_gate.py --faults`` drive.
@@ -86,8 +84,6 @@ from repro.engine.bitset import (
 )
 from repro.engine.parallel import (
     BACKENDS,
-    ParallelExecutor,
-    SharedMatrix,
     ThreadExecutor,
     resolve_backend,
     resolve_n_jobs,
@@ -140,8 +136,6 @@ __all__ = [
     "replay_commits",
     "write_snapshot",
     "BACKENDS",
-    "ParallelExecutor",
-    "SharedMatrix",
     "ThreadExecutor",
     "Quantizer",
     "resolve_backend",

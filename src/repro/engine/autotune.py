@@ -17,11 +17,9 @@ run against *this* machine and *this* matrix that measures
   fans out once its serial GEMM time dwarfs the cost of shipping work
   units) and the work-unit granularity;
 * the scalar-fallback kernel's cost relative to a GEMM column, which
-  sets the thread→process escalation threshold (threads only lose when
-  GIL-bound scalar work is a meaningful share of a call) and how
-  eagerly the rank path engages the quantized screen (the screen pays
-  by eliminating full-matrix rescans — its trigger should track how
-  expensive those rescans actually are);
+  sets how eagerly the rank path engages the quantized screen (the
+  screen pays by eliminating full-matrix rescans — its trigger should
+  track how expensive those rescans actually are);
 * integer-carrier vs float GEMM throughput, which prices the quantized
   tier's extra passes.
 
@@ -66,6 +64,11 @@ def _payload_checksum(payload: dict) -> str:
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 __all__ = ["TuningProfile", "calibrate_engine"]
+
+# Fields that earlier versions wrote for a process-pool backend that no
+# longer exists.  ``from_json`` drops them after the checksum check, so
+# profiles saved before (and snapshots that pin one) still load.
+_RETIRED_FIELDS = ("backend_escalate_ratio", "backend_min_sample", "initial_backend")
 
 # Probe workload caps: the calibration GEMMs never exceed this many data
 # rows / weight columns, so the probe stays sub-second on any matrix.
@@ -119,13 +122,6 @@ class TuningProfile:
         The rank path engages the quantized screen once the float path
         has dropped more than this fraction of at least ``min_sample``
         counted functions to the exact scalar kernel.
-    backend_escalate_ratio / backend_min_sample:
-        ``backend="auto"`` escalates threads → processes once this
-        fraction of at least ``min_sample`` decided columns needed the
-        scalar (GIL-bound) fallback.
-    initial_backend:
-        The pool ``backend="auto"`` starts with above the cutover
-        (``"thread"`` or ``"process"``).
     quant_promote_window / quant_promote_limit:
         The quantizer's adaptive level policy: after ``window`` screened
         columns, a promote rate above ``limit`` upgrades
@@ -144,9 +140,6 @@ class TuningProfile:
     quant_scalar_promote: int = 16
     rank_quant_fallback_ratio: float = 0.02
     rank_quant_min_sample: int = 64
-    backend_escalate_ratio: float = 0.05
-    backend_min_sample: int = 4096
-    initial_backend: str = "thread"
     quant_promote_window: int = 512
     quant_promote_limit: float = 0.25
     meta: dict = field(default_factory=dict, compare=False)
@@ -166,7 +159,6 @@ class TuningProfile:
             ("quant_promote_window", 1),
             ("parallel_min_work", 0),
             ("rank_quant_min_sample", 0),
-            ("backend_min_sample", 0),
         ):
             raw = getattr(self, name)
             value = int(raw)
@@ -175,20 +167,11 @@ class TuningProfile:
             if value < floor:
                 raise ValueError(f"TuningProfile.{name} must be >= {floor}")
             object.__setattr__(self, name, value)
-        for name in (
-            "rank_quant_fallback_ratio",
-            "backend_escalate_ratio",
-            "quant_promote_limit",
-        ):
+        for name in ("rank_quant_fallback_ratio", "quant_promote_limit"):
             value = float(getattr(self, name))
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"TuningProfile.{name} must be in [0, 1]")
             object.__setattr__(self, name, value)
-        if self.initial_backend not in ("thread", "process"):
-            raise ValueError(
-                "TuningProfile.initial_backend must be 'thread' or 'process', "
-                f"got {self.initial_backend!r}"
-            )
 
     # ------------------------------------------------------------------
     # JSON persistence
@@ -216,6 +199,8 @@ class TuningProfile:
                 "delete the file or recalibrate to regenerate it"
             )
         payload.pop("schema", None)
+        for name in _RETIRED_FIELDS:
+            payload.pop(name, None)
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(payload) - known
         if unknown:
@@ -400,10 +385,6 @@ def calibrate_engine(engine, budget_s: float = 0.25) -> TuningProfile:
       GEMM ≥ ~20 dispatches;
     * ``rank_buffer_bytes`` — the largest buffer that still threshold-
       scans at near-peak (cache) speed;
-    * ``backend_escalate_ratio`` — threads escalate to processes when
-      the GIL-bound scalar share eats ≥ ~25% of a call's parallel GEMM
-      time, so the threshold shrinks as the scalar kernel gets more
-      expensive relative to a GEMM column;
     * ``rank_quant_fallback_ratio`` — the quantized screen's trigger
       tracks its price: the cheaper the integer GEMM relative to
       float32, the earlier it engages;
@@ -441,9 +422,6 @@ def calibrate_engine(engine, budget_s: float = 0.25) -> TuningProfile:
             8,
         )
     )
-    backend_escalate_ratio = _clamp(
-        0.25 * t_gemm_col / (n_jobs * max(t_scalar, 1e-9)), 0.01, 0.25
-    )
     # The screen's extra cost per function is roughly (quant_ratio - 1)
     # float32-GEMM equivalents plus two threshold passes; each avoided
     # fallback saves one full scalar rescan.  Engage once the measured
@@ -467,7 +445,6 @@ def calibrate_engine(engine, budget_s: float = 0.25) -> TuningProfile:
         quant_rank_cap=quant_rank_cap,
         quant_scalar_promote=quant_scalar_promote,
         rank_quant_fallback_ratio=rank_quant_fallback_ratio,
-        backend_escalate_ratio=backend_escalate_ratio,
         meta={
             "calibrated": True,
             "n": int(n),

@@ -45,9 +45,8 @@ write and the compaction that settles it:
   :meth:`ScoreEngine._invalidate_derived`: the single-probe LRU memo
   (keyed on weight bytes only — it would silently serve pre-mutation
   top-k sets), the grid-gather cache, the cached max row norm behind
-  the ulp noise bands, the chunk geometry, and the worker pools (their
-  clones and shared-memory segments hold the old matrix) are all
-  dropped explicitly.
+  the ulp noise bands, the chunk geometry, and the thread pool (its
+  clones hold the old matrix) are all dropped explicitly.
 
 The contract is the engine-wide one: after any mutation sequence, every
 query is **bit-identical** to a fresh engine built on the mutated

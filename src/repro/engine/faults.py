@@ -1,33 +1,26 @@
 """Deterministic, seedable fault injection for the execution layer.
 
-Testing a supervision layer against *real* OOM kills and segfaults is
+Testing a supervision layer against *real* worker deaths and hangs is
 hopeless — they are timing-dependent and unreproducible.  This module
-makes the failures a long-lived service sees into scheduled, replayable
-events: a :class:`FaultInjector` decides — as a pure function of its
-seed and a monotone draw counter — whether each submitted work unit
-should crash its worker, hang past the timeout, or return a corrupted
-payload, and whether a shared-memory allocation should fail with
-``OSError``.  The same seed and the same call sequence inject the same
-faults, so the chaos suite (``tests/engine/test_resilience.py``) and the
-``perf_gate.py --faults`` smoke can assert *bit-identical recovery*
-rather than "it usually works".
+makes those failures into scheduled, replayable events: a
+:class:`FaultInjector` decides — as a pure function of its seed and a
+monotone draw counter — whether each submitted work unit should crash
+its worker or hang past the timeout.  The same seed and the same call
+sequence inject the same faults, so the chaos suite
+(``tests/engine/test_resilience.py``) and the ``perf_gate.py --faults``
+smoke can assert *bit-identical recovery* rather than "it usually
+works".
 
-Injection points
-----------------
-``unit``
-    Drawn once per work-unit submission by the supervision layer
-    (:mod:`repro.engine.resilience`); yields a fault token shipped with
-    the task.  ``"crash"`` makes a process worker ``os._exit`` (a thread
-    worker raises :class:`~repro.exceptions.WorkerCrashError` — threads
-    cannot be killed), ``("hang", s)`` sleeps ``s`` seconds before
-    computing, ``"corrupt"`` garbles the returned payload.
-``shm``
-    Checked at :meth:`SharedMatrix.create <repro.engine.parallel.SharedMatrix>`;
-    raises ``OSError`` for the first ``shm_errors`` allocations.
+The injection point is the work-unit submission: the supervision layer
+(:mod:`repro.engine.resilience`) draws once per submitted unit and ships
+the token with the task.  ``"crash"`` makes the thread worker raise
+:class:`~repro.exceptions.WorkerCrashError` (the error a dead worker
+maps to — threads cannot be killed); ``("hang", s)`` sleeps ``s``
+seconds before computing.
 
-Faults are only drawn for *pool* submissions: the serial rung of the
-degradation ladder is the trusted bottom and never injected, which is
-what guarantees every chaos run terminates with a correct answer.
+Faults are only drawn for *pool* submissions: the serial fall-back is the
+trusted bottom and never injected, which is what guarantees every chaos
+run terminates with a correct answer.
 
 Usage::
 
@@ -45,7 +38,7 @@ import random
 import threading
 from contextlib import contextmanager
 
-__all__ = ["FaultInjector", "active", "check", "injected", "install", "uninstall"]
+__all__ = ["FaultInjector", "active", "injected", "install", "uninstall"]
 
 
 class FaultInjector:
@@ -56,18 +49,15 @@ class FaultInjector:
     seed:
         Seeds the draw stream; identical seeds + identical call
         sequences inject identical faults.
-    crash / hang / corrupt:
+    crash / hang:
         Per-work-unit probabilities of each fault kind (at most one
         fires per unit; they are drawn from a single uniform sample in
         that priority order).
     plan:
         Explicit schedule overriding the probabilistic draw: maps the
         global submission counter (0-based, across retries) to a fault
-        kind (``"crash"`` | ``"hang"`` | ``"corrupt"``).  Lets tests
-        target exactly the Nth submitted unit.
-    shm_errors:
-        Fail this many shared-memory segment allocations with
-        ``OSError`` before allowing them to succeed.
+        kind (``"crash"`` | ``"hang"``).  Lets tests target exactly the
+        Nth submitted unit.
     max_faults:
         Cap on probabilistically injected faults (plan entries are
         exempt: they are finite by construction).  ``None`` = unlimited;
@@ -83,32 +73,29 @@ class FaultInjector:
         *,
         crash: float = 0.0,
         hang: float = 0.0,
-        corrupt: float = 0.0,
         plan: dict[int, str] | None = None,
-        shm_errors: int = 0,
         max_faults: int | None = None,
         hang_s: float = 0.25,
     ) -> None:
-        for name, rate in (("crash", crash), ("hang", hang), ("corrupt", corrupt)):
+        for name, rate in (("crash", crash), ("hang", hang)):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} rate must be in [0, 1], got {rate}")
-        if crash + hang + corrupt > 1.0:
-            raise ValueError("crash + hang + corrupt rates must not exceed 1")
+        if crash + hang > 1.0:
+            raise ValueError("crash + hang rates must not exceed 1")
         if plan is not None:
-            bad = {v for v in plan.values()} - {"crash", "hang", "corrupt"}
+            bad = {v for v in plan.values()} - {"crash", "hang"}
             if bad:
                 raise ValueError(f"unknown fault kinds in plan: {sorted(bad)}")
-        self._rates = (crash, hang, corrupt)
+        self._rates = (crash, hang)
         self._plan = dict(plan or {})
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
-        self._shm_errors = int(shm_errors)
         self._max_faults = max_faults
         self.hang_s = float(hang_s)
         self.draws = 0
         # What actually fired, for assertions: every chaos test checks
         # the schedule it asked for really exercised the recovery path.
-        self.injected = {"crash": 0, "hang": 0, "corrupt": 0, "shm": 0}
+        self.injected = {"crash": 0, "hang": 0}
 
     def _token(self, kind: str):
         self.injected[kind] += 1
@@ -122,8 +109,8 @@ class FaultInjector:
             planned = self._plan.pop(index, None)
             if planned is not None:
                 return self._token(planned)
-            crash, hang, corrupt = self._rates
-            if crash + hang + corrupt == 0.0:
+            crash, hang = self._rates
+            if crash + hang == 0.0:
                 return None
             budget_left = (
                 self._max_faults is None
@@ -136,17 +123,7 @@ class FaultInjector:
                 return self._token("crash")
             if sample < crash + hang:
                 return self._token("hang")
-            if sample < crash + hang + corrupt:
-                return self._token("corrupt")
             return None
-
-    def check_shm(self) -> None:
-        """Raise ``OSError`` while scheduled segment failures remain."""
-        with self._lock:
-            if self._shm_errors > 0:
-                self._shm_errors -= 1
-                self.injected["shm"] += 1
-                raise OSError("injected shared-memory allocation failure")
 
     @property
     def total_injected(self) -> int:
@@ -172,12 +149,6 @@ def uninstall() -> None:
 
 def active() -> FaultInjector | None:
     return _ACTIVE
-
-
-def check(point: str) -> None:
-    """Hook for non-unit injection points (currently only ``"shm"``)."""
-    if _ACTIVE is not None and point == "shm":
-        _ACTIVE.check_shm()
 
 
 @contextmanager

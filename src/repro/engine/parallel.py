@@ -8,39 +8,24 @@ the 10k-function Monte-Carlo estimator) or *row-chunk* work units (slices
 of the data rows, for few functions over a large matrix), and partial
 results merge deterministically.
 
-Two pool backends implement the same work-unit protocol:
+``backend="serial"`` runs every call in the caller's thread.
+``backend="thread"`` fans above-cutover calls out over a
+:class:`ThreadExecutor`: an in-process
+:class:`~concurrent.futures.ThreadPoolExecutor` whose workers run serial
+*clones* of the parent engine sharing the matrix, the pruning orderings,
+the quantized stores and the float32 copy by reference.  NumPy releases
+the GIL inside BLAS and the large ufunc/selection kernels, so the
+GEMM-dominated tiers scale across threads; only the scalar fallback tier
+serializes on the GIL.  ``backend="auto"`` (the engine default) runs the
+same code as ``"thread"``: serial below the work cutover, the thread pool
+above it.
 
-:class:`ThreadExecutor` (``backend="thread"``)
-    An in-process :class:`~concurrent.futures.ThreadPoolExecutor` whose
-    workers run serial *clones* of the parent engine sharing the matrix,
-    the pruning orderings, the quantized stores and the float32 copy by
-    reference — zero spawn, pickle and shared-memory cost.  NumPy
-    releases the GIL inside BLAS and the large ufunc/selection kernels,
-    so the GEMM-dominated tiers scale across threads; only the scalar
-    fallback tier serializes on the GIL.
-
-:class:`ParallelExecutor` (``backend="process"``)
-    The ``(n, d)`` float64 matrix is published once per engine through
-    :mod:`multiprocessing.shared_memory` (:class:`SharedMatrix`); a
-    persistent :class:`~concurrent.futures.ProcessPoolExecutor` attaches
-    it zero-copy and constructs one serial engine *per worker process*.
-    Worker engines persist across tasks, so lazily-built state —
-    orderings, quantized stores, the top-k memo — is built once per
-    worker, not once per chunk.  Immune to the GIL, at the price of
-    spawn latency and per-task argument/result pickling.
-
-``backend="auto"`` (the engine default) stays serial below the work
-cutover, starts with threads above it, and escalates to processes when
-the measured scalar-fallback ratio shows the workload is GIL-bound (see
-``ScoreEngine._select_backend``).
-
-Merging is pure bookkeeping either way: function-chunk results
-concatenate in submission order; row-chunk partial counts sum and
-row-chunk top-k candidates are re-scored exactly by the parent.  Because
-every work unit honours the engine's exactness contract (results
-bit-identical to the scalar ``top_k``/``rank_of`` path), the merged
-output is bit-identical to the serial tiered path for any split and any
-backend.
+Merging is pure bookkeeping: function-chunk results concatenate in
+submission order; row-chunk partial counts sum and row-chunk top-k
+candidates are re-scored exactly by the parent.  Because every work unit
+honours the engine's exactness contract (results bit-identical to the
+scalar ``top_k``/``rank_of`` path), the merged output is bit-identical to
+the serial tiered path for any split.
 
 Determinism note: worker scheduling order never matters — futures are
 collected in submission order and every merge is order-preserving.
@@ -51,29 +36,24 @@ from __future__ import annotations
 import os
 import threading
 import time
-import weakref
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from multiprocessing import get_context, shared_memory
-
-import numpy as np
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 __all__ = [
     "BACKENDS",
     "DEFAULT_MIN_PARALLEL_WORK",
     "DEFAULT_UNITS_PER_WORKER",
-    "ParallelExecutor",
-    "SharedMatrix",
     "ThreadExecutor",
     "resolve_backend",
     "resolve_n_jobs",
 ]
 
-BACKENDS = ("auto", "serial", "thread", "process")
+BACKENDS = ("auto", "serial", "thread")
 
 # Serial fast-path cutover: calls with fewer than this many score-matrix
-# entries (n rows x m functions) stay in-process, so small problems never
-# pay pool dispatch (~1 ms/task) or result pickling.  This is the
-# *default profile* value (one GEMM >~10 ms on the original sandbox);
+# entries (n rows x m functions) stay in the caller's thread, so small
+# problems never pay pool dispatch.  This is the *default profile* value
+# (one GEMM >~10 ms on the original sandbox);
 # :func:`repro.engine.autotune.calibrate_engine` derives a per-machine
 # cutover from measured GEMM throughput and pool-dispatch latency.
 DEFAULT_MIN_PARALLEL_WORK = 1 << 23
@@ -125,108 +105,6 @@ def _chunk_bounds(
     return [(lo, min(total, lo + size)) for lo in range(0, total, size)]
 
 
-def _default_context():
-    """fork where available (cheap startup, Linux), else spawn.
-
-    Overridable through ``REPRO_MP_CONTEXT`` (``fork`` | ``spawn`` |
-    ``forkserver``) without touching call sites.
-    """
-    name = os.environ.get("REPRO_MP_CONTEXT")
-    if name:
-        return get_context(name)
-    try:
-        return get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return get_context("spawn")
-
-
-def _attach_untracked(name: str) -> shared_memory.SharedMemory:
-    """Attach to a named segment without touching the resource tracker.
-
-    Attaching registers the segment with the tracker on CPython < 3.13
-    (gh-82300), so workers would try to clean up — or, under fork, send
-    spurious unregisters to the parent's tracker — for a segment the
-    creating engine owns.  3.13+ has ``track=False``; earlier versions
-    get the standard workaround of muting ``register`` for the call.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # pragma: no cover - CPython < 3.13
-        from multiprocessing import resource_tracker
-
-        original = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
-
-
-class SharedMatrix:
-    """One float64 matrix in a shared-memory segment.
-
-    The parent :meth:`create`-s it (one copy, at pool construction);
-    workers :meth:`attach` by name and wrap the buffer in a read-only,
-    C-contiguous ndarray — exactly the layout :class:`ScoreEngine`
-    accepts without copying.
-    """
-
-    def __init__(
-        self, shm: shared_memory.SharedMemory, array: np.ndarray, owner: bool
-    ) -> None:
-        self._shm = shm
-        self.array = array
-        self._owner = owner
-
-    @classmethod
-    def create(cls, matrix: np.ndarray) -> "SharedMatrix":
-        from repro.engine import faults
-
-        faults.check("shm")  # injection point: segment allocation OSError
-        shm = shared_memory.SharedMemory(create=True, size=matrix.nbytes)
-        array = np.ndarray(matrix.shape, dtype=np.float64, buffer=shm.buf)
-        array[:] = matrix
-        array.flags.writeable = False
-        return cls(shm, array, owner=True)
-
-    @property
-    def spec(self) -> tuple[str, tuple[int, ...]]:
-        """Picklable handle: (segment name, matrix shape)."""
-        return self._shm.name, self.array.shape
-
-    @classmethod
-    def attach(cls, spec: tuple[str, tuple[int, ...]]) -> "SharedMatrix":
-        name, shape = spec
-        shm = _attach_untracked(name)
-        array = np.ndarray(shape, dtype=np.float64, buffer=shm.buf)
-        array.flags.writeable = False
-        return cls(shm, array, owner=False)
-
-    def close(self) -> None:
-        try:
-            self._shm.close()
-            if self._owner:
-                self._shm.unlink()
-        except OSError:  # pragma: no cover - double close/unlink
-            pass
-
-
-# ----------------------------------------------------------------------
-# Worker side.  One engine per worker process, built by the initializer
-# and reused across every task the pool hands this worker — orderings
-# and memo state are therefore constructed once per worker, never once
-# per chunk.
-_WORKER: dict = {}
-
-
-def _init_worker(spec: tuple[str, tuple[int, ...]], config: dict) -> None:
-    from repro.engine.score_engine import ScoreEngine
-
-    shared = SharedMatrix.attach(spec)
-    _WORKER["shared"] = shared
-    _WORKER["engine"] = ScoreEngine(shared.array, **config)
-
-
 def _dispatch(engine, kind: str, *args):
     """Run one work unit against a (serial) engine."""
     if kind == "topk":
@@ -247,169 +125,41 @@ def _dispatch(engine, kind: str, *args):
     raise ValueError(f"unknown work-unit kind {kind!r}")  # pragma: no cover
 
 
-def _garble(result):
-    """Deterministically corrupt one work-unit payload (fault injection).
+def _run_on_clone(parent, clone, kind: str, *args, lock=None):
+    """Run one work unit on a serial clone of ``parent``.
 
-    Mimics what a torn pickle / partial read actually produces: a payload
-    of the right general type but impossible shape, which the supervisor's
-    structural validation must catch and retry rather than merge.
+    The unit's counter deltas fold back into the parent (under ``lock``
+    when clones run concurrently), so the stats and the adaptive
+    rank-quant engagement keep seeing fanned-out work, not just serial
+    calls.
     """
-    if isinstance(result, np.ndarray):
-        return result[:-1] if result.shape[0] > 0 else result.astype(np.float16)
-    if isinstance(result, tuple):
-        return result[:-1]
-    if isinstance(result, list):
-        return result[:-1]
-    return None  # pragma: no cover - no other payload kinds exist
+    before = dict(clone.stats)
+    rank_columns = clone._rank_float_columns
+    rank_fallbacks = clone._rank_float_fallbacks
+    try:
+        return _dispatch(clone, kind, *args)
+    finally:
+        with lock or nullcontext():
+            for key, value in clone.stats.items():
+                parent.stats[key] += value - before[key]
+            parent._rank_float_columns += clone._rank_float_columns - rank_columns
+            parent._rank_float_fallbacks += clone._rank_float_fallbacks - rank_fallbacks
 
 
-def _apply_fault_pre(fault) -> None:
-    """Honour a crash/hang token before running the work unit."""
-    if fault is None:
-        return
-    if fault == "crash":
-        # The injected analogue of an OOM kill / segfault inside BLAS:
-        # the worker dies without unwinding, so the parent sees a broken
-        # pool, never an exception from user code.
-        os._exit(11)
-    if isinstance(fault, tuple) and fault[0] == "hang":
-        time.sleep(float(fault[1]))
-
-
-def _run_task(kind: str, *args, _fault=None):
-    _apply_fault_pre(_fault)
-    result = _dispatch(_WORKER["engine"], kind, *args)
-    if _fault == "corrupt":
-        return _garble(result)
-    return result
-
-
-def _cleanup(pool: ProcessPoolExecutor, shared: SharedMatrix) -> None:
-    pool.shutdown(wait=False, cancel_futures=True)
-    shared.close()
-
-
-class _ChunkDispatch:
-    """Shared work-unit dispatch: split, submit, collect in order.
-
-    Subclasses provide ``n_jobs``, ``tasks_dispatched`` and ``_submit``;
-    everything else — the chunk math and the submission-order collection
-    — is common, so the two executors cannot drift apart.
-    """
-
-    units_per_worker: int = DEFAULT_UNITS_PER_WORKER
-
-    def function_chunk_bounds(self, m: int, align: int = 1) -> list[tuple[int, int]]:
-        """Contiguous ``[lo, hi)`` slices of an m-function batch."""
-        return _chunk_bounds(m, self.n_jobs, align, self.units_per_worker)
-
-    def row_chunk_bounds(self, n: int) -> list[tuple[int, int]]:
-        return _chunk_bounds(n, self.n_jobs, units_per_worker=self.units_per_worker)
-
-    def run_function_chunks(self, kind: str, weights, args=(), align: int = 1):
-        """Ship one work unit per weight slice; results in slice order."""
-        bounds = self.function_chunk_bounds(weights.shape[0], align=align)
-        futures = [
-            self._submit(kind, weights[lo:hi], *args) for lo, hi in bounds
-        ]
-        self.tasks_dispatched += len(futures)
-        return [future.result() for future in futures]
-
-    def run_row_chunks(self, kind: str, weights, n: int, args=()):
-        """Ship one work unit per data-row slice; results in slice order."""
-        bounds = self.row_chunk_bounds(n)
-        futures = [
-            self._submit(kind, weights, *args, lo, hi) for lo, hi in bounds
-        ]
-        self.tasks_dispatched += len(futures)
-        return [future.result() for future in futures]
-
-
-class ParallelExecutor(_ChunkDispatch):
-    """Persistent worker pool + shared matrix for one engine.
-
-    Owns no scoring semantics: the parent engine decides how a call is
-    split and how partials merge; this class only ships work units and
-    returns their results in submission order.
-    """
-
-    def __init__(
-        self,
-        values: np.ndarray,
-        config: dict,
-        n_jobs: int,
-        mp_context: str | None = None,
-        units_per_worker: int = DEFAULT_UNITS_PER_WORKER,
-    ) -> None:
-        self.n_jobs = int(n_jobs)
-        self.units_per_worker = int(units_per_worker)
-        self._shared = SharedMatrix.create(values)
-        context = get_context(mp_context) if mp_context else _default_context()
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.n_jobs,
-            mp_context=context,
-            initializer=_init_worker,
-            initargs=(self._shared.spec, config),
-        )
-        self.tasks_dispatched = 0
-        self._finalizer = weakref.finalize(self, _cleanup, self._pool, self._shared)
-
-    # ------------------------------------------------------------------
-    def _submit(self, kind: str, *args, fault=None):
-        return self._pool.submit(_run_task, kind, *args, _fault=fault)
-
-    def workers_alive(self) -> bool:
-        """Dead-PID probe: False when any spawned worker process died.
-
-        A worker can die *between* calls (an OOM kill while idle) without
-        the pool noticing until the next submit deadlocks or breaks; the
-        supervision layer probes this before reusing a persistent pool
-        and rebuilds proactively instead.
-        """
-        procs = getattr(self._pool, "_processes", None)
-        if not procs:
-            return True  # pool not started yet: nothing can be dead
-        return all(proc.is_alive() for proc in list(procs.values()))
-
-    def terminate(self) -> None:
-        """Reap the pool: force-kill workers, then unlink the segment.
-
-        The recovery path for hung or crashed pools — ``shutdown`` alone
-        would block behind (or leak) a worker stuck in a syscall.  Safe
-        on healthy and broken pools alike, and idempotent with
-        :meth:`close` (the finalizer runs once).
-        """
-        procs = getattr(self._pool, "_processes", None) or {}
-        for proc in list(procs.values()):
-            try:
-                proc.terminate()
-            except (OSError, ValueError):  # pragma: no cover - already dead
-                pass
-        self._finalizer()
-
-    def close(self) -> None:
-        """Shut the pool down and release the shared segment."""
-        self._finalizer()
-
-
-class ThreadExecutor(_ChunkDispatch):
+class ThreadExecutor:
     """In-process thread pool over serial clones of one engine.
 
-    Same work-unit protocol as :class:`ParallelExecutor`, none of its
-    costs: no process spawn, no shared-memory segment, no pickling — a
-    work unit crosses a queue as a tuple of references.  Each pool
+    Owns no scoring semantics: the parent engine decides how a call is
+    split and how partials merge (the supervision layer computes the
+    chunk bounds and submits one work unit per chunk); this class only
+    runs units and hands back futures.  A work unit crosses a queue as a
+    tuple of references — nothing is copied or pickled.  Each pool
     thread lazily builds one serial clone of the parent engine
     (:meth:`ScoreEngine._thread_clone`) sharing the matrix, orderings
     and quantized stores by reference and owning its mutable small
     state, so concurrent units never write to shared objects.  The
     parent's orderings are completed eagerly up front — clones only ever
     read them.
-
-    The GIL note: the tiers are built from GEMMs, selections and big
-    ufunc sweeps, all of which release the GIL; only the scalar
-    verification tier holds it.  The engine's ``"auto"`` policy watches
-    exactly that ratio and escalates to the process pool when threads
-    would serialize.
     """
 
     # Eager attribute-ordering build cap: clones never extend the shared
@@ -419,11 +169,8 @@ class ThreadExecutor(_ChunkDispatch):
     # the build adaptively.
     _EAGER_ORDERINGS_BYTES = 1 << 26
 
-    def __init__(
-        self, engine, n_jobs: int, units_per_worker: int = DEFAULT_UNITS_PER_WORKER
-    ) -> None:
+    def __init__(self, engine, n_jobs: int) -> None:
         self.n_jobs = int(n_jobs)
-        self.units_per_worker = int(units_per_worker)
         engine._ensure_orderings()
         if (
             not engine._attr_orderings_built
@@ -440,36 +187,20 @@ class ThreadExecutor(_ChunkDispatch):
 
     def _run(self, kind: str, *args, _fault=None):
         if _fault is not None:
-            # Thread workers cannot be killed, so the crash token raises
-            # the typed error the supervisor maps a dead worker to; hang
-            # and corrupt behave exactly like the process shim.
+            # Injected faults (repro.engine.faults): a thread cannot be
+            # killed, so the crash token raises the typed error the
+            # supervisor maps a dead worker to; a hang token sleeps.
             if _fault == "crash":
                 from repro.exceptions import WorkerCrashError
 
-                raise WorkerCrashError("injected worker crash (thread backend)")
+                raise WorkerCrashError("injected worker crash")
             if isinstance(_fault, tuple) and _fault[0] == "hang":
                 time.sleep(float(_fault[1]))
         clone = getattr(self._local, "engine", None)
         if clone is None:
             clone = self._engine._thread_clone()
             self._local.engine = clone
-        before = dict(clone.stats)
-        rank_columns = clone._rank_float_columns
-        rank_fallbacks = clone._rank_float_fallbacks
-        try:
-            result = _dispatch(clone, kind, *args)
-            return _garble(result) if _fault == "corrupt" else result
-        finally:
-            # Fold the work-unit's counter deltas back into the parent so
-            # measured-work policies — the auto thread→process escalation
-            # and the adaptive rank-quant engagement — keep seeing
-            # fanned-out calls, not just serial ones.
-            parent = self._engine
-            with self._stats_lock:
-                for key, value in clone.stats.items():
-                    parent.stats[key] += value - before[key]
-                parent._rank_float_columns += clone._rank_float_columns - rank_columns
-                parent._rank_float_fallbacks += clone._rank_float_fallbacks - rank_fallbacks
+        return _run_on_clone(self._engine, clone, kind, *args, lock=self._stats_lock)
 
     def _submit(self, kind: str, *args, fault=None):
         return self._pool.submit(self._run, kind, *args, _fault=fault)

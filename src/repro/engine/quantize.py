@@ -144,15 +144,6 @@ class QuantLevel:
         self._stores: dict[int, QuantStore | None] = {}
         self._lock = threading.Lock()
 
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_lock"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
     def store(self, ordering_index: int, matrix: np.ndarray) -> QuantStore | None:
         """The quantized copy of ``matrix`` for one pruning ordering.
 
@@ -295,15 +286,6 @@ class Quantizer:
         self._promoted = 0
         self._lock = threading.Lock()
         self._probe_values = values if mode == "auto" else None
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_lock"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     @property

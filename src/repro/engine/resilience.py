@@ -1,38 +1,32 @@
 """Supervision layer for :class:`ScoreEngine`'s parallel fan-out.
 
-:mod:`repro.engine.parallel` assumes a happy sandbox: every worker stays
-alive, finishes promptly and returns what it computed.  A long-lived
-service sees none of that — workers are OOM-killed, segfault inside
-BLAS, wedge in a syscall, or hand back a torn payload.  This module
-wraps the pool backends in a :class:`Supervisor` that owns the failure
-handling so the engine's call sites (and its exactness contract) stay
-untouched:
+:mod:`repro.engine.parallel` assumes a happy sandbox: every work unit
+finishes promptly and returns what it computed.  A long-lived service
+cannot count on that — a unit can wedge behind a stuck call or die with
+its worker.  This module wraps the thread pool in a :class:`Supervisor`
+that owns the failure handling so the engine's call sites (and its
+exactness contract) stay untouched:
 
-* **Crash recovery.**  A dead worker (``BrokenProcessPool`` on a live
-  future, or the dead-PID probe before reusing a persistent pool) retires
-  the pool and re-executes *only the failed work units* against a fresh
-  one, under bounded retry with exponential backoff + jitter.
+* **Crash recovery.**  A unit whose worker failed
+  (:class:`~repro.exceptions.WorkerCrashError`, or a broken pool)
+  retires the pool and re-executes *only the failed work units* against
+  a fresh one, under bounded retry with exponential backoff + jitter.
 * **Timeouts.**  With ``RetryPolicy.timeout_s`` set, each work unit must
-  produce its result within the budget; a hung pool is *reaped*
-  (workers force-killed, shared segment unlinked — never leaked) and
+  produce its result within the budget; a hung pool is abandoned and
   the unit retried, so one stuck chunk cannot stall a query forever.
-* **Payload validation.**  Every result is structurally checked (type /
-  shape / dtype per work-unit kind) before it may merge; a corrupt
-  payload is indistinguishable from a torn pickle and is simply retried.
-* **Graceful degradation.**  A backend that keeps failing is abandoned
-  — process → thread → serial, sticky per engine, the exact reverse of
-  PR 4's thread → process escalation.  The serial rung runs the work
+* **Graceful degradation.**  A pool that keeps failing is abandoned —
+  thread → serial, sticky per engine.  The serial rung runs the work
   units in-process on a serial clone and is the trusted bottom: the
   fault harness (:mod:`repro.engine.faults`) never injects there, which
   is why every chaos run terminates.
 
 Correctness is free by construction: work units honour the engine's
-exactness contract (bit-identical to the scalar path for any split, any
-backend), and merges are order-preserving on the *unit index*, not on
-completion order — so a result computed on retry attempt 3 of the serial
-rung merges into exactly the slot its crashed process-pool ancestor
-would have filled, and the output of any supervised call is bit-identical
-to a fault-free serial run.
+exactness contract (bit-identical to the scalar path for any split), and
+merges are order-preserving on the *unit index*, not on completion
+order — so a result computed on retry attempt 3 of the serial rung
+merges into exactly the slot its crashed thread-pool ancestor would have
+filled, and the output of any supervised call is bit-identical to a
+fault-free serial run.
 
 The default policy (:func:`get_default_policy`) applies to every engine
 that is not given an explicit :class:`RetryPolicy`; the CLI's
@@ -49,16 +43,9 @@ from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.engine import faults
-from repro.engine.parallel import _chunk_bounds, _dispatch
-from repro.exceptions import (
-    CorruptStateError,
-    ExecutionTimeoutError,
-    ValidationError,
-    WorkerCrashError,
-)
+from repro.engine.parallel import _chunk_bounds, _run_on_clone
+from repro.exceptions import ExecutionTimeoutError, ValidationError, WorkerCrashError
 
 __all__ = [
     "RetryPolicy",
@@ -79,10 +66,10 @@ class RetryPolicy:
         deadline — a legitimate unit on a loaded machine can take
         arbitrarily long, so timeouts are opt-in (CLI ``--timeout``).
     max_retries:
-        Failed attempts a work unit may accumulate *per backend rung*
-        beyond its first, before the supervisor gives up on that backend
-        and degrades.  ``2`` means up to three attempts on the process
-        pool, three on the thread pool, then serial.
+        Failed attempts a work unit may accumulate on the thread pool
+        beyond its first, before the supervisor gives up on the pool and
+        degrades.  ``2`` means up to three attempts on the thread pool,
+        then serial.
     backoff_base_s / backoff_max_s / backoff_jitter:
         Retry ``i`` sleeps ``min(backoff_max_s, backoff_base_s *
         2**(i-1))``, stretched by up to ``backoff_jitter`` (fraction,
@@ -91,10 +78,9 @@ class RetryPolicy:
     degrade:
         When False, exhausting ``max_retries`` raises the typed error
         (:class:`~repro.exceptions.WorkerCrashError` /
-        :class:`~repro.exceptions.ExecutionTimeoutError` /
-        :class:`~repro.exceptions.CorruptStateError`) instead of
-        stepping down the backend ladder — for callers that prefer fail
-        -fast over fail-slow.
+        :class:`~repro.exceptions.ExecutionTimeoutError`) instead of
+        degrading to serial — for callers that prefer fail-fast over
+        fail-slow.
     seed:
         Seeds the jitter stream.
     """
@@ -144,20 +130,14 @@ def set_default_policy(policy: RetryPolicy) -> RetryPolicy:
     return previous
 
 
-# Sticky degradation ladder: the reverse of the auto policy's
-# thread → process escalation.
-_NEXT_RUNG = {"process": "thread", "thread": "serial"}
-
-
 class Supervisor:
     """Failure-handling executor facade for one :class:`ScoreEngine`.
 
-    Exposes the same ``run_function_chunks`` / ``run_row_chunks`` calls
-    the raw executors do, so the engine's fan-out sites are agnostic to
-    supervision.  Chunk bounds are computed **once** per call and the
-    per-unit result slots are keyed on the unit index, so retries and
-    backend changes re-execute only failed units and merge order never
-    depends on scheduling.
+    Exposes ``run_function_chunks`` / ``run_row_chunks``, the engine's
+    only fan-out calls.  Chunk bounds are computed **once** per call and
+    the per-unit result slots are keyed on the unit index, so retries
+    and the fall-back to serial re-execute only failed units and merge
+    order never depends on scheduling.
     """
 
     def __init__(self, engine, policy: RetryPolicy | None = None) -> None:
@@ -171,8 +151,6 @@ class Supervisor:
             "retries": 0,
             "worker_crashes": 0,
             "timeouts": 0,
-            "corrupt_payloads": 0,
-            "shm_errors": 0,
             "pool_rebuilds": 0,
             "degradations": 0,
             "serial_units": 0,
@@ -180,7 +158,7 @@ class Supervisor:
         }
 
     # ------------------------------------------------------------------
-    # the executor-facing API (same shape as parallel._ChunkDispatch)
+    # the engine-facing API
     def run_function_chunks(self, kind: str, weights, args=(), align: int = 1):
         engine = self._engine
         engine.stats["parallel_calls"] += 1
@@ -206,6 +184,7 @@ class Supervisor:
     # ------------------------------------------------------------------
     # core retry loop
     def _run_units(self, kind: str, units: list[tuple]) -> list:
+        engine = self._engine
         results: list = [None] * len(units)
         done = [False] * len(units)
         attempts = [0] * len(units)
@@ -213,57 +192,16 @@ class Supervisor:
             pending = [i for i in range(len(units)) if not done[i]]
             if not pending:
                 return results
-            level = self._level()
-            if level == "serial":
+            if engine._degraded == "serial":
                 for i in pending:
                     results[i] = self._run_serial(kind, units[i])
                     done[i] = True
                 continue
-            try:
-                executor = self._acquire(level)
-            except OSError:
-                # Shared-memory allocation failed: the process backend
-                # cannot even be constructed on this machine right now.
-                self.stats["shm_errors"] += 1
-                for i in pending:
-                    attempts[i] += 1
-                self._after_failures(attempts, pending, level, "crash")
-                continue
+            executor = engine._parallel or engine._build_executor()
             self._round(executor, kind, units, results, done, attempts, pending)
             still = [i for i in pending if not done[i]]
             if still:
-                self._after_failures(attempts, still, level, self._last_failure)
-        # unreachable
-
-    def _level(self) -> str:
-        """The backend rung for the next round: selection capped by the
-        engine's sticky degradation state."""
-        engine = self._engine
-        degraded = engine._degraded
-        if degraded == "serial":
-            return "serial"
-        kind = engine._select_backend()
-        if degraded == "thread" and kind == "process":
-            return "thread"
-        return kind
-
-    def _acquire(self, level: str):
-        """The live executor for ``level``, rebuilding a dead pool first."""
-        engine = self._engine
-        executor = engine._executors.get(level)
-        if (
-            executor is not None
-            and level == "process"
-            and not executor.workers_alive()
-        ):
-            # A worker died while the pool sat idle (e.g. the OOM killer
-            # between calls): rebuild proactively instead of letting the
-            # next submit discover a broken pool.
-            self._retire(executor, reap=True)
-            executor = None
-        if executor is None:
-            executor = engine._build_executor(level)
-        return executor
+                self._after_failures(attempts, still, self._last_failure)
 
     def _round(self, executor, kind, units, results, done, attempts, pending) -> None:
         """Submit every pending unit once; harvest in unit order."""
@@ -278,104 +216,83 @@ class Supervisor:
         for i, future in submitted:
             if executor_down:
                 # The pool was retired mid-round.  Units that finished
-                # before it went down are harvested (their payloads are
-                # intact — re-running them would only waste work); the
-                # rest fail this attempt.
-                if not self._harvest_completed(kind, units[i], future, results, done, i):
+                # before it went down are harvested (re-running them
+                # would only waste work); the rest fail this attempt.
+                if not self._harvest_completed(future, results, done, i):
                     attempts[i] += 1
                 continue
             try:
                 payload = future.result(timeout=self.policy.timeout_s)
-                self._validate(kind, units[i], payload)
-            except CorruptStateError:
-                # Bad payload, healthy pool: fail only this unit.
-                self.stats["corrupt_payloads"] += 1
-                self._last_failure = self._last_failure or "corrupt"
-                attempts[i] += 1
             except (_FutureTimeout, TimeoutError):
                 self.stats["timeouts"] += 1
                 self._last_failure = "timeout"
                 attempts[i] += 1
                 executor_down = True
-                self._retire(executor, reap=True)
-            except (BrokenExecutor, WorkerCrashError, OSError):
+                self._retire(executor)
+            except (BrokenExecutor, WorkerCrashError):
                 self.stats["worker_crashes"] += 1
                 self._last_failure = "crash"
                 attempts[i] += 1
                 executor_down = True
-                self._retire(executor, reap=False)
+                self._retire(executor)
             else:
                 results[i] = payload
                 done[i] = True
 
-    def _harvest_completed(self, kind, unit, future, results, done, i) -> bool:
+    def _harvest_completed(self, future, results, done, i) -> bool:
         """Salvage an already-finished future after the pool went down."""
         if not future.done():
             return False
         try:
             payload = future.result(timeout=0)
-            self._validate(kind, unit, payload)
         except Exception:
-            # Cancelled / broken / corrupt: genuinely failed, retry it.
-            # A real bug in the work unit re-raises on the serial rung.
+            # Cancelled or crashed: genuinely failed, retry it.  A real
+            # bug in the work unit re-raises on the serial rung.
             return False
         results[i] = payload
         done[i] = True
         return True
 
-    def _after_failures(self, attempts, still, level, cause) -> None:
+    def _after_failures(self, attempts, still, cause) -> None:
         self.stats["retries"] += len(still)
         worst = max(attempts[i] for i in still)
         if worst > self.policy.max_retries:
-            self._degrade(level, cause or "crash")
+            self._degrade(cause or "crash")
             for i in still:
-                attempts[i] = 0  # fresh retry budget on the next rung
+                attempts[i] = 0  # fresh retry budget on the serial rung
         else:
             self._backoff(worst)
 
-    def _degrade(self, level: str, cause: str) -> None:
+    def _degrade(self, cause: str) -> None:
         policy = self.policy
         if not policy.degrade:
             if cause == "timeout":
                 raise ExecutionTimeoutError(
                     f"work unit exceeded the {policy.timeout_s}s timeout "
-                    f"{policy.max_retries + 1} times on the {level} backend"
-                )
-            if cause == "corrupt":
-                raise CorruptStateError(
-                    f"worker payloads failed validation {policy.max_retries + 1} "
-                    f"times on the {level} backend"
+                    f"{policy.max_retries + 1} times on the thread backend"
                 )
             raise WorkerCrashError(
                 f"workers kept dying ({policy.max_retries + 1} attempts) "
-                f"on the {level} backend"
+                "on the thread backend"
             )
         engine = self._engine
-        engine._degraded = _NEXT_RUNG[level]
+        engine._degraded = "serial"
         self.stats["degradations"] += 1
-        executor = engine._executors.get(level)
-        if executor is not None:
-            self._retire(executor, reap=False)
+        if engine._parallel is not None:
+            self._retire(engine._parallel)
 
-    def _retire(self, executor, reap: bool) -> None:
-        """Remove ``executor`` from the engine and tear it down.
+    def _retire(self, executor) -> None:
+        """Detach ``executor`` from the engine and shut it down.
 
-        ``reap`` force-kills workers first (the hung-pool path) — a
-        plain shutdown would block behind a worker stuck in a syscall.
-        Either way the pool's finalizer runs, so the shared-memory
-        segment is closed and unlinked: abnormal teardown never leaks
-        ``/dev/shm`` entries.
+        A thread stuck in a hung unit cannot be killed; shutting the
+        pool down without waiting abandons it, and the next round
+        builds a fresh pool.
         """
         engine = self._engine
-        for level, existing in list(engine._executors.items()):
-            if existing is executor:
-                engine._executors.pop(level)
-                break
+        if engine._parallel is executor:
+            engine._parallel = None
         self.stats["pool_rebuilds"] += 1
-        if reap and hasattr(executor, "terminate"):
-            executor.terminate()
-        else:
-            executor.close()
+        executor.close()
 
     def _backoff(self, failed_attempts: int) -> None:
         policy = self.policy
@@ -405,70 +322,6 @@ class Supervisor:
         if clone is None or clone.values is not engine.values:
             clone = engine._thread_clone()
             self._serial_clone = clone
-        before = dict(clone.stats)
-        rank_columns = clone._rank_float_columns
-        rank_fallbacks = clone._rank_float_fallbacks
-        try:
-            result = _dispatch(clone, kind, *unit)
-        finally:
-            for key, value in clone.stats.items():
-                engine.stats[key] += value - before[key]
-            engine._rank_float_columns += clone._rank_float_columns - rank_columns
-            engine._rank_float_fallbacks += clone._rank_float_fallbacks - rank_fallbacks
+        result = _run_on_clone(engine, clone, kind, *unit)
         self.stats["serial_units"] += 1
         return result
-
-    # ------------------------------------------------------------------
-    # structural payload validation
-    def _validate(self, kind: str, unit: tuple, payload) -> None:
-        """Reject payloads whose structure cannot be the unit's output.
-
-        This is the corruption firewall: a torn pickle / garbled return
-        surfaces as a wrong type, shape or dtype long before its values
-        could poison a merge.  (Value-level trust comes from the
-        exactness contract, which re-verifies contested decisions.)
-        """
-        engine = self._engine
-        if kind == "topk":
-            Wc, k = unit[0], unit[1]
-            ok = (
-                isinstance(payload, np.ndarray)
-                and payload.shape == (Wc.shape[0], k)
-                and payload.dtype.kind in "iu"
-            )
-        elif kind == "rank":
-            ok = (
-                isinstance(payload, np.ndarray)
-                and payload.shape == (unit[0].shape[0],)
-                and payload.dtype.kind in "iu"
-            )
-        elif kind == "score":
-            ok = (
-                isinstance(payload, np.ndarray)
-                and payload.shape == (engine.n, unit[0].shape[0])
-                and payload.dtype == np.float64
-            )
-        elif kind == "topk_rows":
-            ok = (
-                isinstance(payload, list)
-                and len(payload) == unit[0].shape[0]
-                and all(
-                    isinstance(c, np.ndarray) and c.ndim == 1 for c in payload
-                )
-            )
-        elif kind == "rank_rows":
-            m = unit[0].shape[0]
-            ok = (
-                isinstance(payload, tuple)
-                and len(payload) == 2
-                and all(
-                    isinstance(p, np.ndarray) and p.shape == (m,) for p in payload
-                )
-            )
-        else:  # pragma: no cover - new kinds must add validation
-            ok = False
-        if not ok:
-            raise CorruptStateError(
-                f"worker returned a structurally invalid {kind!r} payload "
-                "(torn or corrupted result); unit will be retried"
-            )

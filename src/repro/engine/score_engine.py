@@ -22,10 +22,8 @@ the ``(n, d)`` matrix and serves that batched path to every caller:
   prefix instead of scanning all n rows.
 
 With ``n_jobs > 1`` every bulk call above a calibrated work cutover is
-split into function-chunk or row-chunk work units and fanned out over a
-worker pool — an in-process thread pool of zero-copy engine clones, the
-PR-3 shared-memory process pool, or whichever the ``backend="auto"``
-policy picks from problem size and the measured scalar-fallback ratio
+split into function-chunk or row-chunk work units and fanned out over an
+in-process thread pool of zero-copy engine clones
 (:mod:`repro.engine.parallel`); the exactness contract makes any split
 bit-identical to the serial path.
 
@@ -177,7 +175,7 @@ class _Ordering:
     matrix reordered accordingly; every row at position ≥ p scores at
     most ``a(w)·u[p] + b(w)·v[p]`` for the ordering's coefficients.
     ``V32`` and ``inv`` (the inverse permutation) are filled lazily by
-    the consumers that need them and survive pickling with the rest.
+    the consumers that need them.
     ``rest`` keeps the per-row residual norms behind an attribute
     ordering's ``v`` (``v`` is their suffix-max), so the incremental
     update path (:mod:`repro.engine.delta`) can filter/merge them like
@@ -247,31 +245,22 @@ class ScoreEngine:
         Capacity of the single-function LRU memo (entries, not bytes).
     n_jobs:
         Workers for the fan-out layer (:mod:`repro.engine.parallel`).
-        ``None``/``1`` keeps every call in-process; ``-1`` uses all
-        cores.  The pool (and, for the process backend, the shared copy
-        of the matrix) is created lazily on the first call whose
-        ``n x m`` work exceeds ``parallel_min_work`` and persists until
-        :meth:`close` (or garbage collection).
+        ``None``/``1`` keeps every call in the caller's thread; ``-1``
+        uses all cores.  The thread pool is created lazily on the first
+        call whose ``n x m`` work exceeds ``parallel_min_work`` and
+        persists until :meth:`close` (or garbage collection).
     backend:
         Execution backend for above-cutover bulk calls: ``"serial"``
-        never fans out, ``"thread"`` uses an in-process pool (zero
-        spawn/pickle/shared-memory cost — NumPy releases the GIL inside
-        BLAS, so GEMM-bound work scales), ``"process"`` the PR-3
-        shared-memory process pool.  ``"auto"`` (default) stays serial
-        below the work cutover, starts with threads above it, and
-        escalates permanently to processes when the measured scalar-
-        fallback ratio shows the workload is GIL-bound.  Results are
-        bit-identical across backends.
+        never fans out; ``"thread"`` and ``"auto"`` (default) use the
+        in-process thread pool (NumPy releases the GIL inside BLAS, so
+        GEMM-bound work scales).  Results are bit-identical across
+        backends.
     quantize:
         Quantized screening tier (:mod:`repro.engine.quantize`):
         ``"auto"`` (default) picks int8/int16 from the data's dynamic
         range and adapts to the observed promote rate, ``"int8"`` /
         ``"int16"`` pin the level, ``None`` disables the tier.  Results
         are bit-identical either way.
-    mp_context:
-        Multiprocessing start method for the process pool (``"fork"`` |
-        ``"spawn"`` | ``"forkserver"``); default picks fork where
-        available.
     parallel_min_work:
         Serial fast-path cutover in score-matrix entries (``n * m``);
         calls below it never touch a pool.  ``None`` (default) takes the
@@ -291,7 +280,7 @@ class ScoreEngine:
         shape; ``None`` (default) snapshots the process-wide default
         policy (see :func:`repro.engine.resilience.set_default_policy`).
         Supervision never changes results — failed units re-execute
-        bit-identically, possibly on a degraded backend.
+        bit-identically, possibly on the serial fall-back.
     """
 
     def __init__(
@@ -304,7 +293,6 @@ class ScoreEngine:
         n_jobs: int | None = None,
         backend: str = "auto",
         quantize: str | None = "auto",
-        mp_context: str | None = None,
         parallel_min_work: int | None = None,
         tune: TuningProfile | str | None = None,
         resilience: "RetryPolicy | None" = None,
@@ -375,17 +363,14 @@ class ScoreEngine:
             )
         except ValueError as exc:
             raise ValidationError(str(exc)) from None
-        self._mp_context = mp_context
         if parallel_min_work is None:
             parallel_min_work = self._tuning.parallel_min_work
         self._parallel_min_work = int(parallel_min_work)
-        # Lazy executors, keyed "thread"/"process" (see repro.engine.parallel).
-        self._executors: dict = {}
-        self._backend_escalated = False
+        # The lazy thread pool (see repro.engine.parallel).
+        self._parallel = None
         # Supervision (see repro.engine.resilience): the retry/timeout/
         # degradation policy, the lazy Supervisor facade, and the sticky
-        # degradation rung (None | "thread" | "serial") — the reverse of
-        # the auto escalation above.
+        # degradation state (None, or "serial" once the pool kept failing).
         from repro.engine.resilience import RetryPolicy, get_default_policy
 
         if resilience is None:
@@ -507,7 +492,7 @@ class ScoreEngine:
             self._quantizer.promote_limit = float(profile.quant_promote_limit)
         self._grid_cache.clear()
         self._candidates.clear()
-        # Live pools were built with the old granularity; rebuild lazily.
+        # The pool's clones carry the old settings; rebuild lazily.
         self.close()
 
     def _sync(self) -> None:
@@ -570,7 +555,7 @@ class ScoreEngine:
         (:mod:`repro.engine.views`) register their repair hooks here.
         Returns ``callback`` so it can be kept for
         :meth:`unsubscribe_delta`.  Subscribers are engine-local state:
-        they do not travel through pickling or into worker clones.
+        they do not travel into worker clones.
         """
         self._delta_subscribers.append(callback)
         return callback
@@ -590,8 +575,8 @@ class ScoreEngine:
         matrix would silently serve stale top-k sets), the per-(k,
         orderings) grid gathers, the cached max row norm behind the
         ulp noise bands, the k-skyband candidate engines, the chunk
-        geometry, and the worker pools (whose clones/shared segments hold
-        the pre-mutation matrix).
+        geometry, and the thread pool (whose clones hold the pre-mutation
+        matrix).
         """
         self._memo.clear()
         self._grid_cache.clear()
@@ -603,7 +588,8 @@ class ScoreEngine:
     # ------------------------------------------------------------------
     # parallel execution layer (see repro.engine.parallel)
     def _worker_config(self) -> dict:
-        """Constructor kwargs for the per-worker serial engine clones."""
+        """Constructor kwargs for a serial engine with this engine's
+        settings (the k-skyband child engines are built from it)."""
         return {
             "float32": self.float32,
             "chunk_bytes": self._chunk_bytes,
@@ -620,9 +606,9 @@ class ScoreEngine:
         if self.n_jobs <= 1 or self.backend == "serial":
             return None
         if self._degraded == "serial":
-            # Every pool backend kept failing for this engine; the
+            # The thread pool kept failing for this engine; the
             # supervisor pinned it serial (sticky for the engine's
-            # lifetime — a host that killed two backends stays suspect).
+            # lifetime — a host that broke the pool stays suspect).
             return None
         if m * self.n < self._parallel_min_work:
             return None
@@ -632,77 +618,25 @@ class ScoreEngine:
             return "rows"
         return None
 
-    def _select_backend(self) -> str:
-        """The concrete pool kind for this above-cutover call.
+    def _build_executor(self):
+        """Construct (and keep) the thread pool executor."""
+        from repro.engine.parallel import ThreadExecutor
 
-        ``"auto"`` prefers the thread pool: workers share the matrix,
-        orderings and quantized stores by reference (no spawn, no
-        pickling, no shared-memory segment; each clone keeps its own
-        memo and counters) and NumPy releases the GIL inside BLAS, so
-        GEMM-bound work scales.  Columns that reach the
-        scalar kernel run Python under the GIL, however — tie fallbacks
-        and quantized-tier straggler promotes alike, which is why both
-        count into ``verified_columns`` — so a measured scalar ratio
-        above the profile's ``backend_escalate_ratio`` escalates — permanently, for
-        this engine — to the process pool.  Thread work units fold their
-        counters back into these stats, so fanned-out calls feed the
-        measurement too.
-        """
-        if self.backend != "auto":
-            return self.backend
-        if not self._backend_escalated:
-            decided = self.stats["gemm_columns"]
-            verified = self.stats["verified_columns"]
-            if (
-                decided >= self._tuning.backend_min_sample
-                and verified > self._tuning.backend_escalate_ratio * decided
-            ):
-                self._backend_escalated = True
-                # The thread pool is dead weight from here on; free its
-                # OS threads and per-thread clones now, not at close().
-                stale = self._executors.pop("thread", None)
-                if stale is not None:
-                    stale.close()
-        return "process" if self._backend_escalated else self._tuning.initial_backend
-
-    def _build_executor(self, kind: str):
-        """Construct (and cache) the raw pool executor for ``kind``."""
-        if kind == "process":
-            from repro.engine.parallel import ParallelExecutor
-
-            executor = ParallelExecutor(
-                self.values,
-                self._worker_config(),
-                self.n_jobs,
-                self._mp_context,
-                units_per_worker=self._tuning.units_per_worker,
-            )
-        else:
-            from repro.engine.parallel import ThreadExecutor
-
-            executor = ThreadExecutor(
-                self, self.n_jobs, units_per_worker=self._tuning.units_per_worker
-            )
-        self._executors[kind] = executor
-        return executor
+        self._parallel = ThreadExecutor(self, self.n_jobs)
+        return self._parallel
 
     def _supervised(self):
         """The supervision facade every fan-out call site goes through.
 
-        Same ``run_function_chunks`` / ``run_row_chunks`` API as the raw
-        executors, plus crash recovery, timeouts, payload validation and
-        the degradation ladder (see :mod:`repro.engine.resilience`).
+        ``run_function_chunks`` / ``run_row_chunks`` with crash
+        recovery, timeouts and the fall-back to serial (see
+        :mod:`repro.engine.resilience`).
         """
         if self._supervisor is None:
             from repro.engine.resilience import Supervisor
 
             self._supervisor = Supervisor(self, self._resilience_policy)
         return self._supervisor
-
-    @property
-    def _parallel(self):
-        """The most capable live executor, if any (introspection only)."""
-        return self._executors.get("process") or self._executors.get("thread")
 
     def submit(self, method: str, /, *args, **kwargs):
         """Run ``self.<method>(*args, **kwargs)`` (or a bare callable)
@@ -722,7 +656,7 @@ class ScoreEngine:
 
         The dispatch thread is torn down by :meth:`close` (pending work
         is cancelled, the in-flight call finishes first) and — like the
-        worker pools — rebuilt lazily if the engine is used again.
+        thread pool — rebuilt lazily if the engine is used again.
         """
         if callable(method):
             # A composite operation (e.g. a view refresh) that must
@@ -746,19 +680,19 @@ class ScoreEngine:
         return self._submit_pool.submit(fn, *args, **kwargs)
 
     def _close_pools(self) -> None:
-        """Tear down the worker pools only (rebuilt lazily on next use)."""
-        executors, self._executors = self._executors, {}
-        for executor in executors.values():
+        """Tear down the thread pool only (rebuilt lazily on next use)."""
+        executor, self._parallel = self._parallel, None
+        if executor is not None:
             executor.close()
         if self._supervisor is not None:
             self._supervisor.reset()
 
     def close(self) -> None:
-        """Shut down the worker pools, shared segment and dispatch thread.
+        """Shut down the thread pool and the dispatch thread.
 
-        Degradation state (``_degraded``) survives close(): pools are
+        Degradation state (``_degraded``) survives close(): the pool is
         rebuilt routinely (tuning changes, row mutations), but a host
-        that killed two backends stays suspect for this engine's life.
+        that broke it stays suspect for this engine's life.
         """
         pool, self._submit_pool = self._submit_pool, None
         if pool is not None:
@@ -773,33 +707,6 @@ class ScoreEngine:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def __getstate__(self) -> dict:
-        """Pickle everything except the worker pools.
-
-        Lazily-built state — the pruning orderings, the quantized
-        stores and the top-k memo — travels with the engine, so an
-        unpickled copy (or a worker rebuilt from one) does not re-sort
-        or re-probe what the original already paid for.  Journaled row
-        mutations are compacted first, so the pickled engine is clean.
-        """
-        self.compact()
-        state = self.__dict__.copy()
-        state["_executors"] = {}
-        state["_supervisor"] = None
-        state["_submit_pool"] = None
-        del state["_submit_lock"]  # locks don't pickle; restored in __setstate__
-        # Subscribers are repair hooks of views living in THIS process;
-        # a pickled copy must not invoke them (and they may be
-        # unpicklable bound methods holding whole view states).
-        state["_delta_subscribers"] = []
-        # Candidate engines are a cache (and point back at this engine).
-        state["_candidates"] = OrderedDict()
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._submit_lock = threading.Lock()
 
     def _ensure_orderings(self) -> list["_Ordering"]:
         if self._orderings is None:
@@ -821,7 +728,7 @@ class ScoreEngine:
         clone.__dict__.update(self.__dict__)
         clone.n_jobs = 1
         clone.backend = "serial"
-        clone._executors = {}
+        clone._parallel = None
         clone._supervisor = None
         clone._submit_pool = None
         clone._submit_lock = threading.Lock()

@@ -69,7 +69,7 @@ def evaluate_representative(
     sampled estimator otherwise; pass True/False to force either.
     ``jobs``/``backend`` fan the Monte-Carlo measurements out over
     the engine's worker pool (``None``/``1`` = serial, ``-1`` = all
-    cores; thread, process or auto backend).  Pass a pre-built
+    cores; thread or auto backend).  Pass a pre-built
     ``engine`` over the same matrix to reuse its pool/orderings across
     calls.
     """
@@ -80,8 +80,8 @@ def evaluate_representative(
     if not members:
         raise ValidationError("subset must be non-empty")
     use_exact = (matrix.shape[1] == 2) if exact is None else bool(exact)
-    # One engine serves both Monte-Carlo estimators, so the pool /
-    # shared-memory copy / pruning orderings are paid for once per call
+    # One engine serves both Monte-Carlo estimators, so the pool and
+    # pruning orderings are paid for once per call
     # (or once per Session, when the caller shares a long-lived engine).
     own_engine = engine is None
     if engine is None:

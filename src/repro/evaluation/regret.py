@@ -122,8 +122,8 @@ def rank_regret_sampled(
     rows cannot inflate a rank — the estimator agrees with the scalar
     :func:`repro.ranking.topk.rank_of` even on degenerate data.
     ``jobs``/``backend`` fan the counting out over the engine's
-    worker pool (``None``/``1`` = serial, ``-1`` = all cores; thread,
-    process or auto backend) with bit-identical results.  Pass a
+    worker pool (``None``/``1`` = serial, ``-1`` = all cores; thread
+    or auto backend) with bit-identical results.  Pass a
     pre-built ``engine`` over the same matrix to reuse its
     pool/orderings across calls (``jobs``/``backend`` are then ignored
     — the engine keeps its own configuration).

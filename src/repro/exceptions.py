@@ -32,16 +32,16 @@ class DatasetError(ReproError):
 class ExecutionError(ReproError):
     """Base class for failures of the parallel execution layer.
 
-    Subclasses cover the failure modes a long-lived service actually
-    sees — dead workers, hung workers, garbled result payloads.  The
-    supervision layer (:mod:`repro.engine.resilience`) catches these
-    internally and recovers (retry, pool rebuild, backend degradation);
+    Subclasses cover dead and hung workers.  The supervision layer
+    (:mod:`repro.engine.resilience`) catches these internally and
+    recovers (retry, pool rebuild, fall-back to serial);
     callers only see one when every recovery path is exhausted.
     """
 
 
 class WorkerCrashError(ExecutionError):
-    """A pool worker died mid-task (OOM kill, segfault, ``os._exit``)."""
+    """A pool worker failed mid-task (raised by the fault injector's
+    ``crash`` token)."""
 
 
 class ExecutionTimeoutError(ExecutionError, TimeoutError):
@@ -52,8 +52,8 @@ class CorruptStateError(ReproError):
     """Persisted or transported state failed an integrity check.
 
     Covers a torn/garbled tuning-profile JSON, a checksum mismatch, a
-    mutation journal violating its invariants, and a worker result
-    payload whose shape/dtype cannot be the work unit's true output.
+    corrupted snapshot or WAL, and a mutation journal violating its
+    invariants.
     """
 
 

@@ -53,7 +53,7 @@ class Session:
         Worker count for every engine-backed call (``None``/``1`` =
         serial, ``-1`` = all cores).
     backend:
-        ``"auto"`` | ``"serial"`` | ``"thread"`` | ``"process"``.
+        ``"auto"`` | ``"serial"`` | ``"thread"``.
     tune:
         ``None`` (defaults), ``"auto"`` (calibrate on first use) or a
         :class:`~repro.engine.TuningProfile` (e.g. loaded from the

@@ -11,6 +11,7 @@ consumer ``tune=`` forwarding).
 """
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import ScoreEngine, TuningProfile, calibrate_engine
-from repro.exceptions import ValidationError
+from repro.engine.autotune import _payload_checksum
+from repro.exceptions import CorruptStateError, ValidationError
 from repro.ranking import sample_functions
 from repro.ranking.topk import top_k
 
@@ -34,8 +36,6 @@ PATHOLOGICAL_PROFILES = [
         quant_scalar_promote=1,
         rank_quant_fallback_ratio=0.0,
         rank_quant_min_sample=0,
-        backend_escalate_ratio=0.0,
-        backend_min_sample=0,
     ),
     # Everything maximal: huge chunks, never-engage policies.
     TuningProfile(
@@ -48,18 +48,15 @@ PATHOLOGICAL_PROFILES = [
         quant_scalar_promote=10**9,
         rank_quant_fallback_ratio=1.0,
         rank_quant_min_sample=10**9,
-        backend_escalate_ratio=1.0,
-        backend_min_sample=10**9,
         quant_promote_window=1,
         quant_promote_limit=0.0,
     ),
-    # Skewed middle ground with the process pool as the initial backend.
+    # Skewed middle ground.
     TuningProfile(
         chunk_bytes=1 << 10,
         rank_grid_base=2,
         quant_rank_cap=3,
         quant_scalar_promote=2,
-        initial_backend="process",
         quant_promote_window=2,
         quant_promote_limit=0.5,
     ),
@@ -126,7 +123,7 @@ class TestProfileExactness:
         weights = sample_functions(3, 80, 3)
         profile = TuningProfile(parallel_min_work=0, units_per_worker=2)
         serial = ScoreEngine(values)
-        for backend in ("thread", "process"):
+        for backend in ("auto", "thread"):
             with ScoreEngine(
                 values, tune=profile, n_jobs=2, backend=backend
             ) as fanout:
@@ -147,8 +144,6 @@ class TestTuningProfile:
         assert profile.quant_rank_cap == 256
         assert profile.quant_scalar_promote == 16
         assert profile.rank_quant_fallback_ratio == 0.02
-        assert profile.backend_escalate_ratio == 0.05
-        assert profile.initial_backend == "thread"
 
     def test_json_roundtrip(self, tmp_path):
         profile = TuningProfile(
@@ -169,10 +164,58 @@ class TestTuningProfile:
             TuningProfile(chunk_bytes=0)
         with pytest.raises(ValueError):
             TuningProfile(rank_quant_fallback_ratio=1.5)
-        with pytest.raises(ValueError):
-            TuningProfile(initial_backend="carrier-pigeon")
         with pytest.raises(ValidationError):
             ScoreEngine(np.ones((3, 2)), tune="nonsense")
+
+    def test_loads_profile_with_retired_backend_fields(self):
+        # A profile as the process-pool versions saved it: 14 fields,
+        # three of them for that backend, all covered by the checksum.
+        payload = {
+            "schema": 1,
+            "chunk_bytes": 1 << 24,
+            "parallel_min_work": 1 << 20,
+            "units_per_worker": 3,
+            "rank_buffer_bytes": 1 << 21,
+            "rank_grid_base": 64,
+            "quant_rank_cap": 512,
+            "quant_scalar_promote": 8,
+            "rank_quant_fallback_ratio": 0.03,
+            "rank_quant_min_sample": 32,
+            "backend_escalate_ratio": 0.05,
+            "backend_min_sample": 4096,
+            "initial_backend": "thread",
+            "quant_promote_window": 256,
+            "quant_promote_limit": 0.5,
+            "meta": {"calibrated": True, "n": 300},
+        }
+        payload["checksum"] = _payload_checksum(payload)
+        profile = TuningProfile.from_json(json.dumps(payload, indent=2))
+        assert profile == TuningProfile(
+            chunk_bytes=1 << 24,
+            parallel_min_work=1 << 20,
+            units_per_worker=3,
+            rank_buffer_bytes=1 << 21,
+            rank_grid_base=64,
+            quant_rank_cap=512,
+            quant_scalar_promote=8,
+            rank_quant_fallback_ratio=0.03,
+            rank_quant_min_sample=32,
+            quant_promote_window=256,
+            quant_promote_limit=0.5,
+        )
+        assert profile.meta == {"calibrated": True, "n": 300}
+        assert [f.name for f in fields(TuningProfile)][-1] == "meta"
+        assert len(fields(TuningProfile)) == 11 + 1  # constants + meta
+        # The checksum still guards the retired fields, and any other
+        # unknown field is still an error.
+        payload["initial_backend"] = "process"
+        with pytest.raises(CorruptStateError):
+            TuningProfile.from_json(json.dumps(payload))
+        del payload["checksum"]
+        payload["nonsense"] = 1
+        payload["checksum"] = _payload_checksum(payload)
+        with pytest.raises(ValueError, match="nonsense"):
+            TuningProfile.from_json(json.dumps(payload))
 
     def test_engine_adopts_profile_knobs(self, rng):
         values = rng.random((50, 3))
@@ -207,7 +250,6 @@ class TestCalibration:
         assert profile.meta["calibrated"] and profile.meta["n"] == 300
         assert profile.parallel_min_work >= 1 << 18
         assert 2 <= profile.units_per_worker <= 8
-        assert 0.01 <= profile.backend_escalate_ratio <= 0.25
         assert 0.005 <= profile.rank_quant_fallback_ratio <= 0.10
         assert 4 <= profile.quant_scalar_promote <= 64
         assert 64 <= profile.quant_rank_cap <= 2048

@@ -396,16 +396,6 @@ class TestJournalSemantics:
         assert np.array_equal(got.order, ScoreEngine(reference).topk_batch(weights, 5).order)
         engine.close()
 
-    def test_pickle_flushes_journal(self, rng):
-        import pickle
-
-        matrix = rng.random((50, 3))
-        engine = ScoreEngine(matrix)
-        engine.insert_rows(rng.random((5, 3)))
-        clone = pickle.loads(pickle.dumps(engine))
-        assert not clone._dirty_rows
-        assert clone.n == 55 and clone.values.shape == (55, 3)
-
     def test_rank_of_agrees_with_scalar_after_mutation(self, rng):
         matrix = rng.random((100, 3))
         engine = ScoreEngine(matrix)

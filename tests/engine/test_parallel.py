@@ -1,20 +1,18 @@
-"""Bit-identity and lifecycle tests for the shared-memory fan-out layer.
+"""Bit-identity and lifecycle tests for the thread fan-out layer.
 
 The contract under test: for every work split — function chunks, row
 chunks, any worker count — the parallel engine returns *bit-identical*
 results to the serial tiered path, including on tie-dense and
-duplicate-row data that exercises the scalar fallback tier.  Pool and
-shared-segment lifecycle (lazy creation, n_jobs=1 degradation, close,
-pickling) is covered alongside.
+duplicate-row data that exercises the scalar fallback tier.  Pool
+lifecycle (lazy creation, n_jobs=1 degradation, close) is covered
+alongside.
 """
-
-import pickle
 
 import numpy as np
 import pytest
 
-from repro.engine import ScoreEngine, SharedMatrix, resolve_n_jobs
-from repro.engine import parallel as par
+from repro import Session
+from repro.engine import ScoreEngine, resolve_n_jobs
 from repro.exceptions import ValidationError
 from repro.ranking import sample_functions
 
@@ -167,63 +165,6 @@ class TestLifecycle:
         # The engine keeps working serially after close.
         engine.topk_order_batch(sample_functions(3, 4, 12), 3)
 
-    def test_shared_matrix_roundtrip(self):
-        matrix = np.arange(12.0).reshape(4, 3)
-        shared = SharedMatrix.create(matrix)
-        try:
-            attached = SharedMatrix.attach(shared.spec)
-            assert np.array_equal(attached.array, matrix)
-            assert not attached.array.flags.writeable
-            attached.close()
-        finally:
-            shared.close()
-
-
-class TestPicklingAndWorkerState:
-    def test_pickle_preserves_lazy_state(self):
-        values = np.random.default_rng(12).random((80, 3))
-        engine = ScoreEngine(values, n_jobs=2, parallel_min_work=0)
-        with engine:
-            w = sample_functions(3, 1, 12)[0]
-            engine.top_k(w, 5)  # one memo entry
-            # A direct serial probe builds the parent-side orderings (the
-            # parallel plans build them inside the workers instead).
-            engine.topk_order_batch(sample_functions(3, 4, 1), 5)
-            assert engine._orderings is not None
-            clone = pickle.loads(pickle.dumps(engine))
-        # Orderings and memo travelled: no re-sort, and the memoized
-        # probe hits without a recompute.
-        assert clone._orderings is not None
-        assert clone._parallel is None
-        misses_before = clone.stats["memo_misses"]
-        assert np.array_equal(clone.top_k(w, 5), engine.top_k(w, 5))
-        assert clone.stats["memo_misses"] == misses_before
-
-    def test_worker_engine_built_once_per_process(self):
-        # Drive the worker entry points in-process: the initializer
-        # builds one engine, every task reuses it, and lazily-built
-        # orderings persist across tasks instead of re-sorting per chunk.
-        values = np.random.default_rng(13).random((64, 3))
-        shared = SharedMatrix.create(values)
-        saved = dict(par._WORKER)
-        try:
-            par._init_worker(shared.spec, {"n_jobs": 1})
-            first_engine = par._WORKER["engine"]
-            weights = sample_functions(3, 8, 13)
-            out1 = par._run_task("topk", weights, 4)
-            orderings_after_first = par._WORKER["engine"]._orderings
-            assert orderings_after_first is not None
-            out2 = par._run_task("topk", weights, 4)
-            assert par._WORKER["engine"] is first_engine
-            assert par._WORKER["engine"]._orderings is orderings_after_first
-            assert np.array_equal(out1, out2)
-            assert np.array_equal(out1, ScoreEngine(values).topk_order_batch(weights, 4))
-        finally:
-            par._WORKER.get("shared", shared).close()
-            par._WORKER.clear()
-            par._WORKER.update(saved)
-            shared.close()
-
 
 class TestPrunedRankCounting:
     def test_matches_full_scan_on_grid(self):
@@ -275,9 +216,9 @@ class TestPrunedRankCounting:
 
 
 class TestBackends:
-    """Thread-vs-process-vs-serial bit-identity and the auto policy."""
+    """Thread-vs-serial bit-identity and the auto policy."""
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["thread"])
     @pytest.mark.parametrize("case", range(len(_instances())))
     def test_topk_bit_identical_per_backend(self, backend, case):
         values, weights = _instances()[case]
@@ -292,7 +233,7 @@ class TestBackends:
             assert np.array_equal(a.order, b.order)
             assert np.array_equal(a.members, b.members)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["thread"])
     def test_rank_and_score_bit_identical_per_backend(self, backend):
         values, weights = _instances()[2]
         serial = ScoreEngine(values, chunk_bytes=1, backend="serial")
@@ -326,25 +267,27 @@ class TestBackends:
             engine.topk_batch(sample_functions(3, 40, 22), 5)
             assert isinstance(engine._parallel, ThreadExecutor)
 
-    def test_auto_escalates_to_processes_when_gil_bound(self):
-        from repro.engine import ParallelExecutor
+    def test_auto_stays_on_threads_when_gil_bound(self):
+        from repro.engine import ThreadExecutor
 
         values = np.random.default_rng(23).random((60, 3))
-        engine = ScoreEngine(values, n_jobs=2, parallel_min_work=0)
-        with engine:
-            # Synthesize a measured scalar-fallback-heavy history.
+        weights = sample_functions(3, 40, 23)
+        serial = ScoreEngine(values, backend="serial")
+        with ScoreEngine(values, n_jobs=2, parallel_min_work=0) as engine:
+            # A scalar-fallback-heavy history does not move auto off the
+            # thread pool.
             engine.stats["gemm_columns"] = 100_000
             engine.stats["verified_columns"] = 50_000
-            assert engine._select_backend() == "process"
-            engine.topk_batch(sample_functions(3, 40, 23), 5)
-            assert isinstance(engine._parallel, ParallelExecutor)
-            # Escalation is sticky even after the ratio normalizes.
-            engine.stats["verified_columns"] = 0
-            assert engine._select_backend() == "process"
+            got = engine.topk_batch(weights, 5)
+            assert isinstance(engine._parallel, ThreadExecutor)
+        assert np.array_equal(got.order, serial.topk_batch(weights, 5).order)
 
     def test_invalid_backend_rejected(self):
+        for backend in ("gpu", "process"):
+            with pytest.raises(ValidationError):
+                ScoreEngine(np.ones((3, 2)), backend=backend)
         with pytest.raises(ValidationError):
-            ScoreEngine(np.ones((3, 2)), backend="gpu")
+            Session(np.ones((3, 2)), backend="process")
 
     def test_thread_clone_shares_heavy_state(self):
         values = np.random.default_rng(24).random((200, 3))
@@ -364,8 +307,9 @@ class TestBackends:
         )
 
     def test_thread_worker_stats_fold_back_into_parent(self):
-        # The auto escalation policy reads the parent's counters, so
-        # fanned-out work must land there, not die with the clones.
+        # The stats and the adaptive rank-quant policy read the parent's
+        # counters, so fanned-out work must land there, not die with the
+        # clones.
         values = np.random.default_rng(26).random((80, 3))
         engine = ScoreEngine(values, n_jobs=2, parallel_min_work=0, backend="thread")
         with engine:

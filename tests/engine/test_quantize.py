@@ -7,11 +7,9 @@ tier enabled (any level, any adaptive state), ``topk_batch`` and
 rows, denormal scales, and adversarially near-boundary instances whose
 gaps sit inside (or just outside) the quantization envelope.  Alongside:
 unit coverage for the level machinery itself — rigorous per-row bounds,
-the dynamic-range probe, the adaptive promote policy, degenerate-scale
-handling, and pickling.
+the dynamic-range probe, the adaptive promote policy and degenerate-scale
+handling.
 """
-
-import pickle
 
 import numpy as np
 import pytest
@@ -274,17 +272,6 @@ class TestQuantizerLevels:
             Quantizer(values, "int4")
         with pytest.raises(ValidationError):
             ScoreEngine(values, quantize="int4")
-
-    def test_pickle_roundtrip_keeps_level(self):
-        values = np.random.default_rng(6).random((80, 3))
-        engine = ScoreEngine(values, quantize="auto")
-        engine.topk_batch(sample_functions(3, 8, 6), 5)
-        clone = pickle.loads(pickle.dumps(engine))
-        assert clone._quantizer.level == engine._quantizer.level
-        weights = sample_functions(3, 6, 7)
-        assert np.array_equal(
-            clone.topk_batch(weights, 5).order, engine.topk_batch(weights, 5).order
-        )
 
 
 class TestTierIntegration:

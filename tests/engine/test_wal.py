@@ -408,9 +408,10 @@ def test_replay_detects_revision_gap(tmp_path):
 
 
 def test_recovery_under_fault_injector(tmp_path):
-    """An installed injector (crash/corrupt faults in the engine's
-    parallel layer) must not break recovery: the resilience ladder
-    absorbs the faults and the recovered state is still bit-identical."""
+    """An installed injector (crash faults in the engine's parallel
+    layer) must not break recovery: replay never fans out, and the
+    recovered engine's fanned-out queries absorb the injected crashes
+    and answer bit-identically."""
     rng = np.random.default_rng(3)
     matrix = rng.random((60, 3))
     store = DurableStore(tmp_path).open()
@@ -424,17 +425,27 @@ def test_recovery_under_fault_injector(tmp_path):
     engine.close()
     store.abandon()
 
-    with injected(FaultInjector(seed=5, crash=0.3, corrupt=0.2, max_faults=4)):
+    weights = rng.random((16, 3))
+    injector = FaultInjector(seed=5, crash=0.3, max_faults=4)
+    with injected(injector):
         store = DurableStore(tmp_path).open()
         snap, commits = store.load()
-        recovered = ScoreEngine(matrix if snap is None else snap.values)
+        recovered = ScoreEngine(
+            matrix if snap is None else snap.values, n_jobs=2, parallel_min_work=0
+        )
         if snap is not None:
             recovered.revision = snap.revision
         replay_commits(recovered, commits)
+        got = recovered.topk_batch(weights, 5)
         assert recovered.values.tobytes() == final.tobytes()
         assert recovered.revision == 4
         store.close()
         recovered.close()
+    assert recovered.stats["parallel_calls"] > 0
+    assert injector.total_injected > 0
+    want = ScoreEngine(final).topk_batch(weights, 5)
+    assert np.array_equal(got.order, want.order)
+    assert np.array_equal(got.members, want.members)
 
 
 def test_duplicate_idempotency_keys_keep_first_response():

@@ -4,7 +4,10 @@ The load-bearing claim of :mod:`repro.serve.coalesce`: any mix of
 concurrent top-k / rank queries, coalesced into shared engine calls,
 yields responses bit-identical to direct engine calls over the same
 matrix at the same revision — under every backend, and with faults
-firing inside the serving engine.
+firing inside the serving engine.  The fan-out tests pin
+``parallel_min_work=0`` through the server's ``tuning_profile``: a
+3000-row matrix under a few functions sits far below the default work
+cutover, so without it the pool would never run.
 """
 
 import asyncio
@@ -14,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.engine import FaultInjector, RetryPolicy, ScoreEngine, faults
+from repro.engine import FaultInjector, RetryPolicy, ScoreEngine, TuningProfile, faults
 from repro.serve import (
     ServerConfig,
     ServerThread,
@@ -27,6 +30,14 @@ from repro.serve.coalesce import Coalescer, WorkItem, _adjacent_groups
 @pytest.fixture(scope="module")
 def matrix():
     return np.random.default_rng(42).random((3000, 4))
+
+
+@pytest.fixture
+def fanout_profile(tmp_path):
+    """A saved profile whose zero cutover makes every call fan out."""
+    path = tmp_path / "profile.json"
+    TuningProfile(parallel_min_work=0).save(path)
+    return str(path)
 
 
 def _storm(url, jobs, k=5, m=3, seed=0):
@@ -46,13 +57,18 @@ def _storm(url, jobs, k=5, m=3, seed=0):
     return results
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-def test_concurrent_distinct_queries_bit_identical(matrix, backend):
+@pytest.mark.parametrize("backend", ["serial", "thread"])
+def test_concurrent_distinct_queries_bit_identical(matrix, backend, fanout_profile):
     """Distinct concurrent queries coalesce; every response is exact."""
     jobs = 2 if backend != "serial" else None
-    config = ServerConfig(port=0, jobs=jobs, backend=backend)
-    with ServerThread(matrix, config) as url:
+    config = ServerConfig(
+        port=0, jobs=jobs, backend=backend, tuning_profile=fanout_profile
+    )
+    server = ServerThread(matrix, config)
+    with server as url:
         results = _storm(url, jobs=6, seed=100)
+    parallel_calls = server.server.session.engine.stats["parallel_calls"]
+    assert (parallel_calls > 0) == (backend != "serial")
     with ScoreEngine(matrix, float32=True) as direct:
         for weights, response in results:
             reference = direct.topk_batch(weights, 5)
@@ -148,7 +164,7 @@ def test_mutations_are_barriers_and_revisions_are_ordered(matrix):
             assert client.health()["n"] == matrix.shape[0] + 3
 
 
-def test_serving_with_fault_injection_stays_exact(matrix):
+def test_serving_with_fault_injection_stays_exact(matrix, fanout_profile):
     """Worker crashes inside the serving engine never corrupt a response."""
     injector = FaultInjector(seed=3, crash=0.2, max_faults=6)
     faults.install(injector)
@@ -156,13 +172,15 @@ def test_serving_with_fault_injection_stays_exact(matrix):
         config = ServerConfig(
             port=0,
             jobs=2,
-            backend="process",
+            backend="thread",
+            tuning_profile=fanout_profile,
             policy=RetryPolicy(max_retries=3, backoff_base_s=0.0),
         )
         with ServerThread(matrix, config) as url:
             results = _storm(url, jobs=4, seed=500)
     finally:
         faults.uninstall()
+    assert injector.total_injected > 0
     with ScoreEngine(matrix, float32=True) as direct:
         for weights, response in results:
             reference = direct.topk_batch(weights, 5)

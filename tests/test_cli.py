@@ -61,6 +61,12 @@ class TestRepresent:
         assert code == 0
         assert "k            : 10" in out.getvalue()
 
+    def test_process_backend_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["represent", "--n", "50", "--backend", "process"], out=io.StringIO())
+        assert exc.value.code == 2
+        assert "invalid choice: 'process'" in capsys.readouterr().err
+
     def test_missing_csv_is_clean_error(self, capsys):
         code = main(["represent", "--csv", "/nope/missing.csv"], out=io.StringIO())
         assert code == 2

@@ -66,12 +66,22 @@ class TestExports:
         assert issubclass(repro.ValidationError, ValueError)
 
 
+def _run_child(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout."""
+    src = Path(repro.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+
+
 class TestColdImport:
     def test_scipy_loads_on_first_lp_solve(self):
         """Importing the library, CLI and server must not load scipy; the
         first separability LP does."""
-        src = Path(repro.__file__).resolve().parents[1]
-        child = textwrap.dedent(
+        result = _run_child(
             """
             import sys
             import numpy as np
@@ -83,10 +93,17 @@ class TestColdImport:
             assert "scipy" in sys.modules
             """
         )
-        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-c", child],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True, text=True, timeout=120,
+        assert result.returncode == 0, result.stderr
+
+    def test_no_process_pool_modules_at_import(self):
+        """The engine fans out over threads only, so importing the
+        library, CLI and server loads no process-pool machinery."""
+        result = _run_child(
+            """
+            import sys
+            import repro, repro.cli, repro.serve
+            loaded = {"multiprocessing", "concurrent.futures.process"} & set(sys.modules)
+            assert not loaded, sorted(loaded)
+            """
         )
         assert result.returncode == 0, result.stderr

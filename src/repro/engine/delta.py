@@ -30,8 +30,8 @@ write and the compaction that settles it:
   journal pass, counted by the eager-flush trigger, and surface to
   delta subscribers as a spurious delete + insert pair.
 * **Compaction.**  The first query after a mutation (or an explicit
-  :meth:`ScoreEngine.compact`) settles the whole journal in one linear
-  pass: the committed matrix is filtered and the surviving pending rows
+  :meth:`ScoreEngine.compact`) settles the whole journal at once: the
+  committed matrix is filtered and the surviving pending rows
   appended; each pruning ordering is repaired by *filter + merge* — the
   surviving permutation entries are re-indexed and kept in place (their
   relative, tie-stable order is already correct) and the new rows are
@@ -39,8 +39,10 @@ write and the compaction that settles it:
   each cached quantized store reuses the survivors' integer rows
   verbatim and quantizes only the inserted rows, unless the new rows'
   dynamic range escapes the per-attribute envelope, in which case the
-  level is re-scaled wholesale (stores then re-quantize lazily).  An
-  insert burst therefore costs one compaction, not one per call.
+  level is re-scaled wholesale (stores then re-quantize lazily).  Every
+  copy goes through a :class:`MergePlan`, so a small write costs the rows
+  it changed plus one memcpy per array.  An insert burst costs one
+  compaction, not one per call.
 * **Invalidation.**  Compaction ends with
   :meth:`ScoreEngine._invalidate_derived`: the single-probe LRU memo
   (keyed on weight bytes only — it would silently serve pre-mutation
@@ -92,6 +94,11 @@ __all__ = [
 # journal memory and keeps the eventual compaction pass from ballooning.
 _MAX_PENDING_ROWS = 65536
 
+# MergePlan gathers/scatters when a plan has more than one survivor run
+# per this many survivors.  An ordering's seven arrays break even near
+# 24-28 (20k and 200k rows); at 64 the runs cost at most ~3/4 as much.
+_RUN_ROWS = 64
+
 
 @dataclass(frozen=True)
 class DeltaEvent:
@@ -134,17 +141,19 @@ class DeltaEvent:
 
 
 class MergePlan:
-    """One ordering's filter + merge, as reusable scatter indices.
+    """One structural edit, replayed on every array that rides along it.
 
-    Several parallel arrays ride along every pruning ordering (``perm``,
-    ``u``, ``V``, ``V32``, ``rest``, and the quantized store's ``Q`` /
-    ``absq``); all of them undergo the *same* structural edit — drop the
-    positions of deleted rows, insert the new rows' values before their
-    ``searchsorted`` positions.  The plan computes that edit's gather /
-    scatter indices once (survivor positions, each survivor's final
-    destination, each inserted row's destination) so applying it to one
-    more array is just ``out[old_dest] = arr[keep_idx]; out[ins_dest] =
-    new`` — two linear passes, no per-array mask rebuilds.
+    The parallel arrays of a pruning ordering (``perm``, ``u``, ``V``,
+    ``V32``, ``rest``, the quantized store's ``Q`` / ``absq``) share one
+    plan; the matrix copies (``values``, ``_values32``) share another
+    whose inserts all sit at the end.  The edit drops the rows at the
+    sorted positions ``drop`` and inserts the new rows before survivor
+    positions ``pos``.  A *survivor run* is a maximal stretch of rows
+    with no dropped row and no insertion point inside it; the runs come
+    from the cut points alone, and ``apply`` copies each with one slice,
+    so a small write costs the changed rows plus one memcpy per array.
+    A bulk plan (more than one run per ``_RUN_ROWS`` survivors) gathers /
+    scatters instead; only it builds ``keep_idx`` / ``old_dest``.
 
     ``apply`` is equivalent to ``np.insert(arr[keep_idx], pos, new,
     axis=0)`` for the plan's non-decreasing ``pos``; ties in ``pos``
@@ -155,22 +164,40 @@ class MergePlan:
     store quantizes exactly these.
     """
 
-    __slots__ = ("keep_idx", "old_dest", "ins_dest", "rows", "size")
+    __slots__ = ("runs", "keep_idx", "old_dest", "ins_dest", "rows", "size")
 
-    def __init__(self, keep_mask: np.ndarray, pos: np.ndarray, rows: np.ndarray) -> None:
-        self.keep_idx = np.flatnonzero(keep_mask)
-        kept = self.keep_idx.size
+    def __init__(self, n: int, drop: np.ndarray, pos: np.ndarray, rows: np.ndarray) -> None:
+        kept = n - drop.size
         m = rows.shape[0]
         self.rows = rows
         self.size = kept + m
-        # Survivor i shifts right by the number of insertions at <= i.
-        shift = np.cumsum(np.bincount(pos, minlength=kept + 1))[:kept]
-        self.old_dest = np.arange(kept, dtype=np.int64) + shift
         self.ins_dest = pos + np.arange(m, dtype=np.int64)
+        # Dropped row j follows ``drop[j] - j`` survivors and insert i
+        # precedes survivor ``pos[i]``: between adjacent cuts every
+        # survivor moves by the same source and destination offsets.
+        gaps = drop - np.arange(drop.size, dtype=np.int64)
+        cuts = np.sort(np.concatenate(([0, kept], gaps, pos)))
+        starts, lengths = cuts[:-1], np.diff(cuts)
+        starts, lengths = starts[lengths > 0], lengths[lengths > 0]
+        src = starts + np.searchsorted(gaps, starts, side="right")
+        dst = starts + np.searchsorted(pos, starts, side="right")
+        if starts.size * _RUN_ROWS > kept:
+            self.runs = None
+            idx = np.arange(kept, dtype=np.int64)
+            self.keep_idx = idx + np.repeat(src - starts, lengths)
+            self.old_dest = idx + np.repeat(dst - starts, lengths)
+        else:
+            self.runs = list(zip(src.tolist(), (src + lengths).tolist(),
+                                 dst.tolist(), (dst + lengths).tolist()))
+            self.keep_idx = self.old_dest = None
 
     def apply(self, old: np.ndarray, new: np.ndarray) -> np.ndarray:
         out = np.empty((self.size, *old.shape[1:]), dtype=old.dtype)
-        out[self.old_dest] = old[self.keep_idx]
+        if self.runs is None:
+            out[self.old_dest] = old[self.keep_idx]
+        else:
+            for lo, hi, out_lo, out_hi in self.runs:
+                out[out_lo:out_hi] = old[lo:hi]
         out[self.ins_dest] = new
         return out
 
@@ -197,16 +224,19 @@ def insert_rows(engine, rows: np.ndarray) -> np.ndarray:
     if m == 0:
         return np.empty(0, dtype=np.int64)
     live = _live_view(engine)
-    next_slot = engine._committed_n + sum(len(p) for p in engine._pending_rows)
+    cn = engine._committed_n
+    # Every pending slot is live (a deleted pending row is cancelled and
+    # the rest renumbered), so the live slots from ``cn`` on count them.
+    pending = live.size - int(np.searchsorted(live, cn))
     engine._pending_rows.append(rows)
     engine._live = np.concatenate(
-        [live, next_slot + np.arange(m, dtype=np.int64)]
+        [live, cn + pending + np.arange(m, dtype=np.int64)]
     )
     new_ids = np.arange(engine.n, engine.n + m, dtype=np.int64)
     engine.n += m
     engine._dirty_rows = True
     engine.stats["row_inserts"] += m
-    if sum(len(p) for p in engine._pending_rows) > _MAX_PENDING_ROWS:
+    if pending + m > _MAX_PENDING_ROWS:
         flush_mutations(engine)
     return new_ids
 
@@ -315,6 +345,7 @@ def flush_mutations(engine) -> None:
         return
 
     idmap = np.cumsum(keep, dtype=np.int64) - 1  # old id -> new id (kept only)
+    deleted_ids = np.flatnonzero(~keep)
     new_n = kept + m
     new_ids = kept + np.arange(m, dtype=np.int64)
 
@@ -327,31 +358,25 @@ def flush_mutations(engine) -> None:
             revision=engine.revision + 1,
             old_n=cn,
             new_n=new_n,
-            deleted_ids=np.flatnonzero(~keep),
-            deleted_rows=np.ascontiguousarray(engine.values[~keep]),
+            deleted_ids=deleted_ids,
+            deleted_rows=engine.values[deleted_ids],
             idmap=idmap,
             inserted_rows=new_rows,
         )
 
-    values = np.empty((new_n, engine.d), dtype=np.float64)
-    values[:kept] = engine.values[keep]
-    values[kept:] = new_rows
-    engine.values = values
+    plan = MergePlan(cn, deleted_ids, np.full(m, kept, dtype=np.int64), new_rows)
+    engine.values = plan.apply(engine.values, new_rows)
     if engine._values32 is not None:
-        v32 = np.empty((new_n, engine.d), dtype=np.float32)
-        v32[:kept] = engine._values32[keep]
-        v32[kept:] = new_rows.astype(np.float32)
-        engine._values32 = v32
+        engine._values32 = plan.apply(engine._values32, new_rows.astype(np.float32))
 
     store_edits: list[tuple[int, MergePlan]] = []
     if engine._orderings is not None:
         from repro.engine.score_engine import robust_row_norms
 
         new_norms = robust_row_norms(new_rows)
+        remap = idmap if kept < cn else None  # inserts only: ids unchanged
         for o, ordering in enumerate(engine._orderings):
-            plan = _merge_ordering(
-                ordering, keep, idmap, new_rows, new_norms, new_ids, new_n
-            )
+            plan = _merge_ordering(ordering, keep, remap, new_rows, new_norms, new_ids)
             store_edits.append((o, plan))
 
     if engine._quantizer is not None:
@@ -453,13 +478,14 @@ def _reset_journal(engine, committed_n: int) -> None:
 
 
 def _merge_ordering(
-    ordering, keep: np.ndarray, idmap: np.ndarray, new_rows, new_norms, new_ids, new_n: int
+    ordering, keep: np.ndarray, idmap: np.ndarray | None, new_rows, new_norms, new_ids
 ) -> MergePlan:
     """Filter + merge one pruning ordering in place.
 
-    Returns the :class:`MergePlan` (survivor positions and insertion
-    destinations in the ordering's permuted space), which the quantized
-    store repair replays verbatim on its own parallel arrays.
+    Returns the :class:`MergePlan` (dropped positions and insertion
+    points in the ordering's permuted space), which the quantized store
+    repair replays verbatim on its own parallel arrays.  ``idmap`` is
+    ``None`` when no row was deleted.
     """
     if ordering.attribute < 0:
         u_new = new_norms
@@ -467,23 +493,23 @@ def _merge_ordering(
         u_new = new_rows[:, ordering.attribute]
     order_new = np.argsort(-u_new, kind="stable")
     rows_sorted = np.ascontiguousarray(new_rows[order_new])
-    keep_pos = keep[ordering.perm]
-    u_f = ordering.u[keep_pos]
-    pos = np.searchsorted(-u_f, -u_new[order_new], side="right")
-    plan = MergePlan(keep_pos, pos, rows_sorted)
-    perm = np.empty(plan.size, dtype=np.int64)
-    perm[plan.old_dest] = idmap[ordering.perm[plan.keep_idx]]
-    perm[plan.ins_dest] = new_ids[order_new]
-    ordering.perm = perm
-    u = np.empty(plan.size)
-    u[plan.old_dest] = u_f
-    u[plan.ins_dest] = u_new[order_new]
-    ordering.u = u
+    u_sorted = u_new[order_new]
+    if idmap is None:
+        drop, ids = np.empty(0, dtype=np.int64), ordering.perm
+    else:
+        drop, ids = np.flatnonzero(~keep[ordering.perm]), idmap[ordering.perm]
+    # Search the unfiltered ordering, then discount the dropped rows
+    # ahead of each hit: the survivors' insertion points.
+    hit = np.searchsorted(-ordering.u, -u_sorted, side="right")
+    pos = hit - np.searchsorted(drop, hit)
+    plan = MergePlan(ordering.perm.size, drop, pos, rows_sorted)
+    ordering.perm = plan.apply(ids, new_ids[order_new])
+    ordering.u = plan.apply(ordering.u, u_sorted)
     ordering.V = plan.apply(ordering.V, rows_sorted)
     if ordering.V32 is not None:
         ordering.V32 = plan.apply(ordering.V32, rows_sorted.astype(np.float32))
     if ordering.attribute < 0:
-        ordering.v = np.zeros(new_n)
+        ordering.v = np.zeros(plan.size)
     else:
         # Surviving rows keep their residual norms bit-for-bit; only the
         # inserted rows' residuals are computed, and ``v`` is one cummax.

@@ -62,3 +62,19 @@ def bn_small():
 @pytest.fixture
 def correlated_2d():
     return correlated(80, 2, seed=9).values
+
+
+@pytest.fixture(params=[0, 1 << 40], ids=["runs", "scatter"])
+def cutover(request, monkeypatch):
+    """Force every ``MergePlan`` onto one copy path for a whole test.
+
+    ``0`` copies every plan by survivor runs; ``1 << 40`` gathers and
+    scatters every plan that has a survivor.  Mutation cases drawn by
+    hypothesis have a few dozen rows, where the shipped cutover always
+    scatters, so without this the run path would go untested there.
+    The patch deliberately spans every hypothesis example of the test.
+    """
+    from repro.engine import delta
+
+    monkeypatch.setattr(delta, "_RUN_ROWS", request.param)
+    return request.param

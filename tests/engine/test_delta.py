@@ -13,10 +13,11 @@ scale, pools), and validation errors.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import ScoreEngine
+from repro.engine import ScoreEngine, delta
+from repro.engine.delta import MergePlan
 from repro.exceptions import ValidationError
 from repro.ranking import sample_functions
 from repro.ranking.topk import rank_of, top_k
@@ -99,9 +100,13 @@ def mutation_case(draw):
     return matrix, ops, query_between, k
 
 
-@settings(max_examples=60, deadline=None)
+# The ``cutover`` fixture spans all examples on purpose.
+_CUTOVER_OK = [HealthCheck.function_scoped_fixture]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=_CUTOVER_OK)
 @given(case=mutation_case(), quantize=st.sampled_from([None, "auto", "int8"]))
-def test_mutation_sequence_bit_identical(case, quantize):
+def test_mutation_sequence_bit_identical(cutover, case, quantize):
     matrix, ops, query_between, k = case
     weights = sample_functions(matrix.shape[1], 12, 3)
     engine = ScoreEngine(matrix, quantize=quantize)
@@ -126,9 +131,9 @@ def test_mutation_sequence_bit_identical(case, quantize):
     )
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, suppress_health_check=_CUTOVER_OK)
 @given(case=mutation_case())
-def test_mutation_sequence_float32_engine(case):
+def test_mutation_sequence_float32_engine(cutover, case):
     matrix, ops, _, k = case
     weights = sample_functions(matrix.shape[1], 8, 11)
     engine = ScoreEngine(matrix, float32=True)
@@ -145,6 +150,62 @@ def test_mutation_sequence_float32_engine(case):
     _assert_engine_matches_fresh(
         engine, reference, weights, k_eff, [0], float32=True
     )
+
+
+# ----------------------------------------------------------------------
+# MergePlan: run slices and gather/scatter both equal np.insert
+@st.composite
+def merge_plan_case(draw):
+    keep = np.asarray(draw(st.lists(st.booleans(), max_size=60)), dtype=bool)
+    kept = int(keep.sum())
+    # Sorted insertion points with ties, at 0 and at ``kept``, or none.
+    pos = np.asarray(
+        sorted(draw(st.lists(st.integers(min_value=0, max_value=kept), max_size=8))),
+        dtype=np.int64,
+    )
+    dtype = draw(st.sampled_from([np.float64, np.float32, np.int8, np.int16, np.int64]))
+    tail = draw(st.sampled_from([(), (3,)]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    old = rng.integers(-100, 100, (keep.size, *tail)).astype(dtype)
+    new = rng.integers(-100, 100, (pos.size, *tail)).astype(dtype)
+    return keep, pos, old, new
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=_CUTOVER_OK)
+@given(case=merge_plan_case())
+def test_merge_plan_matches_np_insert(cutover, case):
+    keep, pos, old, new = case
+    plan = MergePlan(keep.size, np.flatnonzero(~keep), pos, new)
+    assert (plan.runs is None) == (cutover > 0 and bool(keep.any()))
+    got = plan.apply(old, new)
+    want = np.insert(old[np.flatnonzero(keep)], pos, new, axis=0)
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestMergePlanPath:
+    n = 20_000
+    no_drop = np.empty(0, dtype=np.int64)
+    no_pos = np.empty(0, dtype=np.int64)
+
+    def test_small_writes_copy_survivor_runs(self, rng):
+        drop = np.sort(rng.choice(self.n, 20, replace=False))
+        deleted = MergePlan(self.n, drop, self.no_pos, np.empty((0, 4)))
+        assert deleted.runs is not None and deleted.keep_idx is None
+        pos = np.sort(rng.integers(0, self.n + 1, 20))
+        inserted = MergePlan(self.n, self.no_drop, pos, np.zeros((20, 4)))
+        assert inserted.runs is not None and inserted.old_dest is None
+
+    def test_bulk_plans_scatter(self):
+        # Distinct interior insertion points: cuts + 1 survivor runs.
+        limit = self.n // delta._RUN_ROWS
+        for cuts, bulk in ((limit - 1, False), (limit + 1, True)):
+            pos = np.linspace(1, self.n - 1, cuts).astype(np.int64)
+            assert np.unique(pos).size == cuts
+            plan = MergePlan(self.n, self.no_drop, pos, np.zeros((cuts, 4)))
+            assert (plan.runs is None) == bulk
+            assert (plan.keep_idx is not None) == bulk
 
 
 # ----------------------------------------------------------------------
@@ -445,6 +506,36 @@ class TestJournalSemantics:
         assert list(ids) == [10]
         engine.compact()
         assert engine.values.shape == (11, 3)
+
+    def test_pending_bound_compacts_without_query(self, rng, monkeypatch):
+        monkeypatch.setattr(delta, "_MAX_PENDING_ROWS", 8)
+        matrix = rng.random((30, 3))
+        engine = ScoreEngine(matrix)
+        first, second = rng.random((5, 3)), rng.random((3, 3))
+        engine.insert_rows(first)
+        engine.insert_rows(second)  # 8 pending: at the bound, not over
+        assert engine._dirty_rows and engine.stats["compactions"] == 0
+        third = rng.random((1, 3))
+        engine.insert_rows(third)
+        assert not engine._dirty_rows and engine.stats["compactions"] == 1
+        assert np.array_equal(engine.values, np.vstack([matrix, first, second, third]))
+
+    def test_cancelled_inserts_do_not_count_toward_bound(self, rng, monkeypatch):
+        monkeypatch.setattr(delta, "_MAX_PENDING_ROWS", 8)
+        matrix = rng.random((30, 3))
+        engine = ScoreEngine(matrix)
+        first = rng.random((6, 3))
+        ids = engine.insert_rows(first)
+        engine.delete_rows(ids[1:5])  # cancels four: two stay pending
+        second = rng.random((6, 3))
+        engine.insert_rows(second)  # 8 pending
+        assert engine._dirty_rows and engine.stats["compactions"] == 0
+        third = rng.random((1, 3))
+        engine.insert_rows(third)
+        assert not engine._dirty_rows and engine.stats["compactions"] == 1
+        assert np.array_equal(
+            engine.values, np.vstack([matrix, first[[0, 5]], second, third])
+        )
 
     def test_stats_counters(self, rng):
         engine = ScoreEngine(rng.random((20, 3)))

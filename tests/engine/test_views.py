@@ -13,7 +13,7 @@ representative itself.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import mdrc
@@ -104,9 +104,12 @@ def view_mutation_case(draw):
     return matrix, ops, k, policy
 
 
-@settings(max_examples=30, deadline=None)
+# The ``cutover`` fixture spans all examples on purpose.
+@settings(
+    max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
 @given(case=view_mutation_case())
-def test_maintained_mdrc_bit_identical(case):
+def test_maintained_mdrc_bit_identical(cutover, case):
     matrix, ops, k, policy = case
     with ScoreEngine(matrix) as engine:
         with MDRCView(engine, k, choice=policy) as view:

@@ -64,17 +64,41 @@ def correlated_2d():
     return correlated(80, 2, seed=9).values
 
 
-@pytest.fixture(params=[0, 1 << 40], ids=["runs", "scatter"])
+# ``_RUN_ROWS`` values that force every ``MergePlan`` onto one copy path:
+# ``0`` copies every plan by survivor runs; ``1 << 40`` gathers and
+# scatters every plan that has a survivor.  Mutation cases drawn by
+# hypothesis have a few dozen rows, where the shipped cutover always
+# scatters, so without a forced cutover the run path would go untested.
+_CUTOVERS = {"runs": 0, "scatter": 1 << 40}
+
+
+@pytest.fixture(params=list(_CUTOVERS.values()), ids=list(_CUTOVERS))
 def cutover(request, monkeypatch):
     """Force every ``MergePlan`` onto one copy path for a whole test.
 
-    ``0`` copies every plan by survivor runs; ``1 << 40`` gathers and
-    scatters every plan that has a survivor.  Mutation cases drawn by
-    hypothesis have a few dozen rows, where the shipped cutover always
-    scatters, so without this the run path would go untested there.
     The patch deliberately spans every hypothesis example of the test.
     """
     from repro.engine import delta
 
     monkeypatch.setattr(delta, "_RUN_ROWS", request.param)
     return request.param
+
+
+def _each_copy_path():
+    from repro.engine import delta
+
+    for run_rows in _CUTOVERS.values():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(delta, "_RUN_ROWS", run_rows)
+            yield run_rows
+
+
+@pytest.fixture
+def copy_paths():
+    """Iterate the copy paths, with ``_RUN_ROWS`` patched inside each step.
+
+    ``for _ in copy_paths():`` runs a loop body once per path, so one
+    hypothesis example is checked on both.  The fixture holds no state,
+    so sharing it across examples is safe.
+    """
+    return _each_copy_path

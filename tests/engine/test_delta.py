@@ -100,56 +100,58 @@ def mutation_case(draw):
     return matrix, ops, query_between, k
 
 
-# The ``cutover`` fixture spans all examples on purpose.
+# The ``cutover`` and ``copy_paths`` fixtures span all examples on purpose.
 _CUTOVER_OK = [HealthCheck.function_scoped_fixture]
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=_CUTOVER_OK)
 @given(case=mutation_case(), quantize=st.sampled_from([None, "auto", "int8"]))
-def test_mutation_sequence_bit_identical(cutover, case, quantize):
+def test_mutation_sequence_bit_identical(copy_paths, case, quantize):
     matrix, ops, query_between, k = case
     weights = sample_functions(matrix.shape[1], 12, 3)
-    engine = ScoreEngine(matrix, quantize=quantize)
-    reference = matrix
-    for op in ops:
-        kind, payload = op
-        if kind == "insert":
-            engine.insert_rows(payload)
-        else:
-            engine.delete_rows(payload)
-        reference = _reference_apply(reference, [op])
-        if query_between:
-            k_eff = min(k, reference.shape[0])
-            assert np.array_equal(
-                engine.topk_batch(weights, k_eff).order,
-                ScoreEngine(reference, quantize=quantize).topk_batch(weights, k_eff).order,
-            )
-    k_eff = min(k, reference.shape[0])
-    subset = [0, reference.shape[0] - 1]
-    _assert_engine_matches_fresh(
-        engine, reference, weights, k_eff, subset, quantize=quantize
-    )
+    for _ in copy_paths():
+        engine = ScoreEngine(matrix, quantize=quantize)
+        reference = matrix
+        for op in ops:
+            kind, payload = op
+            if kind == "insert":
+                engine.insert_rows(payload)
+            else:
+                engine.delete_rows(payload)
+            reference = _reference_apply(reference, [op])
+            if query_between:
+                k_eff = min(k, reference.shape[0])
+                assert np.array_equal(
+                    engine.topk_batch(weights, k_eff).order,
+                    ScoreEngine(reference, quantize=quantize).topk_batch(weights, k_eff).order,
+                )
+        k_eff = min(k, reference.shape[0])
+        subset = [0, reference.shape[0] - 1]
+        _assert_engine_matches_fresh(
+            engine, reference, weights, k_eff, subset, quantize=quantize
+        )
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=_CUTOVER_OK)
 @given(case=mutation_case())
-def test_mutation_sequence_float32_engine(cutover, case):
+def test_mutation_sequence_float32_engine(copy_paths, case):
     matrix, ops, _, k = case
     weights = sample_functions(matrix.shape[1], 8, 11)
-    engine = ScoreEngine(matrix, float32=True)
-    engine.topk_batch(weights, min(k, matrix.shape[0]))  # build V32 state
-    reference = matrix
-    for op in ops:
-        kind, payload = op
-        if kind == "insert":
-            engine.insert_rows(payload)
-        else:
-            engine.delete_rows(payload)
-        reference = _reference_apply(reference, [op])
-    k_eff = min(k, reference.shape[0])
-    _assert_engine_matches_fresh(
-        engine, reference, weights, k_eff, [0], float32=True
-    )
+    for _ in copy_paths():
+        engine = ScoreEngine(matrix, float32=True)
+        engine.topk_batch(weights, min(k, matrix.shape[0]))  # build V32 state
+        reference = matrix
+        for op in ops:
+            kind, payload = op
+            if kind == "insert":
+                engine.insert_rows(payload)
+            else:
+                engine.delete_rows(payload)
+            reference = _reference_apply(reference, [op])
+        k_eff = min(k, reference.shape[0])
+        _assert_engine_matches_fresh(
+            engine, reference, weights, k_eff, [0], float32=True
+        )
 
 
 # ----------------------------------------------------------------------

@@ -104,22 +104,23 @@ def view_mutation_case(draw):
     return matrix, ops, k, policy
 
 
-# The ``cutover`` fixture spans all examples on purpose.
+# The ``copy_paths`` fixture spans all examples on purpose.
 @settings(
     max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(case=view_mutation_case())
-def test_maintained_mdrc_bit_identical(cutover, case):
+def test_maintained_mdrc_bit_identical(copy_paths, case):
     matrix, ops, k, policy = case
-    with ScoreEngine(matrix) as engine:
-        with MDRCView(engine, k, choice=policy) as view:
-            _assert_mdrc_identical(view, engine)
-            for kind, payload in ops:
-                if kind == "insert":
-                    engine.insert_rows(payload)
-                else:
-                    engine.delete_rows(payload)
+    for _ in copy_paths():
+        with ScoreEngine(matrix) as engine:
+            with MDRCView(engine, k, choice=policy) as view:
                 _assert_mdrc_identical(view, engine)
+                for kind, payload in ops:
+                    if kind == "insert":
+                        engine.insert_rows(payload)
+                    else:
+                        engine.delete_rows(payload)
+                    _assert_mdrc_identical(view, engine)
 
 
 # ----------------------------------------------------------------------

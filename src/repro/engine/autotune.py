@@ -28,8 +28,9 @@ the work* — chunk layout, routing, which tier attempts a decision first
 — while the engine's ulp-band / exact-fallback machinery keeps results
 bit-identical to the scalar path for **any** profile, however
 pathological (the test suite pins this).  The truly semantic constants
-(the tie-band width, the quantization slack, the safe-scale range) are
-deliberately *not* tunable and stay where they are.
+are deliberately *not* tunable: the band widths and the float32 range
+guard live in :mod:`repro.engine.bands`, the quantization slack in
+:mod:`repro.engine.quantize`.
 
 Profiles serialize to JSON (:meth:`TuningProfile.save` /
 :meth:`TuningProfile.load`), so a service calibrates once and restarts

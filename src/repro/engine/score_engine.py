@@ -40,43 +40,40 @@ only the columns it can prove and promotes the rest:
   whose candidate set (or rank band) it isolates are finished from a
   tiny exact rescore, and functions whose decision boundary falls
   inside the quantization envelope are promoted;
-* the **float batch tiers** trust the GEMM scores except where an ulp
-  band at the k boundary or between adjacent ranked scores says a
-  blocked-BLAS deviation could flip the decision (possible even for
-  identical rows);
+* the **float batch tiers** trust the GEMM scores except where a score
+  sits inside the contested band of a decision boundary or of a ranked
+  neighbour (possible even for identical rows);
 * contested columns fall back to the **scalar algorithm verbatim** (one
   float64 GEMV plus the seed's over-select / lexsort), so they match
   the scalar path by construction, and uncontested columns match it
   because their gaps exceed any GEMM↔GEMV deviation.
 
-With ``float32=True`` the batch tier runs in single precision (≈2× GEMM
-throughput, half the memory traffic), block ordering is recomputed in
-float64, and the same fallback applies with a float32-wide band.
+Every band — the contested width, the pruning floors, the float32 range
+guard and the k-skyband margin — comes from one model in
+:mod:`repro.engine.bands`: a width of ``64·eps(tier)·‖w‖·max‖x‖``, which
+bounds the rounding error of any summation order however much the
+scores cancel.  With ``float32=True`` the batch tier runs in single
+precision (≈2× GEMM throughput, half the memory traffic) with the
+float32 band, block ordering is recomputed in float64, and functions
+whose magnitudes leave the float32 range are scored in float64.
 
 **The k-skyband candidate set.**  For weights ``w ≥ 0`` only rows with
 fewer than k dominators can reach a top-k, and K-SETr's batches are all
-such functions.  Row ``q`` *robustly dominates* row ``p`` when ``q_j >
-fl(p_j + δ)`` in every coordinate, with ``δ = 4·d·eps·max|x|``.  Then
-``q_j − p_j ≥ δ − eps·max|x|`` exactly, so the exact gap ``w·q − w·p``
-is at least ``(4d − 1)·eps·max|x|·Σw``.  Any summation order of a
-d-term dot product (GEMV, blocked GEMM, FMA) errs by at most
-``γ_d·Σw·max|x|`` with ``γ_d = d·u/(1 − d·u) ≈ d·eps/2``, so two such
-errors stay below the gap and ``fl(w·q) > fl(w·p)`` strictly — as long
-as no partial sum overflows and the gap sits far above the subnormal
-range, where absolute underflow errors would swamp it.  A row with k or
-more robust dominators therefore has k rows strictly above it in the
-scalar order (score descending, then index ascending) and is never in
-the scalar top-k; any superset of the robust k-skyband holds every
-answer.  :meth:`topk_orders` uses this for a call with at least
-``_CANDIDATE_MIN_FUNCTIONS`` functions passing four guards: every
-``w_j ≥ 0``; ``δ`` is a normal float; ``δ·Σw ≥ tiny/eps`` and
-``max|x|·Σw ≤ max/4``; and ``4k < n``.  Those functions are answered
-by a serial child engine over the band rows
+such functions.  A row with k or more *robust* dominators (``q_j >
+fl(p_j + δ)`` in every coordinate, with the margin δ of
+:func:`repro.engine.bands.robust_margin`) has k rows strictly above it
+in the scalar order (score descending, then index ascending) and is
+never in the scalar top-k; any superset of the robust k-skyband holds
+every answer.  :meth:`topk_orders` uses this for a call with at least
+``_CANDIDATE_MIN_FUNCTIONS`` functions that
+:func:`~repro.engine.bands.robust_eligible` accepts (every ``w_j ≥ 0``,
+no underflowing gap, no overflow) when ``4k < n``.  Those functions are
+answered by a serial child engine over the band rows
 (:func:`repro.geometry.skyline.robust_skyband`, built lazily per k and
 dropped on every compaction) that runs the ladder above verbatim except
 that a contested column falls back to *this* engine's full-matrix scalar
 kernel.  Contested columns thus equal the scalar path by construction;
-uncontested ones equal it by the ulp-band argument, since every
+uncontested ones equal it by the band argument, since every
 non-candidate row scores strictly below the k-th answer; and the child
 keeps row order, so index tie-breaks carry over.
 """
@@ -89,6 +86,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.engine import bands
 from repro.engine.autotune import TuningProfile
 from repro.engine.bitset import pack_membership, packed_width
 from repro.engine.parallel import resolve_backend, resolve_n_jobs
@@ -96,12 +94,6 @@ from repro.engine.quantize import Quantizer
 from repro.exceptions import InvalidDataError, ValidationError
 
 __all__ = ["ScoreEngine", "TopKBatch"]
-
-# Width of the ulp band (in units of eps * max|score| per column) inside
-# which GEMM scores are treated as potentially tied and re-verified.
-# Deliberately NOT part of the tuning profile: this constant is
-# load-bearing for exactness, not performance.
-_TIE_BAND_ULPS = 64.0
 
 # Candidate-set routing (see ``_candidate_split``).  A k-skyband build
 # costs ~20 ms at 20k x 4 and saves ~19 µs per function answered from it,
@@ -113,14 +105,8 @@ _CANDIDATE_MIN_FUNCTIONS = 256
 # Stage-1 survivors above this share of n: the band would barely prune,
 # so that k stays on the full path until the next compaction.
 _CANDIDATE_MAX_SHARE = 0.5
-# Robust-dominance margin δ in units of d·eps·max|x| (module docstring).
-_ROBUST_MARGIN = 4.0
 # Candidate engines kept, one per k.
 _CANDIDATE_CACHE_SIZE = 4
-# Per-function guards on Σw·max|x|: the exact gap δ·Σw must sit far
-# above the subnormal range, and no score or partial sum may overflow.
-_ROBUST_FLOOR = float(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
-_ROBUST_CEILING = float(np.finfo(np.float64).max) / 4.0
 
 # Every performance constant that used to live here — chunk sizes, the
 # fan-out cutover, the quantized/scalar routing caps, the adaptive
@@ -204,6 +190,16 @@ def _geometric_grid(k: int, n: int) -> np.ndarray:
         sizes.append(c)
         c *= 2
     return np.asarray(sizes, dtype=np.int64)
+
+
+def _top_block(S: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``S``, the positions of its k largest entries (unordered)
+    and those entries."""
+    c = S.shape[1]
+    if c > k:
+        blk = np.argpartition(S, c - k, axis=1)[:, c - k :]
+        return blk, np.take_along_axis(S, blk, axis=1)
+    return np.broadcast_to(np.arange(c), S.shape), S
 
 
 class TopKBatch(NamedTuple):
@@ -393,7 +389,9 @@ class ScoreEngine:
         # (k, ordering count) -> per-attribute-ordering grid gathers,
         # reused across batches by _prefix_needs.
         self._grid_cache: dict[tuple[int, int], list] = {}
-        self._max_row_norm: float | None = None  # lazy, see _noise_scale
+        # The data magnitudes behind every band (see _max_norm/_max_abs).
+        self._max_row_norm: float | None = None
+        self._max_abs_value: float | None = None
         # k -> serial child engine over the robust k-skyband, or None when
         # that k does not prune (see _candidate_engine); LRU order.
         self._candidates: OrderedDict[int, _CandidateEngine | None] = OrderedDict()
@@ -573,8 +571,8 @@ class ScoreEngine:
         The explicit invalidation point for the mutation path: the
         single-probe LRU memo (keyed on weight bytes only — a mutated
         matrix would silently serve stale top-k sets), the per-(k,
-        orderings) grid gathers, the cached max row norm behind the
-        ulp noise bands, the k-skyband candidate engines, the chunk
+        orderings) grid gathers, the cached data magnitudes behind the
+        exactness bands, the k-skyband candidate engines, the chunk
         geometry, and the thread pool (whose clones hold the pre-mutation
         matrix).
         """
@@ -582,6 +580,7 @@ class ScoreEngine:
         self._grid_cache.clear()
         self._candidates.clear()
         self._max_row_norm = None
+        self._max_abs_value = None
         self._chunk_cols = max(1, self._chunk_bytes // (8 * self.n))
         self._close_pools()
 
@@ -842,17 +841,8 @@ class ScoreEngine:
         """
         if W.shape[0] < _CANDIDATE_MIN_FUNCTIONS or 4 * k >= self.n:
             return None
-        scale = float(np.abs(self.values).max())
-        delta = _ROBUST_MARGIN * self.d * float(np.finfo(np.float64).eps) * scale
-        if not delta >= np.finfo(np.float64).tiny:
-            return None
-        sums = W.sum(axis=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            eligible = (
-                (W >= 0.0).all(axis=1)
-                & (delta * sums >= _ROBUST_FLOOR)
-                & (scale * sums <= _ROBUST_CEILING)
-            )
+        delta = bands.robust_margin(self.d, self._max_abs())
+        eligible = bands.robust_eligible(W, delta, self._max_abs())
         if np.count_nonzero(eligible) < _CANDIDATE_MIN_FUNCTIONS:
             return None
         child = self._candidate_engine(k, delta)
@@ -937,12 +927,9 @@ class ScoreEngine:
         degenerate data degrades gracefully to the seed's exact
         per-probe cost.
         """
-        n = self.n
-        if k >= n:
-            self._topk_full_rank(Wc, k, out_order)
-            return
+        w_norms = np.linalg.norm(Wc, axis=1)
         if self._quantizer is not None and self._quantizer.active:
-            promoted = self._quant_topk_chunk(Wc, k, out_order)
+            promoted = self._quant_topk_chunk(Wc, k, out_order, w_norms)
             if promoted.size == 0:
                 return
             if promoted.size <= self._tuning.quant_scalar_promote:
@@ -955,30 +942,43 @@ class ScoreEngine:
                 return
             if promoted.size < Wc.shape[0]:
                 sub_order = np.empty((promoted.size, k), dtype=np.int64)
-                self._float_tiers(np.ascontiguousarray(Wc[promoted]), k, sub_order)
+                self._float_tiers(
+                    np.ascontiguousarray(Wc[promoted]), k, sub_order, w_norms[promoted]
+                )
                 out_order[promoted] = sub_order
                 return
-        self._float_tiers(Wc, k, out_order)
+        self._float_tiers(Wc, k, out_order, w_norms)
 
-    def _float_tiers(self, Wc: np.ndarray, k: int, out_order: np.ndarray) -> None:
-        """Tiers 1-3: the float32/float64 batch passes + scalar fallback."""
-        if self.float32:
-            contested = self._topk_tier(Wc, k, out_order, use_f32=True)
-            if contested.size:
-                sub_order = np.empty((contested.size, k), dtype=np.int64)
-                Wsub = np.ascontiguousarray(Wc[contested])
-                still = self._topk_tier(Wsub, k, sub_order, use_f32=False)
-                for j in still:
-                    sub_order[j] = self._verified_topk_column(Wsub[j], k)
-                    self.stats["verified_columns"] += 1
-                out_order[contested] = sub_order
-        else:
-            contested = self._topk_tier(Wc, k, out_order, use_f32=False)
-            for j in contested:
-                out_order[j] = self._verified_topk_column(Wc[j], k)
-                self.stats["verified_columns"] += 1
+    def _f32_ok(self, w_norms: np.ndarray) -> bool:
+        """Whether a chunk may be scored in float32: the engine keeps a
+        float32 copy and the range guard flags none of its functions."""
+        return self.float32 and not bands.f32_unsafe(w_norms, self._max_norm()).any()
 
-    def _quant_topk_chunk(self, Wc: np.ndarray, k: int, out_order: np.ndarray) -> np.ndarray:
+    def _float_tiers(
+        self, Wc: np.ndarray, k: int, out_order: np.ndarray, w_norms: np.ndarray
+    ) -> None:
+        """Tiers 1-3: the float32/float64 batch passes + scalar fallback.
+
+        A chunk holding any function the float32 range guard flags skips
+        the float32 pass.
+        """
+        contested = None
+        out = out_order
+        if self._f32_ok(w_norms):
+            contested = self._topk_tier(Wc, k, out_order, w_norms, use_f32=True)
+            if not contested.size:
+                return
+            Wc, w_norms = np.ascontiguousarray(Wc[contested]), w_norms[contested]
+            out = np.empty((contested.size, k), dtype=np.int64)
+        for j in self._topk_tier(Wc, k, out, w_norms, use_f32=False):
+            out[j] = self._verified_topk_column(Wc[j], k)
+            self.stats["verified_columns"] += 1
+        if contested is not None:
+            out_order[contested] = out
+
+    def _quant_topk_chunk(
+        self, Wc: np.ndarray, k: int, out_order: np.ndarray, w_norms: np.ndarray
+    ) -> np.ndarray:
         """Tier 0: integer-envelope top-k screening; returns promoted rows.
 
         One integer GEMM over a routed prefix bounds every score from
@@ -988,9 +988,9 @@ class ScoreEngine:
         ``thr`` is a candidate, and the candidate set provably contains
         the whole top-k *including any boundary ties*.  Functions whose
         candidate count stays within the cap are finished here: the few
-        candidates are re-scored exactly in float64 and ordered with the
-        usual ulp-band checks (near-ties fall to the scalar kernel
-        verbatim), so the result is bit-identical to the scalar path.
+        candidates are re-scored exactly in float64 and accepted by
+        :meth:`_finalize` (near-ties fall to the scalar kernel verbatim),
+        so the result is bit-identical to the scalar path.
         Functions whose k-boundary sits inside the quantization envelope
         — candidate counts past the cap — are promoted to the float
         tiers, and the promote rate feeds the quantizer's adaptive
@@ -1009,21 +1009,17 @@ class ScoreEngine:
         orderings = self._ensure_orderings()
         self.stats["quant_columns"] += mc
         # Probe: each function's k-th best *exact* score over the head of
-        # the norm ordering cannot exceed its true k-th score, so (minus
-        # the GEMM noise band) it is a rigorous screening threshold for
-        # the whole matrix — and it is tighter than a quantized probe by
-        # the width of the quantization envelope.
+        # the norm ordering cannot exceed its true k-th score, so (one
+        # pruning floor below it) it is a rigorous screening threshold
+        # for the whole matrix — and it is tighter than a quantized probe
+        # by the width of the quantization envelope.
         c0 = min(n, max(4 * k, 64))
-        use_f32 = self.float32
+        use_f32 = self._f32_ok(w_norms)
+        noise = w_norms * self._max_norm()
         _, _, block_scores = self._prefix_eval(orderings[0], Wc, k, c0, use_f32)
-        L = block_scores.min(axis=1).astype(np.float64)
-        eps = float(np.finfo(np.float64).eps)
-        eps_probe = float(np.finfo(np.float32 if use_f32 else np.float64).eps)
-        noise = self._noise_scale(Wc)
-        tol = _TIE_BAND_ULPS * eps * noise
-        thr = L - 4.0 * _TIE_BAND_ULPS * eps_probe * noise
-        self._accumulate_probe_demand(Wc, thr)
-        needs = self._prefix_needs(Wc, thr, k)
+        thr = bands.floor(block_scores.min(axis=1), noise, use_f32)
+        self._accumulate_probe_demand(w_norms, thr)
+        needs = self._prefix_needs(Wc, w_norms, thr, k)
         best_o = np.argmin(needs, axis=1)
         cap = int(min(n, max(3 * k, 24)))
         # Candidate ids and exact scores for the whole chunk, scattered
@@ -1075,82 +1071,17 @@ class ScoreEngine:
             resolved_parts.append(rows[good])
         if resolved_parts:
             resolved = np.sort(np.concatenate(resolved_parts))
-            self._quant_topk_finish(
-                resolved,
-                padded_ids[resolved, :used_cap],
-                padded_scores[resolved, :used_cap],
-                Wc,
-                k,
-                tol,
-                out_order,
-            )
+            scores = padded_scores[resolved, :used_cap]
+            for j in self._finalize(
+                resolved, padded_ids[resolved, :used_cap], scores,
+                *_top_block(scores, k), Wc, k, out_order, thr, bands.tol(noise),
+            ):
+                out_order[j] = self._verified_topk_column(Wc[j], k)
+                self.stats["verified_columns"] += 1
         promoted = np.sort(np.concatenate(promoted_parts))
         self.stats["quant_resolved"] += mc - promoted.size
         self._quantizer.observe(mc, promoted.size)
         return promoted
-
-    def _quant_topk_finish(
-        self,
-        rows: np.ndarray,
-        gids: np.ndarray,
-        scores: np.ndarray,
-        Wc: np.ndarray,
-        k: int,
-        tol: np.ndarray,
-        out_order: np.ndarray,
-    ) -> None:
-        """Order the screened candidates' k-blocks and write the top-k.
-
-        ``gids``/``scores`` hold each function's candidate row ids and
-        exact float64 scores (-1 / -inf pads).  The k-block is selected
-        and ordered by score alone: for an uncontested function every
-        boundary-deciding gap exceeds the ulp band, so score order *is*
-        the scalar (score desc, index asc) order; any (near-)tie — which
-        could make block content or internal order diverge from the
-        scalar tie-break — lands in the banded checks and falls back to
-        the scalar algorithm verbatim, exactly like the float tiers.
-        """
-        cap = scores.shape[1]
-        if cap > k:
-            blk = np.argpartition(scores, cap - k, axis=1)[:, cap - k :]
-            blk_scores = np.take_along_axis(scores, blk, axis=1)
-            blk_ids = np.take_along_axis(gids, blk, axis=1)
-        else:
-            blk_scores = scores
-            blk_ids = gids
-        order_in = np.argsort(-blk_scores, axis=1, kind="stable")
-        sorted_scores = np.take_along_axis(blk_scores, order_in, axis=1)
-        kth = sorted_scores[:, k - 1]
-        tol_rows = tol[rows]
-        contested = (scores >= (kth - tol_rows)[:, None]).sum(axis=1) != k
-        if k > 1:
-            tight = np.diff(sorted_scores, axis=1) > -tol_rows[:, None]
-            contested |= tight.any(axis=1)
-        out_order[rows] = np.take_along_axis(blk_ids, order_in, axis=1)
-        for j in np.flatnonzero(contested):
-            out_order[rows[j]] = self._verified_topk_column(Wc[rows[j]], k)
-            self.stats["verified_columns"] += 1
-
-    def _topk_full_rank(self, Wc: np.ndarray, k: int, out_order: np.ndarray) -> None:
-        """k ≥ n: full ranking per function via one batched lexsort.
-
-        Rows with (near-)tied neighbours still fall back, because tied
-        reals need not be bit-identical between GEMM and the scalar GEMV
-        path we promise to match.
-        """
-        n = self.n
-        mc = Wc.shape[0]
-        S = Wc @ self.values.T  # (mc, n)
-        eps = float(np.finfo(np.float64).eps)
-        tol = _TIE_BAND_ULPS * eps * np.max(np.abs(S), axis=1)
-        keys_idx = np.broadcast_to(np.arange(n, dtype=np.int64), (mc, n))
-        full_order = np.lexsort((keys_idx, -S), axis=-1)  # (mc, n)
-        sorted_scores = np.take_along_axis(S, full_order, axis=1)
-        tight = (np.diff(sorted_scores, axis=1) > -tol[:, None]).any(axis=1)
-        out_order[:] = full_order
-        for j in np.flatnonzero(tight):
-            out_order[j] = self._verified_topk_column(Wc[j], k)
-            self.stats["verified_columns"] += 1
 
     def _build_orderings(self) -> list["_Ordering"]:
         """Candidate row orders with per-position score upper bounds.
@@ -1199,14 +1130,15 @@ class ScoreEngine:
                 ordering.V32 = ordering.V.astype(np.float32)
             self._orderings.append(ordering)
 
-    def _bound_coeffs(self, Wc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _bound_coeffs(
+        self, Wc: np.ndarray, w_norms: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Per (function, ordering) bound coefficients ``a·u(p) + b·v(p)``.
 
         Entries are NaN for ineligible pairs (an attribute ordering's
         first term only bounds when that weight component is ≥ 0).
         """
         mc = Wc.shape[0]
-        w_norms = np.linalg.norm(Wc, axis=1)
         A = np.empty((mc, len(self._orderings)))
         B = np.zeros((mc, len(self._orderings)))
         A[:, 0] = w_norms
@@ -1216,7 +1148,7 @@ class ScoreEngine:
             B[:, o] = np.sqrt(np.maximum(w_norms**2 - wj**2, 0.0))
         return A, B
 
-    def _accumulate_probe_demand(self, Wc: np.ndarray, thr: np.ndarray) -> None:
+    def _accumulate_probe_demand(self, w_norms: np.ndarray, thr: np.ndarray) -> None:
         """Build the attribute orderings once probe volume justifies them.
 
         Charged with each batch's norm-ordering needs: when the
@@ -1226,18 +1158,19 @@ class ScoreEngine:
         """
         if self._attr_orderings_built:
             return
-        norm_coeff = np.linalg.norm(Wc, axis=1)
         with np.errstate(divide="ignore"):
             first_need = np.searchsorted(
                 -self._orderings[0].u,
-                -(thr / np.where(norm_coeff > 0.0, norm_coeff, np.inf)),
+                -(thr / np.where(w_norms > 0.0, w_norms, np.inf)),
                 side="right",
             )
         self._excess_work += int(first_need.sum())
         if self._excess_work > 8 * self.n * (self.d + 1):
             self._build_attribute_orderings()
 
-    def _prefix_needs(self, Wc: np.ndarray, thr: np.ndarray, k: int) -> np.ndarray:
+    def _prefix_needs(
+        self, Wc: np.ndarray, w_norms: np.ndarray, thr: np.ndarray, k: int
+    ) -> np.ndarray:
         """Sufficient prefix sizes, one per (function, ordering).
 
         Every row beyond position ``needs[i, o]`` of ordering ``o``
@@ -1247,7 +1180,7 @@ class ScoreEngine:
         positions.
         """
         n = self.n
-        A, B = self._bound_coeffs(Wc)
+        A, B = self._bound_coeffs(Wc, w_norms)
         needs = np.empty((Wc.shape[0], len(self._orderings)), dtype=np.int64)
         needs[:, 0] = np.searchsorted(
             -self._orderings[0].u,
@@ -1293,30 +1226,38 @@ class ScoreEngine:
             ordering.inv = inv
         return ordering.inv
 
-    def _noise_scale(self, W: np.ndarray) -> np.ndarray:
-        """Per-function magnitude bound for GEMM rounding noise.
-
-        Floating-point dot-product error scales with ``sum_i |w_i x_i| <=
-        ||w|| * max_row ||x||`` — NOT with the resulting score, which can
-        be far smaller under cancellation (mixed-sign weights, or
-        near-opposite columns).  Every ulp band in the counting paths
-        must therefore be scaled by this bound rather than by ``|best|``,
-        or rows can cross a threshold by more than the band and be
-        miscounted without ever triggering the exact fallback.
-        """
+    def _max_norm(self) -> float:
+        """``max‖x‖`` over the rows, cached until the next compaction."""
         if self._max_row_norm is None:
             self._max_row_norm = float(robust_row_norms(self.values).max())
-        return np.linalg.norm(W, axis=1) * self._max_row_norm
+        return self._max_row_norm
+
+    def _max_abs(self) -> float:
+        """``max|x|`` over the matrix, cached until the next compaction."""
+        if self._max_abs_value is None:
+            self._max_abs_value = float(np.abs(self.values).max())
+        return self._max_abs_value
+
+    def _noise_scale(self, W: np.ndarray) -> np.ndarray:
+        """Per function ``‖w‖·max‖x‖``, the scale of every band
+        (:mod:`repro.engine.bands`)."""
+        return np.linalg.norm(W, axis=1) * self._max_norm()
 
     def _topk_tier(
-        self, Wc: np.ndarray, k: int, out_order: np.ndarray, use_f32: bool
+        self,
+        Wc: np.ndarray,
+        k: int,
+        out_order: np.ndarray,
+        w_norms: np.ndarray,
+        use_f32: bool,
     ) -> np.ndarray:
         """One batched top-k attempt; returns the still-contested row ids.
 
         A small norm-ordered probe establishes each function's k-th-best
         score L; the per-ordering bounds then give a *sufficient* prefix
         size per (function, ordering) — every row outside that prefix
-        provably scores below ``L − 4·tol``.  Each function is routed to
+        provably scores below the pruning floor under L.  ``w_norms``
+        holds each function's ``‖w‖``.  Each function is routed to
         its cheapest ordering and evaluated once at that size, so
         selection cost tracks the candidate count instead of n.
         Uncontested rows are written to ``out_order``; rows with any
@@ -1325,30 +1266,27 @@ class ScoreEngine:
         """
         n = self.n
         mc = Wc.shape[0]
-        eps = float(np.finfo(np.float32 if use_f32 else np.float64).eps)
-        if self._orderings is None:
-            self._orderings = self._build_orderings()
-        norm_ord = self._orderings[0]
+        norm_ord = self._ensure_orderings()[0]
+        noise = w_norms * self._max_norm()
+        tol = bands.tol(noise, use_f32)
 
         c0 = n if 4 * k >= n else min(n, max(4 * k, 64))
         S, blk, block_scores = self._prefix_eval(norm_ord, Wc, k, c0, use_f32)
-        L = block_scores.min(axis=1)
-        thr = L - 4.0 * _TIE_BAND_ULPS * eps * np.abs(L)
-
-        contested_parts: list[np.ndarray] = []
         if c0 == n:
-            # No pruning happened, so no pruning-threshold caveat applies.
+            # No pruning happened, so no pruning floor applies.
             return self._finalize(
-                np.arange(mc), S, blk, block_scores, norm_ord, Wc, k, use_f32,
-                out_order, np.full(mc, -np.inf), eps,
+                np.arange(mc), norm_ord.perm, S, blk, block_scores, Wc, k,
+                out_order, np.full(mc, -np.inf), tol, use_f32,
             )
+        thr = bands.floor(block_scores.min(axis=1), noise, use_f32)
+        contested_parts: list[np.ndarray] = []
 
         # Exact need under the norm ordering, grid-quantized need under
         # the attribute orderings; route each function to the cheapest.
         # The attribute orderings are only constructed once enough probe
         # demand has accumulated to amortize their argsorts and copies.
-        self._accumulate_probe_demand(Wc, thr)
-        needs = self._prefix_needs(Wc, thr, k)
+        self._accumulate_probe_demand(w_norms, thr)
+        needs = self._prefix_needs(Wc, w_norms, thr, k)
         best_o = np.argmin(needs, axis=1)
 
         # The probe already holds the full answer for functions whose
@@ -1357,8 +1295,8 @@ class ScoreEngine:
         if done.size:
             contested_parts.append(
                 self._finalize(
-                    done, S[done], blk[done], block_scores[done], norm_ord, Wc,
-                    k, use_f32, out_order, thr, eps,
+                    done, norm_ord.perm, S[done], blk[done], block_scores[done],
+                    Wc, k, out_order, thr, tol, use_f32,
                 )
             )
         rest = np.setdiff1d(np.arange(mc), done, assume_unique=True)
@@ -1371,8 +1309,8 @@ class ScoreEngine:
             So, blko, bso = self._prefix_eval(ordering, Wrows, k, c, use_f32)
             contested_parts.append(
                 self._finalize(
-                    rows, So, blko, bso, ordering, Wc, k, use_f32, out_order,
-                    thr, eps,
+                    rows, ordering.perm, So, blko, bso, Wc, k, out_order, thr,
+                    tol, use_f32,
                 )
             )
         parts = [p for p in contested_parts if p.size]
@@ -1392,48 +1330,52 @@ class ScoreEngine:
         V = ordering.V32 if use_f32 else ordering.V
         Wgemm = Wc.astype(np.float32) if use_f32 else Wc
         S = Wgemm @ V[:c].T  # (mc, c)
-        if c > k:
-            blk = np.argpartition(S, c - k, axis=1)[:, c - k :]
-        else:
-            blk = np.broadcast_to(np.arange(c), (Wc.shape[0], c))
-        return S, blk, np.take_along_axis(S, blk, axis=1)
+        return (S, *_top_block(S, k))
 
     def _finalize(
         self,
         rows: np.ndarray,
+        ids: np.ndarray,
         S: np.ndarray,
         blk: np.ndarray,
         block_scores: np.ndarray,
-        ordering: "_Ordering",
         Wc: np.ndarray,
         k: int,
-        use_f32: bool,
         out_order: np.ndarray,
         thr: np.ndarray,
-        eps: float,
+        tol: np.ndarray,
+        rescore: bool = False,
     ) -> np.ndarray:
-        """Contest-check and write one evaluated group; return contested ids.
+        """Accept or contest one group's top-k blocks; return contested ids.
 
-        ``rows`` are chunk-level function ids; ``S``/``blk``/``block_scores``
-        are their prefix evaluation under ``ordering``.
+        The one place the serial ladder accepts a top-k block.  ``rows``
+        are chunk-level function ids and ``S`` their candidates' scores;
+        ``ids`` maps candidate positions to row ids, either one vector
+        for the group (an ordering's ``perm``) or one row per function;
+        ``blk`` and ``block_scores`` hold the positions and scores of
+        each function's k best candidates.  ``thr`` and ``tol`` hold, per chunk function, the
+        floor every non-candidate row scores below and the contested
+        half-width (:mod:`repro.engine.bands`).  With ``rescore`` (float32
+        scores) the block is ordered by float64 scores recomputed per row.
         """
         kth = block_scores.min(axis=1)
-        top = block_scores.max(axis=1)
-        # Noise scale of the scores involved in boundary decisions.
-        tol = _TIE_BAND_ULPS * eps * np.maximum(np.abs(top), np.abs(kth))
-        # Exactly k prefix scores at-or-above the banded threshold ⇔ the
+        tol = tol[rows]
+        # Exactly k candidate scores at-or-above the banded threshold ⇔ the
         # boundary is uncontested and the block is the unique answer —
-        # provided the pruning threshold really cleared the band (it can
-        # fail to when the probe's L underestimated the true k-th score
-        # by more than the 4× margin; those rows go to the next tier).
+        # provided the floor sits a band below the k-th score (it need
+        # not when the probe's anchor overestimated it; those rows go to
+        # the next tier).
         contested = ((S >= (kth - tol)[:, None]).sum(axis=1) != k) | (
             thr[rows] > kth - tol
         )
 
         fast = np.flatnonzero(~contested)
         if fast.size:
-            fblk = ordering.perm[blk[fast]]  # global row ids
-            if use_f32:
+            if ids.ndim == 1:
+                fblk = ids[blk[fast]]  # global row ids
+            else:
+                fblk = np.take_along_axis(ids[fast], blk[fast], axis=1)
+            if rescore:
                 # Order by float64 scores recomputed per row (batched
                 # matvec: no einsum path search on the hot loop).
                 scr = np.matmul(
@@ -1601,34 +1543,10 @@ class ScoreEngine:
         n = self.n
         m = W.shape[0]
         ranks = np.empty(m, dtype=np.int64)
-        # The banded count is only sound while every quantity it compares
-        # is *finite* in float32: an overflowed threshold or score is inf
-        # (or nan via inf * 0 in the GEMM), and inf > inf is False — rows
-        # scoring strictly above the bound would be silently dropped from
-        # BOTH the `above` and `near` counts, so the near-band mismatch
-        # check that normally forces the exact fallback never fires and
-        # the rank is undercounted.  The same silent escape happens at
-        # the *bottom* of the range: when the score bound is subnormal
-        # in float32 the band ``_TIE_BAND_ULPS * eps32 * nscale``
-        # flushes to zero, every score collapses onto ``best`` exactly,
-        # and the strict two-sided band test counts nothing on either
-        # side — rows genuinely above the bound (e.g. 1e-300 vs 0.0)
-        # are dropped without ever being flagged contested.  Functions
-        # whose magnitude bounds (||w||, max ||row||, or their product
-        # — the score bound) leave the float32 range in either
-        # direction therefore skip the float32 tier entirely and count
-        # with the exact float64 kernel.
-        f32_lim = float(np.finfo(np.float32).max) / 8.0
-        f32_sub = float(np.finfo(np.float32).tiny) / float(np.finfo(np.float32).eps)
-        nscale = self._noise_scale(W)
+        # Functions the float32 range guard flags count with the exact
+        # float64 kernel (see repro.engine.bands).
         w_norms = np.linalg.norm(W, axis=1)
-        unsafe = (
-            (nscale >= f32_lim)
-            | (w_norms >= f32_lim)
-            | ((nscale > 0.0) & (nscale <= f32_sub))
-        )
-        if self._max_row_norm >= f32_lim:
-            unsafe[:] = True
+        unsafe = bands.f32_unsafe(w_norms, self._max_norm())
         if unsafe.any():
             for j in np.flatnonzero(unsafe):
                 exact = self.values @ W[j]
@@ -1643,17 +1561,12 @@ class ScoreEngine:
                 )
             return ranks
         fallbacks_before = self.stats["verified_columns"]
-        eps32 = float(np.finfo(np.float32).eps)
-        # Band scaled by the rounding-noise bound ||w|| * max ||row||, not
-        # by |best|: under cancellation float32 scores can be off by far
-        # more than any |best|-relative band, and rows must land in the
-        # contested band (-> exact fallback) rather than be miscounted.
-        tol = _TIE_BAND_ULPS * eps32 * nscale
-        thr = best - 4.0 * tol
-        if self._orderings is None:
-            self._orderings = self._build_orderings()
-        self._accumulate_probe_demand(W, thr)
-        needs = self._prefix_needs(W, thr, self._tuning.rank_grid_base)
+        noise = w_norms * self._max_norm()
+        tol = bands.tol(noise, f32=True)
+        thr = bands.floor(best, noise, f32=True)
+        self._ensure_orderings()
+        self._accumulate_probe_demand(w_norms, thr)
+        needs = self._prefix_needs(W, w_norms, thr, self._tuning.rank_grid_base)
         best_o = np.argmin(needs, axis=1)
         need = np.clip(needs[np.arange(m), best_o], 1, n)
         # Quantize prefix sizes to a doubling grid so one GEMM serves a
@@ -1728,11 +1641,12 @@ class ScoreEngine:
         Wq, b, usum, degenerate = state.quantize_weights(W)
         self._ensure_orderings()
         self.stats["quant_columns"] += m
-        eps = float(np.finfo(np.float64).eps)
-        tol = _TIE_BAND_ULPS * eps * self._noise_scale(W)
-        thr = best - 4.0 * tol
-        self._accumulate_probe_demand(W, thr)
-        needs = self._prefix_needs(W, thr, self._tuning.rank_grid_base)
+        w_norms = np.linalg.norm(W, axis=1)
+        noise = w_norms * self._max_norm()
+        tol = bands.tol(noise)
+        thr = bands.floor(best, noise)
+        self._accumulate_probe_demand(w_norms, thr)
+        needs = self._prefix_needs(W, w_norms, thr, self._tuning.rank_grid_base)
         best_o = np.argmin(needs, axis=1)
         need = np.clip(needs[np.arange(m), best_o], 1, n)
         sizes = np.append(_geometric_grid(self._tuning.rank_grid_base, n), n)
@@ -1826,8 +1740,7 @@ class ScoreEngine:
         W = self._check_weights(weight_matrix)
         members = self._check_subset(subset)
         best = (W @ self.values[members].T).max(axis=1)
-        eps = float(np.finfo(np.float64).eps)
-        tol = _TIE_BAND_ULPS * eps * self._noise_scale(W)
+        tol = bands.tol(self._noise_scale(W))
         S = W @ self.values[lo:hi].T
         self.stats["gemm_columns"] += W.shape[0]
         above = (S > (best + tol)[:, None]).sum(axis=1)
@@ -1848,12 +1761,10 @@ class ScoreEngine:
         :meth:`_rank_functions` instead of inflating total work across
         the pool.
         """
-        if self._orderings is None:
-            self._orderings = self._build_orderings()
+        self._ensure_orderings()
         best = (W @ self.values[members].T).max(axis=1)
-        eps32 = float(np.finfo(np.float32).eps)
-        thr = best - 4.0 * _TIE_BAND_ULPS * eps32 * self._noise_scale(W)
         norms = np.linalg.norm(W, axis=1)
+        thr = bands.floor(best, norms * self._max_norm(), f32=True)
         need = np.searchsorted(
             -self._orderings[0].u,
             -(thr / np.where(norms > 0.0, norms, np.inf)),
@@ -1897,8 +1808,7 @@ class ScoreEngine:
         if k >= height:
             full = np.arange(lo, hi, dtype=np.int64)
             return [full] * W.shape[0]
-        eps = float(np.finfo(np.float64).eps)
-        tol = _TIE_BAND_ULPS * eps * self._noise_scale(W)
+        tol = bands.tol(self._noise_scale(W))
         blk = np.argpartition(S, height - k, axis=1)[:, height - k :]
         kth = np.take_along_axis(S, blk, axis=1).min(axis=1)
         return [
@@ -1919,15 +1829,13 @@ class ScoreEngine:
         """
         m = W.shape[0]
         out = np.empty((m, k), dtype=np.int64)
-        eps = float(np.finfo(np.float64).eps)
-        scales = self._noise_scale(W)
+        tol = bands.tol(self._noise_scale(W))
         for i in range(m):
             cand = np.concatenate([part[i] for part in parts])
             scores = self.values[cand] @ W[i]
             order = np.lexsort((cand, -scores))
             boundary = scores[order[: min(cand.size, k + 1)]]
-            tol = _TIE_BAND_ULPS * eps * scales[i]
-            if (np.diff(boundary) > -tol).any():
+            if (np.diff(boundary) > -tol[i]).any():
                 out[i] = self._verified_topk_column(W[i], k)
                 self.stats["verified_columns"] += 1
             else:

@@ -28,12 +28,12 @@ matrix.  The argument has three legs, shared by all views:
   *strictly* above the cached k-th score (on an exact tie the incumbent's
   lower index wins).
 * **Banded screening.**  Whether a mutation can touch a cached result is
-  decided conservatively: any comparison within the engine's ulp noise
-  band (``_TIE_BAND_ULPS`` scaled by ``‖w‖ · max‖x‖``, the same bound the
-  engine's own pruning paths use) counts as *touched*.  Outside the band
-  the comparison outcome provably agrees with the engine's exact float64
-  arithmetic; inside it, the cached entry is invalidated and repaired
-  through the real algorithm — never patched.
+  decided conservatively: any comparison within a pruning floor's width
+  of :mod:`repro.engine.bands` (the band model the engine's own tiers
+  use) counts as *touched*.  Outside the band the comparison outcome
+  provably agrees with the engine's exact float64 arithmetic; inside
+  it, the cached entry is invalidated and repaired through the real
+  algorithm — never patched.
 
 Repair then re-executes the *real* decision logic over the surviving
 cache: :class:`MDRCView` maintains the recorded MDRC decision tree in a
@@ -75,11 +75,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.score_engine import (
-    _TIE_BAND_ULPS,
-    ScoreEngine,
-    robust_row_norms,
-)
+from repro.engine import bands
+from repro.engine.score_engine import ScoreEngine, robust_row_norms
 from repro.exceptions import ValidationError
 from repro.ranking.functions import weights_from_angles_batch
 from repro.ranking.sampling import sample_functions
@@ -93,32 +90,19 @@ __all__ = [
 ]
 
 
-def _screen_band(weights: np.ndarray, max_row_norm: float) -> np.ndarray:
-    """Per-function width of the provably-sufficient invalidation band.
+def _screen_band(weights: np.ndarray, engine: ScoreEngine, event) -> np.ndarray:
+    """Per-function invalidation band of one event's screening GEMMs.
 
-    Floating-point dot-product error scales with ``‖w‖ · max‖x‖`` (not
-    with the resulting score, which cancellation can shrink), so a
-    comparison between two independently computed scores is trustworthy
-    only outside a band of that scale.  The ``4×`` margin matches the
-    engine's own pruning-threshold discipline: the view's screening GEMM
-    and the engine's scoring GEMM may each be off by the single-band
-    bound, in either direction.
-    """
-    eps = float(np.finfo(np.float64).eps)
-    return 4.0 * _TIE_BAND_ULPS * eps * np.linalg.norm(weights, axis=1) * max_row_norm
-
-
-def _event_row_norm(engine: ScoreEngine, event) -> float:
-    """Max row norm over every row an event's screening can score.
-
-    Covers the post-event matrix (inserted rows included) *and* the
+    A pruning floor's width (:func:`repro.engine.bands.floor`): the view's
+    screening GEMM and the engine's scoring GEMM may each be off by a
+    contested band.  ``max‖x‖`` covers the post-event matrix and the
     deleted rows, whose data exists only in the event payload but whose
     scores the rank-patching views still compare against cached bounds.
     """
-    norm = float(engine._noise_scale(np.ones((1, 1)))[0])  # ‖w‖=1 → max‖x‖
+    norm = engine._max_norm()
     if event.deleted_rows.size:
         norm = max(norm, float(robust_row_norms(event.deleted_rows).max()))
-    return norm
+    return bands.PRUNE * bands.tol(np.linalg.norm(weights, axis=1) * norm)
 
 
 def _screen_topk_orders(
@@ -162,7 +146,7 @@ def _screen_topk_orders(
             w = weights[rows]
             kth = np.einsum("ij,ij->i", w, engine.values[orders[rows, -1]])
             best_new = (w @ event.inserted_rows.T).max(axis=1)
-            tol = _screen_band(w, _event_row_norm(engine, event))
+            tol = _screen_band(w, engine, event)
             stale[rows[best_new >= kth - tol]] = True
     return stale
 
@@ -416,7 +400,7 @@ class MDRCView(MaterializedView):
 
         inserted = event.inserted_rows.shape[0]
         if inserted:
-            tol = _screen_band(weights, _event_row_norm(engine, event))
+            tol = _screen_band(weights, engine, event)
             live = np.flatnonzero(~reeval & (lengths > 0))
             last_member = orders[live, lengths[live] - 1]
             boundary = np.einsum(
@@ -737,7 +721,7 @@ class MDRCView(MaterializedView):
                             "ij,ij->i", wl, engine.values[kept_item[live]]
                         )
                         best_new = (wl @ event.inserted_rows.T).max(axis=1)
-                        tol = _screen_band(wl, _event_row_norm(engine, event))
+                        tol = _screen_band(wl, engine, event)
                         fb_stale[live[best_new >= top - tol]] = True
                     center_level[surviving_fb] = kept_item
                     fb_pos = np.searchsorted(fallback, surviving_fb)
@@ -1116,7 +1100,7 @@ class RankRegretView(MaterializedView):
             return
         thr = self._thr
         stale = self._stale
-        tol = _screen_band(self._weights, _event_row_norm(self._engine, event))
+        tol = _screen_band(self._weights, self._engine, event)
         for rows, sign in ((event.deleted_rows, -1), (event.inserted_rows, 1)):
             if not rows.size:
                 continue

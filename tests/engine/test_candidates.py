@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.engine.score_engine as score_engine
+from repro.engine import bands
 from repro.datasets import anticorrelated, independent
 from repro.engine import ScoreEngine
 from repro.geometry.skyline import robust_skyband
@@ -34,7 +35,7 @@ def forced(monkeypatch):
 
 
 def _delta(values: np.ndarray) -> float:
-    return score_engine._ROBUST_MARGIN * values.shape[1] * EPS * float(np.abs(values).max())
+    return bands.ROBUST_MARGIN * values.shape[1] * EPS * float(np.abs(values).max())
 
 
 def _expected(values: np.ndarray, W: np.ndarray, k: int) -> np.ndarray:

@@ -437,10 +437,13 @@ class TestJournalSemantics:
         engine._build_attribute_orderings()
         weights = sample_functions(3, 32, 1)
         engine.rank_of_best_batch(weights, [1, 2])
+        engine._max_abs()
         assert engine._grid_cache and engine._max_row_norm is not None
+        assert engine._max_abs_value is not None
         engine.insert_rows(rng.random((3, 3)) * 10.0)
         engine.compact()
         assert not engine._grid_cache and engine._max_row_norm is None
+        assert engine._max_abs_value is None
         reference = engine.values.copy()
         assert np.array_equal(
             engine.rank_of_best_batch(weights, [1, 2]),

@@ -108,15 +108,23 @@ def test_topk_bit_identity_duplicate_rows(seed, mode):
     seed=st.integers(0, 2**31 - 1),
     scale_exp=st.sampled_from([-320, -308, -200, 200, 300]),
     mode=st.sampled_from(QUANT_MODES),
+    float32=st.booleans(),
+    signed=st.booleans(),
 )
+# Scores near -1e-202 underflow the float32 probe to 0, which is no
+# lower bound on a negative k-th score.
+@example(seed=14, scale_exp=-200, mode="auto", float32=True, signed=True)
 @settings(max_examples=20, deadline=None)
-def test_topk_bit_identity_extreme_scales(seed, scale_exp, mode):
-    # Denormal-range (1e-320) and huge-range data: the quantizer must
-    # either stay rigorous or disable itself — never lose exactness.
+def test_topk_bit_identity_extreme_scales(seed, scale_exp, mode, float32, signed):
+    # Denormal-range (1e-320) and huge-range data: the quantizer and the
+    # float32 tier must either stay rigorous or step aside — never lose
+    # exactness.
     rng = np.random.default_rng(seed)
     values = rng.random((60, 3)) * (10.0**scale_exp)
     weights = sample_functions(3, 8, rng)
-    _assert_topk_identical(values, weights, 5, quantize=mode)
+    if signed:
+        weights = rng.standard_normal((8, 3))
+    _assert_topk_identical(values, weights, 5, quantize=mode, float32=float32)
 
 
 @given(

@@ -8,8 +8,11 @@ and duplicate-row degeneracies that trip blocked-BLAS kernels.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.engine import ScoreEngine, unpack_indices
+from repro import Session
+from repro.engine import ScoreEngine, bands, unpack_indices
 from repro.exceptions import ValidationError
 from repro.ranking import rank_of, sample_functions
 from repro.ranking.topk import ranking, top_k
@@ -181,6 +184,22 @@ class TestRankOfBestBatch:
         )
         assert got[0] == 2
 
+    def test_float32_subnormal_weights_stay_exact(self):
+        # Weights below float32's normal range keep only a few bits in
+        # the float32 cast while ‖w‖·max‖x‖ looks in range; the range
+        # guard must send them to float64 in both the rank and top-k paths.
+        rng = np.random.default_rng(0)
+        values = rng.random((500, 3)) * 1e20
+        weights = rng.random((32, 3)) * 1e-42
+        members = [3, 100, 400]
+        engine = ScoreEngine(values, float32=True, quantize=None)
+        ranks = engine.rank_of_best_batch(weights, members)
+        orders = engine.topk_orders(weights, 5)
+        for j, w in enumerate(weights):
+            exact = values @ w
+            assert ranks[j] == int((exact > exact[members].max()).sum()) + 1
+            assert np.array_equal(orders[j], top_k(values, w, 5))
+
     def test_validation(self):
         engine = ScoreEngine(np.ones((5, 2)))
         with pytest.raises(ValidationError):
@@ -209,3 +228,83 @@ class TestValidation:
             engine.topk_batch(np.ones((1, 2)), 0)
         with pytest.raises(ValidationError):
             engine.topk_batch(np.ones((1, 2)), 5)
+
+
+def _cancellation_case(seed, mirror, rho_exp, n, m=8):
+    """Columns ``b`` and ``b + ρ·r`` under weights ``(a, −a, ε, ε′)``, or
+    in the mirror case ``b`` and ``−b + ρ·r`` under ``(a, a, ε, ε′)``.
+
+    The scores cancel down to ``±a·ρ·r + ε·x₃ + ε′·x₄``, far below their
+    rounding error ``‖w‖·max‖x‖·eps``, and a float32 copy of the pair
+    loses ``ρ·r`` entirely.
+    """
+    rng = np.random.default_rng(seed)
+    b, r = rng.random(n), rng.random(n)
+    pair = (-b if mirror else b) + 10.0**rho_exp * r
+    values = np.column_stack([b, pair, rng.random(n), rng.random(n)])
+    a = rng.uniform(0.5, 2.0, m)
+    small = 10.0 ** rng.uniform(-16, -8, (m, 2)) * rng.choice([-1.0, 1.0], (m, 2))
+    weights = np.column_stack([a, a if mirror else -a, small])
+    return values, weights
+
+
+def _cancellation_engines(values):
+    """Every float32/quantize setting, plus a default Session whose
+    adaptive quantizer has switched itself off."""
+    for float32 in (False, True):
+        for quantize in (None, "auto"):
+            yield (
+                f"float32={float32}, quantize={quantize}",
+                ScoreEngine(values, float32=float32, quantize=quantize),
+            )
+    engine = Session(values).engine
+    warm = np.random.default_rng(1)
+    for _ in range(40):
+        if engine._quantizer.level is None:
+            break
+        engine.topk_orders(warm.standard_normal((64, values.shape[1])), 5)
+    assert engine._quantizer.level is None
+    yield "warmed Session", engine
+
+
+def _gemv_rank_of_best(values, w, members):
+    """1 + rows strictly above the best member, by one float64 GEMV."""
+    exact = values @ w
+    return int((exact > exact[members].max()).sum()) + 1
+
+
+class TestCancellation:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        mirror=st.booleans(),
+        rho_exp=st.floats(-16.0, -8.0),
+        n=st.integers(200, 500),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_every_tier_matches_the_scalar_path(self, seed, mirror, rho_exp, n):
+        values, weights = _cancellation_case(seed, mirror, rho_exp, n)
+        members = np.random.default_rng(seed).choice(n, 3, replace=False)
+        expected = [top_k(values, w, 5) for w in weights]
+        ranks = [_gemv_rank_of_best(values, w, members) for w in weights]
+        for name, engine in _cancellation_engines(values):
+            got = engine.topk_orders(weights, 5)
+            for i in range(len(weights)):
+                assert np.array_equal(got[i], expected[i]), (name, i)
+            assert engine.rank_of_best_batch(weights, members).tolist() == ranks, name
+
+    def test_band_is_load_bearing(self, monkeypatch):
+        # The float32 copy rounds b + 1e-9·r to b, so float32 scores miss
+        # the term that decides the order.  Only the band sends this
+        # function on to float64; without it the float32 order stands.
+        rng = np.random.default_rng(0)
+        b = rng.random(1000)
+        values = np.column_stack(
+            [b, b + 1e-9 * rng.random(1000), rng.random(1000), rng.random(1000)]
+        )
+        w = np.array([1.0, -1.0, 1e-12, 0.0])
+        expected = top_k(values, w, 5)
+        engine = ScoreEngine(values, float32=True, quantize=None)
+        assert np.array_equal(engine.topk_orders(w[None], 5)[0], expected)
+        monkeypatch.setattr(bands, "ULPS", 0.0)
+        narrow = ScoreEngine(values, float32=True, quantize=None)
+        assert not np.array_equal(narrow.topk_orders(w[None], 5)[0], expected)

@@ -32,6 +32,15 @@ are deliberately *not* tunable: the band widths and the float32 range
 guard live in :mod:`repro.engine.bands`, the quantization slack in
 :mod:`repro.engine.quantize`.
 
+The small-call cutover (``score_engine._SCALAR_MAX_WORK``) is a module
+constant too, though it only routes work.  It compares two per-call
+costs that are both mostly numpy dispatch on the same host — the
+ladder's fixed overhead against one GEMV per function — so the probe's
+throughput and latency figures would not move it much, and its measured
+break-evens (about m = 8 at 20k rows, 90k rows at m = 1) sit well
+above it.  A field would add a knob to every saved profile for no
+measured gain; re-measure it by timing small calls on both kernels.
+
 Profiles serialize to JSON (:meth:`TuningProfile.save` /
 :meth:`TuningProfile.load`), so a service calibrates once and restarts
 with ``--tuning-profile profile.json`` instead of re-probing.

@@ -145,7 +145,7 @@ class MergePlan:
 
     The parallel arrays of a pruning ordering (``perm``, ``u``, ``V``,
     ``V32``, ``rest``, the quantized store's ``Q`` / ``absq``) share one
-    plan; the matrix copies (``values``, ``_values32``) share another
+    plan; the data matrix ``values`` takes another plan
     whose inserts all sit at the end.  The edit drops the rows at the
     sorted positions ``drop`` and inserts the new rows before survivor
     positions ``pos``.  A *survivor run* is a maximal stretch of rows
@@ -241,34 +241,43 @@ def insert_rows(engine, rows: np.ndarray) -> np.ndarray:
     return new_ids
 
 
-def delete_rows(engine, indices) -> int:
-    """Journal a deletion; indices refer to the current matrix view.
+def row_ids(indices, n: int, what: str) -> np.ndarray:
+    """The sorted unique row ids that ``indices`` names, among ``n`` rows.
 
     Accepts integer indices or a boolean mask of length ``n`` — the two
     forms ``np.delete`` accepts — and rejects anything else rather than
     silently casting (a float array or a wrong-length mask coerced to
-    int64 would delete the wrong rows).
+    int64 would name the wrong rows).  ``what`` names the argument in
+    error messages.
     """
     arr = np.asarray(indices)
     if arr.dtype == bool:
-        if arr.ndim != 1 or arr.size != engine.n:
+        if arr.ndim != 1 or arr.size != n:
             raise ValidationError(
-                f"boolean delete mask must have length n={engine.n}, "
-                f"got shape {arr.shape}"
+                f"boolean {what} mask must have length n={n}, got shape {arr.shape}"
             )
         arr = np.flatnonzero(arr)
     elif not (arr.dtype.kind in "iu" or arr.size == 0):
         raise ValidationError(
-            f"delete indices must be integers or a boolean mask, got dtype {arr.dtype}"
+            f"{what} indices must be integers or a boolean mask, got dtype {arr.dtype}"
         )
-    idx = np.unique(arr.astype(np.int64).reshape(-1))
+    idx = np.unique(arr.astype(np.int64))
+    if idx.size and (idx[0] < 0 or idx[-1] >= n):
+        raise ValidationError(
+            f"{what} indices must be in [0, n)={n}, got [{idx[0]}, {idx[-1]}]"
+        )
+    return idx
+
+
+def delete_rows(engine, indices) -> int:
+    """Journal a deletion; indices refer to the current matrix view.
+
+    Takes integer indices or a boolean mask of length ``n``
+    (:func:`row_ids`).
+    """
+    idx = row_ids(indices, engine.n, "delete")
     if idx.size == 0:
         return 0
-    if idx[0] < 0 or idx[-1] >= engine.n:
-        raise ValidationError(
-            f"delete indices must be in [0, n)={engine.n}, got "
-            f"[{idx[0]}, {idx[-1]}]"
-        )
     if idx.size >= engine.n:
         raise ValidationError("cannot delete every row (engine must stay non-empty)")
     live = _live_view(engine)
@@ -366,8 +375,6 @@ def flush_mutations(engine) -> None:
 
     plan = MergePlan(cn, deleted_ids, np.full(m, kept, dtype=np.int64), new_rows)
     engine.values = plan.apply(engine.values, new_rows)
-    if engine._values32 is not None:
-        engine._values32 = plan.apply(engine._values32, new_rows.astype(np.float32))
 
     store_edits: list[tuple[int, MergePlan]] = []
     if engine._orderings is not None:

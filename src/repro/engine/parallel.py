@@ -12,9 +12,9 @@ results merge deterministically.
 ``backend="thread"`` fans above-cutover calls out over a
 :class:`ThreadExecutor`: an in-process
 :class:`~concurrent.futures.ThreadPoolExecutor` whose workers run serial
-*clones* of the parent engine sharing the matrix, the pruning orderings,
-the quantized stores and the float32 copy by reference.  NumPy releases
-the GIL inside BLAS and the large ufunc/selection kernels, so the
+*clones* of the parent engine sharing the matrix, the pruning orderings
+(float32 copies included) and the quantized stores by reference.  NumPy
+releases the GIL inside BLAS and the large ufunc/selection kernels, so the
 GEMM-dominated tiers scale across threads; only the scalar fallback tier
 serializes on the GIL.  ``backend="auto"`` (the engine default) runs the
 same code as ``"thread"``: serial below the work cutover, the thread pool
@@ -112,7 +112,7 @@ def _dispatch(engine, kind: str, *args):
         return engine.topk_order_batch(weights, k)
     if kind == "rank":
         weights, members = args
-        return engine.rank_of_best_batch(weights, members)
+        return engine._rank_functions(weights, members)
     if kind == "score":
         (weights,) = args
         return engine.score_batch(weights)

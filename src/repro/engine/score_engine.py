@@ -48,6 +48,15 @@ only the columns it can prove and promotes the rest:
   the scalar path by construction, and uncontested columns match it
   because their gaps exceed any GEMM↔GEMV deviation.
 
+**Small calls skip the ladder.**  A serial call whose work ``m·n`` is at
+most ``_SCALAR_MAX_WORK`` score entries — a served request is typically
+one function — is answered by that scalar kernel directly, per function
+(:meth:`_verified_topk_column` for top-k, :meth:`_verified_rank` for
+rank).  The kernel *is* the definition every tier is checked against,
+so the route needs no band; below the cutover it is cheaper than the
+ladder's fixed cost of some fifty numpy calls.  Fan-out work units,
+k-skyband children and large batches keep the ladder.
+
 Every band — the contested width, the pruning floors, the float32 range
 guard and the k-skyband margin — comes from one model in
 :mod:`repro.engine.bands`: a width of ``64·eps(tier)·‖w‖·max‖x‖``, which
@@ -107,6 +116,15 @@ _CANDIDATE_MIN_FUNCTIONS = 256
 _CANDIDATE_MAX_SHARE = 0.5
 # Candidate engines kept, one per k.
 _CANDIDATE_CACHE_SIZE = 4
+
+# Small-call route (see the module docstring): a serial call with at most
+# this many score entries (m·n) is answered by the exact scalar kernel,
+# one float64 GEMV per function.  Warm at 20k x 4 on a 2-vCPU host the
+# kernel beats the ladder up to m ≈ 8 and loses beyond; at 200k it loses
+# even at m = 1 (single functions break even near 90k rows), because the
+# ladder prunes more as n grows.  2^16 routes m <= 3 at 20k rows and
+# single functions up to 65,536 rows, inside both break-evens.
+_SCALAR_MAX_WORK = 1 << 16
 
 # Every performance constant that used to live here — chunk sizes, the
 # fan-out cutover, the quantized/scalar routing caps, the adaptive
@@ -171,14 +189,14 @@ class _Ordering:
 
     __slots__ = ("perm", "V", "V32", "u", "v", "attribute", "inv", "rest")
 
-    def __init__(self, perm, V, V32, u, v, attribute, inv=None, rest=None) -> None:
+    def __init__(self, perm, V, u, v, attribute, rest=None) -> None:
         self.perm = perm
         self.V = V
-        self.V32 = V32
+        self.V32 = None
         self.u = u
         self.v = v
         self.attribute = attribute
-        self.inv = inv
+        self.inv = None
         self.rest = rest
 
 
@@ -310,7 +328,6 @@ class ScoreEngine:
         self.values = matrix
         self.n, self.d = matrix.shape
         self.float32 = bool(float32)
-        self._values32 = matrix.astype(np.float32) if self.float32 else None
         self._tune_pending = False
         if tune is None:
             self._tuning = TuningProfile()
@@ -413,6 +430,7 @@ class ScoreEngine:
         self.stats = {
             "gemm_columns": 0,
             "verified_columns": 0,
+            "scalar_columns": 0,
             "memo_hits": 0,
             "memo_misses": 0,
             "rank_prefix_rows": 0,
@@ -715,10 +733,10 @@ class ScoreEngine:
     def _thread_clone(self) -> "ScoreEngine":
         """A serial view of this engine for one thread-pool worker.
 
-        Shares every heavy immutable structure — the matrix, its float32
-        copy, the pruning orderings and the quantizer — by reference,
-        and isolates the small mutable state (stats, memo, grid cache)
-        so concurrent workers never write to shared objects.  The
+        Shares every heavy immutable structure — the matrix, the pruning
+        orderings (float32 copies included) and the quantizer — by
+        reference, and isolates the small mutable state (stats, memo,
+        grid cache) so concurrent workers never write to shared objects.  The
         orderings list must be fully built before cloning; the clone
         never extends it (``_attr_orderings_built`` is pinned), it only
         reads whatever snapshot the parent maintains between calls.
@@ -827,6 +845,14 @@ class ScoreEngine:
         if plan == "rows":
             parts = self._supervised().run_row_chunks("topk_rows", W, self.n, args=(k,))
             return self._topk_merge_candidates(W, k, parts)
+        if W.shape[0] * self.n <= _SCALAR_MAX_WORK:
+            # Small-call route (module docstring): scored, never contested.
+            self.stats["scalar_columns"] += W.shape[0]
+            self.stats["gemm_columns"] += W.shape[0]
+            order = np.empty((W.shape[0], k), dtype=np.int64)
+            for j, w in enumerate(W):
+                order[j] = self._verified_topk_column(w, k)
+            return order
         return self.topk_order_batch(W, k)
 
     # ------------------------------------------------------------------
@@ -950,8 +976,8 @@ class ScoreEngine:
         self._float_tiers(Wc, k, out_order, w_norms)
 
     def _f32_ok(self, w_norms: np.ndarray) -> bool:
-        """Whether a chunk may be scored in float32: the engine keeps a
-        float32 copy and the range guard flags none of its functions."""
+        """Whether a chunk may be scored in float32: the engine runs a
+        float32 tier and the range guard flags none of its functions."""
         return self.float32 and not bands.f32_unsafe(w_norms, self._max_norm()).any()
 
     def _float_tiers(
@@ -1100,13 +1126,10 @@ class ScoreEngine:
         norm_ordering = _Ordering(
             perm=perm,
             V=np.ascontiguousarray(self.values[perm]),
-            V32=None,
             u=row_norms[perm],
             v=np.zeros(self.n),
             attribute=-1,
         )
-        if self.float32:
-            norm_ordering.V32 = norm_ordering.V.astype(np.float32)
         return [norm_ordering]
 
     def _build_attribute_orderings(self) -> None:
@@ -1120,14 +1143,11 @@ class ScoreEngine:
             ordering = _Ordering(
                 perm=perm,
                 V=np.ascontiguousarray(self.values[perm]),
-                V32=None,
                 u=self.values[perm, j],
                 v=np.maximum.accumulate(rest[::-1])[::-1],
                 attribute=j,
                 rest=rest,
             )
-            if self.float32:
-                ordering.V32 = ordering.V.astype(np.float32)
             self._orderings.append(ordering)
 
     def _bound_coeffs(
@@ -1327,7 +1347,7 @@ class ScoreEngine:
         use_f32: bool,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Score a prefix and select its top-k block (prefix-local ids)."""
-        V = ordering.V32 if use_f32 else ordering.V
+        V = self._ordering_v32(ordering) if use_f32 else ordering.V
         Wgemm = Wc.astype(np.float32) if use_f32 else Wc
         S = Wgemm @ V[:c].T  # (mc, c)
         return (S, *_top_block(S, k))
@@ -1417,6 +1437,24 @@ class ScoreEngine:
         ordering = np.lexsort((candidates, -score[candidates]))
         return candidates[ordering[:k]].astype(np.int64)
 
+    def _verified_rank(self, w: np.ndarray, members: np.ndarray) -> int:
+        """Exact rank of the best ``members`` row under one function.
+
+        The contract of every rank path in the engine: ``1 +`` the number
+        of rows scoring *strictly* above the best member, all scored by
+        one float64 GEMV (per-row accumulation, so identical rows score
+        identically).  Rows tied with the best member are not counted,
+        whatever their index.  ``min(rank_of(values, w, i) for i in
+        members)`` differs exactly there: :func:`repro.ranking.rank_of`
+        also counts equal-score rows with a smaller index, so on exact
+        ties it can be larger (on 571 of 25,600 functions drawn like the
+        cancellation tests' column pairs).  The engine keeps the
+        strict count, which does not depend on how the rows are numbered:
+        a row tied with the best member does not outrank it.
+        """
+        exact = self.values @ w
+        return int((exact > exact[members].max()).sum()) + 1
+
     # ------------------------------------------------------------------
     # memoized single probes
     def top_k_packed(self, weights: np.ndarray, k: int) -> TopKBatch:
@@ -1451,12 +1489,14 @@ class ScoreEngine:
 
     # ------------------------------------------------------------------
     # batched rank counting
-    def _check_subset(self, subset: np.ndarray) -> np.ndarray:
-        members = np.asarray(sorted({int(i) for i in np.asarray(subset).reshape(-1)}))
+    def _check_subset(self, subset) -> np.ndarray:
+        """Sorted unique member ids of a non-empty ``subset``: integer
+        indices or a boolean mask, like :meth:`delete_rows`."""
+        from repro.engine.delta import row_ids
+
+        members = row_ids(subset, self.n, "subset")
         if members.size == 0:
             raise ValidationError("subset must be non-empty")
-        if members[0] < 0 or members[-1] >= self.n:
-            raise ValidationError("subset indices out of range")
         return members
 
     def rank_of_best_batch(
@@ -1467,8 +1507,12 @@ class ScoreEngine:
         Returns ``(m,)`` int64: ``1 +`` the number of rows scoring
         *strictly* above the subset's best score under each function —
         the quantity the Monte-Carlo rank-regret estimator maximizes.
+        :meth:`_verified_rank` states this contract once, including how
+        it differs from :func:`repro.ranking.rank_of` on exact ties.
+        Small calls are answered by that kernel directly (module
+        docstring).
 
-        Counting is pruned and tiered: the subset's best score (one
+        Other calls count pruned and tiered: the subset's best score (one
         small float64 GEMM over the member rows) is a lower bound no
         counted row may miss, so each function is routed to the
         norm/attribute ordering with the smallest sufficient prefix and
@@ -1489,6 +1533,12 @@ class ScoreEngine:
             return np.concatenate(parts)
         if plan == "rows":
             return self._rank_row_merge(W, members)
+        if m * self.n <= _SCALAR_MAX_WORK:
+            # Small-call route (module docstring): every row is read.
+            self.stats["scalar_columns"] += m
+            self.stats["gemm_columns"] += m
+            self.stats["rank_prefix_rows"] += m * self.n
+            return np.array([self._verified_rank(w, members) for w in W], np.int64)
         return self._rank_functions(W, members)
 
     def _rank_functions(self, W: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -1549,8 +1599,7 @@ class ScoreEngine:
         unsafe = bands.f32_unsafe(w_norms, self._max_norm())
         if unsafe.any():
             for j in np.flatnonzero(unsafe):
-                exact = self.values @ W[j]
-                ranks[j] = int((exact > exact[members].max()).sum()) + 1
+                ranks[j] = self._verified_rank(W[j], members)
                 self.stats["verified_columns"] += 1
             self._rank_float_columns += int(unsafe.sum())
             self._rank_float_fallbacks += int(unsafe.sum())
@@ -1605,8 +1654,7 @@ class ScoreEngine:
                 # non-members only; a non-member inside the band means
                 # the float32 decision is contestable -> exact fallback.
                 for j in np.flatnonzero(near - member_near != above):
-                    exact = self.values @ W[rows[j]]
-                    above[j] = int((exact > exact[members].max()).sum())
+                    above[j] = self._verified_rank(W[rows[j]], members) - 1
                     self.stats["verified_columns"] += 1
                 ranks[rows] = above + 1
         # Feed the adaptive rank-tier policy (see _rank_functions).
@@ -1716,8 +1764,7 @@ class ScoreEngine:
                 ranks[rows] += (scores > best_r).sum(axis=1)
                 near = np.abs(scores - best_r) <= tol_r
                 for j in np.flatnonzero(near.any(axis=1)):
-                    exact = self.values @ W[rows[j]]
-                    ranks[rows[j]] = int((exact > exact[members].max()).sum()) + 1
+                    ranks[rows[j]] = self._verified_rank(W[rows[j]], members)
                     self.stats["verified_columns"] += 1
         promoted = np.sort(np.concatenate(promoted_parts))
         self.stats["quant_resolved"] += m - promoted.size
@@ -1781,8 +1828,7 @@ class ScoreEngine:
             above += part_above
             contested |= part_contested
         for j in np.flatnonzero(contested):
-            exact = self.values @ W[j]
-            above[j] = int((exact > exact[members].max()).sum())
+            above[j] = self._verified_rank(W[j], members) - 1
             self.stats["verified_columns"] += 1
         return above + 1
 

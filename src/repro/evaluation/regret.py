@@ -119,8 +119,11 @@ def rank_regret_sampled(
     orderings (flat peak memory however many functions are requested)
     with an ulp band around the subset's best score that is re-verified
     in exact float64, so blocked-BLAS noise between (near-)identical
-    rows cannot inflate a rank — the estimator agrees with the scalar
-    :func:`repro.ranking.topk.rank_of` even on degenerate data.
+    rows cannot inflate a rank.  A rank is ``1 +`` the rows scoring
+    strictly above the subset's best member
+    (:meth:`repro.engine.ScoreEngine._verified_rank`): it agrees with
+    the scalar :func:`repro.ranking.topk.rank_of` except on exact ties,
+    where ``rank_of`` also counts equal-score rows with a smaller index.
     ``jobs``/``backend`` fan the counting out over the engine's
     worker pool (``None``/``1`` = serial, ``-1`` = all cores; thread
     or auto backend) with bit-identical results.  Pass a

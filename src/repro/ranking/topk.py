@@ -110,6 +110,10 @@ def rank_of(values: np.ndarray, weights: np.ndarray, index: int) -> int:
 
     Computed in O(n) without sorting: count strictly-better tuples plus
     equal-score tuples with a smaller index (the deterministic tie-breaker).
+    The engine's rank of a subset's best member counts strictly-better
+    rows only, so on exact ties it can be smaller than the minimum of
+    this rank over the members; see
+    :meth:`repro.engine.ScoreEngine._verified_rank`.
     """
     values, weights = _validate(values, weights)
     n = values.shape[0]

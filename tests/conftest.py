@@ -102,3 +102,30 @@ def copy_paths():
     so sharing it across examples is safe.
     """
     return _each_copy_path
+
+
+# ``_SCALAR_MAX_WORK`` values that force every engine call onto one
+# kernel: ``0`` keeps the tier ladder; ``1 << 62`` answers every serial
+# call with the exact scalar kernel (the small-call route).
+_KERNEL_CUTOVERS = {"ladder": 0, "scalar": 1 << 62}
+
+
+def _each_kernel_path():
+    from repro.engine import score_engine
+
+    for max_work in _KERNEL_CUTOVERS.values():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(score_engine, "_SCALAR_MAX_WORK", max_work)
+            yield max_work
+
+
+@pytest.fixture(scope="session")
+def kernel_paths():
+    """Iterate the engine kernels, with ``_SCALAR_MAX_WORK`` patched
+    inside each step.
+
+    ``for _ in kernel_paths():`` runs a loop body once on the tier
+    ladder and once on the scalar route, so one hypothesis example
+    checks both.  Stateless, hence session-scoped.
+    """
+    return _each_kernel_path

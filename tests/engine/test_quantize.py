@@ -115,7 +115,9 @@ def test_topk_bit_identity_duplicate_rows(seed, mode):
 # lower bound on a negative k-th score.
 @example(seed=14, scale_exp=-200, mode="auto", float32=True, signed=True)
 @settings(max_examples=20, deadline=None)
-def test_topk_bit_identity_extreme_scales(seed, scale_exp, mode, float32, signed):
+def test_topk_bit_identity_extreme_scales(
+    kernel_paths, seed, scale_exp, mode, float32, signed
+):
     # Denormal-range (1e-320) and huge-range data: the quantizer and the
     # float32 tier must either stay rigorous or step aside — never lose
     # exactness.
@@ -124,7 +126,8 @@ def test_topk_bit_identity_extreme_scales(seed, scale_exp, mode, float32, signed
     weights = sample_functions(3, 8, rng)
     if signed:
         weights = rng.standard_normal((8, 3))
-    _assert_topk_identical(values, weights, 5, quantize=mode, float32=float32)
+    for _ in kernel_paths():
+        _assert_topk_identical(values, weights, 5, quantize=mode, float32=float32)
 
 
 @given(

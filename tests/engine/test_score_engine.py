@@ -6,13 +6,15 @@ random instance grids spanning n, d, and k, including duplicate-score
 and duplicate-row degeneracies that trip blocked-BLAS kernels.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Session
-from repro.engine import ScoreEngine, bands, unpack_indices
+from repro.engine import ScoreEngine, TuningProfile, bands, score_engine, unpack_indices
 from repro.exceptions import ValidationError
 from repro.ranking import rank_of, sample_functions
 from repro.ranking.topk import ranking, top_k
@@ -184,6 +186,20 @@ class TestRankOfBestBatch:
         )
         assert got[0] == 2
 
+    def test_out_of_range_data_builds_no_float32_copy(self):
+        # The range guard flags every function on data near 1e300, so no
+        # float32 copy may be built: the cast would overflow to inf.
+        values = np.random.default_rng(5).random((500, 4)) * 1e300
+        w = np.array([[0.2, 0.4, 0.1, 0.3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            engine = ScoreEngine(values, float32=True)
+            order = engine.topk_orders(w, 5)
+            ranks = engine.rank_of_best_batch(w, [7, 9])
+        assert np.array_equal(order[0], top_k(values, w[0], 5))
+        assert ranks.tolist() == [_gemv_rank_of_best(values, w[0], [7, 9])]
+        assert all(ordering.V32 is None for ordering in engine._orderings)
+
     def test_float32_subnormal_weights_stay_exact(self):
         # Weights below float32's normal range keep only a few bits in
         # the float32 cast while ‖w‖·max‖x‖ looks in range; the range
@@ -206,6 +222,31 @@ class TestRankOfBestBatch:
             engine.rank_of_best_batch(np.ones((3, 2)), [])
         with pytest.raises(ValidationError):
             engine.rank_of_best_batch(np.ones((3, 2)), [9])
+
+    def test_ties_with_the_best_member_are_not_counted(self, kernel_paths):
+        # Row 1 is identical to the member row 3 and has a smaller index:
+        # the engine counts rows strictly above (rank 2), while rank_of
+        # breaks the tie by index and puts row 3 behind row 1 (rank 3).
+        values = np.array([[0.9, 0.9], [0.5, 0.5], [0.3, 0.3], [0.5, 0.5]])
+        w = np.array([1.0, 1.0])
+        assert rank_of(values, w, 3) == 3
+        for _ in kernel_paths():
+            engine = ScoreEngine(values)
+            assert engine.rank_of_best_batch(w[None], [3]).tolist() == [2]
+            assert engine._verified_rank(w, np.array([3])) == 2
+
+    def test_subset_takes_integers_or_a_mask(self):
+        # Nothing is cast: int(0.9) would silently read row 0.
+        values = np.random.default_rng(3).random((8, 2))
+        engine = ScoreEngine(values)
+        w = np.array([[0.3, 0.7]])
+        mask = np.zeros(8, dtype=bool)
+        mask[[0, 5]] = True
+        want = engine.rank_of_best_batch(w, np.array([5, 0, 5], dtype=np.uint8))
+        assert engine.rank_of_best_batch(w, mask).tolist() == want.tolist()
+        for bad in ([0.9, 5.5], [True, False, True], ["3"], [2**70], [[0, 1.5]]):
+            with pytest.raises(ValidationError):
+                engine.rank_of_best_batch(w, bad)
 
 
 class TestValidation:
@@ -281,16 +322,22 @@ class TestCancellation:
         n=st.integers(200, 500),
     )
     @settings(max_examples=30, deadline=None)
-    def test_every_tier_matches_the_scalar_path(self, seed, mirror, rho_exp, n):
+    def test_every_tier_matches_the_scalar_path(
+        self, kernel_paths, seed, mirror, rho_exp, n
+    ):
         values, weights = _cancellation_case(seed, mirror, rho_exp, n)
         members = np.random.default_rng(seed).choice(n, 3, replace=False)
         expected = [top_k(values, w, 5) for w in weights]
         ranks = [_gemv_rank_of_best(values, w, members) for w in weights]
-        for name, engine in _cancellation_engines(values):
-            got = engine.topk_orders(weights, 5)
-            for i in range(len(weights)):
-                assert np.array_equal(got[i], expected[i]), (name, i)
-            assert engine.rank_of_best_batch(weights, members).tolist() == ranks, name
+        # Built (and the Session warmed) on the ladder, then queried on
+        # the ladder and on the small-call route.
+        engines = list(_cancellation_engines(values))
+        for _ in kernel_paths():
+            for name, engine in engines:
+                got = engine.topk_orders(weights, 5)
+                for i in range(len(weights)):
+                    assert np.array_equal(got[i], expected[i]), (name, i)
+                assert engine.rank_of_best_batch(weights, members).tolist() == ranks, name
 
     def test_band_is_load_bearing(self, monkeypatch):
         # The float32 copy rounds b + 1e-9·r to b, so float32 scores miss
@@ -308,3 +355,89 @@ class TestCancellation:
         monkeypatch.setattr(bands, "ULPS", 0.0)
         narrow = ScoreEngine(values, float32=True, quantize=None)
         assert not np.array_equal(narrow.topk_orders(w[None], 5)[0], expected)
+
+
+class TestSmallCalls:
+    """The small-call route at the shipped cutover."""
+
+    @pytest.fixture(autouse=True)
+    def ladder_only(self):
+        """Overrides the suite's ladder pin: these tests check the route."""
+
+    @pytest.fixture(scope="class")
+    def values(self):
+        return np.random.default_rng(19).random((20_000, 4))
+
+    def test_one_function_topk_takes_the_scalar_kernel(self, values):
+        engine = ScoreEngine(values)
+        w = np.array([0.4, -0.3, 0.2, 0.1])
+        batch = engine.topk_batch(w[None], 15)
+        assert np.array_equal(batch.order[0], top_k(values, w, 15))
+        assert np.array_equal(
+            unpack_indices(batch.members[0], values.shape[0]), np.sort(batch.order[0])
+        )
+        assert engine.stats["scalar_columns"] == 1
+        assert engine.stats["gemm_columns"] == 1
+        assert engine.stats["verified_columns"] == 0
+        assert engine._orderings is None  # the ladder never ran
+
+    def test_one_function_rank_takes_the_scalar_kernel(self, values):
+        engine = ScoreEngine(values)
+        w = np.array([0.1, 0.5, -0.2, 0.3])
+        members = [7, 1_234, 19_999]
+        got = engine.rank_of_best_batch(w[None], members)
+        assert got.tolist() == [_gemv_rank_of_best(values, w, members)]
+        assert engine.stats["scalar_columns"] == 1
+        assert engine.stats["gemm_columns"] == 1
+        assert engine.stats["verified_columns"] == 0
+        assert engine.stats["rank_prefix_rows"] == values.shape[0]
+
+    def test_one_function_above_the_cutover_takes_the_ladder(self, values):
+        routed = score_engine._SCALAR_MAX_WORK // values.shape[0]
+        W = sample_functions(4, routed + 1, 19)
+        members = [7, 1_234]
+        engine = ScoreEngine(values)
+        engine.topk_orders(W[:routed], 15)
+        engine.rank_of_best_batch(W[:routed], members)
+        assert engine.stats["scalar_columns"] == 2 * routed
+        order = engine.topk_orders(W, 15)
+        ranks = engine.rank_of_best_batch(W, members)
+        assert engine.stats["scalar_columns"] == 2 * routed
+        for j, w in enumerate(W):
+            assert np.array_equal(order[j], top_k(values, w, 15))
+            assert ranks[j] == _gemv_rank_of_best(values, w, members)
+
+    def test_fan_out_keeps_the_ladder(self, values):
+        # A zero-cutover fan-out plans every call: one function takes the
+        # row plan, four take function chunks whose units never route.
+        profile = TuningProfile(parallel_min_work=0)
+        w = np.array([[0.4, 0.3, 0.2, 0.1]])
+        with ScoreEngine(values, n_jobs=2, tune=profile) as engine:
+            order = engine.topk_orders(w, 15)
+            assert engine.stats["parallel_calls"] > 0
+            assert engine.stats["scalar_columns"] == 0
+        assert np.array_equal(order[0], top_k(values, w[0], 15))
+        small = values[:1_000]
+        W = sample_functions(4, 4, 20)
+        with ScoreEngine(small, n_jobs=2, tune=profile) as engine:
+            ranks = engine.rank_of_best_batch(W, [3, 500])
+            order = engine.topk_orders(W, 15)
+            assert engine.stats["parallel_calls"] == 2
+            assert engine.stats["scalar_columns"] == 0
+        for j, w in enumerate(W):
+            assert ranks[j] == _gemv_rank_of_best(small, w, [3, 500])
+            assert np.array_equal(order[j], top_k(small, w, 15))
+
+    def test_candidate_child_never_routes(self, values):
+        # The child answers 256 nonnegative functions over 222 band rows,
+        # under the cutover, and still runs the ladder.
+        small = values[:1_000]
+        W = sample_functions(4, 256, 21)
+        engine = ScoreEngine(small)
+        order = engine.topk_orders(W, 5)
+        assert engine.stats["candidate_columns"] == 256
+        (child,) = engine._candidates.values()
+        assert 256 * child.n <= score_engine._SCALAR_MAX_WORK
+        assert engine.stats["scalar_columns"] == 0
+        for j, w in enumerate(W):
+            assert np.array_equal(order[j], top_k(small, w, 5))

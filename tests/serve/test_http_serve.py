@@ -100,6 +100,30 @@ def test_missing_fields_400(served):
             assert err.value.status == 400, (path, payload)
 
 
+def test_index_lists_take_json_integers_only(served):
+    # Nothing is cast: a float, bool or string names rows the client
+    # never sent, and an integer past int64 used to drop the connection.
+    _, server = served
+    weights = [[0.1, 0.2, 0.3]]
+    with ServiceClient(server.url, timeout=30, max_retries=0) as client:
+        revision = client.health()["revision"]
+        for path, payload in [
+            ("/v1/delete", {"indices": [1.5]}),
+            ("/v1/delete", {"indices": [True]}),
+            ("/v1/delete", {"indices": ["3"]}),
+            ("/v1/delete", {"indices": [2**70]}),
+            ("/v1/delete", {"indices": [[1, 2]]}),
+            ("/v1/rank", {"weights": weights, "subset": [True, False, True]}),
+            ("/v1/rank", {"weights": weights, "subset": ["3"]}),
+            ("/v1/rank", {"weights": weights, "subset": [0.9, 5.5]}),
+            ("/v1/rank", {"weights": weights, "subset": [2**70]}),
+        ]:
+            with pytest.raises(ServiceError) as err:
+                client._request("POST", path, payload)
+            assert err.value.status == 400, (path, payload)
+        assert client.health()["revision"] == revision
+
+
 def test_dimension_mismatch_400(served):
     _, server = served
     with ServiceClient(server.url, timeout=30) as client:

@@ -19,7 +19,8 @@ then exercises the full serving surface:
 2. **Churn.**  Each tick inserts and deletes ~1% of rows through the
    mutation endpoints (the delta journal), then re-queries and fetches
    the maintained representative — the view repairs incrementally
-   server-side.
+   server-side, and each tick checks it against a fresh ``mdrc`` over
+   the mirrored matrix.
 3. **Overload.**  A request burst against a paused dispatcher shows
    typed 429 admission control.
 4. **Faults.**  With ``--faults`` a deterministic injector
@@ -49,7 +50,7 @@ import time
 
 import numpy as np
 
-from repro import synthetic_dot
+from repro import mdrc, synthetic_dot
 from repro.engine import FaultInjector, ScoreEngine, TuningProfile, faults
 from repro.serve import (
     ServerConfig,
@@ -187,9 +188,13 @@ def main(argv=None) -> None:
             reference = ScoreEngine(matrix, float32=True)
             check_bit_identity(client, reference, rng.random((3, d)), k)
             rep = client.representative(k)
+            # The maintained view shares mdrc's defaults (max_depth 48,
+            # max_cells 10,000, "first"), so it must equal a fresh run.
+            expected = mdrc(matrix, k).indices
+            assert rep["indices"] == expected, "representative diverged from mdrc"
             print(
                 f"    tick {tick}: +{m}/-{m} rows -> rev {rep['revision']}, "
-                f"|representative| = {len(rep['indices'])} "
+                f"|representative| = {len(rep['indices'])} (= fresh mdrc) "
                 f"(inserted at {inserted['indices'][0]}..)"
             )
 

@@ -181,10 +181,11 @@ class CornerCache:
         Angle-row bytes → dense corner id (the same keying as the
         per-call memo; angle floats are exact box midpoints, so byte
         equality is exact corner equality).
-    orders / angles / lengths:
+    orders / angles / weights / lengths:
         Per-corner top-``k_eval`` index rows ``(count, k_eval)``, angle
-        rows ``(count, d-1)``, and per-corner valid prefix lengths,
-        addressed by dense id.  ``k_eval = k + reserve``: the extra
+        rows ``(count, d-1)``, the weight rows ``(count, d)`` the corners
+        were scored with, and per-corner valid prefix lengths, addressed
+        by dense id.  ``k_eval = k + reserve``: the extra
         tail is a repair buffer — a maintained view absorbs deletions by
         compacting the row and insertions by banded placement, touching
         the full matrix only when a buffer runs below ``k`` members.
@@ -217,6 +218,7 @@ class CornerCache:
         "count",
         "_orders",
         "_angles",
+        "_weights",
         "_lengths",
     )
 
@@ -231,6 +233,7 @@ class CornerCache:
         self.count = 0
         self._orders: np.ndarray | None = None
         self._angles: np.ndarray | None = None
+        self._weights: np.ndarray | None = None
         self._lengths: np.ndarray | None = None
 
     @property
@@ -246,6 +249,17 @@ class CornerCache:
         if self._angles is None:
             return np.empty((0, 0), dtype=np.float64)
         return self._angles[: self.count]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The cached corners' weight rows ``(count, d)``.
+
+        ``weights_from_angles_batch`` works row by row, so each row equals
+        a recompute from :attr:`angles` bit for bit.
+        """
+        if self._weights is None:
+            return np.empty((0, 0), dtype=np.float64)
+        return self._weights[: self.count]
 
     @property
     def lengths(self) -> np.ndarray:
@@ -276,9 +290,12 @@ class CornerCache:
         self.count = 0
         self._orders = np.empty((64, self.k_eval), dtype=np.int64)
         self._angles = np.empty((64, int(d) - 1), dtype=np.float64)
+        self._weights = np.empty((64, int(d)), dtype=np.float64)
         self._lengths = np.empty(64, dtype=np.int64)
 
-    def append(self, order_rows: np.ndarray, angle_rows: np.ndarray) -> None:
+    def append(
+        self, order_rows: np.ndarray, angle_rows: np.ndarray, weight_rows: np.ndarray
+    ) -> None:
         """Append freshly evaluated corners (full-width rows, dense ids)."""
         need = self.count + order_rows.shape[0]
         if need > self._orders.shape[0]:
@@ -287,9 +304,11 @@ class CornerCache:
                 capacity *= 2
             self._orders = np.resize(self._orders, (capacity, self._orders.shape[1]))
             self._angles = np.resize(self._angles, (capacity, self._angles.shape[1]))
+            self._weights = np.resize(self._weights, (capacity, self._weights.shape[1]))
             self._lengths = np.resize(self._lengths, capacity)
         self._orders[self.count : need] = order_rows
         self._angles[self.count : need] = angle_rows
+        self._weights[self.count : need] = weight_rows
         self._lengths[self.count : need] = order_rows.shape[1]
         self.count = need
 
@@ -320,6 +339,7 @@ class CornerCache:
         self.registry = {keys[int(gid)]: new for new, gid in enumerate(survivors)}
         self._orders = np.ascontiguousarray(self._orders[survivors])
         self._angles = np.ascontiguousarray(self._angles[survivors])
+        self._weights = np.ascontiguousarray(self._weights[survivors])
         self._lengths = np.ascontiguousarray(self._lengths[survivors])
         self.count = int(survivors.size)
         for level in self.levels:
@@ -520,7 +540,7 @@ def mdrc(
                     full = engine.topk_orders(weights, corner_cache.k_eval)
                     top = np.ascontiguousarray(full[:, :k])
                     store.append(pack_membership(top, n), top)
-                    corner_cache.append(full, corner_rows[pending_rows])
+                    corner_cache.append(full, corner_rows[pending_rows], weights)
                 else:
                     batch = engine.topk_batch(weights, k)
                     store.append(batch.members, batch.order)

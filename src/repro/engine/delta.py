@@ -46,9 +46,11 @@ write and the compaction that settles it:
 * **Invalidation.**  Compaction ends with
   :meth:`ScoreEngine._invalidate_derived`: the single-probe LRU memo
   (keyed on weight bytes only — it would silently serve pre-mutation
-  top-k sets), the grid-gather cache, the cached max row norm behind
+  top-k sets), the grid-gather cache, the cached data magnitudes behind
   the ulp noise bands, the chunk geometry, and the thread pool (its
-  clones hold the old matrix) are all dropped explicitly.
+  clones hold the old matrix) are all dropped explicitly.  When the
+  orderings exist, the max row norm is then read back from the head of
+  the merged norm ordering instead of re-norming all n rows.
 
 The contract is the engine-wide one: after any mutation sequence, every
 query is **bit-identical** to a fresh engine built on the mutated
@@ -400,6 +402,10 @@ def flush_mutations(engine) -> None:
         )
 
     engine._invalidate_derived()
+    if engine._orderings is not None and new_n:
+        # The merged norm ordering holds every row's robust norm, sorted
+        # descending: its head is ``max‖x‖`` without another O(n) pass.
+        engine._max_row_norm = float(engine._orderings[0].u[0])
     # Restart the attribute-ordering demand accumulator: under sustained
     # churn every compaction would also have to repair the d extra
     # orderings (and their quantized stores), so the sharper orderings

@@ -455,6 +455,8 @@ class ScoreEngine:
             raise ValidationError(
                 f"weight vectors have {W.shape[1]} entries for {self.d} attributes"
             )
+        if not np.isfinite(W).all():
+            raise ValidationError("weight vectors must be finite (no NaN or inf)")
         return W
 
     def _check_k(self, k: int) -> int:

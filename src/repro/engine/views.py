@@ -73,6 +73,8 @@ serving must serialize externally.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from repro.engine import bands
@@ -235,7 +237,11 @@ class MDRCView(MaterializedView):
        re-run the resolve/split/fallback decision — every untouched
        cell is kept verbatim.  A cell's decision is a pure function of
        its corner top-k sets, so an unchanged-corner cell provably
-       decides identically in a fresh run.
+       decides identically in a fresh run.  A level with no touched or
+       fallback cell, which no flip above it reshaped, is carried as it
+       stands (its resolved items follow the renumbering, counted in
+       ``stats["levels_carried"]``); an event that changed no corner
+       carries the whole tree.
     3. **Local structure repair.**  A cell that flips resolved→split
        grows a fresh subtree (corner evaluations go through the same
        byte-keyed memo a fresh run would hit); a split→resolved flip
@@ -279,6 +285,7 @@ class MDRCView(MaterializedView):
             cells_kept=0,
             cells_redecided=0,
             cells_grown=0,
+            levels_carried=0,
             maintains=0,
             bails=0,
         )
@@ -308,7 +315,6 @@ class MDRCView(MaterializedView):
             return
         if self._maintain(event):
             self.stats["maintains"] += 1
-            cache.prune()
             self._result = self._result_from_tree()
         else:
             # Bail-out: the corner memo is already repaired for the new
@@ -336,29 +342,45 @@ class MDRCView(MaterializedView):
 
     # -- incremental maintenance ----------------------------------------
     def _maintain(self, event) -> bool:
-        """Repair corners, re-decide touched cells, grow/prune subtrees.
+        """Repair the corners, then carry or re-walk each recorded level.
 
         Returns ``False`` (leaving the corner memo repaired but the tree
         dropped) when the maintained tree cannot be proven equivalent to
         a fresh run — i.e. when any level's projected leaf count could
         engage the budget path.
         """
-        import itertools
+        from repro.core.mdrc import CELL_FALLBACK, CELL_RESOLVED
 
-        from repro.core.mdrc import (
-            CELL_FALLBACK,
-            CELL_RESOLVED,
-            CELL_SPLIT,
-            CellLevel,
+        changed = self._repair_corners(event)
+        levels = self._cache.levels
+        # A level is dirty when it holds a cell to re-decide (one of its
+        # corners changed) or to re-screen (a fallback center, which is
+        # not a corner).
+        starts = [0, *itertools.accumulate(level.state.size for level in levels[:-1])]
+        state = np.concatenate([level.state for level in levels])
+        dirty = state == CELL_FALLBACK
+        if changed.any():
+            corners = np.concatenate([level.corners for level in levels])
+            dirty |= changed[corners].any(axis=1)
+        return self._walk(
+            event,
+            changed,
+            np.logical_or.reduceat(dirty, starts).tolist(),
+            np.add.reduceat(state == CELL_RESOLVED, starts).tolist(),
         )
 
+    def _repair_corners(self, event) -> np.ndarray:
+        """Repair every cached corner; return the mask of changed ones.
+
+        A corner is *changed* when its top-k order differs from the one
+        the recorded tree decided on: a deleted member in the first k
+        columns, an insert placed in the first k slots, or a
+        re-evaluation whose first k columns came out different.
+        """
         engine = self._engine
         cache = self._cache
         k = self.k
-        d = engine.d
-        corners_per_cell = 1 << (d - 1)
 
-        # ---- Phase 1: corner repair (always commits). -----------------
         # Each cached corner holds an exact top-``lengths[c]`` prefix of
         # width-``k_eval`` buffer rows.  Deletions compact the prefix in
         # place (survivors below the old k_eval-th bound stay below it,
@@ -372,40 +394,50 @@ class MDRCView(MaterializedView):
         K = cache.k_eval
         orders = cache.orders  # mutable views into the cache buffers
         lengths = cache.lengths
-        weights = weights_from_angles_batch(np.ascontiguousarray(cache.angles))
+        weights = cache.weights
         cols = np.arange(K)[None, :]
         changed = np.zeros(count, dtype=bool)
         reeval = lengths < k
 
         if event.deleted_ids.size:
-            valid = cols < lengths[:, None]
-            dhit = np.isin(orders, event.deleted_ids) & valid
-            nhits = dhit.sum(axis=1)
-            rows = np.flatnonzero(nhits)
+            dead = np.zeros(event.old_n, dtype=bool)
+            dead[event.deleted_ids] = True
+            # One lookup per slot finds the deleted members.  Slots past a
+            # row's length hold stale ids from older epochs: clipping
+            # keeps their lookup in range, the length test drops them.
+            rows, slots = np.divmod(
+                np.flatnonzero(np.take(dead, orders, mode="clip")), K
+            )
+            member = slots < lengths[rows]
+            rows, slots = rows[member], slots[member]
             if rows.size:
                 # A deleted member inside the first k columns changes the
                 # top-k set even though a reserve member refills the slot.
-                changed[rows] = dhit[rows, :k].any(axis=1)
+                changed[rows[slots < k]] = True
+                hit_rows = np.unique(rows)
+                dhit = np.zeros((hit_rows.size, K), dtype=bool)
+                dhit[np.searchsorted(hit_rows, rows), slots] = True
                 # Stable sort on the hit mask compacts survivors to the
                 # front in cached (engine) order.
-                perm = np.argsort(dhit[rows], axis=1, kind="stable")
-                orders[rows] = np.take_along_axis(orders[rows], perm, axis=1)
-                lengths[rows] = lengths[rows] - nhits[rows]
-                reeval |= lengths < k
-        # Remap the surviving prefixes into the new id space.  Slots past
-        # a row's length hold stale ids from older epochs — never index
-        # idmap with them.
-        valid = cols < lengths[:, None]
-        orders[valid] = event.idmap[orders[valid]]
+                perm = np.argsort(dhit, axis=1, kind="stable")
+                orders[hit_rows] = np.take_along_axis(orders[hit_rows], perm, axis=1)
+                lengths[hit_rows] -= dhit.sum(axis=1)
+                reeval[hit_rows] |= lengths[hit_rows] < k
+            # Remap into the new id space (an insert-only event renumbers
+            # nothing).  Stale slots come out as other stale ids, which
+            # nothing reads.
+            orders[...] = np.take(event.idmap, orders, mode="clip")
 
         inserted = event.inserted_rows.shape[0]
         if inserted:
             tol = _screen_band(weights, engine, event)
-            live = np.flatnonzero(~reeval & (lengths > 0))
+            live = np.flatnonzero(~reeval)
+            if live.size < count:
+                w_live, tol_live = weights[live], tol[live]
+            else:  # the common case: no gathers
+                w_live, tol_live = weights, tol
             last_member = orders[live, lengths[live] - 1]
-            boundary = np.einsum(
-                "ij,ij->i", weights[live], engine.values[last_member]
-            )
+            boundary = np.einsum("ij,ij->i", w_live, engine.values[last_member])
             C_CAP = min(8, inserted)
             X = np.ascontiguousarray(event.inserted_rows.T)
             # One chunked GEMM + one comparison pass finds the "hot"
@@ -421,9 +453,9 @@ class MDRCView(MaterializedView):
             chunk = max(1, (1 << 21) // max(1, inserted))
             for lo in range(0, live.size, chunk):
                 rows = live[lo : lo + chunk]
-                S = weights[rows] @ X  # (chunk, inserted)
+                S = w_live[lo : lo + chunk] @ X  # (chunk, inserted)
                 b_rows = boundary[lo : lo + chunk]
-                t_rows = tol[rows]
+                t_rows = tol_live[lo : lo + chunk]
                 hot = S >= (b_rows - t_rows)[:, None]
                 sub = np.flatnonzero(hot.any(axis=1))
                 if not sub.size:
@@ -551,47 +583,94 @@ class MDRCView(MaterializedView):
         idx = np.flatnonzero(reeval)
         if idx.size:
             fresh = engine.topk_orders(np.ascontiguousarray(weights[idx]), K)
+            # A row whose buffer ran below k already counts as changed
+            # (a member in its first k columns was deleted).
+            changed[idx] |= (fresh[:, :k] != orders[idx, :k]).any(axis=1)
             orders[idx] = fresh
             lengths[idx] = K
-            changed[idx] = True  # conservative; re-evaluations are rare
         cache.n = int(event.new_n)
         self.stats["corners_dropped"] += int(idx.size)
         self.stats["corners_kept"] += int(count - idx.size)
         self.stats["corner_evaluations"] += int(idx.size)
+        return changed
 
-        # ---- Phases 2+3: level-by-level cell propagation. -------------
+    def _walk(self, event, changed, dirty, recorded) -> bool:
+        """Maintain the recorded levels top down; ``False`` on a bail.
+
+        A clean level (no changed corner, no fallback cell) whose cells
+        are exactly the recorded ones is carried as it stands: its cells
+        decide as they did, and since none flips, the next level keeps
+        its cells and positions too, so the child pointers stay valid.
+        Only its resolved items follow the renumbering.  Every other
+        level is rebuilt: cells that reference no changed corner keep
+        their decision verbatim, a resolved→split flip grows a fresh
+        subtree, a split→resolved flip prunes one.  ``dirty`` and
+        ``recorded`` hold each recorded level's flag and resolved count.
+        """
+        from repro.core.mdrc import (
+            CELL_FALLBACK,
+            CELL_RESOLVED,
+            CELL_SPLIT,
+            CellLevel,
+        )
+
+        engine = self._engine
+        cache = self._cache
+        d = engine.d
+        corners_per_cell = 1 << (d - 1)
         patterns = np.array(
             list(itertools.product((False, True), repeat=d - 1)), dtype=bool
         )
         levels = cache.levels
+        # An untouched resolved cell keeps its item verbatim — but the
+        # item is a row id and must follow the renumbering.  (It cannot
+        # have been deleted: deletion would have hit the cell's corners,
+        # making the cell touched.)  The appended -1 keeps the -1 of a
+        # cell that did not resolve.
+        idmap = np.append(event.idmap, -1) if event.deleted_ids.size else None
         new_levels: list[CellLevel] = []
-        alive = np.ones(levels[0].state.shape[0], dtype=bool)
+        alive = None  # every recorded cell of the level survives
         seeds_lo = np.empty((0, d - 1), dtype=np.float64)
         seeds_hi = np.empty((0, d - 1), dtype=np.float64)
         depth = 0
         cells_before = 0
+        rebuilt = False
         while True:
             cached = levels[depth] if depth < len(levels) else None
-            apos = (
-                np.flatnonzero(alive) if cached is not None else np.empty(0, dtype=np.intp)
-            )
             grown = seeds_lo.shape[0]
+            if cached is not None and alive is None and not grown and not dirty[depth]:
+                if idmap is not None:
+                    cached.item = idmap[cached.item]
+                size = cached.state.size
+                # The budget check of step f), on the recorded counts.
+                resolved = recorded[depth]
+                if cells_before + resolved + 2 * (size - resolved) > self.max_cells:
+                    return False
+                cells_before += resolved
+                new_levels.append(cached)
+                self.stats["levels_carried"] += 1
+                self.stats["cells_kept"] += size
+                depth += 1
+                continue
+            if cached is None:
+                apos = np.empty(0, dtype=np.intp)
+            elif alive is None:
+                apos = np.arange(cached.state.size)
+            else:
+                apos = np.flatnonzero(alive)
             if apos.size == 0 and grown == 0:
                 break
+            rebuilt = True
 
             # a) surviving cached cells: re-decide only the touched ones.
             state_a = cached.state[apos].copy() if apos.size else np.empty(0, np.int8)
-            item_a = cached.item[apos].copy() if apos.size else np.empty(0, np.int64)
+            item_a = cached.item[apos] if apos.size else np.empty(0, np.int64)
+            if idmap is not None:
+                item_a = idmap[item_a]
             old_state_a = state_a.copy()
             if apos.size:
                 touched = changed[cached.corners[apos]].any(axis=1)
                 redo = np.flatnonzero(touched)
-                # An untouched resolved cell keeps its item verbatim — but
-                # the item is a row id and must follow the renumbering.
-                # (It cannot have been deleted: deletion would have hit
-                # the cell's corners, making the cell touched.)
-                keep_resolved = ~touched & (state_a == CELL_RESOLVED)
-                item_a[keep_resolved] = event.idmap[item_a[keep_resolved]]
                 self.stats["cells_kept"] += int(apos.size - redo.size)
                 self.stats["cells_redecided"] += int(redo.size)
                 if redo.size:
@@ -763,11 +842,14 @@ class MDRCView(MaterializedView):
                 return False
             cells_before += resolved + int(fallback.size)
 
-            alive = alive_next
+            alive = None if alive_next.all() else alive_next
             seeds_lo, seeds_hi = next_lo, next_hi
             depth += 1
 
-        cache.levels = new_levels
+        if rebuilt:
+            cache.levels = new_levels
+            # Cells that resolved coarser leave orphan corners behind.
+            cache.prune()
         return True
 
     def _eval_corners(self, corner_rows: np.ndarray) -> np.ndarray:
@@ -804,7 +886,7 @@ class MDRCView(MaterializedView):
             rows = first_rows[pending]
             weights = weights_from_angles_batch(corner_rows[rows])
             fresh = self._engine.topk_orders(weights, cache.k_eval)
-            cache.append(fresh, corner_rows[rows])
+            cache.append(fresh, corner_rows[rows], weights)
             self.stats["corner_evaluations"] += len(pending)
         return uniq_ids[inverse]
 
@@ -854,25 +936,23 @@ class MDRCView(MaterializedView):
         from repro.core.mdrc import CELL_FALLBACK, CELL_RESOLVED, MDRCResult
 
         cache = self._cache
-        selected: set[int] = set()
-        cells = 0
-        capped = 0
-        for level in cache.levels:
-            resolved = level.state == CELL_RESOLVED
-            selected.update(int(i) for i in level.item[resolved])
-            fallback = level.state == CELL_FALLBACK
-            if fallback.any():
-                selected.update(int(i) for i in level.center_item[fallback])
-                selected.update(
-                    int(i)
-                    for i in cache.orders[level.corners[fallback], 0].ravel()
-                )
-            cells += int(resolved.sum()) + int(fallback.sum())
-            capped += int(fallback.sum())
+        levels = cache.levels
+        state = np.concatenate([level.state for level in levels])
+        item = np.concatenate([level.item for level in levels])
+        resolved = state == CELL_RESOLVED
+        fallback = state == CELL_FALLBACK
+        picks = [item[resolved]]
+        capped = int(fallback.sum())
+        if capped:
+            # A fallback cell contributes its center's top-1 and each of
+            # its corners' top-1.
+            center = np.concatenate([level.center_item for level in levels])
+            corners = np.concatenate([level.corners for level in levels])
+            picks += [center[fallback], cache.orders[corners[fallback], 0].ravel()]
         return MDRCResult(
-            indices=sorted(selected),
-            cells=cells,
-            max_depth_reached=len(cache.levels) - 1,
+            indices=np.unique(np.concatenate(picks)).tolist(),
+            cells=int(resolved.sum()) + capped,
+            max_depth_reached=len(levels) - 1,
             capped_cells=capped,
             corner_evaluations=0,
         )

@@ -43,6 +43,8 @@ def _validate(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.n
         raise ValidationError(
             f"weight vector has {weights.size} entries for {values.shape[1]} attributes"
         )
+    if not np.isfinite(weights).all():
+        raise ValidationError("weights must be finite (no NaN or inf)")
     return values, weights
 
 

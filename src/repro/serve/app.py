@@ -561,6 +561,10 @@ def _parse_matrix(body: dict, name: str, d: int) -> np.ndarray:
         raise http.ProtocolError(
             400, f"{name!r} must be a non-empty (m, {d}) matrix"
         )
+    # ``json.loads`` accepts NaN and Infinity.  Rejected here, before the
+    # coalescer, they cannot fail the requests batched with them.
+    if not np.isfinite(matrix).all():
+        raise http.ProtocolError(400, f"{name!r} must hold finite numbers only")
     return np.ascontiguousarray(matrix)
 
 

@@ -263,6 +263,27 @@ class TestValidation:
         with pytest.raises(ValidationError):
             engine.topk_batch(np.ones(2), 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights(self, kernel_paths, bad):
+        # One bad row in a single-function call (the small-call route)
+        # and in a 300-function call (the tier ladder, candidate engine
+        # included): every entry that takes weights refuses it.
+        rng = np.random.default_rng(5)
+        engine = ScoreEngine(rng.random((100, 3)))
+        for m in (1, 300):
+            W = rng.random((m, 3))
+            W[m // 2, 0] = bad
+            for _ in kernel_paths():
+                for call in (
+                    lambda: engine.topk_orders(W, 3),
+                    lambda: engine.topk_batch(W, 3),
+                    lambda: engine.rank_of_best_batch(W, [0, 1]),
+                    lambda: engine.score_batch(W),
+                    lambda: engine.top_k(W[m // 2], 3),
+                ):
+                    with pytest.raises(ValidationError):
+                        call()
+
     def test_bad_k(self):
         engine = ScoreEngine(np.ones((4, 2)))
         with pytest.raises(ValidationError):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro import mdrc
 from repro.core.mdrrr import md_rrr
+from repro.datasets import independent
 from repro.engine import (
     KSetView,
     MDRCView,
@@ -28,6 +29,7 @@ from repro.engine import (
 from repro.evaluation.regret import rank_regret_sampled
 from repro.exceptions import ValidationError
 from repro.geometry.ksets import sample_ksets
+from repro.ranking.functions import weights_from_angles_batch
 from repro.ranking.sampling import sample_functions
 from repro.ranking.topk import top_k
 
@@ -233,6 +235,69 @@ class TestMDRCViewEdgeCases:
             first = view.refresh()
             assert view.refresh() is first
             assert view.stats["computes"] == 1
+
+    def test_serving_shape_carries_untouched_levels(self):
+        # The shape the server maintains: 20-row deletes and inserts
+        # against independent 4-d data at k=15.  Most such events change
+        # no corner's top-k set and carry the whole tree; the others
+        # re-walk from the first touched level.  Both must match mdrc.
+        values = independent(n=3000, d=4, seed=5).normalized().values
+        rng = np.random.default_rng(11)
+        with ScoreEngine(values, float32=True) as engine, MDRCView(engine, 15) as view:
+            _assert_mdrc_identical(view, engine)
+            quiet = busy = 0
+            for step in range(60):
+                if step % 2 == 0:
+                    engine.delete_rows(np.sort(rng.choice(engine.n, 20, replace=False)))
+                else:
+                    engine.insert_rows(rng.random((20, 4)))
+                before = view.stats["cells_redecided"]
+                _assert_mdrc_identical(view, engine)
+                if view.stats["cells_redecided"] == before:
+                    quiet += 1
+                else:
+                    busy += 1
+                # Every repaired buffer is still an exact prefix of its
+                # corner's ranking, reserve columns included.
+                cache = view._cache
+                exact = engine.topk_orders(cache.weights, cache.k_eval)
+                buffered = np.arange(cache.k_eval) < cache.lengths[:, None]
+                assert np.array_equal(cache.orders[buffered], exact[buffered])
+            assert quiet and busy, (quiet, busy)
+            assert view.stats["maintains"] == 60 and view.stats["computes"] == 1
+            assert view.stats["levels_carried"] > 0
+            assert view.stats["cells_redecided"] > 0
+            assert np.array_equal(cache.weights, weights_from_angles_batch(cache.angles))
+
+    def test_pruned_subtree_below_a_clean_level(self):
+        # At k=3 this delete flips a split cell to resolved.  Its subtree
+        # runs deeper than the branch holding the changed corner, so two
+        # levels further down hold dead cells of that subtree and no
+        # changed corner: they must be rebuilt without them, not carried.
+        rng = np.random.default_rng(1)
+        values = rng.random((600, 4))
+        with ScoreEngine(values) as engine, MDRCView(engine, 3) as view:
+            view.refresh()
+            engine.delete_rows(np.sort(rng.choice(engine.n, 15, replace=False)))
+            _assert_mdrc_identical(view, engine)
+            assert view.stats["levels_carried"] > 0
+
+    def test_budget_check_on_carried_levels(self):
+        # The last write grows leaves above levels it leaves untouched;
+        # with them, a fresh run's budget check fails at one of those
+        # carried levels, so the view must bail there.
+        rng = np.random.default_rng(1)
+        values = rng.random((300, 3))
+        events = np.random.default_rng(1001)
+        with ScoreEngine(values) as engine, MDRCView(engine, 4, max_cells=54) as view:
+            view.refresh()
+            for step in range(5):
+                if step % 2 == 0:
+                    engine.delete_rows(np.sort(events.choice(engine.n, 6, replace=False)))
+                else:
+                    engine.insert_rows(events.random((6, 3)))
+                res = _assert_mdrc_identical(view, engine)
+            assert res.capped_cells > 0 and view.stats["bails"] == 1
 
     def test_closed_view_rejects_refresh(self, rng):
         engine = ScoreEngine(rng.random((50, 3)))

@@ -39,6 +39,17 @@ class TestScoresAndRanking:
         with pytest.raises(ValidationError):
             ranking(tiny[0], [1.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights(self, tiny, bad):
+        # top_k used to return an empty array for a NaN weight.
+        for call in (scores, ranking, ranks):
+            with pytest.raises(ValidationError):
+                call(tiny, [bad, 0.5])
+        with pytest.raises(ValidationError):
+            top_k(tiny, [bad, 0.5], 2)
+        with pytest.raises(ValidationError):
+            rank_of(tiny, [bad, 0.5], 1)
+
 
 class TestTopK:
     def test_top_1(self, tiny):

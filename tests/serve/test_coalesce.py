@@ -18,10 +18,12 @@ import numpy as np
 import pytest
 
 from repro.engine import FaultInjector, RetryPolicy, ScoreEngine, TuningProfile, faults
+from repro.ranking.topk import top_k
 from repro.serve import (
     ServerConfig,
     ServerThread,
     ServiceClient,
+    ServiceError,
     ServiceOverloadedError,
 )
 from repro.serve.coalesce import Coalescer, WorkItem, _adjacent_groups
@@ -101,6 +103,39 @@ def test_concurrent_identical_queries_bit_identical(matrix):
         for w, response in results:
             ref = direct.topk_batch(w, 5)
             assert np.array_equal(response["members"], ref.members)
+
+
+def test_non_finite_request_fails_alone(matrix):
+    """A NaN top-k is refused at parse time: it gets its 400 while the
+    dispatcher is paused, and the valid request queued before it, which
+    the two would otherwise share an engine call with, still succeeds."""
+    server = ServerThread(matrix, ServerConfig(port=0))
+    w = np.random.default_rng(400).random((1, 4))
+    answers = {}
+    with server as url:
+        ServiceClient(url, timeout=60).health()
+        server.call(server.server.pause)
+        time.sleep(0.1)
+
+        def valid_worker():
+            with ServiceClient(url, timeout=60) as client:
+                answers["valid"] = client.topk(w, 5)
+
+        thread = threading.Thread(target=valid_worker)
+        thread.start()
+        offered = server.server._coalescer.stats.by_kind
+        deadline = time.time() + 10
+        while time.time() < deadline and offered.get("topk", 0) < 1:
+            time.sleep(0.02)
+        with ServiceClient(url, timeout=10, max_retries=0) as client:
+            with pytest.raises(ServiceError) as err:
+                client.topk([[0.5, float("nan"), 0.5, 0.5]], 5)
+        assert err.value.status == 400
+        # The NaN request never reached the coalescer.
+        assert thread.is_alive() and offered["topk"] == 1
+        server.call(server.server.resume)
+        thread.join()
+    assert np.array_equal(answers["valid"]["order"][0], top_k(matrix, w[0], 5))
 
 
 def test_backlogged_mixed_queries_coalesce_and_match(matrix):

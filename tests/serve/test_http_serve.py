@@ -124,6 +124,24 @@ def test_index_lists_take_json_integers_only(served):
         assert client.health()["revision"] == revision
 
 
+def test_non_finite_weights_400(served):
+    # ``json.loads`` accepts NaN and Infinity; the server refuses them
+    # before the coalescer, as it refuses any malformed matrix.
+    _, server = served
+    with ServiceClient(server.url, timeout=30, max_retries=0) as client:
+        revision = client.health()["revision"]
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            weights = [[0.2, bad, 0.3]]
+            for path, payload in [
+                ("/v1/topk", {"weights": weights, "k": 3}),
+                ("/v1/rank", {"weights": weights, "subset": [0, 5]}),
+            ]:
+                with pytest.raises(ServiceError) as err:
+                    client._request("POST", path, payload)
+                assert err.value.status == 400, (path, bad)
+        assert client.health()["revision"] == revision
+
+
 def test_dimension_mismatch_400(served):
     _, server = served
     with ServiceClient(server.url, timeout=30) as client:

@@ -521,9 +521,7 @@ def _merge_ordering(
     ordering.V = plan.apply(ordering.V, rows_sorted)
     if ordering.V32 is not None:
         ordering.V32 = plan.apply(ordering.V32, rows_sorted.astype(np.float32))
-    if ordering.attribute < 0:
-        ordering.v = np.zeros(plan.size)
-    else:
+    if ordering.attribute >= 0:
         # Surviving rows keep their residual norms bit-for-bit; only the
         # inserted rows' residuals are computed, and ``v`` is one cummax.
         from repro.engine.score_engine import robust_rest_norms

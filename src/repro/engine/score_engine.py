@@ -177,7 +177,9 @@ class _Ordering:
 
     ``perm`` maps prefix-local positions to global row ids; ``V`` is the
     matrix reordered accordingly; every row at position ≥ p scores at
-    most ``a(w)·u[p] + b(w)·v[p]`` for the ordering's coefficients.
+    most ``a(w)·u[p] + b(w)·v[p]`` for the ordering's coefficients
+    (the norm ordering's bound is ``a(w)·u[p]`` alone; its ``v`` is
+    ``None``).
     ``V32`` and ``inv`` (the inverse permutation) are filled lazily by
     the consumers that need them.
     ``rest`` keeps the per-row residual norms behind an attribute
@@ -1129,7 +1131,7 @@ class ScoreEngine:
             perm=perm,
             V=np.ascontiguousarray(self.values[perm]),
             u=row_norms[perm],
-            v=np.zeros(self.n),
+            v=None,  # the norm bound has no second term
             attribute=-1,
         )
         return [norm_ordering]

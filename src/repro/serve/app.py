@@ -6,7 +6,7 @@ views) behind a coalescing request queue.  Endpoints:
 ============================  ======================================================
 ``GET  /health``              liveness + dataset shape + revision
 ``GET  /v1/stats``            engine counters, coalescing counters, queue depth
-``POST /v1/topk``             ``{"weights": [[...]], "k": int}`` → members/order rows
+``POST /v1/topk``             ``{"weights": [[...]], "k": int}`` → order rows + ``n``
 ``POST /v1/rank``             ``{"weights": [[...]], "subset": [...]}`` → ranks
 ``POST /v1/representative``   ``{"k": int, "method": "mdrc"|"mdrrr"}`` → indices
 ``POST /v1/insert``           ``{"rows": [[...]]}`` → new indices (journaled)
@@ -17,11 +17,15 @@ Queries coalesce (see :mod:`repro.serve.coalesce`); mutations and
 representative refreshes are barriers.  Mutations feed the engine's
 delta journal, and every maintained representative view hears about
 them through its delta subscription — the next ``/v1/representative``
-pays only the incremental repair.  Admission control is typed: **429**
-(queue full, ``Retry-After`` hint) under overload, **503** while
-draining for shutdown.  Failure handling inside the engine is the PR-6
-resilience ladder, configured by the same ``policy`` knob as everywhere
-else; a crashed worker degrades the backend, never the response.
+pays only the incremental repair.  A top-k reply is ``{"order", "n",
+"revision"}``: ``k`` ids per weight row and the row count at that
+revision, so its size follows the answer, not the data; the client
+(:meth:`~repro.serve.ServiceClient.topk`) rebuilds the packed member
+bitset from them.  Admission control is typed: **429** (queue full,
+``Retry-After`` hint) under overload, **503** while draining for
+shutdown.  Failure handling inside the engine is the PR-6 resilience
+ladder, configured by the same ``policy`` knob as everywhere else; a
+crashed worker degrades the backend, never the response.
 
 On boot the server warm-loads a checksummed
 :class:`~repro.engine.TuningProfile` if configured (recalibrating on a
@@ -411,12 +415,8 @@ class Server:
                 weights=weights,
             )
         )
-        members, order, revision = await future
-        return 200, {
-            "members": members.tolist(),
-            "order": order.tolist(),
-            "revision": revision,
-        }
+        order, n, revision = await future
+        return 200, {"order": order.tolist(), "n": n, "revision": revision}
 
     async def _handle_rank(self, body: dict) -> tuple[int, dict]:
         weights = _parse_matrix(body, "weights", self.session.engine.d)
@@ -548,16 +548,27 @@ class Server:
 
 
 def _parse_matrix(body: dict, name: str, d: int) -> np.ndarray:
+    """A non-empty ``(m, d)`` matrix of finite JSON numbers, else a 400.
+
+    A single row may come unnested.  Elements are type-checked before
+    numpy sees them: ``np.asarray`` would cast ``"0.5"`` and ``true``
+    to floats, and a bool or string beside a number would pass any
+    dtype check on the result.
+    """
     raw = body.get(name)
     if raw is None:
         raise http.ProtocolError(400, f"missing required field {name!r}")
+    rows = raw if isinstance(raw, list) and raw and isinstance(raw[0], list) else [raw]
+    if not all(
+        isinstance(row, list) and all(type(x) in (float, int) for x in row)
+        for row in rows
+    ):
+        raise http.ProtocolError(400, f"{name!r} must be a matrix of JSON numbers")
     try:
-        matrix = np.asarray(raw, dtype=np.float64)
-    except (TypeError, ValueError):
+        matrix = np.array(rows, dtype=np.float64)
+    except (ValueError, OverflowError):  # ragged rows; an integer past float64
         raise http.ProtocolError(400, f"{name!r} is not a numeric matrix") from None
-    if matrix.ndim == 1 and matrix.size == d:
-        matrix = matrix.reshape(1, d)
-    if matrix.ndim != 2 or matrix.shape[0] == 0 or matrix.shape[1] != d:
+    if matrix.shape[1] != d:
         raise http.ProtocolError(
             400, f"{name!r} must be a non-empty (m, {d}) matrix"
         )
@@ -565,7 +576,7 @@ def _parse_matrix(body: dict, name: str, d: int) -> np.ndarray:
     # coalescer, they cannot fail the requests batched with them.
     if not np.isfinite(matrix).all():
         raise http.ProtocolError(400, f"{name!r} must hold finite numbers only")
-    return np.ascontiguousarray(matrix)
+    return matrix
 
 
 def _parse_indices(body: dict, name: str) -> np.ndarray:

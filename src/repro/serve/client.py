@@ -1,10 +1,14 @@
 """Blocking HTTP client for a :mod:`repro.serve` server.
 
-Stdlib-only (:mod:`http.client`), one keep-alive connection per
-instance — the shape every consumer in this repo needs (the example
-client, the CI smoke, the ``serving_load`` bench op and the serving
-test-suite).  Responses come back as numpy arrays so bit-identity
-against direct engine calls can be asserted with ``array_equal``.
+Stdlib-only, one keep-alive socket per instance — the shape every
+consumer in this repo needs (the example client, the CI smoke, the
+``serving_load`` bench op and the serving test-suite).  Framing is
+:mod:`repro.serve.http`'s: each request leaves in one ``sendall``
+(``TCP_NODELAY`` set), and a reply is parsed from its status line and
+``Content-Length``.  The socket connects lazily and reconnects after
+the server closes it (a ``Connection: close`` reply, a reset).
+Responses come back as numpy arrays so bit-identity against direct
+engine calls can be asserted with ``array_equal``.
 
 Retry policy (all stdlib, no caller-side loops needed):
 
@@ -28,11 +32,14 @@ from __future__ import annotations
 
 import json
 import random
+import socket
 import time
 import uuid
-from http.client import HTTPConnection
 
 import numpy as np
+
+from repro.engine.bitset import pack_membership
+from repro.serve import http
 
 __all__ = [
     "ServiceClient",
@@ -80,7 +87,7 @@ class ServiceClient:
     ::
 
         client = ServiceClient("http://127.0.0.1:8472")
-        batch = client.topk(weights, k=10)       # {"members", "order", "revision"}
+        batch = client.topk(weights, k=10)  # {"order", "n", "revision", "members"}
     """
 
     def __init__(
@@ -95,7 +102,10 @@ class ServiceClient:
         if "://" in url:
             url = url.split("://", 1)[1]
         host, _, port = url.strip("/").partition(":")
-        self._conn = HTTPConnection(host, int(port or 80), timeout=timeout)
+        self._address = (host, int(port or 80))
+        self._timeout = timeout
+        self._sock: socket.socket | None = None
+        self._rfile = None
         self._max_retries = int(max_retries)
         self._backoff_base_ms = float(backoff_base_ms)
         self._backoff_cap_ms = float(backoff_cap_ms)
@@ -107,8 +117,8 @@ class ServiceClient:
         self, method: str, path: str, payload: dict | None = None, *,
         idempotent: bool = True,
     ) -> dict:
-        body = None
-        headers = {}
+        body = b""
+        headers = {"Host": "{}:{}".format(*self._address)}
         if payload is not None:
             body = json.dumps(payload).encode()
             headers["Content-Type"] = "application/json"
@@ -124,10 +134,10 @@ class ServiceClient:
                         raise  # raw semantics for caller-driven backoff
                     raise ServiceRetryExhaustedError(overload_attempts, exc) from exc
                 self._sleep(self._backoff_ms(overload_attempts, exc) / 1000.0)
-            except (ConnectionError, BrokenPipeError, TimeoutError) as exc:
+            except (ConnectionError, TimeoutError):
                 # The server closed the keep-alive connection — routine
                 # after an error response, ambiguous mid-request.
-                self._conn.close()
+                # ``_request_once`` has already dropped the socket.
                 conn_failures += 1
                 if conn_failures == 1 and idempotent:
                     continue  # immediate reconnect, as before
@@ -137,16 +147,28 @@ class ServiceClient:
                     raise
                 self._sleep(self._backoff_ms(conn_failures, None) / 1000.0)
 
-    def _request_once(self, method: str, path: str, body, headers) -> dict:
-        self._conn.request(method, path, body=body, headers=headers)
-        response = self._conn.getresponse()
-        data = response.read()
+    def _request_once(self, method: str, path: str, body: bytes, headers) -> dict:
+        if self._sock is None:
+            self._connect()
+        try:
+            self._sock.sendall(http.render_request(method, path, body, headers))
+            status, reply_headers, data = http.read_response(self._rfile)
+        except BaseException:
+            self.close()  # mid-exchange: the stream's position is unknown
+            raise
+        if reply_headers.get("connection", "").lower() == "close":
+            self.close()
         decoded = json.loads(data) if data else {}
-        if response.status in (429, 503):
-            raise ServiceOverloadedError(response.status, decoded)
-        if not 200 <= response.status < 300:
-            raise ServiceError(response.status, decoded)
+        if status in (429, 503):
+            raise ServiceOverloadedError(status, decoded)
+        if not 200 <= status < 300:
+            raise ServiceError(status, decoded)
         return decoded
+
+    def _connect(self) -> None:
+        sock = socket.create_connection(self._address, self._timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock, self._rfile = sock, sock.makefile("rb")
 
     def _backoff_ms(self, attempt: int, exc: ServiceOverloadedError | None) -> float:
         """Capped exponential with jitter, floored at the server's hint."""
@@ -157,7 +179,10 @@ class ServiceClient:
         return delay
 
     def close(self) -> None:
-        self._conn.close()
+        if self._sock is not None:
+            self._rfile.close()
+            self._sock.close()
+            self._sock = self._rfile = None
 
     def __enter__(self) -> "ServiceClient":
         return self
@@ -173,12 +198,17 @@ class ServiceClient:
         return self._request("GET", "/v1/stats")
 
     def topk(self, weights, k: int) -> dict:
-        """Batched top-k; ``members``/``order`` come back as int arrays."""
+        """Batched top-k; ``order`` and ``members`` come back as int64 arrays.
+
+        The reply carries ``order`` and the row count ``n`` at its
+        revision; ``members`` is rebuilt here with the packing
+        :meth:`~repro.engine.ScoreEngine.topk_batch` itself applies.
+        """
         out = self._request(
             "POST", "/v1/topk", {"weights": np.asarray(weights).tolist(), "k": int(k)}
         )
-        out["members"] = np.asarray(out["members"], dtype=np.int64)
         out["order"] = np.asarray(out["order"], dtype=np.int64)
+        out["members"] = pack_membership(out["order"], out["n"]).astype(np.int64)
         return out
 
     def rank(self, weights, subset) -> dict:

@@ -1,6 +1,6 @@
 """Request coalescing for the serving front-end.
 
-The engine is batch-native: ``topk_batch`` over 64 stacked weight
+The engine is batch-native: ``topk_orders`` over 64 stacked weight
 vectors costs barely more than over one (the GEMM, pruning-prefix and
 quantized-screen machinery amortize across columns).  The serving hot
 path exploits that: concurrent requests land in one bounded queue, and
@@ -192,14 +192,19 @@ class Coalescer:
             weights = np.concatenate([it.weights for it in group], axis=0)
             if item.kind == "topk":
                 k = item.key
-                batch, revision = await self._submit(
-                    lambda: (self._engine.topk_batch(weights, k), self._engine.revision)
+                # ``n`` is read beside ``revision``, after the call: the
+                # row count the answer was computed over.
+                order, n, revision = await self._submit(
+                    lambda: (
+                        self._engine.topk_orders(weights, k),
+                        self._engine.n,
+                        self._engine.revision,
+                    )
                 )
                 offset = 0
                 for it in group:
                     m = it.weights.shape[0]
-                    sl = slice(offset, offset + m)
-                    _resolve(it, (batch.members[sl], batch.order[sl], revision))
+                    _resolve(it, (order[offset : offset + m], n, revision))
                     offset += m
             else:  # "rank"
                 subset = group[0].payload["subset"]

@@ -1,10 +1,16 @@
-"""Minimal asyncio HTTP/1.1 layer for :mod:`repro.serve`.
+"""Minimal HTTP/1.1 framing for :mod:`repro.serve`, both ends.
 
 Just enough protocol to host the serving endpoints on stdlib asyncio
 streams — request-line + header parsing, ``Content-Length`` bodies,
 keep-alive — with hard limits on header and body size so a misbehaving
 client cannot balloon server memory.  Not a general web server: no
 chunked transfer, no TLS, no multipart.  JSON in, JSON out.
+
+The server half is :func:`read_request` and :func:`render_response`;
+the blocking client (:mod:`repro.serve.client`) uses the other half,
+:func:`render_request` (head and body in one buffer, so one
+``sendall``) and :func:`read_response` (status line and
+``Content-Length`` only — the server never sends chunked bodies).
 
 Floats survive the JSON round trip bit-exactly: both :mod:`json` and
 every mainstream client serializer emit the shortest decimal that
@@ -121,3 +127,53 @@ def render_response(status: int, payload: dict, *, keep_alive: bool = True) -> b
         f"\r\n"
     )
     return head.encode("latin-1") + body
+
+
+def render_request(
+    method: str, path: str, body: bytes = b"", headers: dict[str, str] | None = None
+) -> bytes:
+    """Serialize a request (head + body) into one buffer."""
+    lines = [f"{method} {path} HTTP/1.1"]
+    lines += [f"{name}: {value}" for name, value in (headers or {}).items()]
+    lines.append(f"Content-Length: {len(body)}")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+
+
+def read_response(rfile) -> tuple[int, dict[str, str], bytes]:
+    """Parse one response from a buffered binary file: status, headers, body.
+
+    EOF before the status line raises :class:`ConnectionResetError` (the
+    server closed an idle keep-alive connection, or died); EOF inside the
+    head or body raises it too.  A reply that is not HTTP raises
+    :class:`ProtocolError`.
+    """
+    line = rfile.readline(MAX_HEADER_BYTES + 1)
+    if not line:
+        raise ConnectionResetError("server closed the connection without a response")
+    try:
+        status = int(line.split(None, 2)[1])
+    except (IndexError, ValueError):
+        raise ProtocolError(502, f"malformed status line: {line[:80]!r}") from None
+    headers: dict[str, str] = {}
+    size = len(line)
+    while True:
+        line = rfile.readline(MAX_HEADER_BYTES + 1)
+        size += len(line)
+        if size > MAX_HEADER_BYTES:
+            raise ProtocolError(502, "response head exceeds the header limit")
+        if line in (b"\r\n", b"\n"):
+            break
+        if not line:
+            raise ConnectionResetError("connection closed mid-response")
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    try:
+        length = int(headers["content-length"])
+    except (KeyError, ValueError):
+        length = -1
+    if length < 0:
+        raise ProtocolError(502, "response without a valid Content-Length")
+    body = rfile.read(length)
+    if len(body) < length:
+        raise ConnectionResetError("connection closed mid-response")
+    return status, headers, body

@@ -256,10 +256,16 @@ class TestMutationEquivalence:
         want = fresh.topk_batch(weights, 5)
         assert np.array_equal(got.order, want.order)
         # Internal identity too: the stable merge reproduces the stable
-        # argsort bit-for-bit (perm, u and the permuted matrix).
+        # argsort bit-for-bit (perm, u, v and the permuted matrix); the
+        # norm ordering keeps no ``v`` at all.
+        assert engine._orderings[0].v is None
         for o_got, o_want in zip(engine._orderings, fresh._orderings):
             assert np.array_equal(o_got.perm, o_want.perm)
             assert np.array_equal(o_got.u, o_want.u)
+            if o_want.v is None:
+                assert o_got.v is None
+            else:
+                assert np.array_equal(o_got.v, o_want.v)
             assert np.array_equal(o_got.V, o_want.V)
 
     def test_duplicate_and_tie_rows_survive_mutation(self):

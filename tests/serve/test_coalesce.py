@@ -199,6 +199,52 @@ def test_mutations_are_barriers_and_revisions_are_ordered(matrix):
             assert client.health()["n"] == matrix.shape[0] + 3
 
 
+def test_topk_reply_n_is_the_row_count_at_its_revision(matrix):
+    """Two top-k reads queued on either side of an insert barrier: each
+    reply's ``n`` is the row count at its own revision, and the members
+    rebuilt from it match a direct engine call at that revision."""
+    rows = np.random.default_rng(600).random((5, 4))
+    w = np.random.default_rng(601).random((2, 4))
+    server = ServerThread(matrix, ServerConfig(port=0))
+    out = {}
+    with server as url:
+        with ServiceClient(url, timeout=60) as client:
+            client.health()
+        server.call(server.server.pause)
+        time.sleep(0.1)
+
+        def send(name, call):
+            with ServiceClient(url, timeout=60) as client:
+                out[name] = call(client)
+
+        steps = [
+            ("before", lambda c: c.topk(w, 5)),
+            ("insert", lambda c: c.insert(rows)),
+            ("after", lambda c: c.topk(w, 5)),
+        ]
+        offered = server.server._coalescer.stats
+        threads = []
+        for count, (name, call) in enumerate(steps, start=1):
+            threads.append(threading.Thread(target=send, args=(name, call)))
+            threads[-1].start()
+            deadline = time.time() + 10
+            while time.time() < deadline and offered.requests < count:
+                time.sleep(0.01)  # queue in this order: read, write, read
+        assert offered.requests == 3 and "insert" not in out
+        server.call(server.server.resume)
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    before, after = out["before"], out["after"]
+    assert before["revision"] < out["insert"]["revision"] == after["revision"]
+    assert (before["n"], after["n"]) == (3000, 3005)
+    for reply, values in [(before, matrix), (after, np.vstack([matrix, rows]))]:
+        with ScoreEngine(values, float32=True) as direct:
+            reference = direct.topk_batch(w, 5)
+        assert np.array_equal(reply["members"], reference.members)
+        assert np.array_equal(reply["order"], reference.order)
+
+
 def test_serving_with_fault_injection_stays_exact(matrix, fanout_profile):
     """Worker crashes inside the serving engine never corrupt a response."""
     injector = FaultInjector(seed=3, crash=0.2, max_faults=6)

@@ -1,11 +1,16 @@
 """HTTP layer + server endpoints: parsing, routing, errors, lifecycle."""
 
 import asyncio
+import io
+import json
+import socket
+import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.engine import ScoreEngine
 from repro.serve import (
     ServerConfig,
     ServerThread,
@@ -13,7 +18,14 @@ from repro.serve import (
     ServiceError,
     ServiceOverloadedError,
 )
-from repro.serve.http import ProtocolError, Request, render_response
+from repro.serve.http import (
+    ProtocolError,
+    Request,
+    read_request,
+    read_response,
+    render_request,
+    render_response,
+)
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +68,191 @@ def test_render_response_roundtrip_floats():
     assert json.loads(body)["x"] == value
 
 
+def test_render_request_roundtrips_through_read_request():
+    body = json.dumps({"weights": [[0.1, 0.2, 0.3]], "k": 3}).encode()
+    raw = render_request(
+        "POST", "/v1/topk?x=1", body, {"Host": "h:1", "Content-Type": "application/json"}
+    )
+
+    async def parse():
+        reader = asyncio.StreamReader()
+        reader.feed_data(raw)
+        reader.feed_eof()
+        return await read_request(reader, 1 << 20), await read_request(reader, 1 << 20)
+
+    request, after = asyncio.run(parse())
+    assert (request.method, request.path, request.query) == ("POST", "/v1/topk", {"x": "1"})
+    assert request.headers["host"] == "h:1"
+    assert request.headers["content-length"] == str(len(body))
+    assert request.body == body and request.keep_alive
+    assert after is None  # exactly one request in the buffer
+    empty = render_request("GET", "/health")
+    assert empty.endswith(b"Content-Length: 0\r\n\r\n")
+
+
+def test_render_response_roundtrips_through_read_response():
+    payload = {"order": [[3, 1, 2]], "n": 803, "revision": 4, "x": 0.1 + 0.2}
+    stream = io.BytesIO(
+        render_response(200, payload) + render_response(429, {}, keep_alive=False)
+    )
+    status, headers, body = read_response(stream)
+    assert status == 200 and json.loads(body) == payload
+    assert headers["connection"] == "keep-alive"
+    status, headers, body = read_response(stream)
+    assert (status, headers["connection"], json.loads(body)) == (429, "close", {})
+    with pytest.raises(ConnectionResetError):
+        read_response(stream)  # EOF before a status line
+    with pytest.raises(ConnectionResetError):
+        read_response(io.BytesIO(render_response(200, payload)[:-3]))  # short body
+    with pytest.raises(ProtocolError):
+        read_response(io.BytesIO(b"garbage\r\n\r\n"))
+
+
+def test_closed_connections_raise_after_the_retry_budget():
+    # A listener that accepts each connection and closes it at once.  An
+    # idempotent request reconnects at once, then backs off up to
+    # max_retries; a non-idempotent one gives up on the first failure.
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.2)
+    accepted = []
+    stop = threading.Event()
+
+    def loop():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            accepted.append(conn)  # counted before the close the client sees
+            conn.close()
+
+    thread = threading.Thread(target=loop, daemon=True)
+    thread.start()
+    try:
+        url = "http://127.0.0.1:%d" % listener.getsockname()[1]
+        client = ServiceClient(url, timeout=10, max_retries=2)
+        sleeps = []
+        client._sleep = sleeps.append
+        with pytest.raises(ConnectionError):
+            client.health()
+        assert len(accepted) == 3 and len(sleeps) == 1
+        with pytest.raises(ConnectionError):
+            client._request("POST", "/v1/delete", {"indices": [1]}, idempotent=False)
+        assert len(accepted) == 4 and len(sleeps) == 1
+        client.close()
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+        listener.close()
+    assert not thread.is_alive()
+
+
+def test_silent_server_raises_timeout():
+    # The kernel completes each connection in the listen backlog; no
+    # reply ever comes, so the read times out (after one reconnect).
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        url = "http://127.0.0.1:%d" % listener.getsockname()[1]
+        with ServiceClient(url, timeout=0.2, max_retries=0) as client:
+            with pytest.raises(TimeoutError):
+                client.health()
+            assert client._sock is None
+
+
+def test_client_reconnects_after_a_framing_error():
+    # The server answers a framing error (here an over-limit body) with
+    # ``Connection: close`` and hangs up; the same client reconnects.
+    matrix = np.random.default_rng(14).random((300, 3))
+    with ServerThread(matrix, ServerConfig(port=0, max_body_bytes=1024)) as url:
+        with ServiceClient(url, timeout=30, max_retries=0) as client:
+            client.health()
+            first = client._sock
+            with pytest.raises(ServiceError) as err:
+                client.topk(np.random.default_rng(0).random((200, 3)), 3)
+            assert err.value.status == 413
+            assert client._sock is None  # closed on the server's "close"
+            w = np.random.default_rng(1).random((1, 3))
+            assert client.topk(w, 3)["order"].shape == (1, 3)
+            assert client._sock is not None and client._sock is not first
+
+
 # -- endpoints ---------------------------------------------------------
+
+
+def test_topk_reply_carries_order_and_n_only(served):
+    # The wire reply is O(k·m): the client rebuilds ``members`` from
+    # ``order`` and ``n``.
+    matrix, server = served
+    with ServiceClient(server.url, timeout=30) as client:
+        raw = client._request("POST", "/v1/topk", {"weights": [[0.3, 0.2, 0.5]], "k": 4})
+    assert set(raw) == {"order", "n", "revision"}
+    assert raw["n"] == matrix.shape[0]
+
+
+def test_client_members_match_topk_batch():
+    # n not a multiple of 8, m > 1, and again after an insert and a delete.
+    matrix = np.random.default_rng(15).random((803, 3))
+    rows = np.random.default_rng(17).random((6, 3))
+    weights = np.random.default_rng(16).random((3, 3))
+    with ServerThread(matrix, ServerConfig(port=0)) as url:
+        with ServiceClient(url, timeout=60) as client:
+            replies = [client.topk(weights, 6)]
+            client.insert(rows)
+            replies.append(client.topk(weights, 6))
+            client.delete([0, 5, 400])
+            replies.append(client.topk(weights, 6))
+    inserted = np.vstack([matrix, rows])
+    states = [matrix, inserted, np.delete(inserted, [0, 5, 400], axis=0)]
+    assert [r["n"] for r in replies] == [803, 809, 806]
+    for reply, values in zip(replies, states):
+        with ScoreEngine(values, float32=True) as engine:
+            reference = engine.topk_batch(weights, 6)
+        assert reply["members"].dtype == np.int64
+        assert reply["members"].shape == reference.members.shape == (3, -(-reply["n"] // 8))
+        assert np.array_equal(reply["members"], reference.members)
+        assert np.array_equal(reply["order"], reference.order)
+
+
+def test_topk_reply_is_small_at_100k_rows():
+    matrix = np.random.default_rng(18).random((100_000, 4))
+    with ServerThread(matrix, ServerConfig(port=0)) as url:
+        host, port = url.split("://")[1].split(":")
+        body = json.dumps({"weights": [[0.4, 0.3, 0.2, 0.1]], "k": 15}).encode()
+        with socket.create_connection((host, int(port)), timeout=60) as sock:
+            sock.sendall(render_request("POST", "/v1/topk", body))
+            with sock.makefile("rb") as rfile:
+                status, _headers, reply = read_response(rfile)
+    assert status == 200 and json.loads(reply)["n"] == 100_000
+    assert len(reply) < 1024, len(reply)
+
+
+def test_matrices_take_json_numbers_only(served):
+    # Nothing is cast: numpy would read "0.5" and true as numbers, and a
+    # bool beside a float passes any dtype check on the cast result.
+    _, server = served
+    bad = [
+        [["0.5", "0.2", "0.1"]],
+        [[True, False, True]],
+        [[True, 0.5, 0.25]],
+        [[0.1, 0.2, "0.3"]],
+        [0.1, None, 0.3],
+        [[0.1, 0.2, 0.3], [0.1, 0.2]],
+        [[0.1, 0.2, 10**400]],
+        [[[0.1, 0.2, 0.3]]],
+    ]
+    with ServiceClient(server.url, timeout=30, max_retries=0) as client:
+        revision = client.health()["revision"]
+        for matrix in bad:
+            for path, payload in [
+                ("/v1/topk", {"weights": matrix, "k": 3}),
+                ("/v1/rank", {"weights": matrix, "subset": [0, 5]}),
+                ("/v1/insert", {"rows": matrix}),
+            ]:
+                with pytest.raises(ServiceError) as err:
+                    client._request("POST", path, payload)
+                assert err.value.status == 400, (path, matrix)
+        assert client.health()["revision"] == revision
+        # Integers and one unnested row are still numbers.
+        assert client._request("POST", "/v1/topk", {"weights": [1, 0, 2], "k": 3})["order"]
 
 
 def test_health_and_stats(served):

@@ -22,7 +22,20 @@ Four bench-scale workloads (the ops the ``repro.engine`` refactor targets):
   asserted bit-identical to the engine that lived through the churn.
 
 ``--history`` prints a cross-PR table of every op's median/speedup from
-all committed ``BENCH_PR*.json`` files instead of running anything.
+all committed ``BENCH_PR*.json`` files, then every recorded A/B verdict,
+instead of running anything.
+
+``--ab REF --workload W [--pairs N] [--seed S] [--smoke]`` runs the A/B
+protocol instead of the ops: REF is exported with ``git archive`` into a
+temporary directory under ``.perfbench_tmp/``, and ``perfbench/run.py
+--workload W --seed S+i --seconds 25 --trace 0`` runs in both trees for
+each pair ``i``, alternating which tree goes first.  A run that reports
+``correct: false`` or any failed operation fails the A/B.  For each
+end-to-end metric of ``BENCHMARK.json`` the ``ab`` section of the output
+file records the per-pair values, each side's median and quartiles, the
+change's wins, the bound and a verdict (:func:`ab_verdict`); the run
+exits 1 on a ``regress`` verdict, except with ``--smoke`` (perfbench's
+2,000-row check), whose timings are too noisy for one.
 
 For each op the script measures BOTH the current implementation and the
 frozen pre-engine reference (:mod:`repro.engine.reference`), asserts their
@@ -73,11 +86,16 @@ oracle server that never died.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import platform
 import re
+import shutil
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -973,8 +991,8 @@ def _default_pr() -> int:
 
 
 def _previous_bench(output: Path) -> tuple[Path, dict] | None:
-    """The newest committed BENCH_PR*.json other than ``output``."""
-    benches = _discover_benches(skip=output)
+    """The newest committed BENCH_PR*.json with ops, other than ``output``."""
+    benches = [entry for entry in _discover_benches(skip=output) if entry[2].get("ops")]
     if not benches:
         return None
     _, newest, payload = benches[-1]
@@ -982,11 +1000,33 @@ def _previous_bench(output: Path) -> tuple[Path, dict] | None:
 
 
 def _print_history() -> int:
-    """Cross-PR speedup table from every committed BENCH_PR*.json."""
+    """Cross-PR speedup table and A/B verdicts from every BENCH_PR*.json."""
     benches = _discover_benches()
     if not benches:
         print("no BENCH_PR*.json files found")
         return 1
+    op_benches = [entry for entry in benches if entry[2].get("ops")]
+    if op_benches:
+        _print_ops_history(op_benches)
+    ab_rows = [
+        (num, workload, name, row)
+        for num, _, payload in benches
+        for workload, section in payload.get("ab", {}).items()
+        for name, row in section["metrics"].items()
+    ]
+    if ab_rows:
+        print("\nA/B verdicts (parent median -> change median, change wins / pairs):")
+        for num, workload, name, row in ab_rows:
+            print(
+                f"PR{num:<5}{workload:<13}{name:<13}"
+                f"{row['parent_median']:>10.4g} -> {row['change_median']:<10.4g}"
+                f"{row['unit']:<4}{row['wins']:>3}/{len(row['parent']):<4}"
+                f"bound {row['bound']:.0%}  {row['verdict']}"
+            )
+    return 0
+
+
+def _print_ops_history(benches: list[tuple[int, Path, dict]]) -> None:
     op_names: list[str] = []
     for _, _, payload in benches:
         for row in payload.get("ops", []):
@@ -1014,7 +1054,149 @@ def _print_history() -> int:
         "\n(each cell: median_s of the then-current implementation and its "
         "speedup over that PR's frozen baseline; '—' = op not benched in that PR)"
     )
-    return 0
+
+
+def ab_verdict(parent, change, bound: float, better: str = "lower") -> str:
+    """The verdict on one end-to-end metric from paired runs.
+
+    ``gain``: the change wins at least 9 in 10 pairs and its median beats
+    the parent's by more than the parent's interquartile range.
+    ``regress``: the change's median is worse by more than ``bound``, a
+    fraction of the parent's median.  ``unresolved``: the parent's IQR is
+    wider than that bound, unless every change run beats every parent
+    run.  Otherwise ``hold``.
+    """
+    sign = 1.0 if better == "lower" else -1.0  # compare as lower-is-better
+    p = sign * np.asarray(parent, dtype=np.float64)
+    c = sign * np.asarray(change, dtype=np.float64)
+    q1, p_med, q3 = np.percentile(p, [25, 50, 75])
+    c_med = float(np.median(c))
+    margin = bound * abs(p_med)
+    if (c < p).sum() >= 0.9 * p.size and p_med - c_med > q3 - q1:
+        return "gain"
+    if c_med - p_med > margin:
+        return "regress"
+    if q3 - q1 > margin and not c.max() < p.min():
+        return "unresolved"
+    return "hold"
+
+
+def _ab_metric(parent: list[float], change: list[float], spec: dict) -> dict:
+    """One metric's row of the ``ab`` section."""
+    sign = 1.0 if spec["better"] == "lower" else -1.0
+    wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    return {
+        "unit": spec["unit"],
+        "better": spec["better"],
+        "bound": spec["bound"],
+        "parent": parent,
+        "change": change,
+        "parent_median": float(np.median(parent)),
+        "change_median": float(np.median(change)),
+        "parent_quartiles": [float(q) for q in np.percentile(parent, [25, 75])],
+        "change_quartiles": [float(q) for q in np.percentile(change, [25, 75])],
+        "wins": int(wins),
+        "verdict": ab_verdict(parent, change, spec["bound"], spec["better"]),
+    }
+
+
+def _export_ref(ref: str, dest: Path) -> str:
+    """``git archive REF | tar -x`` into ``dest``; returns the commit id."""
+    commit = subprocess.run(
+        ["git", "-C", str(REPO_ROOT), "rev-parse", "--verify", f"{ref}^{{commit}}"],
+        capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    archive = subprocess.Popen(
+        ["git", "-C", str(REPO_ROOT), "archive", commit], stdout=subprocess.PIPE
+    )
+    subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait() != 0:
+        raise RuntimeError(f"git archive {commit} failed")
+    return commit
+
+
+def _perfbench(tree: Path, workload: str, seed: int, seconds: float, smoke: bool) -> dict:
+    """One untraced perfbench run in ``tree``: its result object."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    proc = subprocess.run(
+        cmd + (["--smoke"] if smoke else []), cwd=tree, env=env,
+        capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        raise RuntimeError(
+            f"perfbench exited {proc.returncode} without a result:\n{proc.stderr[-2000:]}"
+        ) from None
+
+
+def _run_ab(args) -> int:
+    """The A/B protocol (module docstring); writes the ``ab`` section."""
+    bench = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    specs, seconds = bench["end_to_end"], bench.get("run_seconds", 25)
+    tmp_root = REPO_ROOT / ".perfbench_tmp"
+    tmp_root.mkdir(exist_ok=True)
+    ref_tree = Path(tempfile.mkdtemp(prefix="ab-", dir=tmp_root))
+    values = {spec["name"]: {"parent": [], "change": []} for spec in specs}
+    firsts = []
+    try:
+        commit = _export_ref(args.ab, ref_tree)
+        trees = {"parent": ref_tree, "change": REPO_ROOT}
+        for i in range(args.pairs):
+            seed = args.seed + i
+            sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            firsts.append(sides[0])
+            for side in sides:
+                result = _perfbench(trees[side], args.workload, seed, seconds, args.smoke)
+                if not result["correct"] or result["failed"]:
+                    print(
+                        f"A/B FAILED: the {side} run on seed {seed} reported "
+                        f"correct={result['correct']}, failed={result['failed']}",
+                        file=sys.stderr,
+                    )
+                    return 1
+                for name in values:
+                    values[name][side].append(result["metrics"][name]["value"])
+            cells = "  ".join(
+                f"{name} {v['parent'][-1]:.4g}/{v['change'][-1]:.4g}"
+                for name, v in values.items()
+            )
+            print(f"pair {i + 1}/{args.pairs} seed {seed} (parent/change): {cells}", flush=True)
+    finally:
+        shutil.rmtree(ref_tree, ignore_errors=True)
+        with contextlib.suppress(OSError):
+            tmp_root.rmdir()
+    section = {
+        "ref": args.ab,
+        "ref_commit": commit,
+        "pairs": args.pairs,
+        "seeds": [args.seed + i for i in range(args.pairs)],
+        "first": firsts,
+        "seconds": seconds,
+        "smoke": args.smoke,
+        "metrics": {
+            spec["name"]: _ab_metric(
+                values[spec["name"]]["parent"], values[spec["name"]]["change"], spec
+            )
+            for spec in specs
+        },
+    }
+    report = json.loads(args.output.read_text()) if args.output.exists() else {"schema": 1}
+    report.setdefault("ab", {})[args.workload] = section
+    args.output.write_text(json.dumps(report, indent=2) + "\n")
+    for name, row in section["metrics"].items():
+        print(
+            f"{args.workload} {name}: parent {row['parent_median']:.4g} -> change "
+            f"{row['change_median']:.4g} {row['unit']}, change wins "
+            f"{row['wins']}/{args.pairs}, bound {row['bound']:.0%}: {row['verdict']}"
+        )
+    print(f"wrote the {args.workload} A/B section of {args.output}")
+    regressed = any(row["verdict"] == "regress" for row in section["metrics"].values())
+    return 1 if regressed and not args.smoke else 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1055,6 +1237,19 @@ def main(argv: list[str] | None = None) -> int:
         "--output", type=Path, default=None,
         help="output path (default: BENCH_PR<N>.json at the repo root)",
     )
+    parser.add_argument(
+        "--ab", metavar="REF", default=None,
+        help="A/B-run perfbench on the git commit REF against this tree "
+        "instead of timing the ops (see the module docstring)",
+    )
+    parser.add_argument(
+        "--workload", choices=("represent", "serve_read", "serve_churn"),
+        help="with --ab: the perfbench workload",
+    )
+    parser.add_argument("--pairs", type=int, default=10, help="with --ab: run pairs")
+    parser.add_argument(
+        "--seed", type=int, default=1, help="with --ab: the first pair's seed"
+    )
     args = parser.parse_args(argv)
     bench_name = f"BENCH_PR{args.pr if args.pr is not None else _default_pr()}"
     if args.output is None:
@@ -1062,6 +1257,10 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.history:
         return _print_history()
+    if args.ab is not None:
+        if args.workload is None or args.pairs < 1:
+            parser.error("--ab needs --workload and --pairs >= 1")
+        return _run_ab(args)
 
     quick = args.quick or args.smoke
     repeats = 1 if args.smoke else args.repeats
@@ -1181,6 +1380,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"\ngate vs {prev_path.name}: " + ("FAIL" if failures else "ok"))
 
     if not args.quick:
+        if args.output.exists():  # keep A/B sections recorded into the same file
+            report["ab"] = json.loads(args.output.read_text()).get("ab", {})
         args.output.write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {args.output}")
 

@@ -32,33 +32,43 @@ write and the compaction that settles it:
 * **Compaction.**  The first query after a mutation (or an explicit
   :meth:`ScoreEngine.compact`) settles the whole journal at once: the
   committed matrix is filtered and the surviving pending rows
-  appended; each pruning ordering is repaired by *filter + merge* — the
-  surviving permutation entries are re-indexed and kept in place (their
-  relative, tie-stable order is already correct) and the new rows are
-  merge-inserted at their ``searchsorted`` positions — never re-sorted;
-  each cached quantized store reuses the survivors' integer rows
-  verbatim and quantizes only the inserted rows, unless the new rows'
-  dynamic range escapes the per-attribute envelope, in which case the
-  level is re-scaled wholesale (stores then re-quantize lazily).  Every
-  copy goes through a :class:`MergePlan`, so a small write costs the rows
-  it changed plus one memcpy per array.  An insert burst costs one
+  appended.  That is all a write pays for: the pruning orderings and
+  their quantized stores are not touched.  The write folds its keep
+  mask into the orderings' one pending edit, and the quantizer only
+  widens its envelope — an insert that escapes it replaces the level,
+  whose stores then re-quantize lazily.  An insert burst costs one
   compaction, not one per call.
+* **Ordering sync.**  The first call that reads an ordering (a ladder
+  read, not the small-call scalar route) merges the pending edit
+  through :meth:`ScoreEngine._ensure_orderings`
+  (:func:`sync_orderings`), however many writes came between: each
+  ordering is repaired by *filter + merge* — the surviving permutation
+  entries are re-indexed and kept in place (their relative, tie-stable
+  order is already correct) and the new rows are merge-inserted at
+  their ``searchsorted`` positions, never re-sorted — and each cached
+  quantized store takes its ordering's edit, reusing the survivors'
+  integer rows verbatim and quantizing only the inserted rows.  Every
+  copy goes through a :class:`MergePlan`, so a small edit costs the
+  rows it changed plus one memcpy per array.  While an edit is pending
+  ``engine._orderings`` is ``None``: a path that skipped the sync point
+  fails loudly instead of reading stale arrays.
 * **Invalidation.**  Compaction ends with
   :meth:`ScoreEngine._invalidate_derived`: the single-probe LRU memo
   (keyed on weight bytes only — it would silently serve pre-mutation
   top-k sets), the grid-gather cache, the cached data magnitudes behind
   the ulp noise bands, the chunk geometry, and the thread pool (its
-  clones hold the old matrix) are all dropped explicitly.  When the
-  orderings exist, the max row norm is then read back from the head of
-  the merged norm ordering instead of re-norming all n rows.
+  clones hold the old matrix) are all dropped explicitly.  A known max
+  row norm is then carried from the norms of the deleted and inserted
+  rows instead of re-norming all n rows; it is recomputed at its next
+  use only when a deleted row held it.
 
 The contract is the engine-wide one: after any mutation sequence, every
 query is **bit-identical** to a fresh engine built on the mutated
 matrix.  Stability of the merge makes even the internal orderings match
-a fresh ``argsort(kind="stable")``: surviving rows keep their relative
-order and keep indices below every inserted row, and ``searchsorted``
-with ``side="right"`` lands equal-valued new rows after their old peers
-— exactly where the stable sort would put them.
+a fresh ``argsort(kind="stable")`` once synced: surviving rows keep
+their relative order and keep indices below every inserted row, and
+``searchsorted`` with ``side="right"`` lands equal-valued new rows after
+their old peers — exactly where the stable sort would put them.
 
 **Epoch API.**  Every *effective* compaction (one that changed the
 matrix) bumps ``engine.revision`` and notifies the subscribers
@@ -90,16 +100,17 @@ __all__ = [
     "flush_mutations",
     "insert_rows",
     "replay_event",
+    "sync_orderings",
 ]
 
 # Compact eagerly once this many rows are queued in the journal: bounds
 # journal memory and keeps the eventual compaction pass from ballooning.
 _MAX_PENDING_ROWS = 65536
 
-# MergePlan gathers/scatters when a plan has more than one survivor run
-# per this many survivors.  An ordering's seven arrays break even near
-# 24-28 (20k and 200k rows); at 64 the runs cost at most ~3/4 as much.
-_RUN_ROWS = 64
+# MergePlan takes every row through one index when a plan has more than
+# one survivor run per this many survivors.  An ordering's seven arrays
+# break even near 400-500 (20k and 200k rows).
+_RUN_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -147,26 +158,30 @@ class MergePlan:
 
     The parallel arrays of a pruning ordering (``perm``, ``u``, ``V``,
     ``V32``, ``rest``, the quantized store's ``Q`` / ``absq``) share one
-    plan; the data matrix ``values`` takes another plan
-    whose inserts all sit at the end.  The edit drops the rows at the
-    sorted positions ``drop`` and inserts the new rows before survivor
-    positions ``pos``.  A *survivor run* is a maximal stretch of rows
-    with no dropped row and no insertion point inside it; the runs come
-    from the cut points alone, and ``apply`` copies each with one slice,
-    so a small write costs the changed rows plus one memcpy per array.
-    A bulk plan (more than one run per ``_RUN_ROWS`` survivors) gathers /
-    scatters instead; only it builds ``keep_idx`` / ``old_dest``.
+    plan at each ordering sync, built from the keep mask of every write
+    since the last one; the data matrix ``values`` takes a plan at each
+    compaction, whose inserts all sit at the end.  The edit drops the
+    rows at the sorted positions ``drop`` and inserts the new rows
+    before survivor positions ``pos``.  A *survivor run* is a maximal
+    stretch of rows with no dropped row and no insertion point inside
+    it; the runs come from the cut points alone, and ``apply`` copies
+    each with one slice, so a small edit costs the changed rows plus one
+    memcpy per array.
+    A bulk plan (more than one run per ``_RUN_ROWS`` survivors) instead
+    takes each output row from ``concatenate([old, new])`` through one
+    index, ``take_idx``, which only it builds (one ``take`` copies
+    several times faster than a fancy-index gather plus a scatter).
 
-    ``apply`` is equivalent to ``np.insert(arr[keep_idx], pos, new,
-    axis=0)`` for the plan's non-decreasing ``pos``; ties in ``pos``
-    keep the inserted order, matching the stable-merge contract.
+    ``apply`` is equivalent to ``np.insert(np.delete(arr, drop, axis=0),
+    pos, new, axis=0)`` for the plan's non-decreasing ``pos``; ties in
+    ``pos`` keep the inserted order, matching the stable-merge contract.
 
     ``rows`` carries the inserted float64 data rows (already in merge
     order) for consumers that derive per-row values — the quantized
     store quantizes exactly these.
     """
 
-    __slots__ = ("runs", "keep_idx", "old_dest", "ins_dest", "rows", "size")
+    __slots__ = ("runs", "take_idx", "ins_dest", "rows", "size")
 
     def __init__(self, n: int, drop: np.ndarray, pos: np.ndarray, rows: np.ndarray) -> None:
         kept = n - drop.size
@@ -186,20 +201,22 @@ class MergePlan:
         if starts.size * _RUN_ROWS > kept:
             self.runs = None
             idx = np.arange(kept, dtype=np.int64)
-            self.keep_idx = idx + np.repeat(src - starts, lengths)
-            self.old_dest = idx + np.repeat(dst - starts, lengths)
+            self.take_idx = np.empty(self.size, dtype=np.int64)
+            self.take_idx[idx + np.repeat(dst - starts, lengths)] = idx + np.repeat(
+                src - starts, lengths
+            )
+            self.take_idx[self.ins_dest] = n + np.arange(m, dtype=np.int64)
         else:
             self.runs = list(zip(src.tolist(), (src + lengths).tolist(),
                                  dst.tolist(), (dst + lengths).tolist()))
-            self.keep_idx = self.old_dest = None
+            self.take_idx = None
 
     def apply(self, old: np.ndarray, new: np.ndarray) -> np.ndarray:
-        out = np.empty((self.size, *old.shape[1:]), dtype=old.dtype)
         if self.runs is None:
-            out[self.old_dest] = old[self.keep_idx]
-        else:
-            for lo, hi, out_lo, out_hi in self.runs:
-                out[out_lo:out_hi] = old[lo:hi]
+            return np.concatenate((old, new), dtype=old.dtype).take(self.take_idx, axis=0)
+        out = np.empty((self.size, *old.shape[1:]), dtype=old.dtype)
+        for lo, hi, out_lo, out_hi in self.runs:
+            out[out_lo:out_hi] = old[lo:hi]
         out[self.ins_dest] = new
         return out
 
@@ -330,7 +347,13 @@ def delete_rows(engine, indices) -> int:
 
 
 def flush_mutations(engine) -> None:
-    """Compact the mutation journal into every derived structure."""
+    """Compact the mutation journal into the matrix.
+
+    Rewrites ``values``, folds the write into the orderings' pending
+    edit (merged by :func:`sync_orderings`), maintains the quantizer's
+    envelope, invalidates the caches, bumps the revision and notifies
+    the delta subscribers.
+    """
     if not engine._dirty_rows:
         return
     cn = engine._committed_n
@@ -355,11 +378,10 @@ def flush_mutations(engine) -> None:
         _reset_journal(engine, cn)
         return
 
-    idmap = np.cumsum(keep, dtype=np.int64) - 1  # old id -> new id (kept only)
     deleted_ids = np.flatnonzero(~keep)
     new_n = kept + m
-    new_ids = kept + np.arange(m, dtype=np.int64)
 
+    deleted_rows = engine.values[deleted_ids]
     event = None
     if engine._delta_subscribers:
         # Capture the doomed rows' data before the matrix is rewritten:
@@ -370,46 +392,34 @@ def flush_mutations(engine) -> None:
             old_n=cn,
             new_n=new_n,
             deleted_ids=deleted_ids,
-            deleted_rows=engine.values[deleted_ids],
-            idmap=idmap,
+            deleted_rows=deleted_rows,
+            idmap=np.cumsum(keep, dtype=np.int64) - 1,  # meaningful where kept
             inserted_rows=new_rows,
         )
 
     plan = MergePlan(cn, deleted_ids, np.full(m, kept, dtype=np.int64), new_rows)
     engine.values = plan.apply(engine.values, new_rows)
-
-    store_edits: list[tuple[int, MergePlan]] = []
+    # The orderings and their quantized stores wait for the next ladder
+    # read (sync_orderings); the write only folds its keep mask in.
     if engine._orderings is not None:
-        from repro.engine.score_engine import robust_row_norms
-
-        new_norms = robust_row_norms(new_rows)
-        remap = idmap if kept < cn else None  # inserts only: ids unchanged
-        for o, ordering in enumerate(engine._orderings):
-            plan = _merge_ordering(ordering, keep, remap, new_rows, new_norms, new_ids)
-            store_edits.append((o, plan))
-
+        engine._ordering_edit = (engine._orderings, keep)
+        engine._orderings = None
+    elif engine._ordering_edit is not None:
+        # The orderings' rows still alive are ``values[:held]`` before
+        # this write, in order, so ``keep`` decides them positionally.
+        mask = engine._ordering_edit[1]
+        held = np.flatnonzero(mask)
+        mask[held] = keep[: held.size]
     if engine._quantizer is not None:
+        engine._quantizer = engine._quantizer.apply_mutation(engine.values, new_rows)
 
-        def apply_stores(level) -> None:
-            if engine._orderings is None:
-                level.drop_stores()
-                return
-            for o, plan in store_edits:
-                level.mutate_store(o, plan)
-
-        engine._quantizer = engine._quantizer.apply_mutation(
-            engine.values, new_rows, apply_stores
-        )
-
+    max_norm = _carried_max_norm(engine._max_row_norm, deleted_rows, new_rows)
     engine._invalidate_derived()
-    if engine._orderings is not None and new_n:
-        # The merged norm ordering holds every row's robust norm, sorted
-        # descending: its head is ``max‖x‖`` without another O(n) pass.
-        engine._max_row_norm = float(engine._orderings[0].u[0])
+    engine._max_row_norm = max_norm
     # Restart the attribute-ordering demand accumulator: under sustained
-    # churn every compaction would also have to repair the d extra
-    # orderings (and their quantized stores), so the sharper orderings
-    # must re-justify that recurring cost against *post-mutation* probe
+    # churn every sync would also have to merge the d extra orderings
+    # (and their quantized stores), so the sharper orderings must
+    # re-justify that recurring cost against *post-mutation* probe
     # volume.  Orderings already built stay built (and maintained).
     if not engine._attr_orderings_built:
         engine._excess_work = 0
@@ -421,6 +431,37 @@ def flush_mutations(engine) -> None:
     engine.revision += 1
     for callback in list(engine._delta_subscribers):
         callback(event)
+
+
+def sync_orderings(engine) -> list:
+    """Merge the writes since the last sync into every pruning ordering.
+
+    The pending edit is one keep mask over the rows the orderings hold.
+    Compaction keeps survivors in order and appends inserts, so the
+    mask's survivors are ``values[:kept]`` and every later row was
+    inserted since: one :class:`MergePlan` per ordering covers any
+    number of writes, and the same plan edits that ordering's quantized
+    store at the current level.  A store is only built from a synced
+    ordering, a level replaced since the last sync holds none, and a
+    level that survived accepted every inserted row under its envelope,
+    so the replay equals a fresh quantization.
+    """
+    from repro.engine.score_engine import robust_row_norms
+
+    orderings, keep = engine._ordering_edit
+    kept = int(np.count_nonzero(keep))
+    new_rows = engine.values[kept:]
+    new_ids = np.arange(kept, engine.values.shape[0], dtype=np.int64)
+    new_norms = robust_row_norms(new_rows)
+    remap = np.cumsum(keep, dtype=np.int64) - 1 if kept < keep.size else None
+    level = engine._quantizer._state if engine._quantizer is not None else None
+    for o, ordering in enumerate(orderings):
+        plan = _merge_ordering(ordering, keep, remap, new_rows, new_norms, new_ids)
+        if level is not None:
+            level.mutate_store(o, plan)
+    engine._orderings, engine._ordering_edit = orderings, None
+    engine.stats["ordering_syncs"] += 1
+    return orderings
 
 
 def replay_event(engine, deleted_ids: np.ndarray, inserted_rows: np.ndarray) -> None:
@@ -483,6 +524,20 @@ def _check_journal(engine, live: np.ndarray, cn: int, pending_total: int) -> Non
         )
 
 
+def _carried_max_norm(old: float | None, deleted_rows, new_rows) -> float | None:
+    """``max‖x‖`` after a write, from the rows it deleted and inserted.
+
+    ``robust_row_norms`` norms each row on its own, so this equals a
+    fresh pass bit for bit.  ``None`` (computed at the next use) when it
+    was unknown or a deleted row held it.
+    """
+    from repro.engine.score_engine import robust_row_norms
+
+    if old is None or (deleted_rows.size and robust_row_norms(deleted_rows).max() >= old):
+        return None
+    return float(robust_row_norms(new_rows).max(initial=old))
+
+
 def _reset_journal(engine, committed_n: int) -> None:
     engine._committed_n = int(committed_n)
     engine._live = None
@@ -495,10 +550,12 @@ def _merge_ordering(
 ) -> MergePlan:
     """Filter + merge one pruning ordering in place.
 
-    Returns the :class:`MergePlan` (dropped positions and insertion
-    points in the ordering's permuted space), which the quantized store
-    repair replays verbatim on its own parallel arrays.  ``idmap`` is
-    ``None`` when no row was deleted.
+    ``keep`` masks the rows the ordering holds and ``new_rows`` are the
+    rows inserted since (ids ``new_ids``).  Returns the
+    :class:`MergePlan` (dropped positions and insertion points in the
+    ordering's permuted space), which the quantized store repair replays
+    verbatim on its own parallel arrays.  ``idmap`` is ``None`` when no
+    row was deleted.
     """
     if ordering.attribute < 0:
         u_new = new_norms

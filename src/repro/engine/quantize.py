@@ -135,6 +135,7 @@ class QuantLevel:
         # the carrier GEMM requires the peak to fit THOSE ranges, not
         # the integer ones.
         peak = (self.qmax * self.qmax + self.qmax) * d
+        self.peak = float(peak)
         if peak <= 2**23:
             self.carrier: type | None = np.float32
         elif peak <= 2**52:
@@ -217,11 +218,6 @@ class QuantLevel:
             absq = plan.apply(store.absq, absq_new.astype(store.absq.dtype))
             self._stores[ordering_index] = QuantStore(Q, absq, self.qmax)
 
-    def drop_stores(self) -> None:
-        """Forget every cached store (they rebuild lazily)."""
-        with self._lock:
-            self._stores.clear()
-
     def quantize_weights(
         self, W: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -247,17 +243,28 @@ class QuantLevel:
 
     # ------------------------------------------------------------------
     # Threshold helpers (all conceding _QUANT_SLACK quanta, see module
-    # docstring).  Each returns a per-function value the carrier-dtype
-    # shifted sums are compared against directly.
-    @staticmethod
-    def upper_rhs(thr: np.ndarray, b: np.ndarray, usum: np.ndarray) -> np.ndarray:
+    # docstring).  Each returns a per-function value in the carrier
+    # dtype that the shifted sums are compared against directly.
+    def upper_rhs(self, thr: np.ndarray, b: np.ndarray, usum: np.ndarray) -> np.ndarray:
         """``S' >= rhs``  ⇔  upper bound can reach ``thr``."""
-        return (thr - 0.5 * usum) / b - _QUANT_SLACK
+        return self._carrier_rhs(thr - 0.5 * usum, b, -_QUANT_SLACK)
 
-    @staticmethod
-    def lower_rhs(thr: np.ndarray, b: np.ndarray, usum: np.ndarray) -> np.ndarray:
+    def lower_rhs(self, thr: np.ndarray, b: np.ndarray, usum: np.ndarray) -> np.ndarray:
         """``S' − A > rhs``  ⇔  lower bound provably exceeds ``thr``."""
-        return (thr + 0.5 * usum) / b + _QUANT_SLACK
+        return self._carrier_rhs(thr + 0.5 * usum, b, _QUANT_SLACK)
+
+    def _carrier_rhs(self, t: np.ndarray, b: np.ndarray, slack: float) -> np.ndarray:
+        """``t / b + slack`` in the carrier, clipped just past ``peak``.
+
+        Every carrier sum compared with a threshold (``S'`` and
+        ``S' − A``) lies in ``[−peak, peak]``, so a right-hand side past
+        ``peak + 1`` either way decides every comparison as the clipped
+        one does.  Clipping ``t`` before the division keeps both the
+        division and the carrier cast in range however small ``b`` is
+        (down to ``_SCALE_MIN``).
+        """
+        lim = (self.peak + 1.0 + _QUANT_SLACK) * b
+        return (np.clip(t, -lim, lim) / b + slack).astype(self.carrier)
 
 
 class Quantizer:
@@ -354,21 +361,23 @@ class Quantizer:
         self._state = level if level.carrier is not None else None
 
     # ------------------------------------------------------------------
-    def apply_mutation(self, values: np.ndarray, new_rows: np.ndarray, store_updates):
+    def apply_mutation(self, values: np.ndarray, new_rows: np.ndarray):
         """Maintain quantization state across an engine row mutation.
 
-        ``values`` is the post-mutation matrix, ``new_rows`` the inserted
-        rows (possibly empty), and ``store_updates`` a callable invoked
-        with the current :class:`QuantLevel` to apply the per-ordering
-        store edits.  Returns the quantizer to use afterwards — usually
-        ``self``, or a fresh replacement when no derived state exists yet
-        (nothing to maintain, so restarting the probe is cheapest).
+        ``values`` is the post-mutation matrix and ``new_rows`` the
+        inserted rows (possibly empty).  Returns the quantizer to use
+        afterwards — usually ``self``, or a fresh replacement when no
+        derived state exists yet (nothing to maintain, so restarting the
+        probe is cheapest).
 
         The re-scale rule: a level's stores survive as long as the new
         rows' dynamic range stays inside the existing per-attribute
-        envelope (``|x| <= scale * qmax`` — rigorous for any scale).  An
-        escape swaps in a fresh level at the same name with widened
-        scales; its stores requantize lazily on next use.  Deletions
+        envelope (``|x| <= scale * qmax`` — rigorous for any scale); they
+        take the write at the engine's next ordering sync
+        (:func:`repro.engine.delta.sync_orderings`, through
+        :meth:`QuantLevel.mutate_store`).  An escape swaps in a fresh
+        level at the same name with widened scales; its stores
+        requantize lazily on next use.  Deletions
         never escape — the old (now possibly wider-than-necessary)
         scales remain valid, and the exactness contract makes the
         difference unobservable.
@@ -398,8 +407,6 @@ class Quantizer:
                     return self
                 fresh = QuantLevel(level.name, self._maxabs)
                 self._state = fresh if fresh.carrier is not None else None
-                return self
-            store_updates(level)
             return self
 
     def observe(self, screened: int, promoted: int) -> None:

@@ -186,7 +186,8 @@ class _Ordering:
     ordering's ``v`` (``v`` is their suffix-max), so the incremental
     update path (:mod:`repro.engine.delta`) can filter/merge them like
     ``u`` and re-derive ``v`` with one cummax instead of re-norming the
-    whole matrix.
+    whole matrix.  Writes leave every array alone; the next ladder read
+    merges all of them at once (:func:`repro.engine.delta.sync_orderings`).
     """
 
     __slots__ = ("perm", "V", "V32", "u", "v", "attribute", "inv", "rest")
@@ -350,6 +351,11 @@ class ScoreEngine:
         # need it), the sharper per-attribute orderings once enough
         # probe work has accumulated to amortize their construction.
         self._orderings: list[_Ordering] | None = None
+        # Orderings a write left behind, with the keep mask of the rows
+        # they hold; ``_ensure_orderings`` merges them at the next ladder
+        # read (repro.engine.delta.sync_orderings).  ``_orderings`` is
+        # None meanwhile, so no reader can see stale arrays.
+        self._ordering_edit: tuple[list[_Ordering], np.ndarray] | None = None
         self._attr_orderings_built = False
         self._excess_work = 0
         if chunk_bytes is None:
@@ -443,6 +449,7 @@ class ScoreEngine:
             "row_deletes": 0,
             "cancelled_inserts": 0,
             "compactions": 0,
+            "ordering_syncs": 0,
             "candidate_columns": 0,
             "candidate_builds": 0,
         }
@@ -535,9 +542,11 @@ class ScoreEngine:
         """Append data rows; returns their new indices ``[n_old, n_new)``.
 
         The mutation is journaled and compacted lazily at the next query
-        (or :meth:`compact`): pre-sorted orderings are merge-updated,
-        quantized stores are re-scaled only when the new rows escape the
-        per-attribute envelope, and the memo/caches are invalidated.
+        (or :meth:`compact`), which rewrites the matrix and invalidates
+        the memo/caches; the pre-sorted orderings and their quantized
+        stores are merge-updated at the next call that reads them, and
+        re-scaled only when the new rows escape the per-attribute
+        envelope.
         Results afterwards are bit-identical to a fresh engine built on
         ``vstack([values, rows])``.
         """
@@ -730,7 +739,12 @@ class ScoreEngine:
         self.close()
 
     def _ensure_orderings(self) -> list["_Ordering"]:
+        """The current pruning orderings: the one sync point after writes."""
         if self._orderings is None:
+            if self._ordering_edit is not None:
+                from repro.engine.delta import sync_orderings
+
+                return sync_orderings(self)
             self._orderings = self._build_orderings()
         return self._orderings
 
@@ -1072,7 +1086,7 @@ class ScoreEngine:
                 continue
             c = min(n, max(int(needs[rows, o].max()), k))
             S = Wq[rows] @ store.Q[:c].T  # shifted integer sums, exact
-            rhs = state.upper_rhs(thr[rows], b[rows], usum[rows]).astype(S.dtype)
+            rhs = state.upper_rhs(thr[rows], b[rows], usum[rows])
             flat = np.flatnonzero((S >= rhs[:, None]).ravel())
             local = flat // c
             counts = np.bincount(local, minlength=rows.size)
@@ -1138,6 +1152,7 @@ class ScoreEngine:
 
     def _build_attribute_orderings(self) -> None:
         """Add the per-attribute orderings (lazily, once justified)."""
+        self._ensure_orderings()
         self._attr_orderings_built = True
         if self.n * self.d * (self.d + 1) * 8 > (1 << 29):
             return  # the extra copies would dwarf the matrix; skip
@@ -1724,12 +1739,8 @@ class ScoreEngine:
             for glo in range(0, group.size, cols):
                 rows = group[glo : glo + cols]
                 S = Wq[rows] @ Qc.T  # shifted integer sums, exact in carrier
-                rhs_hi = state.lower_rhs(
-                    best[rows] + tol[rows], b[rows], usum[rows]
-                ).astype(S.dtype)
-                rhs_lo = state.upper_rhs(
-                    best[rows] - tol[rows], b[rows], usum[rows]
-                ).astype(S.dtype)
+                rhs_hi = state.lower_rhs(best[rows] + tol[rows], b[rows], usum[rows])
+                rhs_lo = state.upper_rhs(best[rows] - tol[rows], b[rows], usum[rows])
                 sure_mask = (S - absq[None, :]) > rhs_hi[:, None]
                 band_mask = (S >= rhs_lo[:, None]) & ~sure_mask
                 sure = sure_mask.sum(axis=1, dtype=np.int64)

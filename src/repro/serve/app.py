@@ -23,7 +23,8 @@ revision, so its size follows the answer, not the data; the client
 (:meth:`~repro.serve.ServiceClient.topk`) rebuilds the packed member
 bitset from them.  Admission control is typed: **429** (queue full,
 ``Retry-After`` hint) under overload, **503** while draining for
-shutdown.  Failure handling inside the engine is the PR-6 resilience
+shutdown; any exception no handler maps answers **500** on a
+connection that stays open.  Failure handling inside the engine is the PR-6 resilience
 ladder, configured by the same ``policy`` knob as everywhere else; a
 crashed worker degrades the backend, never the response.
 
@@ -54,6 +55,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import logging
 import signal
 import sys
 import threading
@@ -68,6 +70,8 @@ from repro.serve.coalesce import Coalescer, WorkItem
 from repro.session import Session
 
 __all__ = ["ServerConfig", "Server", "serve", "ServerThread"]
+
+_log = logging.getLogger("repro.serve")
 
 # In-memory idempotency keys kept without a data_dir (with one, the
 # snapshot carries the table and this is just the live-table cap).
@@ -359,6 +363,9 @@ class Server:
             return 400, {"error": str(exc)}
         except ConnectionResetError:
             return 503, {"error": "server stopped while the request was queued"}
+        except Exception:  # noqa: BLE001 - answer it; the connection stays usable
+            _log.exception("internal error serving %s %s", request.method, request.path)
+            return 500, {"error": "internal error"}
 
     # -- endpoint bodies ------------------------------------------------
     def _health(self) -> dict:

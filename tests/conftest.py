@@ -65,10 +65,11 @@ def correlated_2d():
 
 
 # ``_RUN_ROWS`` values that force every ``MergePlan`` onto one copy path:
-# ``0`` copies every plan by survivor runs; ``1 << 40`` gathers and
-# scatters every plan that has a survivor.  Mutation cases drawn by
-# hypothesis have a few dozen rows, where the shipped cutover always
-# scatters, so without a forced cutover the run path would go untested.
+# ``0`` copies every plan by survivor runs; ``1 << 40`` takes every row
+# of a plan that has a survivor through one index (the "scatter" id
+# predates that path).  Mutation cases drawn by hypothesis have a few
+# dozen rows, where the shipped cutover always takes the bulk path, so
+# without a forced cutover the run path would go untested.
 _CUTOVERS = {"runs": 0, "scatter": 1 << 40}
 
 

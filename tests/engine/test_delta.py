@@ -11,12 +11,15 @@ assignment), the explicit cache invalidation (memo, grid gathers, noise
 scale, pools), and validation errors.
 """
 
+import copy
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import ScoreEngine, delta
+from repro.engine import ScoreEngine, TuningProfile, delta
 from repro.engine.delta import MergePlan
 from repro.engine.score_engine import robust_row_norms
 from repro.exceptions import ValidationError
@@ -156,7 +159,7 @@ def test_mutation_sequence_float32_engine(copy_paths, case):
 
 
 # ----------------------------------------------------------------------
-# MergePlan: run slices and gather/scatter both equal np.insert
+# MergePlan: run slices and the bulk take both equal np.insert
 @st.composite
 def merge_plan_case(draw):
     keep = np.asarray(draw(st.lists(st.booleans(), max_size=60)), dtype=bool)
@@ -195,10 +198,10 @@ class TestMergePlanPath:
     def test_small_writes_copy_survivor_runs(self, rng):
         drop = np.sort(rng.choice(self.n, 20, replace=False))
         deleted = MergePlan(self.n, drop, self.no_pos, np.empty((0, 4)))
-        assert deleted.runs is not None and deleted.keep_idx is None
+        assert deleted.runs is not None and deleted.take_idx is None
         pos = np.sort(rng.integers(0, self.n + 1, 20))
         inserted = MergePlan(self.n, self.no_drop, pos, np.zeros((20, 4)))
-        assert inserted.runs is not None and inserted.old_dest is None
+        assert inserted.runs is not None and inserted.take_idx is None
 
     def test_bulk_plans_scatter(self):
         # Distinct interior insertion points: cuts + 1 survivor runs.
@@ -208,7 +211,7 @@ class TestMergePlanPath:
             assert np.unique(pos).size == cuts
             plan = MergePlan(self.n, self.no_drop, pos, np.zeros((cuts, 4)))
             assert (plan.runs is None) == bulk
-            assert (plan.keep_idx is not None) == bulk
+            assert (plan.take_idx is not None) == bulk
 
 
 # ----------------------------------------------------------------------
@@ -560,3 +563,250 @@ class TestJournalSemantics:
         assert engine.stats["row_inserts"] == 4
         assert engine.stats["row_deletes"] == 2
         assert engine.stats["compactions"] == 1
+
+
+# ----------------------------------------------------------------------
+# deferred ordering sync: writes fold into one keep mask, the next ladder
+# read merges every ordering and its quantized store once
+_ORDERING_ARRAYS = ("perm", "u", "v", "rest", "V", "V32")
+
+
+def _warm(engine):
+    """Every derived structure a write could leave stale: all orderings,
+    their float32 copies (where the data fit float32) and, with a
+    quantizer, their stores."""
+    if not engine._attr_orderings_built:
+        engine._build_attribute_orderings()
+    fits = np.abs(engine.values).max() < np.finfo(np.float32).max
+    state = engine._quantizer.state if engine._quantizer is not None else None
+    for o, ordering in enumerate(engine._orderings):
+        if fits:
+            engine._ordering_v32(ordering)
+        if state is not None:
+            state.store(o, ordering.V)
+
+
+def _fresh_store(level, matrix):
+    """``matrix`` quantized from scratch at ``level``'s scales."""
+    probe = copy.copy(level)
+    probe._stores, probe._lock = {}, threading.Lock()
+    return probe.store(0, matrix)
+
+
+def _assert_orderings_match_fresh(engine, matrix):
+    assert engine._max_norm() == float(robust_row_norms(matrix).max())
+    assert engine._ordering_edit is None and engine._orderings is not None
+    fresh = ScoreEngine(matrix)
+    fresh._build_attribute_orderings()
+    assert len(engine._orderings) == len(fresh._orderings)
+    for got, want in zip(engine._orderings, fresh._orderings):
+        for name in _ORDERING_ARRAYS[:-1]:
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None) == (b is None), name
+            assert a is None or (a.dtype == b.dtype and a.tobytes() == b.tobytes()), name
+        if got.V32 is not None:
+            assert got.V32.tobytes() == want.V.astype(np.float32).tobytes()
+    level = engine._quantizer._state if engine._quantizer is not None else None
+    for o, store in (level._stores.items() if level is not None else ()):
+        want = _fresh_store(level, fresh._orderings[o].V)
+        assert (store is None) == (want is None)
+        if store is not None:
+            assert store.Q.tobytes() == want.Q.tobytes()
+            assert store.absq.tobytes() == want.absq.tobytes()
+
+
+@st.composite
+def deferred_sync_case(draw):
+    n0 = draw(st.integers(min_value=8, max_value=32))
+    d = draw(st.integers(min_value=2, max_value=4))
+    scale = draw(st.sampled_from([1.0, 1e-300, 1e150, 1e-310]))
+    grid = st.lists(st.integers(min_value=-3, max_value=3), min_size=d, max_size=d)
+    matrix = np.asarray(draw(st.lists(grid, min_size=n0, max_size=n0)), np.float64) * scale
+    n, held, events = n0, n0, []  # ``held``: rows the orderings still hold
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        ops = []
+        if n > 4 and draw(st.booleans()):
+            # Rows inserted since the last read sit at ids [held, n).
+            recent = held < n and draw(st.booleans())
+            pool = range(held, n) if recent else range(n)
+            count = draw(st.integers(min_value=1, max_value=min(3, len(pool), n - 3)))
+            idx = sorted(draw(st.lists(st.sampled_from(pool), min_size=count,
+                                       max_size=count, unique=True)))
+            ops.append(("delete", idx))
+            held -= sum(i < held for i in idx)
+            n -= count
+        if not ops or draw(st.booleans()):
+            m = draw(st.integers(min_value=1, max_value=5))
+            # x8 lifts rows past the quantized envelope: the level is replaced.
+            grow = draw(st.sampled_from([1.0, 1.0, 8.0]))
+            rows = np.asarray(draw(st.lists(grid, min_size=m, max_size=m)), np.float64)
+            ops.append(("insert", rows * scale * grow))
+            n += m
+        read = draw(st.booleans())
+        events.append((ops, read))
+        if read:
+            held = n
+    return matrix, events, draw(st.integers(min_value=1, max_value=3))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=_CUTOVER_OK)
+@given(
+    case=deferred_sync_case(),
+    quantize=st.sampled_from([None, "int8", "int16"]),
+    float32=st.booleans(),
+)
+def test_deferred_sync_matches_fresh(copy_paths, case, quantize, float32):
+    matrix, events, k = case
+    weights = sample_functions(matrix.shape[1], 6, 4)
+    kwargs = {"quantize": quantize, "float32": float32}
+    for _ in copy_paths():
+        engine = ScoreEngine(matrix, **kwargs)
+        engine._rank_float_columns = engine._rank_float_fallbacks = 10**9  # rank screen on
+        _warm(engine)
+        reference = matrix
+        for ops, read in events + [([], True)]:
+            for op in ops:
+                kind, payload = op
+                if kind == "insert":
+                    engine.insert_rows(payload)
+                else:
+                    engine.delete_rows(payload)
+                reference = _reference_apply(reference, [op])
+            engine.compact()
+            if not read:
+                continue
+            k_eff, subset = min(k, reference.shape[0]), [0, reference.shape[0] - 1]
+            fresh = ScoreEngine(reference, **kwargs)
+            fresh._rank_float_columns = fresh._rank_float_fallbacks = 10**9
+            got = engine.topk_orders(weights, k_eff)
+            assert np.array_equal(got, fresh.topk_orders(weights, k_eff))
+            for i, w in enumerate(weights[:3]):
+                assert np.array_equal(got[i], top_k(reference, w, k_eff))
+            assert np.array_equal(
+                engine.rank_of_best_batch(weights, subset),
+                fresh.rank_of_best_batch(weights, subset),
+            )
+            _assert_orderings_match_fresh(engine, reference)
+
+
+class TestDeferredSync:
+    @pytest.fixture
+    def warmed(self, rng):
+        engine = ScoreEngine(rng.random((500, 4)), float32=True, quantize="int8")
+        _warm(engine)
+        return engine
+
+    def test_compact_touches_no_ordering_or_store(self, warmed, rng):
+        engine = warmed
+        orderings = engine._orderings
+        level = engine._quantizer._state
+        arrays = [getattr(o, name) for o in orderings for name in _ORDERING_ARRAYS]
+        snapshot = [None if a is None else a.copy() for a in arrays]
+        stores = [(s.Q, s.absq) for s in level._stores.values()]
+        syncs = engine.stats["ordering_syncs"]
+        for step in range(3):
+            engine.insert_rows(rng.random((7, 4)) * 0.5)
+            engine.delete_rows([step, 100 + step, engine.n - 1])
+            engine.compact()
+        assert engine._orderings is None and engine._ordering_edit[0] is orderings
+        assert engine.stats["ordering_syncs"] == syncs
+        assert engine.stats["compactions"] == 3
+        after = [getattr(o, name) for o in orderings for name in _ORDERING_ARRAYS]
+        assert all(a is b for a, b in zip(after, arrays))
+        for a, saved in zip(after, snapshot):
+            assert a is None or a.tobytes() == saved.tobytes()
+        assert engine._quantizer._state is level
+        assert [(s.Q, s.absq) for s in level._stores.values()] == stores
+        # One ladder read merges all three writes at once.
+        engine.topk_orders(rng.random((3, 4)), 5)
+        assert engine.stats["ordering_syncs"] == syncs + 1
+        _assert_orderings_match_fresh(engine, engine.values.copy())
+
+    def test_max_norm_follows_writes_without_a_pass(self, rng):
+        matrix = rng.random((200, 3))
+        engine = ScoreEngine(matrix)
+        norms = robust_row_norms(matrix)
+        top = int(np.argmax(norms))
+        engine._max_norm()
+        engine.delete_rows([top])  # held the max: recomputed at next use
+        engine.compact()
+        assert engine._max_row_norm is None
+        assert engine._max_norm() == float(np.delete(norms, top).max())
+        engine.insert_rows(rng.random((4, 3)) * 0.1)  # below the max: carried
+        engine.delete_rows([int(np.argmin(robust_row_norms(engine.values)))])
+        engine.compact()
+        assert engine._max_row_norm == float(robust_row_norms(engine.values).max())
+        engine.insert_rows(rng.random((2, 3)) + 5.0)  # above it
+        engine.compact()
+        assert engine._max_row_norm == float(robust_row_norms(engine.values).max())
+
+    def test_build_attribute_orderings_syncs_first(self, rng):
+        matrix = rng.random((300, 3))
+        engine = ScoreEngine(matrix, quantize="int16")
+        engine.topk_orders(sample_functions(3, 8, 1), 5)  # norm ordering only
+        assert not engine._attr_orderings_built
+        engine.insert_rows(rng.random((9, 3)))
+        engine.delete_rows([4, 250, 301])
+        engine.compact()
+        assert engine._ordering_edit is not None
+        engine._build_attribute_orderings()
+        assert engine.stats["ordering_syncs"] == 1
+        _assert_orderings_match_fresh(engine, engine.values.copy())
+
+    def test_thread_fan_out_after_unsynced_writes(self, rng):
+        matrix = rng.random((400, 4))
+        weights = sample_functions(4, 48, 3)
+        threaded = ScoreEngine(
+            matrix, n_jobs=2, backend="thread", parallel_min_work=0, quantize="int8"
+        )
+        serial = ScoreEngine(matrix, quantize="int8")
+        for engine in (threaded, serial):
+            engine.topk_batch(weights, 7)
+            _warm(engine)
+        for step in range(4):
+            rows, doomed = rng.random((6, 4)), [step, 200 + step]
+            for engine in (threaded, serial):
+                engine.delete_rows(doomed)
+                engine.insert_rows(rows)
+                engine.compact()
+        assert threaded._ordering_edit is not None
+        try:
+            got = threaded.topk_batch(weights, 7)
+            assert threaded.stats["parallel_calls"] >= 1
+            want = serial.topk_batch(weights, 7)
+            assert np.array_equal(got.order, want.order)
+            assert np.array_equal(got.members, want.members)
+            subset = [1, 50, 300]
+            assert np.array_equal(
+                threaded.rank_of_best_batch(weights, subset),
+                serial.rank_of_best_batch(weights, subset),
+            )
+        finally:
+            threaded.close()
+        _assert_orderings_match_fresh(threaded, threaded.values.copy())
+
+
+class TestShippedCutover:
+    @pytest.fixture(autouse=True)
+    def ladder_only(self):
+        """Overrides the suite's ladder pin: these tests check the route."""
+
+    def test_one_function_reads_never_sync(self, rng):
+        matrix = rng.random((20_000, 4))
+        engine = ScoreEngine(matrix, tune=TuningProfile())
+        engine.topk_orders(rng.random((64, 4)), 15)  # a ladder read builds them
+        members = [3, 999, 15_000]
+        for step in range(20):
+            engine.delete_rows(np.sort(rng.choice(engine.n, 20, replace=False)))
+            engine.insert_rows(rng.random((20, 4)))
+            engine.compact()
+            w = rng.random((1, 4))
+            assert np.array_equal(engine.topk_orders(w, 15)[0], top_k(engine.values, w[0], 15))
+            best = (engine.values[members] @ w[0]).max()
+            assert engine.rank_of_best_batch(w, members)[0] == int(
+                (engine.values @ w[0] > best).sum()
+            ) + 1
+        assert engine.stats["ordering_syncs"] == 0
+        assert engine.stats["scalar_columns"] == 40
+        engine.topk_orders(rng.random((64, 4)), 15)
+        assert engine.stats["ordering_syncs"] == 1

@@ -277,6 +277,37 @@ class TestQuantizerLevels:
         weights = sample_functions(2, 5, 0)
         _assert_topk_identical(subnormal, weights, 3, quantize="auto")
 
+    @pytest.mark.parametrize("mode", ["int8", "int16"])
+    def test_carrier_thresholds_clip_without_overflow(self, mode):
+        # (thr ∓ usum/2)/b leaves float64 and float32 range for b near
+        # _SCALE_MIN; clipped just past ``peak``, it decides every
+        # comparison with an in-range carrier sum as the exact value does.
+        state = Quantizer(np.ones((4, 4)), mode).state
+        b = np.full(6, 2.0**-900)
+        thr = np.array([1e300, -1e300, 5.0, -7.25, 0.0, 3e-200]) * [1, 1, b[0], b[0], 1, 1]
+        usum = np.array([1.0, 1.0, 2.0, 0.5, 4.0, 0.0]) * b
+        with np.errstate(over="raise"):
+            upper = state.upper_rhs(thr, b, usum)
+            lower = state.lower_rhs(thr, b, usum)
+        assert upper.dtype == lower.dtype == state.carrier
+        with np.errstate(over="ignore"):
+            upper_exact = (thr - 0.5 * usum) / b - 2.0  # ±inf past float64
+            lower_exact = (thr + 0.5 * usum) / b + 2.0
+        assert np.isinf(upper_exact[0]) and np.isinf(lower_exact[1])
+        peak = state.peak
+        if state.carrier is np.float32:
+            # Every half-integer a float32 carrier sum can hold.
+            sums = np.arange(-2 * peak, 2 * peak + 1) / 2.0
+        else:
+            sums = np.concatenate(
+                [[-peak, -peak + 0.5, peak - 0.5, peak],
+                 np.arange(-64, 65) / 2.0,
+                 np.rint(np.random.default_rng(0).uniform(-peak, peak, 4096))]
+            )
+        carrier = sums.astype(state.carrier)[:, None]
+        assert np.array_equal(carrier >= upper, sums[:, None] >= upper_exact)
+        assert np.array_equal(carrier > lower, sums[:, None] > lower_exact)
+
     def test_invalid_mode_rejected(self):
         values = np.ones((3, 2))
         with pytest.raises(ValueError):
@@ -319,6 +350,25 @@ class TestTierIntegration:
         assert np.array_equal(first, engaged)
         for j, w in enumerate(weights):
             assert first[j] == _scalar_rank_of_best(values, w, subset)
+
+    @pytest.mark.parametrize("float32", [False, True])
+    def test_misaligned_scales_do_not_overflow_the_carrier(self, float32):
+        # A column ~1e60 weighted ~1e-60 beside unit columns: the ulp band
+        # (‖w‖·max‖x‖) over b's quantum passes float32's range, which made
+        # the int8 screen's threshold cast overflow.
+        rng = np.random.default_rng(0)
+        values = np.column_stack([rng.random(400) * 1e60, rng.random(400), rng.random(400)])
+        weights = np.column_stack([rng.random(8) * 1e-60, rng.random(8), rng.random(8)])
+        engine = ScoreEngine(values, quantize="int8", float32=float32)
+        engine._rank_float_columns = 10**9  # force the quantized rank screen on
+        engine._rank_float_fallbacks = 10**9
+        with np.errstate(over="raise"):
+            order = engine.topk_orders(weights, 5)
+            ranks = engine.rank_of_best_batch(weights, [3, 7])
+        assert engine.stats["quant_columns"] == 2 * len(weights)
+        for j, w in enumerate(weights):
+            assert np.array_equal(order[j], top_k(values, w, 5))
+            assert ranks[j] == _scalar_rank_of_best(values, w, [3, 7])
 
     def test_rank_policy_stays_float_on_clean_data(self):
         # A representative-grade subset on clean data produces (almost)

@@ -418,6 +418,33 @@ def test_rank_endpoint_matches_direct(served):
     assert np.array_equal(served_ranks, reference)
 
 
+def test_unexpected_error_answers_500(caplog):
+    # An exception no handler maps answers 500 on a connection that stays
+    # open, instead of dropping it and being resent by the client.
+    matrix = np.random.default_rng(20).random((300, 3))
+    weights = np.random.default_rng(21).random((1, 3))
+    server = ServerThread(matrix, ServerConfig(port=0))
+    calls = []
+
+    def broken(*args, **kwargs):
+        calls.append(args)
+        raise RuntimeError("engine fault")
+
+    with server as url, ServiceClient(url, timeout=30, max_retries=2) as client:
+        server.server.session.engine.rank_of_best_batch = broken
+        with pytest.raises(ServiceError) as err:
+            client.rank(weights, [0, 1])
+        assert err.value.status == 500
+        assert err.value.payload == {"error": "internal error"}
+        assert len(calls) == 1
+        assert client._sock is not None  # kept alive
+        reply = client.topk(weights, 4)
+    with ScoreEngine(matrix, float32=True) as engine:
+        assert np.array_equal(reply["order"], engine.topk_batch(weights, 4).order)
+    logged = [r for r in caplog.records if r.name == "repro.serve" and r.exc_info]
+    assert logged and "engine fault" in str(logged[0].exc_info[1])
+
+
 def test_draining_returns_503():
     matrix = np.random.default_rng(9).random((300, 3))
     server = ServerThread(matrix, ServerConfig(port=0))

@@ -60,3 +60,51 @@ def test_output_name_follows_changes_log(tmp_path, monkeypatch):
         "  - PR 99: nested, not an entry\n"
     )
     assert gate._default_pr() == 11
+
+
+def test_ab_verdict_rules():
+    gate = _load_perf_gate()
+    verdict = gate.ab_verdict
+    parent = [10.0, 10.5, 9.5, 10.2, 9.8, 10.1, 9.9, 10.3, 9.7, 10.0]
+    # Lower in 9 of 10 pairs, median gap 4.0 > the parent's IQR (~0.38).
+    change = [6.0] * 9 + [11.0]
+    assert verdict(parent, change, 0.25) == "gain"
+    # Lower in 8 of 10: not a gain, and within the bound.
+    assert verdict(parent, [6.0] * 8 + [11.0, 11.0], 0.25) == "hold"
+    # Worse by more than the bound (25% of the parent median).
+    assert verdict(parent, [13.0] * 10, 0.25) == "regress"
+    assert verdict(parent, [12.0] * 10, 0.25) == "hold"
+    # A parent spread wider than the bound cannot tell a small move ...
+    wide = [5.0, 15.0, 6.0, 14.0, 10.0, 9.0, 16.0, 4.0, 11.0, 10.0]
+    assert verdict(wide, [10.5] * 10, 0.25) == "unresolved"
+    # ... unless every change run beats every parent run.
+    assert verdict(wide, [3.0] * 9 + [3.5], 0.25) == "gain"
+    assert verdict(wide[:4], [3.0] * 4, 0.25) == "hold"  # gap 7 < IQR 8.5
+    # Higher-is-better metrics mirror every rule.
+    assert verdict([1.0] * 10, [2.0] * 10, 0.25, better="higher") == "gain"
+    assert verdict([1.0] * 10, [0.7] * 10, 0.25, better="higher") == "regress"
+    assert verdict([1.0] * 10, [0.9] * 10, 0.25, better="higher") == "hold"
+
+
+def test_history_renders_ab_only_file(tmp_path, capsys, monkeypatch):
+    gate = _load_perf_gate()
+    monkeypatch.setattr(gate, "REPO_ROOT", tmp_path)
+    (tmp_path / "BENCH_PR1.json").write_text(
+        json.dumps({"ops": [{"op": "scoring", "median_s": 0.5, "speedup": 2.0}]})
+    )
+    spec = {"name": "op_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25}
+    row = gate._ab_metric([9.0, 10.0, 11.0], [5.0, 5.5, 6.0], spec)
+    assert row["wins"] == 3 and row["verdict"] == "gain"
+    assert row["parent_median"] == 10.0 and row["parent_quartiles"] == [9.5, 10.5]
+    ab = {"serve_churn": {"pairs": 3, "metrics": {"op_p50_ms": row}}}
+    (tmp_path / "BENCH_PR2.json").write_text(json.dumps({"schema": 1, "ab": ab}))
+    assert gate._print_history() == 0
+    out = capsys.readouterr().out
+    assert "PR2" not in out.split("A/B verdicts")[0]  # no ops column for an A/B-only file
+    assert "0.500s" in out
+    ab_line = next(line for line in out.splitlines() if line.startswith("PR2"))
+    assert "serve_churn" in ab_line and "op_p50_ms" in ab_line
+    assert "10 -> 5.5" in ab_line and "3/3" in ab_line and ab_line.endswith("gain")
+    # The gate compares against the newest file that holds ops.
+    newest, _ = gate._previous_bench(tmp_path / "BENCH_PR3.json")
+    assert newest.name == "BENCH_PR1.json"

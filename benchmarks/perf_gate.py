@@ -26,10 +26,13 @@ all committed ``BENCH_PR*.json`` files, then every recorded A/B verdict,
 instead of running anything.
 
 ``--ab REF --workload W [--pairs N] [--seed S] [--smoke]`` runs the A/B
-protocol instead of the ops: REF is exported with ``git archive`` into a
-temporary directory under ``.perfbench_tmp/``, and ``perfbench/run.py
---workload W --seed S+i --seconds 25 --trace 0`` runs in both trees for
-each pair ``i``, alternating which tree goes first.  A run that reports
+protocol instead of the ops: REF is exported with ``git archive``, and
+the working tree (tracked files plus untracked ones that are not
+ignored, as they are on disk) is copied, each into a temporary
+directory under ``.perfbench_tmp/``, so both sides run from the same
+kind of place; ``perfbench/run.py --workload W --seed S+i --seconds 25
+--trace 0`` runs in both trees for each pair ``i``, alternating which
+tree goes first.  A run that reports
 ``correct: false`` or any failed operation fails the A/B.  For each
 end-to-end metric of ``BENCHMARK.json`` the ``ab`` section of the output
 file records the per-pair values, each side's median and quartiles, the
@@ -1116,6 +1119,20 @@ def _export_ref(ref: str, dest: Path) -> str:
     return commit
 
 
+def _export_worktree(dest: Path) -> None:
+    """Copy the working tree's tracked files, and its untracked files
+    that are not ignored, into ``dest`` as they are on disk."""
+    listed = subprocess.run(
+        ["git", "-C", str(REPO_ROOT), "ls-files", "-co", "--exclude-standard", "-z"],
+        capture_output=True, check=True,
+    ).stdout
+    for name in filter(None, os.fsdecode(listed).split("\0")):
+        source = REPO_ROOT / name
+        if source.is_file():  # a tracked file deleted on disk stays out
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
+
+
 def _perfbench(tree: Path, workload: str, seed: int, seconds: float, smoke: bool) -> dict:
     """One untraced perfbench run in ``tree``: its result object."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -1140,12 +1157,15 @@ def _run_ab(args) -> int:
     specs, seconds = bench["end_to_end"], bench.get("run_seconds", 25)
     tmp_root = REPO_ROOT / ".perfbench_tmp"
     tmp_root.mkdir(exist_ok=True)
-    ref_tree = Path(tempfile.mkdtemp(prefix="ab-", dir=tmp_root))
+    trees = {
+        side: Path(tempfile.mkdtemp(prefix=f"ab-{side}-", dir=tmp_root))
+        for side in ("parent", "change")
+    }
     values = {spec["name"]: {"parent": [], "change": []} for spec in specs}
     firsts = []
     try:
-        commit = _export_ref(args.ab, ref_tree)
-        trees = {"parent": ref_tree, "change": REPO_ROOT}
+        commit = _export_ref(args.ab, trees["parent"])
+        _export_worktree(trees["change"])
         for i in range(args.pairs):
             seed = args.seed + i
             sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -1167,7 +1187,8 @@ def _run_ab(args) -> int:
             )
             print(f"pair {i + 1}/{args.pairs} seed {seed} (parent/change): {cells}", flush=True)
     finally:
-        shutil.rmtree(ref_tree, ignore_errors=True)
+        for tree in trees.values():
+            shutil.rmtree(tree, ignore_errors=True)
         with contextlib.suppress(OSError):
             tmp_root.rmdir()
     section = {
@@ -1239,8 +1260,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--ab", metavar="REF", default=None,
-        help="A/B-run perfbench on the git commit REF against this tree "
-        "instead of timing the ops (see the module docstring)",
+        help="A/B-run perfbench on the git commit REF against a copy of "
+        "the working tree instead of timing the ops (see the module docstring)",
     )
     parser.add_argument(
         "--workload", choices=("represent", "serve_read", "serve_churn"),

@@ -13,9 +13,12 @@ The demo spins up a local server in-process (or targets ``--url``),
 then exercises the full serving surface:
 
 1. **Coalesced queries.**  Concurrent top-k requests from client
-   threads land in one ``topk_batch`` engine call; every response is
+   threads land in one ``topk_orders`` engine call; every response is
    checked bit-identical to a direct :class:`ScoreEngine` call over the
-   same matrix — the exactness contract, extended over HTTP.
+   same matrix — the exactness contract, extended over HTTP.  An idle
+   server answers a lone small read as it arrives, on its event loop,
+   so the local demo holds the dispatcher until the whole storm is
+   queued; a few lone reads then show the ``inline`` counter.
 2. **Churn.**  Each tick inserts and deletes ~1% of rows through the
    mutation endpoints (the delta journal), then re-queries and fetches
    the maintained representative — the view repairs incrementally
@@ -68,8 +71,13 @@ def check_bit_identity(client, reference: ScoreEngine, weights, k: int) -> None:
     assert np.array_equal(served["order"], direct.order), "order diverged"
 
 
-def query_storm(url: str, k: int, d: int, threads: int, seed: int):
-    """Concurrent clients; returns [(weights, response), ...]."""
+def query_storm(url: str, k: int, d: int, threads: int, seed: int, local=None):
+    """Concurrent clients; returns [(weights, response), ...].
+
+    With a ``local`` server the dispatcher is paused until every request
+    is queued, so the storm coalesces instead of being answered one read
+    at a time as each arrives.
+    """
     results = [None] * threads
 
     def worker(i):
@@ -78,8 +86,17 @@ def query_storm(url: str, k: int, d: int, threads: int, seed: int):
             results[i] = (weights, client.topk(weights, k))
 
     pool = [threading.Thread(target=worker, args=(i,)) for i in range(threads)]
+    if local is not None:
+        local.call(local.server.pause)
+        time.sleep(0.1)
+        queued = local.server.stats()["requests"] + threads
     for t in pool:
         t.start()
+    if local is not None:
+        deadline = time.time() + 30
+        while time.time() < deadline and local.server.stats()["requests"] < queued:
+            time.sleep(0.02)
+        local.call(local.server.resume)
     for t in pool:
         t.join()
     return results
@@ -159,7 +176,7 @@ def main(argv=None) -> None:
         reference = ScoreEngine(data.values, float32=True)
 
         print(f"\n[1] coalescing: {storm} concurrent top-{k} clients")
-        stormed = query_storm(url, k, d, threads=storm, seed=100)
+        stormed = query_storm(url, k, d, threads=storm, seed=100, local=local)
         for weights, response in stormed:
             direct = reference.topk_batch(weights, k)
             assert np.array_equal(response["members"], direct.members)
@@ -169,6 +186,16 @@ def main(argv=None) -> None:
             f"    {stats['requests']} requests -> {stats['batches']} engine "
             f"batches ({stats['coalesced']} coalesced); all bit-identical"
         )
+        lone = 4
+        for _ in range(lone):
+            check_bit_identity(client, reference, rng.random((1, d)), k)
+        inline = client.stats()["coalescing"]["inline"]
+        print(f"    {lone} lone reads; {inline} reads answered at admission so far")
+        if local is not None:
+            assert stats["coalesced"] >= 2, "the storm never coalesced"
+            # The fault drill's zero cutover fans every call out, which
+            # keeps its reads on the engine thread.
+            assert (inline > 0) == (injector is None), "unexpected inline count"
 
         print(f"\n[2] churn: {ticks} ticks of ~1% insert+delete")
         matrix = data.values.copy()

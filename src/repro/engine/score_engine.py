@@ -55,7 +55,10 @@ one function — is answered by that scalar kernel directly, per function
 rank).  The kernel *is* the definition every tier is checked against,
 so the route needs no band; below the cutover it is cheaper than the
 ladder's fixed cost of some fifty numpy calls.  Fan-out work units,
-k-skyband children and large batches keep the ladder.
+k-skyband children and large batches keep the ladder.  :meth:`small_call`
+tells a caller in advance that a call will take this route with
+nothing to settle first; the serving front-end answers such reads on
+its event loop.
 
 Every band — the contested width, the pruning floors, the float32 range
 guard and the k-skyband margin — comes from one model in
@@ -648,6 +651,26 @@ class ScoreEngine:
             return "rows"
         return None
 
+    def _scalar_route(self, m: int) -> bool:
+        """Whether a serial m-function call takes the small-call route."""
+        return m * self.n <= _SCALAR_MAX_WORK
+
+    def small_call(self, m: int) -> bool:
+        """Whether an m-function top-k or rank call would be answered by
+        the small-call route with nothing to settle first: no journaled
+        rows, no pending ``tune="auto"`` calibration, no fan-out plan.
+
+        Such a call costs one scalar kernel per function (at most
+        ``_SCALAR_MAX_WORK`` score entries in all), which is what lets
+        :mod:`repro.serve.coalesce` answer it on the event loop.
+        """
+        return (
+            not self._dirty_rows
+            and not self._tune_pending
+            and self._parallel_plan(m) is None
+            and self._scalar_route(m)
+        )
+
     def _build_executor(self):
         """Construct (and keep) the thread pool executor."""
         from repro.engine.parallel import ThreadExecutor
@@ -668,7 +691,7 @@ class ScoreEngine:
             self._supervisor = Supervisor(self, self._resilience_policy)
         return self._supervisor
 
-    def submit(self, method: str, /, *args, **kwargs):
+    def submit(self, method: str, /, *args, inline: bool = False, **kwargs):
         """Run ``self.<method>(*args, **kwargs)`` (or a bare callable)
         off-thread; return a :class:`concurrent.futures.Future`.
 
@@ -682,7 +705,11 @@ class ScoreEngine:
         An asyncio caller bridges the returned
         :class:`concurrent.futures.Future` with
         :func:`asyncio.wrap_future`; synchronous callers just
-        ``.result()`` it.
+        ``.result()`` it.  ``inline=True`` runs the call on the caller's
+        thread instead, at once, and returns it completed: for a caller
+        that knows nothing else is in flight, so that the order holds
+        without the hop (the serving coalescer's lone small reads, see
+        :mod:`repro.serve.coalesce`).
 
         The dispatch thread is torn down by :meth:`close` (pending work
         is cancelled, the in-flight call finishes first) and — like the
@@ -699,6 +726,15 @@ class ScoreEngine:
                     f"submit() target must be a public engine method or a "
                     f"callable, got {method!r}"
                 )
+        if inline:
+            from concurrent.futures import Future
+
+            done = Future()
+            try:
+                done.set_result(fn(*args, **kwargs))
+            except Exception as exc:
+                done.set_exception(exc)
+            return done
         if self._submit_pool is None:
             with self._submit_lock:
                 if self._submit_pool is None:
@@ -863,7 +899,7 @@ class ScoreEngine:
         if plan == "rows":
             parts = self._supervised().run_row_chunks("topk_rows", W, self.n, args=(k,))
             return self._topk_merge_candidates(W, k, parts)
-        if W.shape[0] * self.n <= _SCALAR_MAX_WORK:
+        if self._scalar_route(W.shape[0]):
             # Small-call route (module docstring): scored, never contested.
             self.stats["scalar_columns"] += W.shape[0]
             self.stats["gemm_columns"] += W.shape[0]
@@ -1153,6 +1189,8 @@ class ScoreEngine:
     def _build_attribute_orderings(self) -> None:
         """Add the per-attribute orderings (lazily, once justified)."""
         self._ensure_orderings()
+        if self._attr_orderings_built:
+            return
         self._attr_orderings_built = True
         if self.n * self.d * (self.d + 1) * 8 > (1 << 29):
             return  # the extra copies would dwarf the matrix; skip
@@ -1552,7 +1590,7 @@ class ScoreEngine:
             return np.concatenate(parts)
         if plan == "rows":
             return self._rank_row_merge(W, members)
-        if m * self.n <= _SCALAR_MAX_WORK:
+        if self._scalar_route(m):
             # Small-call route (module docstring): every row is read.
             self.stats["scalar_columns"] += m
             self.stats["gemm_columns"] += m

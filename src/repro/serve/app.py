@@ -13,8 +13,9 @@ views) behind a coalescing request queue.  Endpoints:
 ``POST /v1/delete``           ``{"indices": [...]}`` → deleted count (journaled)
 ============================  ======================================================
 
-Queries coalesce (see :mod:`repro.serve.coalesce`); mutations and
-representative refreshes are barriers.  Mutations feed the engine's
+Queries coalesce (see :mod:`repro.serve.coalesce`), and a lone small
+read on an idle server is answered on the event loop as it arrives;
+mutations and representative refreshes are barriers.  Mutations feed the engine's
 delta journal, and every maintained representative view hears about
 them through its delta subscription — the next ``/v1/representative``
 pays only the incremental repair.  A top-k reply is ``{"order", "n",
@@ -44,7 +45,10 @@ one fsync'd WAL record *before its response leaves the engine thread*
 acknowledged second), bundling the delta events with the request's
 idempotency key and response body.  A client that retries an ambiguous
 failure with the same ``idempotency_key`` gets the stored response back
-and the engine is untouched — exactly-once, across restarts.  Snapshots
+and the engine is untouched — exactly-once, across restarts.  A commit
+that raises (disk full, I/O error) leaves memory ahead of the log, so
+the server fails stop: data requests answer 503 and ``/health`` reports
+``failed`` until a restart recovers from the log.  Snapshots
 are cut on a WAL size/age policy and on graceful drain (SIGTERM /
 SIGINT in :func:`serve`: stop admissions with 503, drain the coalescer,
 snapshot, exit 0).
@@ -143,6 +147,9 @@ class Server:
         self._views: dict[tuple[str, int], object] = {}
         self._server: asyncio.base_events.Server | None = None
         self._draining = False
+        # Set when a WAL commit failed: memory is ahead of the log, so the
+        # server answers no data request until a restart (fail-stop).
+        self._failure: str | None = None
         self.port: int | None = None  # resolved at start (0 = ephemeral)
 
     def _boot(self, values: np.ndarray, stack: contextlib.ExitStack) -> None:
@@ -348,9 +355,11 @@ class Server:
             return 404, {"error": f"unknown endpoint {request.path}"}
         if self._draining:
             return 503, {"error": "server is draining; retry against a peer"}
+        if self._failure is not None:
+            return 503, {"error": self._failure}
         try:
             body = request.json()
-            return await handler(body)
+            status, payload = await handler(body)
         except http.ProtocolError as exc:
             return exc.status, {"error": str(exc)}
         except asyncio.QueueFull:
@@ -366,6 +375,11 @@ class Server:
         except Exception:  # noqa: BLE001 - answer it; the connection stays usable
             _log.exception("internal error serving %s %s", request.method, request.path)
             return 500, {"error": "internal error"}
+        if self._failure is not None:
+            # Queued behind the failed commit: the answer may read (or a
+            # write would extend) state the log does not hold.
+            return 503, {"error": self._failure}
+        return status, payload
 
     # -- endpoint bodies ------------------------------------------------
     def _health(self) -> dict:
@@ -378,6 +392,8 @@ class Server:
             "queue_depth": self._coalescer.depth,
             "durable": self._store is not None,
         }
+        if self._failure is not None:
+            out["status"], out["error"] = "failed", self._failure
         if self._store is not None:
             # Operators watch these two to see the snapshot cycle breathe:
             # bytes accumulate, a snapshot cuts, both drop to zero.
@@ -458,33 +474,37 @@ class Server:
 
     async def _handle_insert(self, body: dict) -> tuple[int, dict]:
         rows = _parse_matrix(body, "rows", self.session.engine.d)
-        key = _parse_key(body)
         engine = self.session.engine
 
-        def run():
-            stored = self._idempotency.get(key) if key is not None else None
-            if stored is not None:
-                return dict(stored)  # exactly-once: engine untouched
+        def apply():
             indices = engine.insert_rows(rows)
             engine.compact()  # settle now: views repair, revision bumps
-            response = {"indices": indices.tolist(), "revision": engine.revision}
-            self._commit_mutation(key, response)
-            return response
+            return {"indices": indices.tolist(), "revision": engine.revision}
 
-        return 200, await self._barrier(run)
+        return await self._mutate(_parse_key(body), apply)
 
     async def _handle_delete(self, body: dict) -> tuple[int, dict]:
         indices = _parse_indices(body, "indices")
-        key = _parse_key(body)
         engine = self.session.engine
 
-        def run():
-            stored = self._idempotency.get(key) if key is not None else None
-            if stored is not None:
-                return dict(stored)
+        def apply():
             deleted = engine.delete_rows(indices)
             engine.compact()
-            response = {"deleted": int(deleted), "revision": engine.revision}
+            return {"deleted": int(deleted), "revision": engine.revision}
+
+        return await self._mutate(_parse_key(body), apply)
+
+    async def _mutate(self, key: str | None, apply) -> tuple[int, dict]:
+        """One mutation barrier: a stored key answers from the table,
+        anything else applies, commits, then acknowledges."""
+
+        def run():
+            if self._failure is not None:
+                return None  # queued behind a failed commit: _dispatch answers 503
+            stored = self._idempotency.get(key) if key is not None else None
+            if stored is not None:
+                return dict(stored)  # exactly-once: engine untouched
+            response = apply()
             self._commit_mutation(key, response)
             return response
 
@@ -497,19 +517,30 @@ class Server:
         Runs inside the mutation's barrier, after compact and before the
         response future resolves — the write-ahead discipline: the
         fsync'd record (delta events + key + response) is what makes the
-        acknowledgment safe to send.  The size/age snapshot policy is
-        checked here too, on the same thread, while the engine is
-        settled.
+        acknowledgment safe to send, so the key is stored only after it.
+        A commit that raises leaves memory ahead of the log: the server
+        fails stop (every later data request answers 503, ``/health``
+        says why) until a restart recovers from the log; the commit is
+        not retried and memory is not rolled back.  The size/age
+        snapshot policy is checked here too, on the same thread, while
+        the engine is settled.
         """
+        if self._store is not None:
+            try:
+                self._store.commit(key, response if key is not None else None,
+                                   self.session.engine.revision)
+            except Exception as exc:
+                self._failure = (
+                    f"a write-ahead-log commit failed ({exc!r}); no data is "
+                    "served until a restart recovers from the log"
+                )
+                raise
         if key is not None:
             self._idempotency[key] = response
             while len(self._idempotency) > _MAX_IDEMPOTENCY_KEYS:
                 self._idempotency.pop(next(iter(self._idempotency)))
-        if self._store is not None:
-            self._store.commit(key, response if key is not None else None,
-                               self.session.engine.revision)
-            if self._store.should_snapshot():
-                self._snapshot_now()
+        if self._store is not None and self._store.should_snapshot():
+            self._snapshot_now()
 
     def _snapshot_now(self) -> None:
         """Snapshot the settled engine state (engine thread / boot only)."""
@@ -522,8 +553,9 @@ class Server:
         )
 
     def _final_snapshot(self) -> None:
-        """The graceful-drain snapshot: only if the WAL holds anything."""
-        if self._store is not None and self._store.wal_dirty:
+        """The graceful-drain snapshot: only if the WAL holds anything,
+        and never after a failed commit (memory is ahead of the log)."""
+        if self._store is not None and self._store.wal_dirty and self._failure is None:
             self._snapshot_now()
 
     # -- helpers --------------------------------------------------------

@@ -22,11 +22,22 @@ Correctness rests on two facts:
   mutations are barriers — never coalesced with queries, never
   reordered around them.  A query enqueued before an insert observes
   the pre-insert revision; one enqueued after observes the post-insert
-  revision; no third outcome exists.
+  revision; no third outcome exists.  One read skips the queue: a top-k
+  or rank read offered while the coalescer is idle — started, not
+  paused, nothing queued, and the dispatcher holding no dequeued item —
+  whose call the engine would answer by its small-call route with
+  nothing to settle (:meth:`ScoreEngine.small_call`) is answered at
+  admission, on the event loop (still through the engine's submission
+  seam, with ``inline=True``).  Nothing is ahead of it, so it is its
+  own serialization point.  The dispatcher counts as busy from the
+  moment it dequeues an item until the last group of that batch
+  completes, across a pause too, so a read offered while anything is
+  queued, held or running waits behind it.
 
 Admission control is the queue bound: :meth:`Coalescer.offer` raises
 :class:`asyncio.QueueFull` when ``max_pending`` requests are already
-waiting, which the HTTP layer maps to a typed 429.
+waiting, which the HTTP layer maps to a typed 429.  A read answered at
+admission is never queued, so it is never refused.
 
 The barrier ordering is also the durability ordering: a mutation
 barrier's ``run`` executes apply → compact → WAL append+fsync → build
@@ -40,7 +51,7 @@ mutation durable.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
 import numpy as np
@@ -69,17 +80,12 @@ class CoalesceStats:
     requests: int = 0
     batches: int = 0
     coalesced: int = 0  # requests that shared an engine call with others
+    inline: int = 0  # reads answered at admission, on the event loop
     rejected: int = 0
     by_kind: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "batches": self.batches,
-            "coalesced": self.coalesced,
-            "rejected": self.rejected,
-            "by_kind": dict(self.by_kind),
-        }
+        return asdict(self)
 
 
 class Coalescer:
@@ -92,18 +98,51 @@ class Coalescer:
         self._task: asyncio.Task | None = None
         self._paused = asyncio.Event()
         self._paused.set()  # set = running; cleared = paused (tests)
+        self._busy = False  # the dispatcher holds a dequeued batch
         self.stats = CoalesceStats()
 
     # -- admission ------------------------------------------------------
     def offer(self, item: WorkItem) -> asyncio.Future:
-        """Enqueue; raises :class:`asyncio.QueueFull` when over capacity."""
-        try:
-            self._queue.put_nowait(item)
-        except asyncio.QueueFull:
-            self.stats.rejected += 1
-            raise
+        """Admit one request; returns the future its answer lands on.
+
+        A top-k or rank read offered while the coalescer is idle, whose
+        call the engine would answer by its small-call route with
+        nothing to settle (:meth:`ScoreEngine.small_call`), is answered
+        here, on the event loop, through ``ScoreEngine.submit(...,
+        inline=True)``: the future comes back resolved, with the answer
+        or the exception, and the read counts as one request and one
+        batch of one (``inline``).  Everything else is queued
+        for the dispatcher; raises :class:`asyncio.QueueFull` when
+        ``max_pending`` requests are already waiting.
+        """
+        inline = (
+            item.comparable
+            # Idle: started, not paused, nothing queued and nothing held.
+            and self._task is not None
+            and self._paused.is_set()
+            and not self._busy
+            and self._queue.empty()
+            and self._engine.small_call(item.weights.shape[0])
+        )
+        if not inline:
+            try:
+                self._queue.put_nowait(item)
+            except asyncio.QueueFull:
+                self.stats.rejected += 1
+                raise
         self.stats.requests += 1
         self.stats.by_kind[item.kind] = self.stats.by_kind.get(item.kind, 0) + 1
+        if inline:
+            self.stats.batches += 1
+            self.stats.inline += 1
+            done = self._engine.submit(
+                lambda: self._query(item.kind, item.key, item.payload, item.weights),
+                inline=True,
+            )
+            if done.exception() is None:
+                _resolve(item, done.result())
+            else:
+                item.future.set_exception(done.exception())
         return item.future
 
     @property
@@ -169,6 +208,10 @@ class Coalescer:
         while True:
             await self._paused.wait()
             first = await self._queue.get()
+            # Busy until the batch's last group completes, a pause
+            # included: a read answered at admission meanwhile would
+            # overtake ``first``.
+            self._busy = True
             # Re-check: a pause issued while parked in get() must hold
             # the already-dequeued item too, not slip one batch through.
             await self._paused.wait()
@@ -178,6 +221,7 @@ class Coalescer:
                 batch.append(self._queue.get_nowait())
             for group in _adjacent_groups(batch):
                 await self._execute(group)
+            self._busy = False
 
     async def _execute(self, group: list[WorkItem]) -> None:
         self.stats.batches += 1
@@ -186,43 +230,33 @@ class Coalescer:
         item = group[0]
         try:
             if item.kind == "barrier":
-                result = await self._submit(item.run)
-                _resolve(item, result)
+                _resolve(item, await self._submit(item.run))
                 return
             weights = np.concatenate([it.weights for it in group], axis=0)
-            if item.kind == "topk":
-                k = item.key
-                # ``n`` is read beside ``revision``, after the call: the
-                # row count the answer was computed over.
-                order, n, revision = await self._submit(
-                    lambda: (
-                        self._engine.topk_orders(weights, k),
-                        self._engine.n,
-                        self._engine.revision,
-                    )
-                )
-                offset = 0
-                for it in group:
-                    m = it.weights.shape[0]
-                    _resolve(it, (order[offset : offset + m], n, revision))
-                    offset += m
-            else:  # "rank"
-                subset = group[0].payload["subset"]
-                ranks, revision = await self._submit(
-                    lambda: (
-                        self._engine.rank_of_best_batch(weights, subset),
-                        self._engine.revision,
-                    )
-                )
-                offset = 0
-                for it in group:
-                    m = it.weights.shape[0]
-                    _resolve(it, (ranks[offset : offset + m], revision))
-                    offset += m
+            rows, *at = await self._submit(
+                lambda: self._query(item.kind, item.key, item.payload, weights)
+            )
+            offset = 0
+            for it in group:
+                m = it.weights.shape[0]
+                _resolve(it, (rows[offset : offset + m], *at))
+                offset += m
         except Exception as exc:
             for it in group:
                 if not it.future.done():
                     it.future.set_exception(exc)
+
+    def _query(self, kind: str, key, payload: dict, weights: np.ndarray) -> tuple:
+        """The engine call behind a top-k or rank read, on either path.
+
+        Returns ``(order, n, revision)`` for top-k, with ``n`` read
+        beside ``revision`` after the call (the row count the answer was
+        computed over), and ``(ranks, revision)`` for rank.
+        """
+        engine = self._engine
+        if kind == "topk":
+            return engine.topk_orders(weights, key), engine.n, engine.revision
+        return engine.rank_of_best_batch(weights, payload["subset"]), engine.revision
 
     async def _submit(self, fn):
         return await asyncio.wrap_future(self._engine.submit(fn))

@@ -449,6 +449,32 @@ class TestSmallCalls:
             assert ranks[j] == _gemv_rank_of_best(small, w, [3, 500])
             assert np.array_equal(order[j], top_k(small, w, 15))
 
+    def test_small_call_predicts_the_route_with_nothing_to_settle(self, values):
+        routed = score_engine._SCALAR_MAX_WORK // values.shape[0]
+        engine = ScoreEngine(values, tune=TuningProfile())
+        assert engine.small_call(1) and engine.small_call(routed)
+        assert not engine.small_call(routed + 1)  # above the cutover
+        for m in (1, routed, routed + 1):
+            W = sample_functions(4, m, 22)
+            calls = (
+                lambda: engine.topk_orders(W, 15),
+                lambda: engine.rank_of_best_batch(W, [7, 1_234]),
+            )
+            for call in calls:  # both call sites route as the predicate says
+                before = engine.stats["scalar_columns"]
+                call()
+                assert (engine.stats["scalar_columns"] > before) == engine.small_call(m)
+        engine.insert_rows(values[:2])
+        assert not engine.small_call(1)  # journaled rows to compact
+        engine.compact()
+        assert engine.small_call(1)
+        assert not ScoreEngine(values, tune="auto").small_call(1)  # calibration due
+        with ScoreEngine(values, n_jobs=2, tune=TuningProfile()) as engine:
+            assert engine.small_call(1)  # two workers, no plan at this size
+        profile = TuningProfile(parallel_min_work=0)
+        with ScoreEngine(values, n_jobs=2, tune=profile) as engine:
+            assert not engine.small_call(1)  # a fan-out plan
+
     def test_candidate_child_never_routes(self, values):
         # The child answers 256 nonnegative functions over 222 band rows,
         # under the cutover, and still runs the ladder.
@@ -462,3 +488,15 @@ class TestSmallCalls:
         assert engine.stats["scalar_columns"] == 0
         for j, w in enumerate(W):
             assert np.array_equal(order[j], top_k(small, w, 5))
+
+
+def test_attribute_orderings_are_built_once():
+    values = np.random.default_rng(23).random((500, 4))
+    engine = ScoreEngine(values)
+    W = sample_functions(4, 8, 24)
+    order, ranks = engine.topk_orders(W, 5), engine.rank_of_best_batch(W, [3, 77])
+    engine._build_attribute_orderings()
+    engine._build_attribute_orderings()
+    assert len(engine._orderings) == values.shape[1] + 1
+    assert np.array_equal(engine.topk_orders(W, 5), order)
+    assert np.array_equal(engine.rank_of_best_batch(W, [3, 77]), ranks)

@@ -11,6 +11,7 @@ cutover, so without it the pool would never run.
 """
 
 import asyncio
+import concurrent.futures
 import threading
 import time
 
@@ -39,6 +40,15 @@ def fanout_profile(tmp_path):
     """A saved profile whose zero cutover makes every call fan out."""
     path = tmp_path / "profile.json"
     TuningProfile(parallel_min_work=0).save(path)
+    return str(path)
+
+
+@pytest.fixture
+def pinned_profile(tmp_path):
+    """A saved default profile: no first-call calibration is pending, so
+    a small read on an idle server is answered at admission."""
+    path = tmp_path / "pinned.json"
+    TuningProfile().save(path)
     return str(path)
 
 
@@ -341,3 +351,197 @@ def test_overload_returns_typed_429(matrix):
         warm.close()
     assert outcomes.count("429") >= 1
     assert outcomes.count("ok") >= 1
+
+
+def _threads_of_reads(engine):
+    """Record the thread every top-k and rank call runs on from now on."""
+    threads = []
+    for name in ("topk_orders", "rank_of_best_batch"):
+        kernel = getattr(engine, name)
+
+        def recorded(*args, kernel=kernel):
+            threads.append(threading.current_thread().name)
+            return kernel(*args)
+
+        setattr(engine, name, recorded)
+    return threads
+
+
+def _dispatched(engine):
+    """Count the calls sent to the engine's dispatch thread from now on."""
+    calls = []
+    submit = engine.submit
+
+    def counted(fn, *args, inline=False, **kwargs):
+        if not inline:
+            calls.append(fn)
+        return submit(fn, *args, inline=inline, **kwargs)
+
+    engine.submit = counted
+    return calls
+
+
+def test_idle_server_answers_lone_reads_at_admission(matrix, pinned_profile):
+    """Lone small reads on an idle server never reach the engine thread;
+    a write still does, and every answer equals a direct engine call at
+    the revision it reports."""
+    subset = [5, 77, 2048]
+    rows = np.random.default_rng(700).random((3, 4))
+    server = ServerThread(matrix, ServerConfig(port=0, tuning_profile=pinned_profile))
+    replies = []
+    with server as url, ServiceClient(url, timeout=60) as client:
+        engine = server.server.session.engine
+        calls, threads = _dispatched(engine), _threads_of_reads(engine)
+        rng = np.random.default_rng(701)
+        for step in range(12):
+            if step == 6:
+                client.insert(rows)
+            w = rng.random((1 + step % 3, 4))
+            reply = client.topk(w, 5) if step % 2 == 0 else client.rank(w, subset)
+            replies.append((w, reply))
+        stats = client.stats()["coalescing"]
+        assert len(calls) == 1  # the insert barrier, nothing else
+    assert threads == ["repro-serve"] * 12  # the event loop's thread
+    assert stats["inline"] == 12 and stats["batches"] == 13
+    assert stats["requests"] == 13 and stats["coalesced"] == 0
+    for revision, values in [(0, matrix), (1, np.vstack([matrix, rows]))]:
+        with ScoreEngine(values, float32=True) as direct:
+            for w, reply in replies:
+                if reply["revision"] != revision:
+                    continue
+                if "order" in reply:
+                    assert reply["n"] == values.shape[0]
+                    assert np.array_equal(reply["order"], direct.topk_orders(w, 5))
+                else:
+                    assert np.array_equal(reply["ranks"], direct.rank_of_best_batch(w, subset))
+    assert [reply["revision"] for _, reply in replies] == [0] * 6 + [1] * 6
+
+
+def test_read_offered_while_a_barrier_runs_waits_for_it(matrix, pinned_profile):
+    """A small read offered while a write runs on the engine thread is
+    queued behind it and reports the post-write revision."""
+    rows = np.random.default_rng(710).random((2, 4))
+    w = np.random.default_rng(711).random((1, 4))
+    release = threading.Event()
+    server = ServerThread(matrix, ServerConfig(port=0, tuning_profile=pinned_profile))
+    out = {}
+    with server as url:
+        engine = server.server.session.engine
+        insert_rows = engine.insert_rows
+
+        def held_insert(new_rows):
+            release.wait(30)
+            return insert_rows(new_rows)
+
+        engine.insert_rows = held_insert
+
+        def send(name, call):
+            with ServiceClient(url, timeout=60) as client:
+                out[name] = call(client)
+
+        writer = threading.Thread(target=send, args=("insert", lambda c: c.insert(rows)))
+        writer.start()
+        coalescer = server.server._coalescer
+        deadline = time.time() + 10
+        while time.time() < deadline and not coalescer._busy:
+            time.sleep(0.01)
+        reader = threading.Thread(target=send, args=("read", lambda c: c.topk(w, 5)))
+        reader.start()
+        while time.time() < deadline and coalescer.depth < 1:
+            time.sleep(0.01)
+        time.sleep(0.2)
+        assert coalescer.depth == 1 and "read" not in out
+        release.set()
+        for t in (writer, reader):
+            t.join(timeout=60)
+            assert not t.is_alive()
+        stats = coalescer.stats.as_dict()
+    assert out["read"]["revision"] == out["insert"]["revision"] == 1
+    assert stats["inline"] == 0
+    with ScoreEngine(np.vstack([matrix, rows]), float32=True) as direct:
+        assert np.array_equal(out["read"]["order"], direct.topk_orders(w, 5))
+
+
+def test_read_offered_as_a_paused_write_resumes_waits_for_it():
+    """The dispatcher holds a dequeued write across a pause: a read
+    offered in the loop tick that resumes it must run after the write."""
+
+    class _Engine:
+        n, revision = 10, 0
+
+        def __init__(self):
+            self.calls = []
+
+        def small_call(self, m):
+            return True
+
+        def topk_orders(self, weights, k):
+            self.calls.append(("read", self.revision))
+            return np.zeros((weights.shape[0], k), dtype=np.int64)
+
+        def submit(self, fn, inline=False):
+            future = concurrent.futures.Future()
+            future.set_result(fn())
+            return future
+
+    async def scenario():
+        engine = _Engine()
+        coalescer = Coalescer(engine)
+        coalescer.start()
+        loop = asyncio.get_running_loop()
+        await asyncio.sleep(0)  # the dispatcher parks in get()
+        coalescer.pause()
+
+        def write():
+            engine.calls.append(("write", engine.revision))
+            engine.revision += 1
+
+        write_item = WorkItem(
+            kind="barrier", payload={}, future=loop.create_future(), run=write
+        )
+        coalescer.offer(write_item)
+        for _ in range(3):
+            await asyncio.sleep(0)  # dequeued, then held by the pause
+        assert coalescer.depth == 0 and engine.calls == []
+        coalescer.resume()
+        read = coalescer.offer(
+            WorkItem(
+                kind="topk", payload={}, future=loop.create_future(), key=2,
+                weights=np.ones((1, 3)),
+            )
+        )
+        _, _, revision = await read
+        await write_item.future
+        await coalescer.stop()
+        assert engine.calls == [("write", 0), ("read", 1)]
+        assert revision == 1 and coalescer.stats.inline == 0
+
+    asyncio.run(scenario())
+
+
+def test_admission_path_keeps_error_statuses(matrix, pinned_profile):
+    """A read answered at admission maps its errors like a queued one:
+    a subset index past n answers 400, an unexpected exception 500."""
+    w = np.random.default_rng(720).random((1, 4))
+    server = ServerThread(matrix, ServerConfig(port=0, tuning_profile=pinned_profile))
+    calls = []
+
+    def broken(*args):
+        calls.append(args)
+        raise RuntimeError("engine fault")
+
+    with server as url, ServiceClient(url, timeout=30, max_retries=0) as client:
+        with pytest.raises(ServiceError) as err:
+            client.rank(w, [0, matrix.shape[0]])
+        assert err.value.status == 400
+        with pytest.raises(ServiceError) as err:
+            client.topk(w, matrix.shape[0] + 1)
+        assert err.value.status == 400
+        server.server.session.engine.rank_of_best_batch = broken
+        with pytest.raises(ServiceError) as err:
+            client.rank(w, [0, 1])
+        assert err.value.status == 500 and len(calls) == 1
+        reply = client.topk(w, 5)
+        stats = client.stats()["coalescing"]
+    assert stats["inline"] == 4 and stats["batches"] == 4
+    assert np.array_equal(reply["order"][0], top_k(matrix, w[0], 5))

@@ -1,6 +1,7 @@
 """HTTP layer + server endpoints: parsing, routing, errors, lifecycle."""
 
 import asyncio
+import errno
 import io
 import json
 import socket
@@ -10,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.engine import ScoreEngine
+from repro.engine import DurableStore, ScoreEngine
 from repro.serve import (
     ServerConfig,
     ServerThread,
@@ -379,7 +380,7 @@ def test_representative_rejects_unknown_method(served):
 def test_mutations_update_views_and_queries():
     matrix = np.random.default_rng(5).random((600, 3))
     from repro.core.mdrc import mdrc
-    from repro.engine import ScoreEngine
+    from repro.engine import DurableStore, ScoreEngine
 
     with ServerThread(matrix, ServerConfig(port=0)) as url:
         with ServiceClient(url, timeout=120) as client:
@@ -407,7 +408,7 @@ def test_mutations_update_views_and_queries():
 
 def test_rank_endpoint_matches_direct(served):
     matrix, server = served
-    from repro.engine import ScoreEngine
+    from repro.engine import DurableStore, ScoreEngine
 
     weights = np.random.default_rng(8).random((6, 3))
     subset = [3, 44, 199]
@@ -443,6 +444,45 @@ def test_unexpected_error_answers_500(caplog):
         assert np.array_equal(reply["order"], engine.topk_batch(weights, 4).order)
     logged = [r for r in caplog.records if r.name == "repro.serve" and r.exc_info]
     assert logged and "engine fault" in str(logged[0].exc_info[1])
+
+
+def test_failed_commit_is_not_acknowledged(tmp_path, monkeypatch):
+    # A WAL commit that raises leaves memory ahead of the log: the write
+    # answers 500, its keyed retry is not acknowledged, and a restart
+    # recovers the pre-write state, where the retry applies exactly once.
+    matrix = np.random.default_rng(30).random((300, 3))
+    rows = np.random.default_rng(31).random((2, 3))
+    config = ServerConfig(port=0, jobs=1, data_dir=str(tmp_path))
+    commit, failed = DurableStore.commit, []
+
+    def full_disk(self, *args):
+        if not failed:
+            failed.append(args)
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return commit(self, *args)
+
+    monkeypatch.setattr(DurableStore, "commit", full_disk)
+    server = ServerThread(matrix, config)
+    with server as url, ServiceClient(url, timeout=30, max_retries=0) as client:
+        with pytest.raises(ServiceError) as err:
+            client.insert(rows, idempotency_key="once")
+        assert err.value.status == 500
+        with pytest.raises(ServiceError) as err:
+            client.insert(rows, idempotency_key="once")
+        assert err.value.status == 503
+        with pytest.raises(ServiceError) as err:
+            client.topk(rows[:1], 3)
+        assert err.value.status == 503 and "commit failed" in err.value.payload["error"]
+        health = client.health()
+        assert health["status"] == "failed" and health["n"] == 302
+    with ServerThread(matrix, config) as url:
+        with ServiceClient(url, timeout=30, max_retries=0) as client:
+            assert client.health()["n"] == 300
+            first = client.insert(rows, idempotency_key="once")
+            again = client.insert(rows, idempotency_key="once")
+            assert first["indices"].tolist() == again["indices"].tolist() == [300, 301]
+            assert first["revision"] == again["revision"] == 1
+            assert client.health()["n"] == 302
 
 
 def test_draining_returns_503():

@@ -108,3 +108,31 @@ def test_history_renders_ab_only_file(tmp_path, capsys, monkeypatch):
     # The gate compares against the newest file that holds ops.
     newest, _ = gate._previous_bench(tmp_path / "BENCH_PR3.json")
     assert newest.name == "BENCH_PR1.json"
+
+
+def test_ab_exports_the_working_tree_as_on_disk(tmp_path, monkeypatch):
+    # The change side of an A/B runs from a copy, like REF's export:
+    # tracked files as edited on disk and untracked files that are not
+    # ignored; ignored files and tracked files deleted on disk stay out.
+    import subprocess
+
+    gate = _load_perf_gate()
+    repo, dest = tmp_path / "repo", tmp_path / "export"
+    (repo / "pkg").mkdir(parents=True)
+    dest.mkdir()
+    (repo / ".gitignore").write_text("*.log\n")
+    (repo / "pkg" / "kept.py").write_text("old\n")
+    (repo / "gone.py").write_text("x\n")
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["add", "-A"], check=True)
+    subprocess.run(git + ["commit", "-qm", "base"], check=True)
+    (repo / "pkg" / "kept.py").write_text("edited\n")
+    (repo / "new.py").write_text("new\n")
+    (repo / "run.log").write_text("ignored\n")
+    (repo / "gone.py").unlink()
+    monkeypatch.setattr(gate, "REPO_ROOT", repo)
+    gate._export_worktree(dest)
+    exported = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert exported == [".gitignore", "new.py", "pkg/kept.py"]
+    assert (dest / "pkg" / "kept.py").read_text() == "edited\n"

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Perf-regression gate: times the engine-backed hot paths, writes BENCH_*.json.
 
-Four bench-scale workloads (the ops the ``repro.engine`` refactor targets):
+Seven bench-scale workloads (the ops the ``repro.engine`` refactor targets):
 
 * ``mdrc``                — MDRC at d = 4 (frontier-batched corner probes);
 * ``ksetr``               — K-SETr sampling (k-skyband candidate set,
@@ -736,7 +736,7 @@ def _smoke_fault_identity(jobs: int | None) -> None:
     serial run.
     """
     from repro.engine import FaultInjector, RetryPolicy, ScoreEngine, TuningProfile
-    from repro.engine import faults
+    from repro.engine import faults, load_profile
     from repro.exceptions import CorruptStateError
     from repro.ranking.sampling import sample_functions
 
@@ -771,8 +771,10 @@ def _smoke_fault_identity(jobs: int | None) -> None:
             f"(injected={injector.total_injected})"
         )
 
-    # Torn tuning-profile JSON: load must fail with the typed error (the
-    # CLI recalibrates on it), and the atomic save must round-trip.
+    # Torn tuning-profile JSON: load must fail with the typed error, the
+    # loader behind --tuning-profile and the server must fall back to the
+    # defaults and leave the file's bytes alone, and the atomic save must
+    # round-trip.
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmpdir:
@@ -781,13 +783,19 @@ def _smoke_fault_identity(jobs: int | None) -> None:
         profile.save(path)
         assert TuningProfile.load(path) == profile
         path.write_text(profile.to_json()[: len(profile.to_json()) // 2])
+        torn = path.read_bytes()
         try:
             TuningProfile.load(path)
         except CorruptStateError:
             pass
         else:
             raise AssertionError("torn profile JSON loaded without error")
-    print("fault probe [torn-profile]: typed CorruptStateError, save atomic")
+        assert load_profile(str(path)) is None, "torn profile: the loader did not fall back"
+        assert path.read_bytes() == torn, "torn profile: the loader changed the file"
+    print(
+        "fault probe [torn-profile]: typed CorruptStateError, loader falls back "
+        "to the defaults, file untouched, save atomic"
+    )
 
     # Maintained views under chaos: the view repair path fans work
     # through the same supervised executors, so injected crashes must

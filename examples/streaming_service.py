@@ -4,7 +4,7 @@ Earlier revisions of this example hand-rolled the serving loop — engine
 lifecycle, churn absorption, view refreshes, fault drills — in ~200
 lines of bespoke plumbing.  All of that now lives in the service itself
 (:mod:`repro.serve`, ``repro serve`` on the command line): one
-long-lived calibrated engine, request coalescing, journaled mutations
+long-lived engine, request coalescing, journaled mutations
 feeding the maintained views, admission control and the resilience
 ladder.  What remains here is what a *user* of that service writes: an
 HTTP client.

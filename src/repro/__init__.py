@@ -25,10 +25,10 @@ Quickstart::
     print(result.indices, result.guarantee)
 
 For long-lived use (many calls over one dataset, mutations, serving),
-:class:`repro.Session` owns a single calibrated engine behind the same
+:class:`repro.Session` owns a single engine behind the same
 algorithms::
 
-    with repro.Session(data.values, jobs=-1, tune="auto") as session:
+    with repro.Session(data.values, jobs=-1) as session:
         result = session.mdrc(k=0.01)
         report = session.evaluate(result.indices, k=0.01)
 
@@ -37,7 +37,7 @@ Session over asyncio HTTP with request coalescing.
 
 Every public free function shares one keyword vocabulary: ``jobs``
 (worker count), ``backend`` (``auto``/``serial``/``thread``), ``tune`` (a :class:`~repro.engine.TuningProfile` or
-``"auto"``) and ``policy`` (a :class:`~repro.engine.RetryPolicy`).
+``None``) and ``policy`` (a :class:`~repro.engine.RetryPolicy`).
 """
 
 from repro.baselines import (

@@ -41,8 +41,9 @@ from typing import Sequence
 
 from repro.core.api import rank_regret_representative
 from repro.datasets.io import load_csv
+from repro.engine import load_profile
 from repro.evaluation.metrics import evaluate_representative
-from repro.exceptions import CorruptStateError, ReproError
+from repro.exceptions import ReproError
 from repro.experiments.config import BENCH_EXPERIMENTS, PAPER_EXPERIMENTS, KSetCountConfig
 from repro.experiments.report import (
     format_experiment_table,
@@ -78,11 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--tuning-profile", default=None, metavar="PATH",
-        help="JSON engine tuning profile (repro.engine.autotune): loaded "
-        "when the file exists, otherwise derived by a one-off calibration "
-        "probe on this command's dataset and written there, so services "
-        "skip the probe on restart; results are bit-identical either way "
-        "(a torn or checksum-failing file is recalibrated, not fatal)",
+        help="checksummed JSON engine tuning profile (repro.engine.autotune), "
+        "loaded if the file is present; a missing or torn file prints a "
+        "warning and the command runs on the default tuning, leaving the "
+        "file as it is; results are bit-identical either way",
     )
     common.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
@@ -214,54 +214,12 @@ def _resolve_level(k: float, n: int) -> int | float:
     return k if 0 < k < 1 else int(k)
 
 
-def _resolve_tuning(path: str | None, values=None, n_jobs: int | None = None):
-    """Load (or derive and persist) the CLI's engine tuning profile.
-
-    An existing file is loaded as-is.  A missing file triggers one
-    calibration probe — on ``values`` when the command has a concrete
-    dataset, else on a bench-scale synthetic stand-in, with the
-    command's ``--jobs`` setting so the derived cutover values match the engines the run will actually build — and the
-    derived profile is written to ``path`` so the next invocation skips
-    the probe.  Returns a value for the ``tune=`` plumbing (``None``
-    when no profile was requested).
-    """
-    if path is None:
-        return None
-    import os
-
-    from repro.engine import ScoreEngine, TuningProfile
-
-    if os.path.exists(path):
-        try:
-            return TuningProfile.load(path)
-        except CorruptStateError as exc:
-            # Torn write or checksum mismatch: the profile is only a
-            # performance hint, so recalibrate and rewrite it (atomic
-            # save) rather than failing the whole command.
-            print(
-                f"warning: tuning profile {path!r} failed its integrity "
-                f"check ({exc}); recalibrating",
-                file=sys.stderr,
-            )
-        except (ValueError, OSError) as exc:
-            raise ReproError(f"could not load tuning profile {path!r}: {exc}") from exc
-    if values is None:
-        from repro.experiments.runner import make_dataset
-
-        values = make_dataset("dot", 20_000, 4, seed=0).values
-    with ScoreEngine(values, n_jobs=n_jobs) as probe_engine:
-        profile = probe_engine.calibrate()
-    profile.save(path)
-    print(f"calibrated tuning profile written to {path}", file=sys.stderr)
-    return profile
-
-
 def _cmd_represent(args: argparse.Namespace, out) -> int:
     if args.csv:
         data = load_csv(args.csv).normalized()
     else:
         data = make_dataset(args.dataset, args.n, args.d, seed=args.seed)
-    tune = _resolve_tuning(args.tuning_profile, data.values, n_jobs=args.jobs)
+    tune = load_profile(args.tuning_profile)
     if args.maintain > 0:
         return _maintain_represent(args, data, tune, out)
     result = rank_regret_representative(
@@ -289,7 +247,7 @@ def _cmd_represent(args: argparse.Namespace, out) -> int:
 def _cmd_experiment(args: argparse.Namespace, out) -> int:
     configs = BENCH_EXPERIMENTS if args.scale == "bench" else PAPER_EXPERIMENTS
     config = configs[args.figure]
-    tune = _resolve_tuning(args.tuning_profile, n_jobs=args.jobs)
+    tune = load_profile(args.tuning_profile)
     if isinstance(config, KSetCountConfig):
         rows = run_kset_count(
             config, progress=lambda m: print(m, file=sys.stderr),
@@ -360,16 +318,16 @@ def _maintain_represent(args: argparse.Namespace, data, tune, out) -> int:
 def _cmd_ksets(args: argparse.Namespace, out) -> int:
     data = make_dataset(args.dataset, args.n, args.d, seed=args.seed)
     k = max(1, round(args.k * data.n)) if 0 < args.k < 1 else int(args.k)
+    tune = load_profile(args.tuning_profile)
     if args.maintain > 0:
-        return _maintain_ksets(args, data, k, out)
+        return _maintain_ksets(args, data, k, tune, out)
     if data.d == 2:
         ksets = enumerate_ksets_2d(data.values, k)
         print(f"exact 2-D enumeration: {len(ksets)} k-sets (k={k})", file=out)
     else:
         outcome = sample_ksets(
             data.values, k, patience=args.patience, rng=args.seed,
-            jobs=args.jobs, backend=args.backend,
-            tune=_resolve_tuning(args.tuning_profile, data.values, n_jobs=args.jobs),
+            jobs=args.jobs, backend=args.backend, tune=tune,
         )
         print(
             f"K-SETr: {len(outcome.ksets)} k-sets (k={k}) in "
@@ -380,7 +338,7 @@ def _cmd_ksets(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _maintain_ksets(args: argparse.Namespace, data, k: int, out) -> int:
+def _maintain_ksets(args: argparse.Namespace, data, k: int, tune, out) -> int:
     """``ksets --maintain``: keep the k-set collection live under churn."""
     import time
 
@@ -390,7 +348,6 @@ def _maintain_ksets(args: argparse.Namespace, data, k: int, out) -> int:
 
     if data.d == 2:
         raise ReproError("--maintain uses K-SETr; 2-D exact enumeration has no view")
-    tune = _resolve_tuning(args.tuning_profile, data.values, n_jobs=args.jobs)
     rng = np.random.default_rng(args.seed)
     with ScoreEngine(
         data.values, n_jobs=args.jobs, backend=args.backend, tune=tune
@@ -502,7 +459,7 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
                 progress=lambda m: print(m, file=sys.stderr),
                 jobs=args.jobs,
                 backend=args.backend,
-                tune=_resolve_tuning(args.tuning_profile, n_jobs=args.jobs),
+                tune=load_profile(args.tuning_profile),
             )
             if args.out:
                 with open(args.out, "w") as handle:

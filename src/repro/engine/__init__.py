@@ -25,17 +25,16 @@ path.
 
 :mod:`repro.engine.parallel` is the fan-out layer: with
 ``ScoreEngine(..., n_jobs=N, backend=...)`` every bulk call above a
-calibrated work cutover is split into function-chunk or row-chunk work
+work cutover is split into function-chunk or row-chunk work
 units, run over a persistent thread pool (zero-copy clones, GIL-free
 GEMM), and merged deterministically — bit-identical to the serial path.
 ``backend="serial"`` never fans out; ``"thread"`` and ``"auto"`` use the
 pool above the cutover.
 
-:mod:`repro.engine.autotune` is the self-tuning layer: every perf
-constant lives in a per-engine :class:`TuningProfile` (defaults = the
-legacy hand-tuned values), and a sub-second calibration probe
-(``ScoreEngine(..., tune="auto")`` / :meth:`ScoreEngine.calibrate`)
-derives machine- and matrix-specific values, persistable to JSON.
+:mod:`repro.engine.autotune` holds the tuning: every perf constant
+lives in a per-engine :class:`TuningProfile` (defaults = the legacy
+hand-tuned values), set by hand or loaded from checksummed JSON
+(:func:`load_profile`).
 :mod:`repro.engine.delta` gives long-lived engines incremental
 :meth:`ScoreEngine.insert_rows` / :meth:`ScoreEngine.delete_rows`:
 journaled mutations compact lazily by merge-repairing the orderings and
@@ -71,7 +70,7 @@ implementations that the equivalence tests and the perf-regression gate
 (``benchmarks/perf_gate.py``) compare against.
 """
 
-from repro.engine.autotune import TuningProfile, calibrate_engine
+from repro.engine.autotune import TuningProfile, load_profile
 from repro.engine.faults import FaultInjector
 from repro.engine.bitset import (
     BitsetTable,
@@ -122,7 +121,7 @@ __all__ = [
     "MDRRRView",
     "RankRegretView",
     "TuningProfile",
-    "calibrate_engine",
+    "load_profile",
     "RetryPolicy",
     "Supervisor",
     "get_default_policy",

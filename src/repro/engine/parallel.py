@@ -53,9 +53,7 @@ BACKENDS = ("auto", "serial", "thread")
 # Serial fast-path cutover: calls with fewer than this many score-matrix
 # entries (n rows x m functions) stay in the caller's thread, so small
 # problems never pay pool dispatch.  This is the *default profile* value
-# (one GEMM >~10 ms on the original sandbox);
-# :func:`repro.engine.autotune.calibrate_engine` derives a per-machine
-# cutover from measured GEMM throughput and pool-dispatch latency.
+# (one GEMM >~10 ms on the original sandbox); a TuningProfile overrides it.
 DEFAULT_MIN_PARALLEL_WORK = 1 << 23
 
 # Default work units per worker and parallel call: more units than

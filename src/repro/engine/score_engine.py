@@ -21,7 +21,7 @@ the ``(n, d)`` matrix and serves that batched path to every caller:
   score as a lower bound, so counting stops at a provably sufficient
   prefix instead of scanning all n rows.
 
-With ``n_jobs > 1`` every bulk call above a calibrated work cutover is
+With ``n_jobs > 1`` every bulk call above a work cutover is
 split into function-chunk or row-chunk work units and fanned out over an
 in-process thread pool of zero-copy engine clones
 (:mod:`repro.engine.parallel`); the exactness contract makes any split
@@ -288,10 +288,8 @@ class ScoreEngine:
     tune:
         Runtime tuning (:mod:`repro.engine.autotune`): ``None`` uses the
         default :class:`TuningProfile` (the legacy hand-tuned
-        constants), a profile instance adopts it as-is (e.g. one loaded
-        from JSON via :meth:`TuningProfile.load`), and ``"auto"`` runs
-        the calibration probe lazily before the first bulk call —
-        explicit :meth:`calibrate` does the same eagerly.  Any profile
+        constants), and a profile instance is adopted as-is (e.g. one
+        loaded from JSON via :meth:`TuningProfile.load`).  Any profile
         yields bit-identical results; only the speed changes.
     resilience:
         Failure handling for the fan-out layer
@@ -314,7 +312,7 @@ class ScoreEngine:
         backend: str = "auto",
         quantize: str | None = "auto",
         parallel_min_work: int | None = None,
-        tune: TuningProfile | str | None = None,
+        tune: TuningProfile | None = None,
         resilience: "RetryPolicy | None" = None,
     ) -> None:
         try:
@@ -334,19 +332,14 @@ class ScoreEngine:
         self.values = matrix
         self.n, self.d = matrix.shape
         self.float32 = bool(float32)
-        self._tune_pending = False
         if tune is None:
-            self._tuning = TuningProfile()
-        elif isinstance(tune, TuningProfile):
-            self._tuning = tune
-        elif tune == "auto":
-            self._tuning = TuningProfile()
-            self._tune_pending = True
-        else:
+            tune = TuningProfile()
+        elif not isinstance(tune, TuningProfile):
             raise ValidationError(
-                "tune must be None, 'auto' or a TuningProfile, "
-                f"got {tune!r} (load JSON profiles with TuningProfile.load)"
+                f"tune must be None or a TuningProfile, got {tune!r} "
+                "(load a saved profile with TuningProfile.load)"
             )
+        self._tuning = tune
         # Pruning orderings: candidate row orders with per-position upper
         # bounds on any remaining row's score (see _build_orderings).
         # All of them are built lazily: the norm ordering on the first
@@ -489,56 +482,6 @@ class ScoreEngine:
         """The engine's current tuning profile (read-only snapshot)."""
         return self._tuning
 
-    def calibrate(self, budget_s: float = 0.25) -> TuningProfile:
-        """Run the calibration probe now and adopt the resulting profile.
-
-        Measures GEMM throughput, per-call overhead, pool-dispatch
-        latency and the scalar/quantized kernel costs on this machine
-        and this matrix (:func:`repro.engine.autotune.calibrate_engine`),
-        then applies the derived profile wholesale — including over any
-        explicit ``chunk_bytes`` / ``parallel_min_work`` constructor
-        overrides.  Returns the profile so callers can persist it
-        (:meth:`TuningProfile.save`) and restart with ``tune=profile``
-        instead of re-probing.  Results stay bit-identical.
-        """
-        from repro.engine.autotune import calibrate_engine
-
-        self._tune_pending = False
-        self.compact()  # probe the post-mutation matrix
-        profile = calibrate_engine(self, budget_s=budget_s)
-        self._apply_tuning(profile)
-        return profile
-
-    def _apply_tuning(self, profile: TuningProfile) -> None:
-        """Adopt ``profile`` for every subsequent call."""
-        self._tuning = profile
-        self._tune_pending = False
-        chunk_bytes = max(int(profile.chunk_bytes), 8 * self.n)
-        self._chunk_bytes = chunk_bytes
-        self._chunk_cols = max(1, chunk_bytes // (8 * self.n))
-        self._parallel_min_work = int(profile.parallel_min_work)
-        if self._quantizer is not None:
-            self._quantizer.promote_window = int(profile.quant_promote_window)
-            self._quantizer.promote_limit = float(profile.quant_promote_limit)
-        self._grid_cache.clear()
-        self._candidates.clear()
-        # The pool's clones carry the old settings; rebuild lazily.
-        self.close()
-
-    def _sync(self) -> None:
-        """Settle deferred state before serving a query.
-
-        Applies any pending row mutations (compacting the journal into
-        every derived structure, see :mod:`repro.engine.delta`) and runs
-        the first-call calibration when the engine was constructed with
-        ``tune="auto"``.  Every public query entry point calls this, so
-        mutation and tuning latency is paid at a call boundary — never
-        inside the tiered kernels.
-        """
-        self.compact()
-        if self._tune_pending:
-            self.calibrate()
-
     # ------------------------------------------------------------------
     # incremental row updates (see repro.engine.delta)
     def insert_rows(self, rows: np.ndarray) -> np.ndarray:
@@ -571,7 +514,11 @@ class ScoreEngine:
         return delete_rows(self, indices)
 
     def compact(self) -> None:
-        """Apply any journaled row mutations now instead of lazily."""
+        """Apply any journaled row mutations now instead of lazily.
+
+        Every public query entry point calls this first, so mutation
+        latency is paid at a call boundary, never inside the tiers.
+        """
         if self._dirty_rows:
             from repro.engine.delta import flush_mutations
 
@@ -658,7 +605,7 @@ class ScoreEngine:
     def small_call(self, m: int) -> bool:
         """Whether an m-function top-k or rank call would be answered by
         the small-call route with nothing to settle first: no journaled
-        rows, no pending ``tune="auto"`` calibration, no fan-out plan.
+        rows, no fan-out plan.
 
         Such a call costs one scalar kernel per function (at most
         ``_SCALAR_MAX_WORK`` score entries in all), which is what lets
@@ -666,7 +613,6 @@ class ScoreEngine:
         """
         return (
             not self._dirty_rows
-            and not self._tune_pending
             and self._parallel_plan(m) is None
             and self._scalar_route(m)
         )
@@ -808,13 +754,12 @@ class ScoreEngine:
         clone._candidates = OrderedDict()
         clone._excess_work = 0
         clone._attr_orderings_built = True
-        # Clones are created inside a bulk call, i.e. after _sync():
+        # Clones are created inside a bulk call, i.e. after compact():
         # the journal is settled and no clone ever mutates rows.
         clone._pending_rows = []
         clone._live = None
         clone._dirty_rows = False
         clone._delta_subscribers = []
-        clone._tune_pending = False
         clone.stats = dict.fromkeys(self.stats, 0)
         # The adaptive rank-quant counters are inherited as-is: the clone
         # starts from the parent's evidence and the executor folds only
@@ -831,7 +776,7 @@ class ScoreEngine:
         should use :meth:`topk_batch` / :meth:`rank_of_best_batch`, which
         verify contested columns.
         """
-        self._sync()
+        self.compact()
         W = self._check_weights(weight_matrix)
         m = W.shape[0]
         # Function-chunk fan-out, aligned to the serial chunk boundaries
@@ -876,7 +821,7 @@ class ScoreEngine:
         the module docstring); the other functions of the call take the
         full path.
         """
-        self._sync()
+        self.compact()
         W = self._check_weights(weight_matrix)
         k = self._check_k(k)
         split = self._candidate_split(W, k)
@@ -957,7 +902,7 @@ class ScoreEngine:
         keep counting every function, whichever engine answered it.
         """
         # The chunk loop, not a public entry point: the child never has
-        # journaled rows or pending calibration to settle.
+        # journaled rows to settle.
         local = child._topk_chunks(W, k)
         for key, value in child.stats.items():
             self.stats[key] += value
@@ -973,7 +918,7 @@ class ScoreEngine:
         work unit the parallel layer ships to workers (packing happens
         once, in the parent, over the merged order matrix).
         """
-        self._sync()
+        self.compact()
         W = self._check_weights(weight_matrix)
         k = self._check_k(k)
         return self._topk_chunks(W, k)
@@ -1520,7 +1465,7 @@ class ScoreEngine:
         Returns a :class:`TopKBatch` with ``m = 1``; treat the arrays as
         read-only — they are shared with the memo.
         """
-        self._sync()
+        self.compact()
         w = np.ascontiguousarray(np.asarray(weights, dtype=np.float64).reshape(-1))
         if w.size != self.d:
             raise ValidationError(
@@ -1580,7 +1525,7 @@ class ScoreEngine:
         rows) can never inflate a rank, and the result is bit-identical
         to the pre-pruning full-scan path for every input.
         """
-        self._sync()
+        self.compact()
         W = self._check_weights(weight_matrix)
         members = self._check_subset(subset)
         m = W.shape[0]
@@ -1836,7 +1781,7 @@ class ScoreEngine:
         kernel).  Summing ``above`` over a partition of the rows equals
         the full-scan count because every uncontested decision is exact.
         """
-        self._sync()
+        self.compact()
         W = self._check_weights(weight_matrix)
         members = self._check_subset(subset)
         best = (W @ self.values[members].T).max(axis=1)
@@ -1898,7 +1843,7 @@ class ScoreEngine:
         ranks in the top-k of its own slice by exact scores and GEMM
         deviations are far smaller than the band.
         """
-        self._sync()
+        self.compact()
         W = self._check_weights(weight_matrix)
         k = self._check_k(k)
         height = hi - lo

@@ -1,6 +1,6 @@
 """``repro.serve`` — the asyncio serving front-end.
 
-One long-lived, calibrated :class:`repro.Session` (engine + maintained
+One long-lived :class:`repro.Session` (engine + maintained
 representative views) behind an HTTP interface with request coalescing:
 concurrent top-k / rank queries are stacked into single
 ``topk_orders`` / ``rank_of_best_batch`` engine calls and de-interleaved

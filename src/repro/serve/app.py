@@ -1,7 +1,7 @@
 """The ``repro.serve`` server: a Session over asyncio HTTP.
 
-One :class:`repro.Session` (long-lived calibrated engine + maintained
-views) behind a coalescing request queue.  Endpoints:
+One :class:`repro.Session` (long-lived engine + maintained views)
+behind a coalescing request queue.  Endpoints:
 
 ============================  ======================================================
 ``GET  /health``              liveness + dataset shape + revision
@@ -29,10 +29,10 @@ connection that stays open.  Failure handling inside the engine is the PR-6 resi
 ladder, configured by the same ``policy`` knob as everywhere else; a
 crashed worker degrades the backend, never the response.
 
-On boot the server warm-loads a checksummed
-:class:`~repro.engine.TuningProfile` if configured (recalibrating on a
-failed integrity check, like the CLI), so the first request is served
-by an already-tuned engine.
+On boot the server loads a checksummed
+:class:`~repro.engine.TuningProfile` if configured, through the CLI's
+loader (:func:`~repro.engine.load_profile`): a missing or torn file
+warns and boots on the defaults, and is never written.
 
 **Durability** (``ServerConfig.data_dir``, :mod:`repro.engine.wal`):
 with a data directory configured, boot recovers the newest valid
@@ -67,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine import DurableStore, TuningProfile, replay_commits
+from repro.engine import DurableStore, TuningProfile, load_profile, replay_commits
 from repro.exceptions import CorruptStateError, ReproError, ValidationError
 from repro.serve import http
 from repro.serve.coalesce import Coalescer, WorkItem
@@ -88,7 +88,7 @@ class ServerConfig:
     port: int = 8472
     jobs: int | None = None
     backend: str = "auto"
-    tuning_profile: str | None = None  # checksummed JSON path; None = "auto"
+    tuning_profile: str | None = None  # checksummed JSON path; None = defaults
     policy: object = None  # RetryPolicy | None
     max_pending: int = 256  # admission bound: queued requests before 429
     max_batch: int = 1024  # coalescing cap per engine call
@@ -97,28 +97,6 @@ class ServerConfig:
     data_dir: str | None = None  # WAL + snapshots; None = memory-only
     snapshot_wal_bytes: int = 4 * 2**20  # snapshot once the WAL grows past this
     snapshot_interval_s: float | None = None  # and/or this old (None = size-only)
-
-
-def _warm_tuning(config: ServerConfig, values: np.ndarray):
-    """Boot-time profile: checksummed load, recalibrate on corruption."""
-    if config.tuning_profile is None:
-        return "auto"
-    try:
-        return TuningProfile.load(config.tuning_profile)
-    except FileNotFoundError:
-        pass
-    except CorruptStateError as exc:
-        print(
-            f"warning: tuning profile {config.tuning_profile!r} failed its "
-            f"integrity check ({exc}); recalibrating",
-            file=sys.stderr,
-        )
-    from repro.engine import ScoreEngine
-
-    with ScoreEngine(values, n_jobs=config.jobs) as probe:
-        profile = probe.calibrate()
-    profile.save(config.tuning_profile)
-    return profile
 
 
 class Server:
@@ -132,10 +110,10 @@ class Server:
         self.recovery = {"snapshot_revision": 0, "replayed_commits": 0}
         # Boot acquires resources in dependency order (lock + WAL handle,
         # then the Session's pools) under one ExitStack: if any later
-        # step raises — a corrupt profile forcing recalibration that
-        # itself fails, an unrecoverable WAL, a dead snapshot set —
-        # everything already acquired is unwound and no stray lock file,
-        # WAL handle or half-built session survives the wreck.
+        # step raises — a malformed tuning profile, an unrecoverable WAL,
+        # a dead snapshot set — everything already acquired is unwound
+        # and no stray lock file, WAL handle or half-built session
+        # survives the wreck.
         with contextlib.ExitStack() as stack:
             self._boot(np.asarray(values, dtype=np.float64), stack)
             stack.pop_all()  # boot succeeded: resources now owned by stop()
@@ -172,7 +150,7 @@ class Server:
             boot_values,
             jobs=self.config.jobs,
             backend=self.config.backend,
-            tune=self._boot_tuning(snapshot, boot_values),
+            tune=self._boot_tuning(snapshot),
             policy=self.config.policy,
         )
         stack.callback(self.session.close)
@@ -196,8 +174,8 @@ class Server:
                 # the exact boot matrix.
                 self._snapshot_now()
 
-    def _boot_tuning(self, snapshot, boot_values: np.ndarray):
-        """Tuning for the recovered engine: snapshot-pinned, else warm."""
+    def _boot_tuning(self, snapshot):
+        """Tuning for the recovered engine: snapshot-pinned, else configured."""
         if snapshot is not None and snapshot.profile is not None:
             try:
                 return TuningProfile.from_json(json.dumps(snapshot.profile))
@@ -207,7 +185,7 @@ class Server:
                     "falling back to the configured profile",
                     file=sys.stderr,
                 )
-        return _warm_tuning(self.config, boot_values)
+        return load_profile(self.config.tuning_profile)
 
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> None:

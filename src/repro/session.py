@@ -6,17 +6,17 @@ The free functions (:func:`repro.mdrc`, :func:`repro.sample_ksets`,
 throwaway :class:`~repro.engine.ScoreEngine` unless handed one
 explicitly.  That is the right shape for scripts; for a long-lived
 process — the CLI's ``--maintain`` loops, :mod:`repro.serve`, notebooks
-iterating on one dataset — it repeats engine construction, calibration
-and pruning-ordering builds on every call and leaves the caller to
-thread the shared engine through by hand.
+iterating on one dataset — it repeats engine construction and
+pruning-ordering builds on every call and leaves the caller to thread
+the shared engine through by hand.
 
 :class:`Session` owns that engine.  It is constructed once over a
 matrix with the unified knob vocabulary (``jobs``, ``backend``,
 ``tune``, ``policy``), and every method scores through the same
-calibrated engine: algorithms (:meth:`mdrc`, :meth:`sample_ksets`,
-:meth:`md_rrr`), evaluation (:meth:`rank_regret`, :meth:`evaluate`),
-raw batch queries (:meth:`topk`, :meth:`rank_of_best`) and journaled
-mutations (:meth:`insert_rows`, :meth:`delete_rows`).  Results are
+engine: algorithms (:meth:`mdrc`, :meth:`sample_ksets`, :meth:`md_rrr`),
+evaluation (:meth:`rank_regret`, :meth:`evaluate`), raw batch queries
+(:meth:`topk`, :meth:`rank_of_best`) and journaled mutations
+(:meth:`insert_rows`, :meth:`delete_rows`).  Results are
 bit-identical to the free functions over the same matrix — the engine
 tier contract makes reuse observationally invisible.
 
@@ -24,7 +24,7 @@ Example::
 
     import repro
 
-    with repro.Session(values, jobs=-1, tune="auto") as session:
+    with repro.Session(values, jobs=-1) as session:
         result = session.mdrc(k=10)
         report = session.evaluate(result.indices, k=10)
         session.insert_rows(new_rows)          # journaled delta
@@ -55,9 +55,9 @@ class Session:
     backend:
         ``"auto"`` | ``"serial"`` | ``"thread"``.
     tune:
-        ``None`` (defaults), ``"auto"`` (calibrate on first use) or a
-        :class:`~repro.engine.TuningProfile` (e.g. loaded from the
-        checksummed JSON written by ``repro --tuning-profile``).
+        ``None`` (defaults) or a :class:`~repro.engine.TuningProfile`
+        (e.g. loaded with :meth:`~repro.engine.TuningProfile.load` from
+        checksummed JSON written by :meth:`~repro.engine.TuningProfile.save`).
     policy:
         A :class:`~repro.engine.RetryPolicy` for fault handling, or
         ``None`` for the process-wide default.

@@ -1,24 +1,30 @@
-"""Tests for the calibration-based autotuner.
+"""Tests for the engine's tuning profiles.
 
 The load-bearing property mirrors the engine-wide exactness contract:
 a :class:`TuningProfile` only moves work between tiers, chunk layouts
 and pools — ANY profile, including pathological ones (1-byte chunks,
 1-row caps, always-on or never-on policies), must leave every query
 bit-identical to the default-profile engine and to the scalar path.
-Alongside: JSON round-trips, validation, the calibration probe's
-output ranges, and the plumbing (engine adoption, worker configs,
-consumer ``tune=`` forwarding).
+Alongside: JSON round-trips, validation, the one loader
+(:func:`load_profile`) behind ``--tuning-profile`` and the server, and
+the plumbing (engine adoption, worker configs, consumer ``tune=``
+forwarding).
 """
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import ScoreEngine, TuningProfile, calibrate_engine
+from repro import Session
+from repro.engine import ScoreEngine, TuningProfile, load_profile
 from repro.engine.autotune import _payload_checksum
 from repro.exceptions import CorruptStateError, ValidationError
 from repro.ranking import sample_functions
@@ -166,6 +172,39 @@ class TestTuningProfile:
             TuningProfile(rank_quant_fallback_ratio=1.5)
         with pytest.raises(ValidationError):
             ScoreEngine(np.ones((3, 2)), tune="nonsense")
+        # Calibration is gone: "auto" is an unknown value like any other,
+        # and the error points at the loader.
+        for build in (ScoreEngine, Session):
+            with pytest.raises(ValidationError, match="TuningProfile.load"):
+                build(np.ones((3, 2)), tune="auto")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("chunk_bytes", "null"),
+            ("chunk_bytes", '"64"'),
+            ("chunk_bytes", "[1]"),
+            ("chunk_bytes", "true"),
+            ("chunk_bytes", "1e400"),
+            ("rank_quant_fallback_ratio", "false"),
+            ("rank_quant_fallback_ratio", "NaN"),
+            ("quant_promote_limit", '"0.5"'),
+            ("meta", "5"),
+            ("meta", "[1]"),
+        ],
+    )
+    @pytest.mark.parametrize("checksum", [False, True])
+    def test_from_json_rejects_wrong_types(self, field, value, checksum):
+        # JSON values that are not finite numbers (or, for meta, not an
+        # object) fail with a ValueError naming the field — with a valid
+        # checksum too, so the value itself is what fails.
+        body = f'"schema": 1, "{field}": {value}'
+        if checksum:
+            digest = _payload_checksum({"schema": 1, field: json.loads(value)})
+            body += f', "checksum": "{digest}"'
+        with pytest.raises(ValueError, match=field) as err:
+            TuningProfile.from_json("{" + body + "}")
+        assert not isinstance(err.value, CorruptStateError)
 
     def test_loads_profile_with_retired_backend_fields(self):
         # A profile as the process-pool versions saved it: 14 fields,
@@ -241,47 +280,6 @@ class TestTuningProfile:
         assert engine._worker_config()["tune"] is profile
 
 
-class TestCalibration:
-    def test_calibrate_returns_sane_profile(self, rng):
-        values = rng.random((300, 4))
-        engine = ScoreEngine(values)
-        profile = engine.calibrate(budget_s=0.02)
-        assert engine.tuning is profile
-        assert profile.meta["calibrated"] and profile.meta["n"] == 300
-        assert profile.parallel_min_work >= 1 << 18
-        assert 2 <= profile.units_per_worker <= 8
-        assert 0.005 <= profile.rank_quant_fallback_ratio <= 0.10
-        assert 4 <= profile.quant_scalar_promote <= 64
-        assert 64 <= profile.quant_rank_cap <= 2048
-        # The profile survives a JSON round-trip with meta intact.
-        assert TuningProfile.from_json(profile.to_json()) == profile
-
-    def test_tune_auto_calibrates_on_first_call(self, rng):
-        values = rng.random((100, 3))
-        weights = sample_functions(3, 30, 0)
-        engine = ScoreEngine(values, tune="auto")
-        assert engine._tune_pending
-        got = engine.topk_batch(weights, 5)
-        assert not engine._tune_pending
-        assert engine.tuning.meta.get("calibrated")
-        want = ScoreEngine(values).topk_batch(weights, 5)
-        assert np.array_equal(got.order, want.order)
-
-    def test_calibrated_profile_is_exact(self, rng):
-        values = rng.random((120, 3))
-        weights = sample_functions(3, 48, 4)
-        engine = ScoreEngine(values)
-        profile = calibrate_engine(engine, budget_s=0.02)
-        _assert_profile_exact(values, weights, 5, [0, 60], profile)
-
-    def test_calibrate_after_mutation_probes_current_matrix(self, rng):
-        values = rng.random((80, 3))
-        engine = ScoreEngine(values)
-        engine.insert_rows(rng.random((20, 3)))
-        profile = engine.calibrate(budget_s=0.02)
-        assert profile.meta["n"] == 100  # probe saw the mutated matrix
-
-
 class TestConsumerPlumbing:
     def test_mdrc_accepts_tune(self, rng):
         from repro.core import mdrc
@@ -314,40 +312,89 @@ class TestConsumerPlumbing:
     def test_cli_tuning_profile_roundtrip(self, tmp_path, capsys):
         from repro.cli import main
 
+        argv = ["represent", "--dataset", "dot", "--n", "200", "--d", "3", "--k", "0.05"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        # A saved non-default profile is loaded and changes nothing.
         path = tmp_path / "tuning.json"
-        assert main(
-            [
-                "represent",
-                "--dataset",
-                "dot",
-                "--n",
-                "200",
-                "--d",
-                "3",
-                "--k",
-                "0.05",
-                "--tuning-profile",
-                str(path),
-            ]
-        ) == 0
-        first = capsys.readouterr().out
-        assert path.exists()
-        loaded = TuningProfile.load(path)
-        assert loaded.meta.get("calibrated")
-        # Second run loads the file and produces identical output.
-        assert main(
-            [
-                "represent",
-                "--dataset",
-                "dot",
-                "--n",
-                "200",
-                "--d",
-                "3",
-                "--k",
-                "0.05",
-                "--tuning-profile",
-                str(path),
-            ]
-        ) == 0
-        assert capsys.readouterr().out == first
+        PATHOLOGICAL_PROFILES[2].save(path)
+        saved = path.read_bytes()
+        assert main([*argv, "--tuning-profile", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == plain and captured.err == ""
+        assert path.read_bytes() == saved
+        # A missing path warns, runs on the defaults and creates no file.
+        missing = tmp_path / "missing.json"
+        assert main([*argv, "--tuning-profile", str(missing)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == plain
+        assert captured.err.count("warning: tuning profile") == 1
+        assert "does not exist" in captured.err
+        assert not missing.exists()
+
+
+class TestLoadProfile:
+    """The one loader behind ``--tuning-profile`` and the server."""
+
+    def test_none_means_defaults(self, capsys):
+        assert load_profile(None) is None
+        assert capsys.readouterr().err == ""
+
+    def test_missing_file_warns_and_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        assert load_profile(str(path)) is None
+        assert "does not exist" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("damage", ["torn", "checksum"])
+    def test_corrupt_file_warns_and_stays_byte_identical(self, tmp_path, capsys, damage):
+        path = tmp_path / "tuning.json"
+        text = TuningProfile(chunk_bytes=1 << 20).to_json()
+        if damage == "torn":
+            text = text[: len(text) // 2]
+        else:
+            text = text.replace(str(1 << 20), str(1 << 21))
+        path.write_text(text)
+        assert load_profile(str(path)) is None
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1 and "integrity check" in err
+        assert path.read_text() == text
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize(
+        "body",
+        ['{"nonsense": 1}', '{"chunk_bytes": 0}', '{"chunk_bytes": null}', '{"chunk_bytes": true}'],
+    )
+    def test_malformed_file_raises(self, tmp_path, body):
+        path = tmp_path / "tuning.json"
+        path.write_text(body)
+        with pytest.raises(ValidationError, match="could not load tuning profile"):
+            load_profile(str(path))
+        assert path.read_text() == body
+
+    def test_unreadable_path_raises(self, tmp_path):
+        with pytest.raises(ValidationError, match="could not load tuning profile"):
+            load_profile(str(tmp_path))  # a directory
+
+
+@pytest.mark.parametrize("body", ['{"chunk_bytes": null}', '{"chunk_bytes": true}'])
+def test_cli_malformed_profile_exits_2(tmp_path, capsys, body):
+    """``repro represent`` and ``repro serve`` print ``error: ...`` and
+    exit 2 on a malformed profile; the server never starts listening."""
+    from repro.cli import main
+
+    path = tmp_path / "tuning.json"
+    path.write_text(body)
+    assert main(["represent", "--n", "300", "--tuning-profile", str(path)]) == 2
+    assert "error: could not load tuning profile" in capsys.readouterr().err
+    src = Path(__file__).resolve().parents[2] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", "--n", "300", "--port", "0",
+         "--tuning-profile", str(path)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "error: could not load tuning profile" in proc.stderr
+    assert "Traceback" not in proc.stderr and "listening" not in proc.stderr
+    assert path.read_text() == body

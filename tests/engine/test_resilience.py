@@ -316,18 +316,23 @@ class TestProfileIntegrity:
         path.write_text(json.dumps(payload))
         assert TuningProfile.load(path) == profile
 
-    def test_cli_recalibrates_on_corrupt_profile(self, tmp_path, capsys):
-        from repro.cli import _resolve_tuning
+    def test_cli_runs_on_defaults_with_torn_profile(self, tmp_path, capsys):
+        from repro.cli import main
 
+        argv = ["represent", "--n", "200", "--d", "3", "--k", "0.05"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
         path = tmp_path / "profile.json"
         text = TuningProfile().to_json()
-        path.write_text(text[: len(text) // 2])
-        values = np.random.default_rng(0).random((200, 3))
-        profile = _resolve_tuning(str(path), values, n_jobs=None)
-        assert isinstance(profile, TuningProfile)
-        assert "failed its integrity check" in capsys.readouterr().err
-        # The corrupt file was replaced by a loadable, checksummed one.
-        assert TuningProfile.load(path) == profile
+        path.write_bytes(text[: len(text) // 2].encode())
+        torn = path.read_bytes()
+        assert main([*argv, "--tuning-profile", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == plain  # the defaults, same answer
+        assert captured.err.count("failed its integrity check") == 1
+        # The torn file is left as it was: nothing recalibrates or rewrites it.
+        assert path.read_bytes() == torn
+        assert os.listdir(tmp_path) == ["profile.json"]
 
 
 # ----------------------------------------------------------------------

@@ -468,7 +468,6 @@ class TestSmallCalls:
         assert not engine.small_call(1)  # journaled rows to compact
         engine.compact()
         assert engine.small_call(1)
-        assert not ScoreEngine(values, tune="auto").small_call(1)  # calibration due
         with ScoreEngine(values, n_jobs=2, tune=TuningProfile()) as engine:
             assert engine.small_call(1)  # two workers, no plan at this size
         profile = TuningProfile(parallel_min_work=0)

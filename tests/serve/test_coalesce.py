@@ -43,15 +43,6 @@ def fanout_profile(tmp_path):
     return str(path)
 
 
-@pytest.fixture
-def pinned_profile(tmp_path):
-    """A saved default profile: no first-call calibration is pending, so
-    a small read on an idle server is answered at admission."""
-    path = tmp_path / "pinned.json"
-    TuningProfile().save(path)
-    return str(path)
-
-
 def _storm(url, jobs, k=5, m=3, seed=0):
     """``jobs`` concurrent single-connection clients; returns results."""
     results = [None] * jobs
@@ -381,13 +372,14 @@ def _dispatched(engine):
     return calls
 
 
-def test_idle_server_answers_lone_reads_at_admission(matrix, pinned_profile):
-    """Lone small reads on an idle server never reach the engine thread;
-    a write still does, and every answer equals a direct engine call at
-    the revision it reports."""
+def test_idle_server_answers_lone_reads_at_admission(matrix):
+    """Lone small reads on an idle default server (no tuning profile),
+    its first read included, never reach the engine thread; a write
+    still does, and every answer equals a direct engine call at the
+    revision it reports."""
     subset = [5, 77, 2048]
     rows = np.random.default_rng(700).random((3, 4))
-    server = ServerThread(matrix, ServerConfig(port=0, tuning_profile=pinned_profile))
+    server = ServerThread(matrix, ServerConfig(port=0))
     replies = []
     with server as url, ServiceClient(url, timeout=60) as client:
         engine = server.server.session.engine
@@ -417,13 +409,13 @@ def test_idle_server_answers_lone_reads_at_admission(matrix, pinned_profile):
     assert [reply["revision"] for _, reply in replies] == [0] * 6 + [1] * 6
 
 
-def test_read_offered_while_a_barrier_runs_waits_for_it(matrix, pinned_profile):
+def test_read_offered_while_a_barrier_runs_waits_for_it(matrix):
     """A small read offered while a write runs on the engine thread is
     queued behind it and reports the post-write revision."""
     rows = np.random.default_rng(710).random((2, 4))
     w = np.random.default_rng(711).random((1, 4))
     release = threading.Event()
-    server = ServerThread(matrix, ServerConfig(port=0, tuning_profile=pinned_profile))
+    server = ServerThread(matrix, ServerConfig(port=0))
     out = {}
     with server as url:
         engine = server.server.session.engine
@@ -519,11 +511,11 @@ def test_read_offered_as_a_paused_write_resumes_waits_for_it():
     asyncio.run(scenario())
 
 
-def test_admission_path_keeps_error_statuses(matrix, pinned_profile):
+def test_admission_path_keeps_error_statuses(matrix):
     """A read answered at admission maps its errors like a queued one:
     a subset index past n answers 400, an unexpected exception 500."""
     w = np.random.default_rng(720).random((1, 4))
-    server = ServerThread(matrix, ServerConfig(port=0, tuning_profile=pinned_profile))
+    server = ServerThread(matrix, ServerConfig(port=0))
     calls = []
 
     def broken(*args):

@@ -44,16 +44,20 @@ For each op the script measures BOTH the current implementation and the
 frozen pre-engine reference (:mod:`repro.engine.reference`), asserts their
 outputs agree, and records ``median_s`` / ``baseline_median_s`` / ``speedup``
 in a machine-readable JSON file at the repository root.  Each op also
-carries a ``backends`` column — serial/thread wall time at
-``--backend-jobs`` workers (ops whose per-call work sits below the
-engine's fan-out cutover legitimately time like serial) — and the report
-ends with a ``quant`` section: the quantized tier's resolved/screened
-hit rate and chosen level for a top-k and a rank workload at bench
-scale.
+carries a ``backends`` column — wall time at ``jobs=None`` (serial) and
+at ``jobs=--backend-jobs`` (thread; ops whose per-call work sits below
+the engine's fan-out cutover legitimately time like serial) — and the
+report ends with a ``quant`` section: the quantized tier's
+resolved/screened hit rate and chosen level for a top-k workload at
+bench scale.
 
-Gate semantics: if an earlier ``BENCH_PR*.json`` exists, the run FAILS
-(exit 1) when any op's fresh ``median_s`` regresses more than 20% against
-the newest committed file — every future PR inherits this floor.
+Gate semantics: if an earlier ``BENCH_PR*.json`` with ops exists, the
+run FAILS (exit 1) when any op's same-run ``speedup`` (reference time
+over implementation time, both measured in this run) falls more than
+20% below that file's ``speedup`` for the op (:func:`gate_failures`).
+A host that is slower or faster overall moves both times and leaves the
+ratio; the absolute ``median_s`` against the file's is printed beside
+it for information only.
 
 Usage::
 
@@ -105,7 +109,7 @@ from pathlib import Path
 import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-REGRESSION_SLACK = 1.20  # fail when median_s exceeds previous by >20%
+REGRESSION_SLACK = 1.20  # fail when an op's speedup falls >20% below the file's
 
 
 def _median_time(fn, repeats: int) -> tuple[float, object]:
@@ -119,22 +123,20 @@ def _median_time(fn, repeats: int) -> tuple[float, object]:
 
 
 def _backend_column(fn, repeats: int, backend_jobs: int) -> dict:
-    """Per-backend medians of one op: serial and thread.
+    """Medians of one op at ``jobs=None`` ("serial") and at
+    ``jobs=backend_jobs`` ("thread").
 
-    ``fn(backend, jobs)`` runs the op once.  Thread runs at
-    ``backend_jobs`` workers; an op whose per-call work sits below the
-    engine's serial cutover never fans out and legitimately times like
-    serial.  Each call builds (and closes) its own engine, so the
+    ``fn(jobs)`` runs the op once.  An op whose per-call work sits below
+    the engine's fan-out cutover never fans out and legitimately times
+    like serial.  Each call builds (and closes) its own engine, so the
     thread column includes per-call pool construction — the cost a
     one-shot caller pays.  Informational only — the regression gate
-    reads ``median_s``.
+    reads ``speedup``.
     """
     column = {}
-    for backend, jobs in (("serial", None), ("thread", backend_jobs)):
-        fn(backend, jobs)  # warm pool/caches for this backend
-        column[backend], _ = _median_time(
-            lambda: fn(backend, jobs), max(1, repeats - 2)
-        )
+    for name, jobs in (("serial", None), ("thread", backend_jobs)):
+        fn(jobs)  # warm pool/caches at this worker count
+        column[name], _ = _median_time(lambda: fn(jobs), max(1, repeats - 2))
     return column
 
 
@@ -150,7 +152,7 @@ def _bench_mdrc(repeats: int, quick: bool, jobs: int | None, backend_jobs: int) 
     new_s, new = _median_time(lambda: mdrc(values, k, jobs=jobs), repeats)
     assert new.indices == base.indices, "mdrc output diverged from reference"
     backends = _backend_column(
-        lambda backend, bj: mdrc(values, k, jobs=bj, backend=backend),
+        lambda bj: mdrc(values, k, jobs=bj),
         repeats,
         backend_jobs,
     )
@@ -196,9 +198,7 @@ def _bench_ksetr(repeats: int, quick: bool, jobs: int | None, backend_jobs: int)
     )
     assert candidate_columns > 0, "ksetr never answered from the candidate set"
     backends = _backend_column(
-        lambda backend, bj: sample_ksets(
-            values, k, patience=100, rng=0, jobs=bj, backend=backend
-        ),
+        lambda bj: sample_ksets(values, k, patience=100, rng=0, jobs=bj),
         repeats,
         backend_jobs,
     )
@@ -237,9 +237,7 @@ def _bench_rank_regret_sampled(
     )
     assert new == base, "rank_regret_sampled estimate diverged from reference"
     backends = _backend_column(
-        lambda backend, bj: rank_regret_sampled(
-            values, subset, m, rng=0, jobs=bj, backend=backend
-        ),
+        lambda bj: rank_regret_sampled(values, subset, m, rng=0, jobs=bj),
         repeats,
         backend_jobs,
     )
@@ -654,38 +652,20 @@ def _bench_recovery(repeats: int, quick: bool) -> dict:
 
 
 def _quant_hit_rates(quick: bool) -> dict:
-    """Quantized-tier hit rate: resolved / screened columns per workload."""
-    from repro.datasets import independent, synthetic_dot
+    """Quantized-tier hit rate of a top-k workload: resolved / screened
+    columns.  Rank counting has no quantized tier."""
+    from repro.datasets import independent
     from repro.engine import ScoreEngine
     from repro.ranking.sampling import sample_functions
-
-    from repro.core import mdrc
 
     n, d, k, m = (2000, 4, 10, 1024) if quick else (5000, 4, 25, 4096)
     topk_engine = ScoreEngine(independent(n, d, seed=0).values, float32=True)
     topk_engine.topk_batch(sample_functions(d, m, 0), k)
-    rn = 5000 if quick else 20000
-    rank_values = synthetic_dot(n=rn, d=d, seed=0).values
-    rank_engine = ScoreEngine(rank_values)
-    # The rank tier engages adaptively (fallback-heavy data only); force
-    # it here so the stat reflects the screen itself, not the policy.
-    # Probe with a representative-grade subset (the rank bench's own),
-    # whose best-member score sits near the top where the envelope band
-    # is thin — the shape the estimator actually runs against.
-    rank_engine._rank_float_columns = 10**9
-    rank_engine._rank_float_fallbacks = 10**9
-    subset = mdrc(rank_values, max(1, rn // 100)).indices
-    rank_engine.rank_of_best_batch(sample_functions(d, m, 0), subset)
     return {
         "topk": {
             "level": topk_engine._quantizer.level,
             "screened": topk_engine.stats["quant_columns"],
             "resolved": topk_engine.stats["quant_resolved"],
-        },
-        "rank": {
-            "level": rank_engine._quantizer.level,
-            "screened": rank_engine.stats["quant_columns"],
-            "resolved": rank_engine.stats["quant_resolved"],
         },
     }
 
@@ -703,9 +683,7 @@ def _smoke_parallel_identity(jobs: int | None) -> None:
     # score_batch in particular only fans out when m exceeds one serial
     # chunk, and the probe must not silently compare serial vs serial.
     serial = ScoreEngine(values, chunk_bytes=1)
-    with ScoreEngine(
-        values, n_jobs=jobs, parallel_min_work=0, chunk_bytes=1, backend="thread",
-    ) as fanout:
+    with ScoreEngine(values, n_jobs=jobs, parallel_min_work=0, chunk_bytes=1) as fanout:
         a = serial.topk_batch(weights, 9)
         b = fanout.topk_batch(weights, 9)
         assert np.array_equal(a.order, b.order), "thread topk diverged"
@@ -718,10 +696,12 @@ def _smoke_parallel_identity(jobs: int | None) -> None:
         assert np.array_equal(
             serial.score_batch(weights), fanout.score_batch(weights)
         ), "thread score_batch diverged"
+        # Fewer than 2·jobs functions are too few to split: they run
+        # serially on the fan-out engine and must still match.
         few = sample_functions(4, 2, 1)
         assert np.array_equal(
             serial.topk_batch(few, 5).order, fanout.topk_batch(few, 5).order
-        ), "thread row-chunked topk diverged"
+        ), "few-function topk on the fan-out engine diverged"
     print("parallel identity probe [thread]: ok")
 
 
@@ -754,7 +734,7 @@ def _smoke_fault_identity(jobs: int | None) -> None:
         injector = FaultInjector(seed=0, **{kind: 0.4}, max_faults=3, hang_s=20.0)
         with ScoreEngine(
             values, n_jobs=jobs, parallel_min_work=0, chunk_bytes=1,
-            backend="thread", resilience=policy,
+            resilience=policy,
         ) as fanout:
             with faults.injected(injector):
                 got_topk = fanout.topk_batch(weights, 9)
@@ -978,6 +958,31 @@ def _smoke_crash_recovery() -> None:
         f"replayed {replayed} WAL commits on restart, keyed retry "
         "exactly-once, all responses bit-identical to the uninterrupted oracle"
     )
+
+
+def gate_failures(
+    ops: list[dict], previous: list[dict], slack: float = REGRESSION_SLACK
+) -> list[str]:
+    """The ops whose same-run speedup fell more than ``slack`` below the
+    speedup ``previous`` (an older file's ops) records for them.
+
+    ``speedup`` is reference time over implementation time, both from
+    one run, so a host that runs everything slower or faster moves both
+    and leaves the ratio.  An op that ``previous`` lacks, or that lacks
+    a ``speedup`` on either side, is skipped.
+    """
+    old_ops = {row["op"]: row for row in previous}
+    failures = []
+    for row in ops:
+        old = old_ops.get(row["op"], {})
+        if row.get("speedup") is None or old.get("speedup") is None:
+            continue
+        if old["speedup"] > slack * row["speedup"]:
+            failures.append(
+                f"{row['op']}: speedup {row['speedup']:.2f}x vs {old['speedup']:.2f}x "
+                f"(>{(slack - 1) * 100:.0f}% regression)"
+            )
+    return failures
 
 
 def _discover_benches(skip: Path | None = None) -> list[tuple[int, Path, dict]]:
@@ -1239,7 +1244,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--backend-jobs", type=int, default=2,
-        help="workers used for the informational per-backend column",
+        help="workers for the informational thread column, timed beside jobs=None",
     )
     parser.add_argument(
         "--smoke", "--check-only", dest="smoke", action="store_true",
@@ -1389,24 +1394,32 @@ def main(argv: list[str] | None = None) -> int:
         if prev.get("quick"):
             print(f"\nprevious {prev_path.name} was a --quick run; gate skipped")
         elif prev.get("jobs") != args.jobs:
-            # Serial and fan-out medians are not comparable; only gate
+            # Serial and fan-out speedups are not comparable; only gate
             # like against like.
             print(
                 f"\nprevious {prev_path.name} ran with jobs="
                 f"{prev.get('jobs')} (this run: {args.jobs}); gate skipped"
             )
-        else:
+        elif not args.quick:
+            # The gate reads the same-run speedups; absolute times are
+            # shown beside them for information (host drift moves them).
+            print(f"\nvs {prev_path.name}: speedup now / then, median_s now / then")
             for row in ops:
                 old = prev_ops.get(row["op"])
-                if old is None or args.quick:
-                    continue
-                if row["median_s"] > REGRESSION_SLACK * old["median_s"]:
-                    failures.append(
-                        f"{row['op']}: {row['median_s']:.3f}s vs "
-                        f"{old['median_s']:.3f}s in {prev_path.name} "
-                        f"(>{(REGRESSION_SLACK - 1) * 100:.0f}% regression)"
+                if old is not None:
+                    print(
+                        f"  {row['op']:<22}{row['speedup']:>7.2f}x / "
+                        f"{old.get('speedup', float('nan')):<7.2f}x"
+                        f"{row['median_s']:>9.3f}s / {old.get('median_s', float('nan')):.3f}s"
                     )
-            print(f"\ngate vs {prev_path.name}: " + ("FAIL" if failures else "ok"))
+            failures = [
+                f"{failure} in {prev_path.name}"
+                for failure in gate_failures(ops, prev.get("ops", []))
+            ]
+            print(
+                f"gate (same-run speedup) vs {prev_path.name}: "
+                + ("FAIL" if failures else "ok")
+            )
 
     if not args.quick:
         if args.output.exists():  # keep A/B sections recorded into the same file

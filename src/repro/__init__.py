@@ -36,8 +36,9 @@ and ``repro.serve`` (``repro serve`` on the command line) exposes a
 Session over asyncio HTTP with request coalescing.
 
 Every public free function shares one keyword vocabulary: ``jobs``
-(worker count), ``backend`` (``auto``/``serial``/``thread``), ``tune`` (a :class:`~repro.engine.TuningProfile` or
-``None``) and ``policy`` (a :class:`~repro.engine.RetryPolicy`).
+(worker count; more than one fans large calls out over a thread pool),
+``tune`` (a :class:`~repro.engine.TuningProfile` or ``None``) and
+``policy`` (a :class:`~repro.engine.RetryPolicy`).
 """
 
 from repro.baselines import (

@@ -71,13 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: serial; -1 = all cores); results are bit-identical",
     )
     common.add_argument(
-        "--backend", choices=("auto", "serial", "thread"),
-        default="auto",
-        help="execution backend for the fan-out: serial never fans out; "
-        "thread and auto use a thread pool above the work cutover "
-        "(default: auto)",
-    )
-    common.add_argument(
         "--tuning-profile", default=None, metavar="PATH",
         help="checksummed JSON engine tuning profile (repro.engine.autotune), "
         "loaded if the file is present; a missing or torn file prints a "
@@ -224,12 +217,12 @@ def _cmd_represent(args: argparse.Namespace, out) -> int:
         return _maintain_represent(args, data, tune, out)
     result = rank_regret_representative(
         data, _resolve_level(args.k, data.n), method=args.method, rng=args.seed,
-        jobs=args.jobs, backend=args.backend, tune=tune,
+        jobs=args.jobs, tune=tune,
     )
     report = evaluate_representative(
         data.values, result.indices, result.k,
         num_functions=args.eval_functions, rng=args.seed, jobs=args.jobs,
-        backend=args.backend, tune=tune,
+        tune=tune,
     )
     print(f"dataset      : {data.name} (n={data.n}, d={data.d})", file=out)
     print(f"method       : {result.method}", file=out)
@@ -251,13 +244,13 @@ def _cmd_experiment(args: argparse.Namespace, out) -> int:
     if isinstance(config, KSetCountConfig):
         rows = run_kset_count(
             config, progress=lambda m: print(m, file=sys.stderr),
-            jobs=args.jobs, backend=args.backend, tune=tune,
+            jobs=args.jobs, tune=tune,
         )
         print(format_kset_table(rows), file=out)
     else:
         rows = run_experiment(
             config, progress=lambda m: print(m, file=sys.stderr),
-            jobs=args.jobs, backend=args.backend, tune=tune,
+            jobs=args.jobs, tune=tune,
         )
         print(format_experiment_table(rows), file=out)
         shapes = summarize_shapes(rows)
@@ -284,7 +277,7 @@ def _maintain_represent(args: argparse.Namespace, data, tune, out) -> int:
     rows = run_maintenance(
         data.values, k, ticks=args.maintain, churn=args.churn, seed=args.seed,
         algorithm=method, num_functions=args.eval_functions,
-        jobs=args.jobs, backend=args.backend, tune=tune,
+        jobs=args.jobs, tune=tune,
         progress=lambda m: print(m, file=sys.stderr),
     )
     print(
@@ -327,7 +320,7 @@ def _cmd_ksets(args: argparse.Namespace, out) -> int:
     else:
         outcome = sample_ksets(
             data.values, k, patience=args.patience, rng=args.seed,
-            jobs=args.jobs, backend=args.backend, tune=tune,
+            jobs=args.jobs, tune=tune,
         )
         print(
             f"K-SETr: {len(outcome.ksets)} k-sets (k={k}) in "
@@ -349,9 +342,7 @@ def _maintain_ksets(args: argparse.Namespace, data, k: int, tune, out) -> int:
     if data.d == 2:
         raise ReproError("--maintain uses K-SETr; 2-D exact enumeration has no view")
     rng = np.random.default_rng(args.seed)
-    with ScoreEngine(
-        data.values, n_jobs=args.jobs, backend=args.backend, tune=tune
-    ) as engine:
+    with ScoreEngine(data.values, n_jobs=args.jobs, tune=tune) as engine:
         with KSetView(engine, k, patience=args.patience, rng=args.seed) as view:
             base = view.refresh()
             print(
@@ -424,7 +415,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         jobs=args.jobs,
-        backend=args.backend,
         tuning_profile=args.tuning_profile,
         max_pending=args.max_pending,
         max_batch=args.max_batch,
@@ -458,7 +448,6 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
                 scale=args.scale,
                 progress=lambda m: print(m, file=sys.stderr),
                 jobs=args.jobs,
-                backend=args.backend,
                 tune=load_profile(args.tuning_profile),
             )
             if args.out:

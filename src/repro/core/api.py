@@ -85,7 +85,6 @@ def rank_regret_representative(
     method: str = "auto",
     rng: int | np.random.Generator | None = None,
     jobs: int | None = None,
-    backend: str = "auto",
     tune=None,
     policy=None,
     **options: object,
@@ -111,10 +110,6 @@ def rank_regret_representative(
         (``None``/``1`` = serial, ``-1`` = all cores).  Results are
         bit-identical to the serial path; 2DRRR's sweep is inherently
         sequential and ignores it.
-    backend:
-        Execution backend for that scoring (``"auto"`` | ``"serial"`` |
-        ``"thread"``), as in
-        :class:`~repro.engine.ScoreEngine`.
     tune:
         Engine runtime tuning (``None`` | ``"auto"`` | a
         :class:`~repro.engine.TuningProfile`, e.g. loaded from the CLI's
@@ -140,16 +135,15 @@ def rank_regret_representative(
         return RRRResult(tuple(indices), "2drrr", level, guarantee=2 * level)
     if method == "mdrrr":
         outcome = md_rrr(
-            matrix, level, rng=rng, jobs=jobs, backend=backend, tune=tune,
-            policy=policy, **options,
+            matrix, level, rng=rng, jobs=jobs, tune=tune, policy=policy,
+            **options,
         )
         return RRRResult(tuple(outcome.indices), "mdrrr", level, guarantee=level)
     if method == "mdrc":
         if d < 2:
             raise ValidationError("mdrc requires d >= 2")
         outcome = mdrc(
-            matrix, level, jobs=jobs, backend=backend, tune=tune, policy=policy,
-            **options,
+            matrix, level, jobs=jobs, tune=tune, policy=policy, **options,
         )
         return RRRResult(tuple(outcome.indices), "mdrc", level, guarantee=d * level)
     raise ValidationError(f"unknown method {method!r}")

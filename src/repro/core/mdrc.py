@@ -355,7 +355,6 @@ def mdrc(
     use_cache: bool = True,
     engine: ScoreEngine | None = None,
     jobs: int | None = None,
-    backend: str = "auto",
     tune=None,
     policy=None,
     corner_cache: CornerCache | None = None,
@@ -389,10 +388,6 @@ def mdrc(
         here (``None``/``1`` = serial, ``-1`` = all cores); ignored when
         ``engine`` is passed — the caller's engine keeps its own
         configuration.
-    backend:
-        Execution backend for the fan-out (``"auto"`` | ``"serial"`` |
-        ``"thread"``), as in :class:`ScoreEngine`;
-        likewise ignored when ``engine`` is passed.
     tune:
         Runtime tuning for the engine built here (``None`` | ``"auto"``
         | a :class:`~repro.engine.TuningProfile`); ignored when
@@ -437,9 +432,7 @@ def mdrc(
         raise ValidationError(f"unknown choice policy {choice!r}")
     own_engine = engine is None
     if engine is None:
-        engine = ScoreEngine(
-            matrix, n_jobs=jobs, backend=backend, tune=tune, resilience=policy
-        )
+        engine = ScoreEngine(matrix, n_jobs=jobs, tune=tune, resilience=policy)
     else:
         # Settle any journaled row mutations before reading the engine's
         # matrix: a caller who mutated and then passed ``engine.values``

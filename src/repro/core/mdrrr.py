@@ -59,7 +59,6 @@ def collect_ksets(
     patience: int = 100,
     rng: int | np.random.Generator | None = None,
     jobs: int | None = None,
-    backend: str = "auto",
     tune=None,
     policy=None,
     engine=None,
@@ -91,8 +90,8 @@ def collect_ksets(
         return enumerate_ksets_bfs(matrix, k), "exact-bfs", 0
     if enumerator == "sample":
         outcome = sample_ksets(
-            matrix, k, patience=patience, rng=rng, jobs=jobs, backend=backend,
-            tune=tune, policy=policy, engine=engine, state=kset_state,
+            matrix, k, patience=patience, rng=rng, jobs=jobs, tune=tune,
+            policy=policy, engine=engine, state=kset_state,
         )
         return outcome.ksets, "sample", outcome.draws
     raise ValidationError(f"unknown enumerator {enumerator!r}")
@@ -109,7 +108,6 @@ def md_rrr(
     verify_functions: int = 0,
     max_repair_rounds: int = 10,
     jobs: int | None = None,
-    backend: str = "auto",
     tune=None,
     policy=None,
     engine=None,
@@ -149,10 +147,6 @@ def md_rrr(
     jobs:
         Workers for K-SETr's batched scoring (``None``/``1`` = serial,
         ``-1`` = all cores); draws are bit-identical either way.
-    backend:
-        Execution backend for that scoring (``"auto"`` | ``"serial"`` |
-        ``"thread"``), as in
-        :class:`~repro.engine.ScoreEngine`.
     engine / kset_state:
         Passed through to :func:`~repro.geometry.ksets.sample_ksets`
         when the sampled enumerator runs — the maintained-view replay
@@ -169,7 +163,7 @@ def md_rrr(
     if ksets is None:
         collection, used, draws = collect_ksets(
             matrix, k, enumerator=enumerator, patience=patience, rng=rng,
-            jobs=jobs, backend=backend, tune=tune, policy=policy,
+            jobs=jobs, tune=tune, policy=policy,
             engine=engine, kset_state=kset_state,
         )
     else:

@@ -17,19 +17,20 @@ Consumers (all refactored onto this engine):
 * the :mod:`repro.baselines` regret-ratio algorithms — shared chunked
   scoring.
 
-Decisions climb a four-tier exactness ladder — int8/int16 quantized
-screening (:mod:`repro.engine.quantize`), float32 batch, float64 batch,
-scalar GEMV fallback — each tier resolving only what it can prove, so
-results are always bit-identical to the scalar ``top_k``/``rank_of``
-path.
+Top-k decisions climb a four-tier exactness ladder — int8/int16
+quantized screening (:mod:`repro.engine.quantize`), float32 batch,
+float64 batch, scalar GEMV fallback — each tier resolving only what it
+can prove; rank counting is one float32 banded count with the scalar
+GEMV as its fallback.  Results are always bit-identical to the scalar
+``top_k``/``rank_of`` path.
 
 :mod:`repro.engine.parallel` is the fan-out layer: with
-``ScoreEngine(..., n_jobs=N, backend=...)`` every bulk call above a
-work cutover is split into function-chunk or row-chunk work
-units, run over a persistent thread pool (zero-copy clones, GIL-free
-GEMM), and merged deterministically — bit-identical to the serial path.
-``backend="serial"`` never fans out; ``"thread"`` and ``"auto"`` use the
-pool above the cutover.
+``ScoreEngine(..., n_jobs=N)``, ``N > 1``, every bulk call of at least
+``2·N`` functions above a work cutover is split into function-chunk
+work units, run over a persistent thread pool (zero-copy clones,
+GIL-free GEMM), and merged deterministically — bit-identical to the
+serial path.  Every other call, and every call with ``N = 1``, runs
+serially.
 
 :mod:`repro.engine.autotune` holds the tuning: every perf constant
 lives in a per-engine :class:`TuningProfile` (defaults = the legacy
@@ -81,12 +82,7 @@ from repro.engine.bitset import (
     popcount,
     unpack_indices,
 )
-from repro.engine.parallel import (
-    BACKENDS,
-    ThreadExecutor,
-    resolve_backend,
-    resolve_n_jobs,
-)
+from repro.engine.parallel import ThreadExecutor, resolve_n_jobs
 from repro.engine.quantize import Quantizer
 from repro.engine.resilience import (
     RetryPolicy,
@@ -134,10 +130,8 @@ __all__ = [
     "load_snapshot",
     "replay_commits",
     "write_snapshot",
-    "BACKENDS",
     "ThreadExecutor",
     "Quantizer",
-    "resolve_backend",
     "resolve_n_jobs",
     "BitsetTable",
     "pack_indices",

@@ -1,11 +1,12 @@
 """Runtime tuning for :class:`~repro.engine.ScoreEngine`.
 
 Every perf-relevant constant of the engine — GEMM chunk sizes, the
-serial/parallel cutover, fan-out granularity, the quantized and scalar
-routing caps, the adaptive-policy thresholds — lives in one per-engine
-:class:`TuningProfile`.  Its defaults are the hand-tuned values the
-engine has always used; a caller who wants other numbers sets them by
-hand or loads a saved profile (``tune=profile``).
+serial/parallel cutover, fan-out granularity, the rank-count buffer and
+grid, the top-k scalar promotion cap, the quantizer's adaptive level
+policy — lives in one per-engine :class:`TuningProfile`.  Its defaults
+are the hand-tuned values the engine has always used; a caller who
+wants other numbers sets them by hand or loads a saved profile
+(``tune=profile``).
 
 Exactness is never at stake: every knob in a profile changes *who does
 the work* — chunk layout, routing, which tier attempts a decision first
@@ -57,10 +58,31 @@ def _payload_checksum(payload: dict) -> str:
 
 __all__ = ["TuningProfile", "load_profile"]
 
-# Fields that earlier versions wrote for a process-pool backend that no
-# longer exists.  ``from_json`` drops them after the checksum check, so
-# profiles saved before (and snapshots that pin one) still load.
-_RETIRED_FIELDS = ("backend_escalate_ratio", "backend_min_sample", "initial_backend")
+# Fields that earlier versions wrote for a process-pool backend and for a
+# quantized rank screen, neither of which exists any more.  ``from_json``
+# drops them after the checksum check, so profiles saved before (and
+# snapshots that pin one) still load.  The numeric ones must still hold a
+# finite number, as a live field must: a hand-edit that breaks one is
+# rejected, not silently dropped.
+_RETIRED_NUMBERS = (
+    "backend_escalate_ratio",
+    "backend_min_sample",
+    "quant_rank_cap",
+    "rank_quant_fallback_ratio",
+    "rank_quant_min_sample",
+)
+_RETIRED_FIELDS = _RETIRED_NUMBERS + ("initial_backend",)
+
+
+def _finite_number(name: str, raw):
+    """``raw`` if it is a finite real number (bools excluded)."""
+    if (
+        isinstance(raw, bool)
+        or not isinstance(raw, numbers.Real)
+        or not (isinstance(raw, numbers.Integral) or math.isfinite(raw))
+    ):
+        raise ValueError(f"TuningProfile.{name} must be a finite number, got {raw!r}")
+    return raw
 
 
 @dataclass(frozen=True)
@@ -89,16 +111,9 @@ class TuningProfile:
     rank_grid_base:
         Base of the doubling prefix-size grid used to group rank-count
         functions onto shared GEMMs.
-    quant_rank_cap:
-        Rank counting: a function whose integer-envelope band exceeds
-        this many rows is promoted to the float tiers.
     quant_scalar_promote:
         Top-k: promoted sets at or below this size skip the batch tiers
         for the scalar kernel directly.
-    rank_quant_fallback_ratio / rank_quant_min_sample:
-        The rank path engages the quantized screen once the float path
-        has dropped more than this fraction of at least ``min_sample``
-        counted functions to the exact scalar kernel.
     quant_promote_window / quant_promote_limit:
         The quantizer's adaptive level policy: after ``window`` screened
         columns, a promote rate above ``limit`` upgrades
@@ -113,10 +128,7 @@ class TuningProfile:
     units_per_worker: int = 4
     rank_buffer_bytes: int = 1 << 23
     rank_grid_base: int = 128
-    quant_rank_cap: int = 256
     quant_scalar_promote: int = 16
-    rank_quant_fallback_ratio: float = 0.02
-    rank_quant_min_sample: int = 64
     quant_promote_window: int = 512
     quant_promote_limit: float = 0.25
     meta: dict = field(default_factory=dict, compare=False)
@@ -133,39 +145,25 @@ class TuningProfile:
             ("units_per_worker", 1),
             ("rank_buffer_bytes", 1),
             ("rank_grid_base", 1),
-            ("quant_rank_cap", 1),
             ("quant_scalar_promote", 1),
             ("quant_promote_window", 1),
             ("parallel_min_work", 0),
-            ("rank_quant_min_sample", 0),
         ):
-            raw = self._number(name)
+            raw = _finite_number(name, getattr(self, name))
             value = int(raw)
             if value != raw:
                 raise ValueError(f"TuningProfile.{name} must be an integer, got {raw!r}")
             if value < floor:
                 raise ValueError(f"TuningProfile.{name} must be >= {floor}")
             object.__setattr__(self, name, value)
-        for name in ("rank_quant_fallback_ratio", "quant_promote_limit"):
-            value = self._number(name)
-            if not 0 <= value <= 1:
-                raise ValueError(f"TuningProfile.{name} must be in [0, 1]")
-            object.__setattr__(self, name, float(value))
+        value = _finite_number("quant_promote_limit", self.quant_promote_limit)
+        if not 0 <= value <= 1:
+            raise ValueError("TuningProfile.quant_promote_limit must be in [0, 1]")
+        object.__setattr__(self, "quant_promote_limit", float(value))
         if not isinstance(self.meta, dict):
             raise ValueError(
                 f"TuningProfile.meta must be a dict, got {type(self.meta).__name__}"
             )
-
-    def _number(self, name: str):
-        """Field ``name`` if it is a finite real number (bools excluded)."""
-        raw = getattr(self, name)
-        if (
-            isinstance(raw, bool)
-            or not isinstance(raw, numbers.Real)
-            or not (isinstance(raw, numbers.Integral) or math.isfinite(raw))
-        ):
-            raise ValueError(f"TuningProfile.{name} must be a finite number, got {raw!r}")
-        return raw
 
     # ------------------------------------------------------------------
     # JSON persistence
@@ -194,7 +192,10 @@ class TuningProfile:
             )
         payload.pop("schema", None)
         for name in _RETIRED_FIELDS:
-            payload.pop(name, None)
+            if name in payload:
+                raw = payload.pop(name)
+                if name in _RETIRED_NUMBERS:
+                    _finite_number(name, raw)
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(payload) - known
         if unknown:

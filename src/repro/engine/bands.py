@@ -12,12 +12,15 @@ which cancellation (mixed-sign weights, near-equal or near-opposite
 columns) can shrink far below it.  A band scaled by the scores misses
 exactly those cases.
 
-* :func:`tol` is the contested half-width ``ULPS·eps(tier)·noise``.  Two
-  tier scores further apart than it are ordered the same way by the
+* :func:`tol` is the contested half-width ``ULPS·eps(tier)·noise``,
+  widened by ``d/31`` past 31 attributes (``d/61`` past 61 in float32).
+  Two tier scores further apart than it are ordered the same way by the
   scalar float64 kernel: each side errs by at most ``γ_d·noise`` in the
-  tier and again in the scalar kernel, which ``ULPS = 64`` covers up to
-  d = 31 (d = 61 in float32, where casting ``w`` and ``x`` adds one
-  rounding each).  Closer pairs fall to the next tier.
+  tier and again in the scalar kernel, ``4·γ_d·noise`` in all in
+  float64 and ``2·(γ_{d+2} + γ_d^{64})·noise`` in float32 (casting ``w``
+  and ``x`` adds one rounding each).  ``ULPS = 64`` covers that up to
+  d = 31 (d = 61 in float32), and the widening keeps it covered for any
+  d.  Closer pairs fall to the next tier.
 * :func:`floor` puts a pruning threshold ``PRUNE`` bands below an anchor
   (a k-th score, a subset's best score), so the float upper bounds that
   prune rows cannot drop a row the exact order keeps.
@@ -45,6 +48,9 @@ import numpy as np
 
 ULPS = 64.0
 PRUNE = 4.0
+# The largest d whose bound ULPS alone covers, in float64 and float32.
+_ULPS_D64 = 31
+_ULPS_D32 = 61
 ROBUST_MARGIN = 4.0
 
 _EPS64 = float(np.finfo(np.float64).eps)
@@ -55,14 +61,16 @@ _ROBUST_FLOOR = float(np.finfo(np.float64).tiny) / _EPS64
 _ROBUST_CEILING = float(np.finfo(np.float64).max) / 4.0
 
 
-def tol(noise, f32: bool = False):
-    """Contested half-width for scores of the given ``‖w‖·max‖x‖``."""
-    return ULPS * (_EPS32 if f32 else _EPS64) * noise
+def tol(noise, d: int, f32: bool = False):
+    """Contested half-width for d-term scores of the given ``‖w‖·max‖x‖``."""
+    if f32:
+        return ULPS * max(1.0, d / _ULPS_D32) * _EPS32 * noise
+    return ULPS * max(1.0, d / _ULPS_D64) * _EPS64 * noise
 
 
-def floor(anchor, noise, f32: bool = False):
+def floor(anchor, noise, d: int, f32: bool = False):
     """A pruning threshold ``PRUNE`` contested bands below ``anchor``."""
-    return anchor - PRUNE * tol(noise, f32)
+    return anchor - PRUNE * tol(noise, d, f32)
 
 
 def f32_unsafe(w_norms: np.ndarray, max_norm: float) -> np.ndarray:

@@ -157,7 +157,7 @@ class MergePlan:
     """One structural edit, replayed on every array that rides along it.
 
     The parallel arrays of a pruning ordering (``perm``, ``u``, ``V``,
-    ``V32``, ``rest``, the quantized store's ``Q`` / ``absq``) share one
+    ``V32``, ``rest``, the quantized store's ``Q``) share one
     plan at each ordering sync, built from the keep mask of every write
     since the last one; the data matrix ``values`` takes a plan at each
     compaction, whose inserts all sit at the end.  The edit drops the

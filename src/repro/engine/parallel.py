@@ -1,31 +1,27 @@
-"""Execution backends for :class:`ScoreEngine`'s bulk-call fan-out.
+"""Thread fan-out for :class:`ScoreEngine`'s bulk calls.
 
 The engine's three bulk entry points — ``topk_batch``, ``score_batch`` and
 ``rank_of_best_batch`` — are embarrassingly parallel once the data matrix
-is visible to every worker: each call splits into *function-chunk* work
-units (slices of the weight batch, the natural cut for MDRC frontiers and
-the 10k-function Monte-Carlo estimator) or *row-chunk* work units (slices
-of the data rows, for few functions over a large matrix), and partial
-results merge deterministically.
+is visible to every worker: a call of at least ``2·n_jobs`` functions
+above the engine's work cutover splits into *function-chunk* work units
+(slices of the weight batch, the natural cut for MDRC frontiers and the
+10k-function Monte-Carlo estimator), and the partial results
+concatenate.  Every other call runs in the caller's thread.
 
-``backend="serial"`` runs every call in the caller's thread.
-``backend="thread"`` fans above-cutover calls out over a
+``ScoreEngine(..., n_jobs=N)`` with ``N > 1`` runs those units on a
 :class:`ThreadExecutor`: an in-process
 :class:`~concurrent.futures.ThreadPoolExecutor` whose workers run serial
 *clones* of the parent engine sharing the matrix, the pruning orderings
 (float32 copies included) and the quantized stores by reference.  NumPy
-releases the GIL inside BLAS and the large ufunc/selection kernels, so the
-GEMM-dominated tiers scale across threads; only the scalar fallback tier
-serializes on the GIL.  ``backend="auto"`` (the engine default) runs the
-same code as ``"thread"``: serial below the work cutover, the thread pool
-above it.
+releases the GIL inside BLAS and the large ufunc/selection kernels, so
+the GEMM-dominated tiers scale across threads; only the scalar fallback
+tier serializes on the GIL.
 
 Merging is pure bookkeeping: function-chunk results concatenate in
-submission order; row-chunk partial counts sum and row-chunk top-k
-candidates are re-scored exactly by the parent.  Because every work unit
-honours the engine's exactness contract (results bit-identical to the
-scalar ``top_k``/``rank_of`` path), the merged output is bit-identical to
-the serial tiered path for any split.
+submission order.  Because every work unit honours the engine's
+exactness contract (results bit-identical to the scalar
+``top_k``/``rank_of`` path), the merged output is bit-identical to the
+serial tiered path for any split.
 
 Determinism note: worker scheduling order never matters — futures are
 collected in submission order and every merge is order-preserving.
@@ -40,15 +36,11 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 
 __all__ = [
-    "BACKENDS",
     "DEFAULT_MIN_PARALLEL_WORK",
     "DEFAULT_UNITS_PER_WORKER",
     "ThreadExecutor",
-    "resolve_backend",
     "resolve_n_jobs",
 ]
-
-BACKENDS = ("auto", "serial", "thread")
 
 # Serial fast-path cutover: calls with fewer than this many score-matrix
 # entries (n rows x m functions) stay in the caller's thread, so small
@@ -78,15 +70,6 @@ def resolve_n_jobs(n_jobs: int | None) -> int:
     return n_jobs
 
 
-def resolve_backend(backend: str | None) -> str:
-    """Normalize a ``backend`` knob; None means ``"auto"``."""
-    if backend is None:
-        return "auto"
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    return backend
-
-
 def _chunk_bounds(
     total: int, n_jobs: int, align: int = 1, units_per_worker: int = DEFAULT_UNITS_PER_WORKER
 ) -> list[tuple[int, int]]:
@@ -114,12 +97,6 @@ def _dispatch(engine, kind: str, *args):
     if kind == "score":
         (weights,) = args
         return engine.score_batch(weights)
-    if kind == "topk_rows":
-        weights, k, lo, hi = args
-        return engine.topk_candidates_slice(weights, k, lo, hi)
-    if kind == "rank_rows":
-        weights, members, lo, hi = args
-        return engine.rank_count_slice(weights, members, lo, hi)
     raise ValueError(f"unknown work-unit kind {kind!r}")  # pragma: no cover
 
 
@@ -127,29 +104,24 @@ def _run_on_clone(parent, clone, kind: str, *args, lock=None):
     """Run one work unit on a serial clone of ``parent``.
 
     The unit's counter deltas fold back into the parent (under ``lock``
-    when clones run concurrently), so the stats and the adaptive
-    rank-quant engagement keep seeing fanned-out work, not just serial
-    calls.
+    when clones run concurrently), so the stats keep seeing fanned-out
+    work, not just serial calls.
     """
     before = dict(clone.stats)
-    rank_columns = clone._rank_float_columns
-    rank_fallbacks = clone._rank_float_fallbacks
     try:
         return _dispatch(clone, kind, *args)
     finally:
         with lock or nullcontext():
             for key, value in clone.stats.items():
                 parent.stats[key] += value - before[key]
-            parent._rank_float_columns += clone._rank_float_columns - rank_columns
-            parent._rank_float_fallbacks += clone._rank_float_fallbacks - rank_fallbacks
 
 
 class ThreadExecutor:
     """In-process thread pool over serial clones of one engine.
 
-    Owns no scoring semantics: the parent engine decides how a call is
-    split and how partials merge (the supervision layer computes the
-    chunk bounds and submits one work unit per chunk); this class only
+    Owns no scoring semantics: the parent engine decides which calls fan
+    out (the supervision layer computes the chunk bounds and submits one
+    work unit per chunk); this class only
     runs units and hands back futures.  A work unit crosses a queue as a
     tuple of references — nothing is copied or pickled.  Each pool
     thread lazily builds one serial clone of the parent engine

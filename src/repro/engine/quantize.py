@@ -1,16 +1,17 @@
 """Quantized integer screening tier for :class:`~repro.engine.ScoreEngine`.
 
-The engine's exactness ladder resolves every top-k / rank decision with
-the cheapest arithmetic that can *prove* its answer.  This module adds
-the bottom rung: scores are screened with small-integer arithmetic —
+The engine's top-k ladder resolves every decision with the cheapest
+arithmetic that can *prove* its answer.  This module adds the bottom
+rung: scores are screened with small-integer arithmetic —
 int8 by default, int16 when the data's dynamic range demands it — whose
 error envelope is rigorous, so a candidate set provably containing every
 row that can matter drops out of one integer GEMM plus one vectorized
 threshold pass.  Only the candidates are re-scored exactly; only
 functions whose decision boundary falls *inside* the quantization
 envelope are promoted to the float32 / float64 / scalar tiers above.
-Results therefore stay bit-identical to the scalar ``top_k``/``rank_of``
-path — quantization changes who does the work, never the answer.
+Results therefore stay bit-identical to the scalar ``top_k`` path —
+quantization changes who does the work, never the answer.  Rank
+counting does not use this tier.
 
 Representation
 --------------
@@ -26,10 +27,10 @@ the exact score decomposes as::
 
 The integer GEMM actually computes the *shifted* sum ``S'_i = S_i +
 A_i/2`` (the half-``A`` column rides along as a ``d+1``-th attribute
-against a constant weight of 1), so the two bounds are single
-broadcasts::
+against a constant weight of 1), so the upper bound the screen reads
+is a single broadcast::
 
-    upper_i = b S'_i + usum/2          lower_i = b (S'_i − A_i) − usum/2
+    upper_i = b S'_i + usum/2
 
 with ``usum = Σ_j |u_j|``.  Everything above is *exact* in the carrier
 dtype: products and partial sums are multiples of 1/2 and stay below
@@ -60,7 +61,7 @@ disables the tier.
 
 Each level is one immutable :class:`QuantLevel` — scales, carrier dtype
 and per-ordering stores live together, so a reader (the engine itself,
-or a thread-backend clone sharing the quantizer) grabs one
+or a thread-pool clone sharing the quantizer) grabs one
 :meth:`Quantizer.state` snapshot per call and can never pair old stores
 with new scales; level changes swap the snapshot wholesale under a
 lock.
@@ -104,14 +105,13 @@ class QuantStore:
     ``Q`` is ``(n, d + 1)`` in the carrier dtype: columns ``0..d-1`` hold
     the integer rows ``q_ij``, column ``d`` holds ``A_i / 2`` so the GEMM
     against a weight row padded with 1.0 yields the shifted sum ``S'``
-    directly.  ``absq`` keeps ``A_i`` for the lower-bound broadcast.
+    directly.
     """
 
-    __slots__ = ("Q", "absq", "qmax")
+    __slots__ = ("Q", "qmax")
 
-    def __init__(self, Q: np.ndarray, absq: np.ndarray, qmax: int) -> None:
+    def __init__(self, Q: np.ndarray, qmax: int) -> None:
         self.Q = Q
-        self.absq = absq
         self.qmax = qmax
 
 
@@ -163,11 +163,10 @@ class QuantLevel:
                 store = None  # guard: scale arithmetic went subnormal
             else:
                 n, d = matrix.shape
-                absq = np.abs(q).sum(axis=1)
                 Q = np.empty((n, d + 1), dtype=self.carrier)
                 Q[:, :d] = q
-                Q[:, d] = 0.5 * absq
-                store = QuantStore(Q, absq.astype(self.carrier), self.qmax)
+                Q[:, d] = 0.5 * np.abs(q).sum(axis=1)
+                store = QuantStore(Q, self.qmax)
             self._stores[ordering_index] = store
             return store
 
@@ -210,13 +209,11 @@ class QuantLevel:
                 # this; rebuild from scratch rather than store bad bits.
                 self._stores.pop(ordering_index, None)
                 return
-            absq_new = np.abs(q_new).sum(axis=1)
             inserted = np.empty((q_new.shape[0], store.Q.shape[1]), dtype=store.Q.dtype)
             inserted[:, :-1] = q_new
-            inserted[:, -1] = 0.5 * absq_new
+            inserted[:, -1] = 0.5 * np.abs(q_new).sum(axis=1)
             Q = plan.apply(store.Q, inserted)
-            absq = plan.apply(store.absq, absq_new.astype(store.absq.dtype))
-            self._stores[ordering_index] = QuantStore(Q, absq, self.qmax)
+            self._stores[ordering_index] = QuantStore(Q, self.qmax)
 
     def quantize_weights(
         self, W: np.ndarray
@@ -242,29 +239,21 @@ class QuantLevel:
         return Wq, safe_b, usum, degenerate
 
     # ------------------------------------------------------------------
-    # Threshold helpers (all conceding _QUANT_SLACK quanta, see module
-    # docstring).  Each returns a per-function value in the carrier
-    # dtype that the shifted sums are compared against directly.
     def upper_rhs(self, thr: np.ndarray, b: np.ndarray, usum: np.ndarray) -> np.ndarray:
-        """``S' >= rhs``  ⇔  upper bound can reach ``thr``."""
-        return self._carrier_rhs(thr - 0.5 * usum, b, -_QUANT_SLACK)
+        """``S' >= rhs``  ⇔  the upper bound can reach ``thr``.
 
-    def lower_rhs(self, thr: np.ndarray, b: np.ndarray, usum: np.ndarray) -> np.ndarray:
-        """``S' − A > rhs``  ⇔  lower bound provably exceeds ``thr``."""
-        return self._carrier_rhs(thr + 0.5 * usum, b, _QUANT_SLACK)
-
-    def _carrier_rhs(self, t: np.ndarray, b: np.ndarray, slack: float) -> np.ndarray:
-        """``t / b + slack`` in the carrier, clipped just past ``peak``.
-
-        Every carrier sum compared with a threshold (``S'`` and
-        ``S' − A``) lies in ``[−peak, peak]``, so a right-hand side past
-        ``peak + 1`` either way decides every comparison as the clipped
-        one does.  Clipping ``t`` before the division keeps both the
-        division and the carrier cast in range however small ``b`` is
-        (down to ``_SCALE_MIN``).
+        A per-function value in the carrier dtype that the shifted sums
+        are compared against directly: ``(thr − usum/2)/b`` less
+        ``_QUANT_SLACK`` quanta (see the module docstring), clipped just
+        past ``peak``.  Every carrier sum lies in ``[−peak, peak]``, so a
+        right-hand side past ``peak + 1`` either way decides every
+        comparison as the clipped one does.  Clipping before the
+        division keeps both the division and the carrier cast in range
+        however small ``b`` is (down to ``_SCALE_MIN``).
         """
         lim = (self.peak + 1.0 + _QUANT_SLACK) * b
-        return (np.clip(t, -lim, lim) / b + slack).astype(self.carrier)
+        t = np.clip(thr - 0.5 * usum, -lim, lim)
+        return (t / b - _QUANT_SLACK).astype(self.carrier)
 
 
 class Quantizer:

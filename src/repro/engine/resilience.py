@@ -133,8 +133,8 @@ def set_default_policy(policy: RetryPolicy) -> RetryPolicy:
 class Supervisor:
     """Failure-handling executor facade for one :class:`ScoreEngine`.
 
-    Exposes ``run_function_chunks`` / ``run_row_chunks``, the engine's
-    only fan-out calls.  Chunk bounds are computed **once** per call and
+    Exposes ``run_function_chunks``, the engine's only fan-out call.
+    Chunk bounds are computed **once** per call and
     the per-unit result slots are keyed on the unit index, so retries
     and the fall-back to serial re-execute only failed units and merge
     order never depends on scheduling.
@@ -166,15 +166,6 @@ class Supervisor:
             weights.shape[0], engine.n_jobs, align, engine._tuning.units_per_worker
         )
         units = [(weights[lo:hi], *args) for lo, hi in bounds]
-        return self._run_units(kind, units)
-
-    def run_row_chunks(self, kind: str, weights, n: int, args=()):
-        engine = self._engine
-        engine.stats["parallel_calls"] += 1
-        bounds = _chunk_bounds(
-            n, engine.n_jobs, units_per_worker=engine._tuning.units_per_worker
-        )
-        units = [(weights, *args, lo, hi) for lo, hi in bounds]
         return self._run_units(kind, units)
 
     def reset(self) -> None:
@@ -269,11 +260,11 @@ class Supervisor:
             if cause == "timeout":
                 raise ExecutionTimeoutError(
                     f"work unit exceeded the {policy.timeout_s}s timeout "
-                    f"{policy.max_retries + 1} times on the thread backend"
+                    f"{policy.max_retries + 1} times on the thread pool"
                 )
             raise WorkerCrashError(
                 f"workers kept dying ({policy.max_retries + 1} attempts) "
-                "on the thread backend"
+                "on the thread pool"
             )
         engine = self._engine
         engine._degraded = "serial"
@@ -314,8 +305,8 @@ class Supervisor:
         Not ``_dispatch(engine, ...)``: the parent's bulk methods would
         re-enter the parallel planner and recurse.  The clone is the
         same zero-copy serial view the thread pool uses, and its counter
-        deltas fold back into the parent so the adaptive policies keep
-        seeing the work.
+        deltas fold back into the parent so the stats keep seeing the
+        work.
         """
         engine = self._engine
         clone = self._serial_clone

@@ -21,25 +21,26 @@ the ``(n, d)`` matrix and serves that batched path to every caller:
   score as a lower bound, so counting stops at a provably sufficient
   prefix instead of scanning all n rows.
 
-With ``n_jobs > 1`` every bulk call above a work cutover is
-split into function-chunk or row-chunk work units and fanned out over an
-in-process thread pool of zero-copy engine clones
+With ``n_jobs > 1`` a bulk call of at least ``2·n_jobs`` functions
+above a work cutover is split into function-chunk work units and fanned
+out over an in-process thread pool of zero-copy engine clones
 (:mod:`repro.engine.parallel`); the exactness contract makes any split
-bit-identical to the serial path.
+bit-identical to the serial path.  Every other call runs serially.
 
 Exactness
 ---------
 Tie-breaking follows the library-wide rule (score descending, row index
 ascending), and the contract is *bit-identical results to the scalar*
-``top_k``/``rank_of`` *path*.  Decisions climb a four-tier ladder —
-``int8 → float32 → float64 → scalar`` — in which each tier resolves
-only the columns it can prove and promotes the rest:
+``top_k``/``rank_of`` *path*.  Top-k decisions climb a four-tier
+ladder — ``int8 → float32 → float64 → scalar`` — in which each tier
+resolves only the columns it can prove and promotes the rest; rank
+counting takes the float32 tier and the scalar fallback only:
 
 * the **quantized tier** (:mod:`repro.engine.quantize`) bounds every
-  score from both sides with exact small-integer arithmetic; functions
-  whose candidate set (or rank band) it isolates are finished from a
-  tiny exact rescore, and functions whose decision boundary falls
-  inside the quantization envelope are promoted;
+  score from above with exact small-integer arithmetic; functions
+  whose candidate set it isolates are finished from a tiny exact
+  rescore, and functions whose k boundary falls inside the
+  quantization envelope are promoted;
 * the **float batch tiers** trust the GEMM scores except where a score
   sits inside the contested band of a decision boundary or of a ranked
   neighbour (possible even for identical rows);
@@ -62,7 +63,8 @@ its event loop.
 
 Every band — the contested width, the pruning floors, the float32 range
 guard and the k-skyband margin — comes from one model in
-:mod:`repro.engine.bands`: a width of ``64·eps(tier)·‖w‖·max‖x‖``, which
+:mod:`repro.engine.bands`: a width of ``64·eps(tier)·‖w‖·max‖x‖``
+(widened in proportion to d past 31 attributes, 61 in float32), which
 bounds the rounding error of any summation order however much the
 scores cancel.  With ``float32=True`` the batch tier runs in single
 precision (≈2× GEMM throughput, half the memory traffic) with the
@@ -101,7 +103,7 @@ import numpy as np
 from repro.engine import bands
 from repro.engine.autotune import TuningProfile
 from repro.engine.bitset import pack_membership, packed_width
-from repro.engine.parallel import resolve_backend, resolve_n_jobs
+from repro.engine.parallel import resolve_n_jobs
 from repro.engine.quantize import Quantizer
 from repro.exceptions import InvalidDataError, ValidationError
 
@@ -266,15 +268,12 @@ class ScoreEngine:
     n_jobs:
         Workers for the fan-out layer (:mod:`repro.engine.parallel`).
         ``None``/``1`` keeps every call in the caller's thread; ``-1``
-        uses all cores.  The thread pool is created lazily on the first
-        call whose ``n x m`` work exceeds ``parallel_min_work`` and
-        persists until :meth:`close` (or garbage collection).
-    backend:
-        Execution backend for above-cutover bulk calls: ``"serial"``
-        never fans out; ``"thread"`` and ``"auto"`` (default) use the
-        in-process thread pool (NumPy releases the GIL inside BLAS, so
-        GEMM-bound work scales).  Results are bit-identical across
-        backends.
+        uses all cores.  With more than one, the in-process thread pool
+        (NumPy releases the GIL inside BLAS, so GEMM-bound work scales)
+        is created lazily on the first call of at least ``2·n_jobs``
+        functions whose ``n x m`` work exceeds ``parallel_min_work``,
+        and persists until :meth:`close` (or garbage collection).
+        Results are bit-identical for any worker count.
     quantize:
         Quantized screening tier (:mod:`repro.engine.quantize`):
         ``"auto"`` (default) picks int8/int16 from the data's dynamic
@@ -309,7 +308,6 @@ class ScoreEngine:
         chunk_bytes: int | None = None,
         memo_size: int = 4096,
         n_jobs: int | None = None,
-        backend: str = "auto",
         quantize: str | None = "auto",
         parallel_min_work: int | None = None,
         tune: TuningProfile | None = None,
@@ -364,7 +362,6 @@ class ScoreEngine:
         self._memo: OrderedDict[tuple[bytes, int], TopKBatch] = OrderedDict()
         try:
             self.n_jobs = resolve_n_jobs(n_jobs)
-            self.backend = resolve_backend(backend)
         except ValueError as exc:
             raise ValidationError(str(exc)) from None
         try:
@@ -404,9 +401,6 @@ class ScoreEngine:
         # asyncio caller can await engine work without blocking its loop.
         self._submit_pool = None
         self._submit_lock = threading.Lock()
-        # Adaptive rank-tier policy inputs (see _rank_functions).
-        self._rank_float_columns = 0
-        self._rank_float_fallbacks = 0
         # (k, ordering count) -> per-attribute-ordering grid gathers,
         # reused across batches by _prefix_needs.
         self._grid_cache: dict[tuple[int, int], list] = {}
@@ -579,24 +573,18 @@ class ScoreEngine:
             "tune": self._tuning,
         }
 
-    def _parallel_plan(self, m: int) -> str | None:
-        """How to split an m-function call: None (serial), "functions",
-        or "rows".  Function chunks need enough columns to go around;
-        row chunks cover the few-functions-huge-matrix shape."""
-        if self.n_jobs <= 1 or self.backend == "serial":
-            return None
-        if self._degraded == "serial":
-            # The thread pool kept failing for this engine; the
-            # supervisor pinned it serial (sticky for the engine's
-            # lifetime — a host that broke the pool stays suspect).
-            return None
-        if m * self.n < self._parallel_min_work:
-            return None
-        if m >= 2 * self.n_jobs:
-            return "functions"
-        if self.n >= 16 * self.n_jobs:
-            return "rows"
-        return None
+    def _fans_out(self, m: int) -> bool:
+        """Whether an m-function call is split into function chunks over
+        the thread pool: enough functions to go around (``2·n_jobs``)
+        and work above ``parallel_min_work``.  Every other call runs
+        serially."""
+        if self.n_jobs <= 1 or self._degraded == "serial":
+            # One worker, or the thread pool kept failing for this
+            # engine and the supervisor pinned it serial (sticky for the
+            # engine's lifetime — a host that broke the pool stays
+            # suspect).
+            return False
+        return m >= 2 * self.n_jobs and m * self.n >= self._parallel_min_work
 
     def _scalar_route(self, m: int) -> bool:
         """Whether a serial m-function call takes the small-call route."""
@@ -605,7 +593,7 @@ class ScoreEngine:
     def small_call(self, m: int) -> bool:
         """Whether an m-function top-k or rank call would be answered by
         the small-call route with nothing to settle first: no journaled
-        rows, no fan-out plan.
+        rows, no fan-out.
 
         Such a call costs one scalar kernel per function (at most
         ``_SCALAR_MAX_WORK`` score entries in all), which is what lets
@@ -613,7 +601,7 @@ class ScoreEngine:
         """
         return (
             not self._dirty_rows
-            and self._parallel_plan(m) is None
+            and not self._fans_out(m)
             and self._scalar_route(m)
         )
 
@@ -627,9 +615,8 @@ class ScoreEngine:
     def _supervised(self):
         """The supervision facade every fan-out call site goes through.
 
-        ``run_function_chunks`` / ``run_row_chunks`` with crash
-        recovery, timeouts and the fall-back to serial (see
-        :mod:`repro.engine.resilience`).
+        ``run_function_chunks`` with crash recovery, timeouts and the
+        fall-back to serial (see :mod:`repro.engine.resilience`).
         """
         if self._supervisor is None:
             from repro.engine.resilience import Supervisor
@@ -744,7 +731,6 @@ class ScoreEngine:
         clone = object.__new__(ScoreEngine)
         clone.__dict__.update(self.__dict__)
         clone.n_jobs = 1
-        clone.backend = "serial"
         clone._parallel = None
         clone._supervisor = None
         clone._submit_pool = None
@@ -761,9 +747,6 @@ class ScoreEngine:
         clone._dirty_rows = False
         clone._delta_subscribers = []
         clone.stats = dict.fromkeys(self.stats, 0)
-        # The adaptive rank-quant counters are inherited as-is: the clone
-        # starts from the parent's evidence and the executor folds only
-        # the per-task deltas back, so nothing double-counts.
         return clone
 
     # ------------------------------------------------------------------
@@ -782,9 +765,8 @@ class ScoreEngine:
         # Function-chunk fan-out, aligned to the serial chunk boundaries
         # so workers replay the exact serial matmul calls (raw GEMM
         # output stays bit-identical to the serial path, not merely
-        # ulp-close).  Row-chunked GEMMs would not, so "rows" plans fall
-        # through to the serial loop.
-        if self._parallel_plan(m) == "functions" and m > self._chunk_cols:
+        # ulp-close).
+        if self._fans_out(m) and m > self._chunk_cols:
             parts = self._supervised().run_function_chunks(
                 "score", W, align=self._chunk_cols
             )
@@ -812,7 +794,7 @@ class ScoreEngine:
 
     def topk_orders(self, weight_matrix: np.ndarray, k: int) -> np.ndarray:
         """The ``(m, k)`` best-first index rows of :meth:`topk_batch`
-        without bitset packing, fan-out plan included.
+        without bitset packing, fan-out included.
 
         For callers that never touch the packed members (K-SETr dedups
         on the index rows directly) this skips the ``O(m · n)`` bit
@@ -836,14 +818,10 @@ class ScoreEngine:
         return order
 
     def _topk_orders_full(self, W: np.ndarray, k: int) -> np.ndarray:
-        """:meth:`topk_orders` over the whole matrix, fan-out plan included."""
-        plan = self._parallel_plan(W.shape[0])
-        if plan == "functions":
+        """:meth:`topk_orders` over the whole matrix, fan-out included."""
+        if self._fans_out(W.shape[0]):
             parts = self._supervised().run_function_chunks("topk", W, args=(k,))
             return np.concatenate(parts, axis=0)
-        if plan == "rows":
-            parts = self._supervised().run_row_chunks("topk_rows", W, self.n, args=(k,))
-            return self._topk_merge_candidates(W, k, parts)
         if self._scalar_route(W.shape[0]):
             # Small-call route (module docstring): scored, never contested.
             self.stats["scalar_columns"] += W.shape[0]
@@ -1007,7 +985,7 @@ class ScoreEngine:
         """Tier 0: integer-envelope top-k screening; returns promoted rows.
 
         One integer GEMM over a routed prefix bounds every score from
-        both sides (:mod:`repro.engine.quantize`).  A probe over the top
+        above (:mod:`repro.engine.quantize`).  A probe over the top
         of the norm ordering yields a rigorous lower bound ``thr`` on
         each function's k-th score; every row whose upper bound reaches
         ``thr`` is a candidate, and the candidate set provably contains
@@ -1042,7 +1020,7 @@ class ScoreEngine:
         use_f32 = self._f32_ok(w_norms)
         noise = w_norms * self._max_norm()
         _, _, block_scores = self._prefix_eval(orderings[0], Wc, k, c0, use_f32)
-        thr = bands.floor(block_scores.min(axis=1), noise, use_f32)
+        thr = bands.floor(block_scores.min(axis=1), noise, self.d, use_f32)
         self._accumulate_probe_demand(w_norms, thr)
         needs = self._prefix_needs(Wc, w_norms, thr, k)
         best_o = np.argmin(needs, axis=1)
@@ -1098,8 +1076,8 @@ class ScoreEngine:
             resolved = np.sort(np.concatenate(resolved_parts))
             scores = padded_scores[resolved, :used_cap]
             for j in self._finalize(
-                resolved, padded_ids[resolved, :used_cap], scores,
-                *_top_block(scores, k), Wc, k, out_order, thr, bands.tol(noise),
+                resolved, padded_ids[resolved, :used_cap], scores, *_top_block(scores, k),
+                Wc, k, out_order, thr, bands.tol(noise, self.d),
             ):
                 out_order[j] = self._verified_topk_column(Wc[j], k)
                 self.stats["verified_columns"] += 1
@@ -1260,11 +1238,6 @@ class ScoreEngine:
             self._max_abs_value = float(np.abs(self.values).max())
         return self._max_abs_value
 
-    def _noise_scale(self, W: np.ndarray) -> np.ndarray:
-        """Per function ``‖w‖·max‖x‖``, the scale of every band
-        (:mod:`repro.engine.bands`)."""
-        return np.linalg.norm(W, axis=1) * self._max_norm()
-
     def _topk_tier(
         self,
         Wc: np.ndarray,
@@ -1290,7 +1263,7 @@ class ScoreEngine:
         mc = Wc.shape[0]
         norm_ord = self._ensure_orderings()[0]
         noise = w_norms * self._max_norm()
-        tol = bands.tol(noise, use_f32)
+        tol = bands.tol(noise, self.d, use_f32)
 
         c0 = n if 4 * k >= n else min(n, max(4 * k, 64))
         S, blk, block_scores = self._prefix_eval(norm_ord, Wc, k, c0, use_f32)
@@ -1300,7 +1273,7 @@ class ScoreEngine:
                 np.arange(mc), norm_ord.perm, S, blk, block_scores, Wc, k,
                 out_order, np.full(mc, -np.inf), tol, use_f32,
             )
-        thr = bands.floor(block_scores.min(axis=1), noise, use_f32)
+        thr = bands.floor(block_scores.min(axis=1), noise, self.d, use_f32)
         contested_parts: list[np.ndarray] = []
 
         # Exact need under the norm ordering, grid-quantized need under
@@ -1514,27 +1487,25 @@ class ScoreEngine:
         Small calls are answered by that kernel directly (module
         docstring).
 
-        Other calls count pruned and tiered: the subset's best score (one
-        small float64 GEMM over the member rows) is a lower bound no
-        counted row may miss, so each function is routed to the
-        norm/attribute ordering with the smallest sufficient prefix and
-        counted over that prefix only, in float32, in cache-sized fused
-        chunks.  Any function with a non-member row inside the float32
-        ulp band around the bound is recomputed with the deterministic
-        scalar float64 kernel — so GEMM noise (e.g. between identical
-        rows) can never inflate a rank, and the result is bit-identical
-        to the pre-pruning full-scan path for every input.
+        Other calls count pruned (:meth:`_rank_functions`): the subset's
+        best score (one small float64 GEMM over the member rows) is a
+        lower bound no counted row may miss, so each function is routed
+        to the norm/attribute ordering with the smallest sufficient
+        prefix and counted over that prefix only, in float32, in
+        cache-sized fused chunks.  Any function with a non-member row
+        inside the float32 ulp band around the bound is recomputed with
+        the deterministic scalar float64 kernel — so GEMM noise (e.g.
+        between identical rows) can never inflate a rank, and the result
+        is bit-identical to the pre-pruning full-scan path for every
+        input.
         """
         self.compact()
         W = self._check_weights(weight_matrix)
         members = self._check_subset(subset)
         m = W.shape[0]
-        plan = self._parallel_plan(m)
-        if plan == "functions":
+        if self._fans_out(m):
             parts = self._supervised().run_function_chunks("rank", W, args=(members,))
             return np.concatenate(parts)
-        if plan == "rows":
-            return self._rank_row_merge(W, members)
         if self._scalar_route(m):
             # Small-call route (module docstring): every row is read.
             self.stats["scalar_columns"] += m
@@ -1543,58 +1514,31 @@ class ScoreEngine:
             return np.array([self._verified_rank(w, members) for w in W], np.int64)
         return self._rank_functions(W, members)
 
-    def _rank_functions(self, W: np.ndarray, members: np.ndarray) -> np.ndarray:
+    def _rank_functions(
+        self, W: np.ndarray, members: np.ndarray, best: np.ndarray | None = None
+    ) -> np.ndarray:
         """Serial pruned rank counting (also the function-chunk work unit).
 
-        Tiered like :meth:`_topk_chunk`, with one twist: on clean data
-        the float32 banded count and the quantized screen issue the same
-        GEMM, but the screen pays extra threshold passes and a band
-        gather, so quantization only *wins* when the float path keeps
-        dropping whole functions to the exact scalar kernel (tie-dense
-        or duplicate-heavy data, where each drop costs a full ``n·d``
-        rescan).  The engine therefore measures the float path's
-        fallback rate and engages the quantized screen — which resolves
-        the same near-ties from a small exact gather instead — once that
-        rate crosses the profile's ``rank_quant_fallback_ratio``.  Either route is
-        bit-identical to ``rank_of``.
+        One float32 banded count per function over its routed prefix,
+        with the exact scalar kernel as the fallback: a non-member row
+        inside the band around the subset's best score, or a function
+        the float32 range guard flags, is counted by
+        :meth:`_verified_rank` instead.  ``best`` holds each function's
+        best member score when the caller has it already.
         """
+        n = self.n
         m = W.shape[0]
         ranks = np.empty(m, dtype=np.int64)
         if m == 0:
             return ranks
-        # The exactness anchor: each function's best member score, from a
-        # dedicated float64 GEMM over the s << n member rows.
-        member_values = self.values[members]
-        best = np.empty(m)
-        for lo in range(0, m, self._chunk_cols):
-            hi = min(m, lo + self._chunk_cols)
-            best[lo:hi] = (W[lo:hi] @ member_values.T).max(axis=1)
-        use_quant = (
-            self._quantizer is not None
-            and self._rank_float_columns >= self._tuning.rank_quant_min_sample
-            and self._rank_float_fallbacks
-            > self._tuning.rank_quant_fallback_ratio * self._rank_float_columns
-            and self._quantizer.active
-        )
-        if use_quant:
-            promoted = self._quant_rank(W, members, best, ranks)
-            if promoted.size == 0:
-                return ranks
-            if promoted.size < m:
-                ranks[promoted] = self._rank_functions_float(
-                    np.ascontiguousarray(W[promoted]), members, best[promoted]
-                )
-                return ranks
-        ranks[:] = self._rank_functions_float(W, members, best)
-        return ranks
-
-    def _rank_functions_float(
-        self, W: np.ndarray, members: np.ndarray, best: np.ndarray
-    ) -> np.ndarray:
-        """Pruned float32 banded counting (tiers 1-3 of the rank ladder)."""
-        n = self.n
-        m = W.shape[0]
-        ranks = np.empty(m, dtype=np.int64)
+        if best is None:
+            # The exactness anchor: each function's best member score,
+            # from a dedicated float64 GEMM over the s << n member rows.
+            member_values = self.values[members]
+            best = np.empty(m)
+            for lo in range(0, m, self._chunk_cols):
+                hi = min(m, lo + self._chunk_cols)
+                best[lo:hi] = (W[lo:hi] @ member_values.T).max(axis=1)
         # Functions the float32 range guard flags count with the exact
         # float64 kernel (see repro.engine.bands).
         w_norms = np.linalg.norm(W, axis=1)
@@ -1603,18 +1547,15 @@ class ScoreEngine:
             for j in np.flatnonzero(unsafe):
                 ranks[j] = self._verified_rank(W[j], members)
                 self.stats["verified_columns"] += 1
-            self._rank_float_columns += int(unsafe.sum())
-            self._rank_float_fallbacks += int(unsafe.sum())
             safe = np.flatnonzero(~unsafe)
             if safe.size:
-                ranks[safe] = self._rank_functions_float(
+                ranks[safe] = self._rank_functions(
                     np.ascontiguousarray(W[safe]), members, best[safe]
                 )
             return ranks
-        fallbacks_before = self.stats["verified_columns"]
         noise = w_norms * self._max_norm()
-        tol = bands.tol(noise, f32=True)
-        thr = bands.floor(best, noise, f32=True)
+        tol = bands.tol(noise, self.d, f32=True)
+        thr = bands.floor(best, noise, self.d, f32=True)
         self._ensure_orderings()
         self._accumulate_probe_demand(w_norms, thr)
         needs = self._prefix_needs(W, w_norms, thr, self._tuning.rank_grid_base)
@@ -1659,232 +1600,7 @@ class ScoreEngine:
                     above[j] = self._verified_rank(W[rows[j]], members) - 1
                     self.stats["verified_columns"] += 1
                 ranks[rows] = above + 1
-        # Feed the adaptive rank-tier policy (see _rank_functions).
-        self._rank_float_columns += m
-        self._rank_float_fallbacks += self.stats["verified_columns"] - fallbacks_before
         return ranks
-
-    def _quant_rank(
-        self,
-        W: np.ndarray,
-        members: np.ndarray,
-        best: np.ndarray,
-        ranks: np.ndarray,
-    ) -> np.ndarray:
-        """Tier 0 of rank counting: integer screening; returns promoted rows.
-
-        Per function, one integer GEMM over the routed prefix splits the
-        rows three ways with rigorous bounds: *surely above* the
-        subset's best score (counted without ever computing an exact
-        score), *surely below* (ignored), and an *envelope band* that is
-        gathered and re-scored exactly.  Band rows within the ulp band
-        of ``best`` drop the whole function to the exact scalar kernel;
-        a band wider than the profile's ``quant_rank_cap`` promotes the function to
-        the float32 banded count instead.  Counts written into ``ranks``
-        are bit-identical to the full-scan scalar path.
-        """
-        n = self.n
-        m = W.shape[0]
-        state = self._quantizer.state
-        if state is None:
-            return np.arange(m)
-        Wq, b, usum, degenerate = state.quantize_weights(W)
-        self._ensure_orderings()
-        self.stats["quant_columns"] += m
-        w_norms = np.linalg.norm(W, axis=1)
-        noise = w_norms * self._max_norm()
-        tol = bands.tol(noise)
-        thr = bands.floor(best, noise)
-        self._accumulate_probe_demand(w_norms, thr)
-        needs = self._prefix_needs(W, w_norms, thr, self._tuning.rank_grid_base)
-        best_o = np.argmin(needs, axis=1)
-        need = np.clip(needs[np.arange(m), best_o], 1, n)
-        sizes = np.append(_geometric_grid(self._tuning.rank_grid_base, n), n)
-        bucket = np.searchsorted(sizes, need)
-        is_member = np.zeros(n, dtype=bool)
-        is_member[members] = True
-        promoted_parts = [np.flatnonzero(degenerate)]
-        group_key = best_o * (len(sizes) + 1) + bucket
-        rest = np.flatnonzero(~degenerate)
-        order = rest[np.argsort(group_key[rest], kind="stable")]
-        starts = np.flatnonzero(np.diff(group_key[order])) + 1
-        for group in np.split(order, starts) if order.size else []:
-            ordering = self._orderings[int(best_o[group[0]])]
-            store = state.store(int(best_o[group[0]]), ordering.V)
-            if store is None:
-                promoted_parts.append(group)
-                continue
-            c = int(sizes[bucket[group[0]]])
-            Qc = store.Q[:c]
-            absq = store.absq[:c]
-            itemsize = Qc.dtype.itemsize
-            cols = max(16, min(1024, self._tuning.rank_buffer_bytes // (itemsize * c)))
-            for glo in range(0, group.size, cols):
-                rows = group[glo : glo + cols]
-                S = Wq[rows] @ Qc.T  # shifted integer sums, exact in carrier
-                rhs_hi = state.lower_rhs(best[rows] + tol[rows], b[rows], usum[rows])
-                rhs_lo = state.upper_rhs(best[rows] - tol[rows], b[rows], usum[rows])
-                sure_mask = (S - absq[None, :]) > rhs_hi[:, None]
-                band_mask = (S >= rhs_lo[:, None]) & ~sure_mask
-                sure = sure_mask.sum(axis=1, dtype=np.int64)
-                band = band_mask.sum(axis=1, dtype=np.int64)
-                self.stats["gemm_columns"] += rows.size
-                self.stats["rank_prefix_rows"] += rows.size * c
-                ok = band <= self._tuning.quant_rank_cap
-                if not ok.all():
-                    promoted_parts.append(rows[~ok])
-                    rows = rows[ok]
-                    if not rows.size:
-                        continue
-                    sure = sure[ok]
-                    band_mask = band_mask[ok]
-                    band = band[ok]
-                ranks[rows] = sure + 1
-                if not band.any():
-                    continue
-                # Gather and exactly re-score the envelope-band rows.
-                flat = np.flatnonzero(band_mask.ravel())
-                starts_b = np.cumsum(band) - band
-                pos = np.arange(flat.size, dtype=np.int64) - np.repeat(starts_b, band)
-                row_rep = np.repeat(np.arange(rows.size, dtype=np.int64), band)
-                padded = np.full((rows.size, int(band.max())), -1, dtype=np.int64)
-                padded[row_rep, pos] = flat % c
-                pad = padded < 0
-                gids = ordering.perm[np.where(pad, 0, padded)]
-                # Members sit inside the band by construction (their
-                # scores ARE near best); they are never counted, and must
-                # not trigger the near-tie fallback either.
-                drop = pad | is_member[gids]
-                scores = np.matmul(self.values[gids], W[rows][:, :, None])[:, :, 0]
-                scores[drop] = -np.inf
-                best_r = best[rows][:, None]
-                tol_r = tol[rows][:, None]
-                ranks[rows] += (scores > best_r).sum(axis=1)
-                near = np.abs(scores - best_r) <= tol_r
-                for j in np.flatnonzero(near.any(axis=1)):
-                    ranks[rows[j]] = self._verified_rank(W[rows[j]], members)
-                    self.stats["verified_columns"] += 1
-        promoted = np.sort(np.concatenate(promoted_parts))
-        self.stats["quant_resolved"] += m - promoted.size
-        self._quantizer.observe(m, promoted.size)
-        return promoted
-
-    def rank_count_slice(
-        self, weight_matrix: np.ndarray, subset: np.ndarray, lo: int, hi: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Row-chunk work unit: strictly-above counts over rows [lo, hi).
-
-        Returns ``(above, contested)``: per function, the number of rows
-        in the slice scoring above the subset's best + tolerance, and
-        whether any non-member slice row landed inside the ulp band (the
-        parent then resolves that function with the exact scalar
-        kernel).  Summing ``above`` over a partition of the rows equals
-        the full-scan count because every uncontested decision is exact.
-        """
-        self.compact()
-        W = self._check_weights(weight_matrix)
-        members = self._check_subset(subset)
-        best = (W @ self.values[members].T).max(axis=1)
-        tol = bands.tol(self._noise_scale(W))
-        S = W @ self.values[lo:hi].T
-        self.stats["gemm_columns"] += W.shape[0]
-        above = (S > (best + tol)[:, None]).sum(axis=1)
-        near = (S > (best - tol)[:, None]).sum(axis=1)
-        inside = members[(members >= lo) & (members < hi)]
-        if inside.size:
-            member_near = (S[:, inside - lo] > (best - tol)[:, None]).sum(axis=1)
-        else:
-            member_near = np.zeros(W.shape[0], dtype=np.int64)
-        return above.astype(np.int64), near - member_near != above
-
-    def _rank_row_merge(self, W: np.ndarray, members: np.ndarray) -> np.ndarray:
-        """Fan a small batch out over row chunks and merge the counts.
-
-        Row chunks scan the full matrix, so they only pay off when the
-        pruned serial path could not already cut the work: a cheap
-        norm-ordering probe routes strongly-prunable calls back to
-        :meth:`_rank_functions` instead of inflating total work across
-        the pool.
-        """
-        self._ensure_orderings()
-        best = (W @ self.values[members].T).max(axis=1)
-        norms = np.linalg.norm(W, axis=1)
-        thr = bands.floor(best, norms * self._max_norm(), f32=True)
-        need = np.searchsorted(
-            -self._orderings[0].u,
-            -(thr / np.where(norms > 0.0, norms, np.inf)),
-            side="right",
-        )
-        if int(need.max(initial=0)) < self.n // 2:
-            return self._rank_functions(W, members)
-        parts = self._supervised().run_row_chunks(
-            "rank_rows", W, self.n, args=(members,)
-        )
-        above = np.zeros(W.shape[0], dtype=np.int64)
-        contested = np.zeros(W.shape[0], dtype=bool)
-        for part_above, part_contested in parts:
-            above += part_above
-            contested |= part_contested
-        for j in np.flatnonzero(contested):
-            above[j] = self._verified_rank(W[j], members) - 1
-            self.stats["verified_columns"] += 1
-        return above + 1
-
-    # ------------------------------------------------------------------
-    # row-chunked top-k (work unit + merge)
-    def topk_candidates_slice(
-        self, weight_matrix: np.ndarray, k: int, lo: int, hi: int
-    ) -> list[np.ndarray]:
-        """Row-chunk work unit: top-k *candidates* within rows [lo, hi).
-
-        Per function, every slice row whose GEMM score reaches the
-        slice's k-th best minus the ulp band — a superset of the rows
-        that can appear in the global top-k, since a true top-k row
-        ranks in the top-k of its own slice by exact scores and GEMM
-        deviations are far smaller than the band.
-        """
-        self.compact()
-        W = self._check_weights(weight_matrix)
-        k = self._check_k(k)
-        height = hi - lo
-        S = W @ self.values[lo:hi].T  # (m, height)
-        self.stats["gemm_columns"] += W.shape[0]
-        if k >= height:
-            full = np.arange(lo, hi, dtype=np.int64)
-            return [full] * W.shape[0]
-        tol = bands.tol(self._noise_scale(W))
-        blk = np.argpartition(S, height - k, axis=1)[:, height - k :]
-        kth = np.take_along_axis(S, blk, axis=1).min(axis=1)
-        return [
-            (lo + np.flatnonzero(S[i] >= kth[i] - tol[i])).astype(np.int64)
-            for i in range(W.shape[0])
-        ]
-
-    def _topk_merge_candidates(
-        self, W: np.ndarray, k: int, parts: list[list[np.ndarray]]
-    ) -> np.ndarray:
-        """Merge per-slice candidate lists into exact top-k rows.
-
-        Candidates are re-scored with per-row float64 dots (the scalar
-        kernel's accumulation) and ordered by (score desc, index asc);
-        any (near-)tie within the band among the boundary-deciding
-        scores falls back to the scalar algorithm verbatim, exactly like
-        the tiered serial path.
-        """
-        m = W.shape[0]
-        out = np.empty((m, k), dtype=np.int64)
-        tol = bands.tol(self._noise_scale(W))
-        for i in range(m):
-            cand = np.concatenate([part[i] for part in parts])
-            scores = self.values[cand] @ W[i]
-            order = np.lexsort((cand, -scores))
-            boundary = scores[order[: min(cand.size, k + 1)]]
-            if (np.diff(boundary) > -tol[i]).any():
-                out[i] = self._verified_topk_column(W[i], k)
-                self.stats["verified_columns"] += 1
-            else:
-                out[i] = cand[order[:k]]
-        return out
 
 
 class _CandidateEngine(ScoreEngine):

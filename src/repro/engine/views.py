@@ -104,7 +104,7 @@ def _screen_band(weights: np.ndarray, engine: ScoreEngine, event) -> np.ndarray:
     norm = engine._max_norm()
     if event.deleted_rows.size:
         norm = max(norm, float(robust_row_norms(event.deleted_rows).max()))
-    return bands.PRUNE * bands.tol(np.linalg.norm(weights, axis=1) * norm)
+    return bands.PRUNE * bands.tol(np.linalg.norm(weights, axis=1) * norm, engine.d)
 
 
 def _screen_topk_orders(

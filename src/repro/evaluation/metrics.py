@@ -58,7 +58,6 @@ def evaluate_representative(
     num_functions: int = 10_000,
     rng: int | np.random.Generator | None = 0,
     jobs: int | None = None,
-    backend: str = "auto",
     tune=None,
     policy=None,
     engine: ScoreEngine | None = None,
@@ -67,11 +66,10 @@ def evaluate_representative(
 
     ``exact=None`` (default) picks the exact 2-D sweep when d = 2 and the
     sampled estimator otherwise; pass True/False to force either.
-    ``jobs``/``backend`` fan the Monte-Carlo measurements out over
-    the engine's worker pool (``None``/``1`` = serial, ``-1`` = all
-    cores; thread or auto backend).  Pass a pre-built
-    ``engine`` over the same matrix to reuse its pool/orderings across
-    calls.
+    ``jobs`` fans the Monte-Carlo measurements out over the engine's
+    thread pool (``None``/``1`` = serial, ``-1`` = all cores).  Pass a
+    pre-built ``engine`` over the same matrix to reuse its
+    pool/orderings across calls.
     """
     matrix = np.asarray(values, dtype=np.float64)
     if matrix.ndim != 2:
@@ -85,9 +83,7 @@ def evaluate_representative(
     # (or once per Session, when the caller shares a long-lived engine).
     own_engine = engine is None
     if engine is None:
-        engine = ScoreEngine(
-            matrix, n_jobs=jobs, backend=backend, tune=tune, resilience=policy
-        )
+        engine = ScoreEngine(matrix, n_jobs=jobs, tune=tune, resilience=policy)
     else:
         engine.compact()  # settle journaled row mutations before validating
         if engine.n != matrix.shape[0]:

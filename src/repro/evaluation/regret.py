@@ -102,7 +102,6 @@ def rank_regret_sampled(
     rng: int | np.random.Generator | None = None,
     return_distribution: bool = False,
     jobs: int | None = None,
-    backend: str = "auto",
     tune=None,
     policy=None,
     engine: ScoreEngine | None = None,
@@ -124,12 +123,11 @@ def rank_regret_sampled(
     (:meth:`repro.engine.ScoreEngine._verified_rank`): it agrees with
     the scalar :func:`repro.ranking.topk.rank_of` except on exact ties,
     where ``rank_of`` also counts equal-score rows with a smaller index.
-    ``jobs``/``backend`` fan the counting out over the engine's
-    worker pool (``None``/``1`` = serial, ``-1`` = all cores; thread
-    or auto backend) with bit-identical results.  Pass a
-    pre-built ``engine`` over the same matrix to reuse its
-    pool/orderings across calls (``jobs``/``backend`` are then ignored
-    — the engine keeps its own configuration).
+    ``jobs`` fans the counting out over the engine's thread pool
+    (``None``/``1`` = serial, ``-1`` = all cores) with bit-identical
+    results.  Pass a pre-built ``engine`` over the same matrix to reuse
+    its pool/orderings across calls (``jobs`` is then ignored — the
+    engine keeps its own configuration).
     """
     matrix = np.asarray(values, dtype=np.float64)
     if matrix.ndim != 2:
@@ -144,9 +142,7 @@ def rank_regret_sampled(
             raise ValidationError("engine was built over a different matrix")
         regrets = engine.rank_of_best_batch(weights, members)
     else:
-        with ScoreEngine(
-            matrix, n_jobs=jobs, backend=backend, tune=tune, resilience=policy
-        ) as own:
+        with ScoreEngine(matrix, n_jobs=jobs, tune=tune, resilience=policy) as own:
             regrets = own.rank_of_best_batch(weights, members)
     if return_distribution:
         return regrets
@@ -174,7 +170,6 @@ def regret_ratio_sampled(
     num_functions: int = 1000,
     rng: int | np.random.Generator | None = None,
     jobs: int | None = None,
-    backend: str = "auto",
     tune=None,
     policy=None,
     engine: ScoreEngine | None = None,
@@ -196,9 +191,7 @@ def regret_ratio_sampled(
             raise ValidationError("engine was built over a different matrix")
         score_matrix = engine.score_batch(weights)
     else:
-        with ScoreEngine(
-            matrix, n_jobs=jobs, backend=backend, tune=tune, resilience=policy
-        ) as own:
+        with ScoreEngine(matrix, n_jobs=jobs, tune=tune, resilience=policy) as own:
             score_matrix = own.score_batch(weights)
     top = score_matrix.max(axis=0)
     achieved = score_matrix[members].max(axis=0)

@@ -92,12 +92,11 @@ def reproduce_all(
     scale: str = "bench",
     progress: Callable[[str], None] | None = None,
     jobs: int | None = None,
-    backend: str = "auto",
     tune=None,
 ) -> str:
     """Run every experiment at ``scale`` and return the markdown report.
 
-    ``jobs``, ``backend`` and ``tune`` are forwarded to every runner;
+    ``jobs`` and ``tune`` are forwarded to every runner;
     the report content is bit-identical to a serial run.
     """
     configs = BENCH_EXPERIMENTS if scale == "bench" else PAPER_EXPERIMENTS
@@ -113,8 +112,7 @@ def reproduce_all(
         out.write(f"**Paper:** {PAPER_CLAIMS[figure_id]}\n\n")
         if isinstance(config, KSetCountConfig):
             rows = run_kset_count(
-                config, progress=progress, jobs=jobs, backend=backend,
-                tune=tune,
+                config, progress=progress, jobs=jobs, tune=tune,
             )
             out.write("**Measured:**\n\n")
             out.write(format_kset_table(rows))
@@ -127,8 +125,7 @@ def reproduce_all(
             )
         else:
             rows = run_experiment(
-                config, progress=progress, jobs=jobs, backend=backend,
-                tune=tune,
+                config, progress=progress, jobs=jobs, tune=tune,
             )
             out.write("**Measured:**\n\n")
             out.write(format_experiment_table(rows))

@@ -88,7 +88,6 @@ def _run_algorithm(
     mdrc_size_hint: int | None,
     verify_functions: int = 2000,
     jobs: int | None = None,
-    backend: str = "auto",
     tune=None,
 ) -> tuple[list[int], float]:
     """Run one algorithm, returning (indices, wall seconds)."""
@@ -98,10 +97,10 @@ def _run_algorithm(
     elif name == "mdrrr":
         indices = md_rrr(
             values, k, rng=seed, verify_functions=verify_functions,
-            jobs=jobs, backend=backend, tune=tune,
+            jobs=jobs, tune=tune,
         ).indices
     elif name == "mdrc":
-        indices = mdrc(values, k, jobs=jobs, backend=backend, tune=tune).indices
+        indices = mdrc(values, k, jobs=jobs, tune=tune).indices
     elif name == "hd_rrms":
         budget = mdrc_size_hint if mdrc_size_hint else max(1, min(20, values.shape[0]))
         indices = list(hd_rrms(values, budget, rng=seed).indices)
@@ -115,13 +114,12 @@ def run_experiment(
     config: ExperimentConfig,
     progress: Callable[[str], None] | None = None,
     jobs: int | None = None,
-    backend: str = "auto",
     tune=None,
 ) -> list[ExperimentRow]:
     """Execute a comparison experiment and return its measurement rows.
 
-    ``jobs``/``backend`` fan the engine-backed algorithms and the
-    Monte-Carlo quality measurement out over the engine's worker pool;
+    ``jobs`` fans the engine-backed algorithms and the Monte-Carlo
+    quality measurement out over the engine's thread pool;
     measured outputs are bit-identical to the serial run.
     """
     rows: list[ExperimentRow] = []
@@ -144,7 +142,7 @@ def run_experiment(
             indices, elapsed = _run_algorithm(
                 algorithm, values, k, config.seed, mdrc_size,
                 verify_functions=config.eval_functions,
-                jobs=jobs, backend=backend, tune=tune,
+                jobs=jobs, tune=tune,
             )
             if algorithm == "mdrc":
                 mdrc_size = len(indices)
@@ -155,7 +153,6 @@ def run_experiment(
                 num_functions=config.eval_functions,
                 rng=config.seed,
                 jobs=jobs,
-                backend=backend,
                 tune=tune,
             )
             rows.append(
@@ -200,7 +197,6 @@ def run_maintenance(
     num_functions: int = 2000,
     verify: bool = True,
     jobs: int | None = None,
-    backend: str = "auto",
     tune=None,
     progress: Callable[[str], None] | None = None,
 ) -> list[MaintenanceRow]:
@@ -230,7 +226,7 @@ def run_maintenance(
         raise ValidationError(f"unknown maintained algorithm {algorithm!r}")
     rng = np.random.default_rng(seed)
     rows: list[MaintenanceRow] = []
-    with ScoreEngine(matrix, n_jobs=jobs, backend=backend, tune=tune) as engine:
+    with ScoreEngine(matrix, n_jobs=jobs, tune=tune) as engine:
         if algorithm == "mdrc":
             view = MDRCView(engine, k)
         else:
@@ -294,7 +290,6 @@ def run_kset_count(
     config: KSetCountConfig,
     progress: Callable[[str], None] | None = None,
     jobs: int | None = None,
-    backend: str = "auto",
     tune=None,
 ) -> list[KSetCountRow]:
     """Execute a k-set count experiment (Figures 13–16)."""
@@ -315,7 +310,7 @@ def run_kset_count(
         else:
             outcome = sample_ksets(
                 values, k, patience=config.patience, rng=config.seed,
-                jobs=jobs, backend=backend, tune=tune,
+                jobs=jobs, tune=tune,
             )
             ksets = outcome.ksets
             draws = outcome.draws

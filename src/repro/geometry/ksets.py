@@ -197,7 +197,6 @@ def sample_ksets(
     max_draws: int = 1_000_000,
     batch_size: int = 1024,
     jobs: int | None = None,
-    backend: str = "auto",
     tune=None,
     policy=None,
     engine: ScoreEngine | None = None,
@@ -223,10 +222,9 @@ def sample_ksets(
     applied draw-by-draw within each batch, so any batch size yields the
     identical k-set sequence and draw count — larger batches only
     amortize per-call engine overhead (and, at worst, score up to one
-    surplus batch after the stopping draw).  ``jobs``/``backend`` fan
-    each batch's top-k out over the engine's worker pool (``None``/``1``
-    = serial; see :mod:`repro.engine.parallel`) — bit-identical draws
-    either way.
+    surplus batch after the stopping draw).  ``jobs`` fans each batch's
+    top-k out over the engine's thread pool (``None``/``1`` = serial;
+    see :mod:`repro.engine.parallel`) — bit-identical draws either way.
 
     ``engine``/``state`` expose the repairable intermediate state for
     maintained views (:mod:`repro.engine.views`): pass an existing
@@ -253,8 +251,7 @@ def sample_ksets(
     own_engine = engine is None
     if engine is None:
         engine = ScoreEngine(
-            matrix, float32=True, n_jobs=jobs, backend=backend, tune=tune,
-            resilience=policy,
+            matrix, float32=True, n_jobs=jobs, tune=tune, resilience=policy,
         )
     else:
         engine.compact()

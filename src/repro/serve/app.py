@@ -25,9 +25,10 @@ revision, so its size follows the answer, not the data; the client
 bitset from them.  Admission control is typed: **429** (queue full,
 ``Retry-After`` hint) under overload, **503** while draining for
 shutdown; any exception no handler maps answers **500** on a
-connection that stays open.  Failure handling inside the engine is the PR-6 resilience
-ladder, configured by the same ``policy`` knob as everywhere else; a
-crashed worker degrades the backend, never the response.
+connection that stays open.  Failure handling inside the engine is the
+resilience ladder (:mod:`repro.engine.resilience`), configured by the
+same ``policy`` knob as everywhere else; a crashed worker degrades the
+thread pool to serial, never the response.
 
 On boot the server loads a checksummed
 :class:`~repro.engine.TuningProfile` if configured, through the CLI's
@@ -87,7 +88,6 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 8472
     jobs: int | None = None
-    backend: str = "auto"
     tuning_profile: str | None = None  # checksummed JSON path; None = defaults
     policy: object = None  # RetryPolicy | None
     max_pending: int = 256  # admission bound: queued requests before 429
@@ -149,7 +149,6 @@ class Server:
         self.session = Session(
             boot_values,
             jobs=self.config.jobs,
-            backend=self.config.backend,
             tune=self._boot_tuning(snapshot),
             policy=self.config.policy,
         )

@@ -11,8 +11,8 @@ pruning-ordering builds on every call and leaves the caller to thread
 the shared engine through by hand.
 
 :class:`Session` owns that engine.  It is constructed once over a
-matrix with the unified knob vocabulary (``jobs``, ``backend``,
-``tune``, ``policy``), and every method scores through the same
+matrix with the unified knob vocabulary (``jobs``, ``tune``,
+``policy``), and every method scores through the same
 engine: algorithms (:meth:`mdrc`, :meth:`sample_ksets`, :meth:`md_rrr`),
 evaluation (:meth:`rank_regret`, :meth:`evaluate`), raw batch queries
 (:meth:`topk`, :meth:`rank_of_best`) and journaled mutations
@@ -51,9 +51,8 @@ class Session:
         ``(n, d)`` data matrix (rows are tuples, columns attributes).
     jobs:
         Worker count for every engine-backed call (``None``/``1`` =
-        serial, ``-1`` = all cores).
-    backend:
-        ``"auto"`` | ``"serial"`` | ``"thread"``.
+        serial, ``-1`` = all cores; more than one fans large calls out
+        over a thread pool).
     tune:
         ``None`` (defaults) or a :class:`~repro.engine.TuningProfile`
         (e.g. loaded with :meth:`~repro.engine.TuningProfile.load` from
@@ -71,7 +70,6 @@ class Session:
         values: np.ndarray | None,
         *,
         jobs: int | None = None,
-        backend: str = "auto",
         tune=None,
         policy=None,
         float32: bool = True,
@@ -80,7 +78,6 @@ class Session:
             values,
             float32=float32,
             n_jobs=jobs,
-            backend=backend,
             tune=tune,
             resilience=policy,
         )

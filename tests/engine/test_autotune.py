@@ -15,7 +15,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,10 +38,7 @@ PATHOLOGICAL_PROFILES = [
         units_per_worker=1,
         rank_buffer_bytes=1,
         rank_grid_base=1,
-        quant_rank_cap=1,
         quant_scalar_promote=1,
-        rank_quant_fallback_ratio=0.0,
-        rank_quant_min_sample=0,
     ),
     # Everything maximal: huge chunks, never-engage policies.
     TuningProfile(
@@ -50,10 +47,7 @@ PATHOLOGICAL_PROFILES = [
         units_per_worker=64,
         rank_buffer_bytes=1 << 34,
         rank_grid_base=4096,
-        quant_rank_cap=10**9,
         quant_scalar_promote=10**9,
-        rank_quant_fallback_ratio=1.0,
-        rank_quant_min_sample=10**9,
         quant_promote_window=1,
         quant_promote_limit=0.0,
     ),
@@ -61,7 +55,6 @@ PATHOLOGICAL_PROFILES = [
     TuningProfile(
         chunk_bytes=1 << 10,
         rank_grid_base=2,
-        quant_rank_cap=3,
         quant_scalar_promote=2,
         quant_promote_window=2,
         quant_promote_limit=0.5,
@@ -106,18 +99,13 @@ class TestProfileExactness:
     @given(
         chunk_bytes=st.integers(min_value=1, max_value=1 << 30),
         grid=st.integers(min_value=1, max_value=512),
-        cap=st.integers(min_value=1, max_value=1 << 20),
         promote=st.integers(min_value=1, max_value=256),
-        ratio=st.floats(min_value=0.0, max_value=1.0),
     )
-    def test_random_profiles_bit_identical(self, chunk_bytes, grid, cap, promote, ratio):
+    def test_random_profiles_bit_identical(self, chunk_bytes, grid, promote):
         profile = TuningProfile(
             chunk_bytes=chunk_bytes,
             rank_grid_base=grid,
-            quant_rank_cap=cap,
             quant_scalar_promote=promote,
-            rank_quant_fallback_ratio=ratio,
-            rank_quant_min_sample=0,
         )
         rng = np.random.default_rng(7)
         values = rng.integers(0, 3, size=(60, 3)).astype(np.float64)
@@ -129,14 +117,12 @@ class TestProfileExactness:
         weights = sample_functions(3, 80, 3)
         profile = TuningProfile(parallel_min_work=0, units_per_worker=2)
         serial = ScoreEngine(values)
-        for backend in ("auto", "thread"):
-            with ScoreEngine(
-                values, tune=profile, n_jobs=2, backend=backend
-            ) as fanout:
-                assert np.array_equal(
-                    serial.topk_batch(weights, 6).order,
-                    fanout.topk_batch(weights, 6).order,
-                ), f"{backend} with profile diverged"
+        with ScoreEngine(values, tune=profile, n_jobs=2) as fanout:
+            assert np.array_equal(
+                serial.topk_batch(weights, 6).order,
+                fanout.topk_batch(weights, 6).order,
+            ), "thread pool with profile diverged"
+            assert fanout.stats["parallel_calls"] == 1
 
 
 class TestTuningProfile:
@@ -147,9 +133,9 @@ class TestTuningProfile:
         assert profile.units_per_worker == 4
         assert profile.rank_buffer_bytes == 1 << 23
         assert profile.rank_grid_base == 128
-        assert profile.quant_rank_cap == 256
         assert profile.quant_scalar_promote == 16
-        assert profile.rank_quant_fallback_ratio == 0.02
+        assert profile.quant_promote_window == 512
+        assert profile.quant_promote_limit == 0.25
 
     def test_json_roundtrip(self, tmp_path):
         profile = TuningProfile(
@@ -169,7 +155,7 @@ class TestTuningProfile:
         with pytest.raises(ValueError):
             TuningProfile(chunk_bytes=0)
         with pytest.raises(ValueError):
-            TuningProfile(rank_quant_fallback_ratio=1.5)
+            TuningProfile(quant_promote_limit=1.5)
         with pytest.raises(ValidationError):
             ScoreEngine(np.ones((3, 2)), tune="nonsense")
         # Calibration is gone: "auto" is an unknown value like any other,
@@ -188,6 +174,8 @@ class TestTuningProfile:
             ("chunk_bytes", "1e400"),
             ("rank_quant_fallback_ratio", "false"),
             ("rank_quant_fallback_ratio", "NaN"),
+            ("quant_promote_limit", "false"),
+            ("quant_promote_limit", "NaN"),
             ("quant_promote_limit", '"0.5"'),
             ("meta", "5"),
             ("meta", "[1]"),
@@ -197,7 +185,9 @@ class TestTuningProfile:
     def test_from_json_rejects_wrong_types(self, field, value, checksum):
         # JSON values that are not finite numbers (or, for meta, not an
         # object) fail with a ValueError naming the field — with a valid
-        # checksum too, so the value itself is what fails.
+        # checksum too, so the value itself is what fails.  A retired
+        # field (rank_quant_fallback_ratio) is dropped on load, but only
+        # once its value has passed the check it had while it was live.
         body = f'"schema": 1, "{field}": {value}'
         if checksum:
             digest = _payload_checksum({"schema": 1, field: json.loads(value)})
@@ -207,47 +197,42 @@ class TestTuningProfile:
         assert not isinstance(err.value, CorruptStateError)
 
     def test_loads_profile_with_retired_backend_fields(self):
-        # A profile as the process-pool versions saved it: 14 fields,
-        # three of them for that backend, all covered by the checksum.
-        payload = {
-            "schema": 1,
-            "chunk_bytes": 1 << 24,
-            "parallel_min_work": 1 << 20,
-            "units_per_worker": 3,
-            "rank_buffer_bytes": 1 << 21,
-            "rank_grid_base": 64,
-            "quant_rank_cap": 512,
-            "quant_scalar_promote": 8,
-            "rank_quant_fallback_ratio": 0.03,
-            "rank_quant_min_sample": 32,
-            "backend_escalate_ratio": 0.05,
-            "backend_min_sample": 4096,
-            "initial_backend": "thread",
-            "quant_promote_window": 256,
-            "quant_promote_limit": 0.5,
-            "meta": {"calibrated": True, "n": 300},
-        }
-        payload["checksum"] = _payload_checksum(payload)
-        profile = TuningProfile.from_json(json.dumps(payload, indent=2))
-        assert profile == TuningProfile(
+        # Two saved shapes, each covered by its checksum: the 14 fields of
+        # the process-pool versions, and the 11 written while rank
+        # counting still had a quantized screen.  Both load into the
+        # eight constants that remain.
+        want = TuningProfile(
             chunk_bytes=1 << 24,
             parallel_min_work=1 << 20,
             units_per_worker=3,
             rank_buffer_bytes=1 << 21,
             rank_grid_base=64,
-            quant_rank_cap=512,
             quant_scalar_promote=8,
-            rank_quant_fallback_ratio=0.03,
-            rank_quant_min_sample=32,
             quant_promote_window=256,
             quant_promote_limit=0.5,
         )
-        assert profile.meta == {"calibrated": True, "n": 300}
+        rank_screen = {
+            "quant_rank_cap": 512,
+            "rank_quant_fallback_ratio": 0.03,
+            "rank_quant_min_sample": 32,
+        }
+        process_pool = {
+            "backend_escalate_ratio": 0.05,
+            "backend_min_sample": 4096,
+            "initial_backend": "thread",
+        }
+        saved = {"schema": 1, **asdict(want), "meta": {"calibrated": True, "n": 300}}
+        for retired in ({**rank_screen, **process_pool}, rank_screen):
+            payload = {**saved, **retired}
+            payload["checksum"] = _payload_checksum(payload)
+            profile = TuningProfile.from_json(json.dumps(payload, indent=2))
+            assert profile == want
+            assert profile.meta == {"calibrated": True, "n": 300}
         assert [f.name for f in fields(TuningProfile)][-1] == "meta"
-        assert len(fields(TuningProfile)) == 11 + 1  # constants + meta
+        assert len(fields(TuningProfile)) == 8 + 1  # constants + meta
         # The checksum still guards the retired fields, and any other
         # unknown field is still an error.
-        payload["initial_backend"] = "process"
+        payload["quant_rank_cap"] = 1
         with pytest.raises(CorruptStateError):
             TuningProfile.from_json(json.dumps(payload))
         del payload["checksum"]

@@ -136,13 +136,13 @@ class TestBitIdentity:
         assert np.array_equal(engine.topk_orders(W, 10), _expected(values, W, 10))
         assert engine.stats["candidate_builds"] == 0
 
-    @pytest.mark.parametrize("backend", ["thread"])
-    def test_fanout_backends(self, forced, backend):
+    @pytest.mark.parametrize("jobs", [2], ids=["thread"])
+    def test_fanout_backends(self, forced, jobs):
         values = _matrix("duplicates", 400, 4, np.random.default_rng(2))
         rng = np.random.default_rng(3)
         W = np.vstack([rng.random((60, 4)), rng.standard_normal((60, 4))])
         with ScoreEngine(
-            values, n_jobs=2, backend=backend, parallel_min_work=0, chunk_bytes=1
+            values, n_jobs=jobs, parallel_min_work=0, chunk_bytes=1
         ) as engine:
             assert np.array_equal(engine.topk_orders(W, 7), _expected(values, W, 7))
             eligible = int((W >= 0.0).all(axis=1).sum())

@@ -299,34 +299,27 @@ class TestMutationEquivalence:
         matrix = rng.random((400, 4))
         weights = sample_functions(4, 64, 0)
         engine = ScoreEngine(matrix, quantize="int8")
-        engine._rank_float_columns = 10**9  # force the quantized screen on
-        engine._rank_float_fallbacks = 10**9
-        engine.rank_of_best_batch(weights, [3, 7])  # builds int8 stores
+        engine.topk_orders(weights, 5)  # builds int8 stores
         level_before = engine._quantizer._state
         big = rng.random((10, 4)) * 100.0  # far outside the [0,1) envelope
         engine.insert_rows(big)
         reference = np.vstack([matrix, big])
-        got = engine.rank_of_best_batch(weights, [3, 7])
+        got = engine.topk_orders(weights, 5)
         level_after = engine._quantizer._state
         assert level_after is not None and level_after is not level_before
         assert np.allclose(
             level_after.scales * level_after.qmax, np.abs(reference).max(axis=0)
         )
         fresh = ScoreEngine(reference, quantize="int8")
-        fresh._rank_float_columns = 10**9
-        fresh._rank_float_fallbacks = 10**9
-        assert np.array_equal(got, fresh.rank_of_best_batch(weights, [3, 7]))
+        assert np.array_equal(got, fresh.topk_orders(weights, 5))
         for j in range(8):
-            best = (reference[[3, 7]] @ weights[j]).max()
-            assert got[j] == int((reference @ weights[j] > best).sum()) + 1
+            assert np.array_equal(got[j], top_k(reference, weights[j], 5))
 
     def test_in_envelope_insert_keeps_level_and_stores(self, rng):
         matrix = rng.random((400, 4))
         weights = sample_functions(4, 64, 0)
         engine = ScoreEngine(matrix, quantize="int8")
-        engine._rank_float_columns = 10**9
-        engine._rank_float_fallbacks = 10**9
-        engine.rank_of_best_batch(weights, [3, 7])
+        engine.topk_orders(weights, 5)
         level_before = engine._quantizer._state
         engine.insert_rows(rng.random((10, 4)) * 0.5)  # safely inside
         engine.delete_rows([0, 100])
@@ -334,8 +327,7 @@ class TestMutationEquivalence:
         assert engine._quantizer._state is level_before, "level needlessly rebuilt"
         reference = np.delete(np.vstack([matrix, engine.values[-10:]]), [0, 100], axis=0)
         fresh = ScoreEngine(reference, quantize="int8")
-        fresh._rank_float_columns = 10**9
-        fresh._rank_float_fallbacks = 10**9
+        assert np.array_equal(engine.topk_orders(weights, 5), fresh.topk_orders(weights, 5))
         assert np.array_equal(
             engine.rank_of_best_batch(weights, [3, 7]),
             fresh.rank_of_best_batch(weights, [3, 7]),
@@ -465,7 +457,7 @@ class TestJournalSemantics:
 
     def test_mutation_closes_worker_pools(self, rng):
         matrix = rng.random((64, 3))
-        engine = ScoreEngine(matrix, n_jobs=2, parallel_min_work=0, backend="thread")
+        engine = ScoreEngine(matrix, n_jobs=2, parallel_min_work=0)
         weights = sample_functions(3, 40, 0)
         engine.topk_batch(weights, 5)
         assert engine._parallel is not None
@@ -612,7 +604,6 @@ def _assert_orderings_match_fresh(engine, matrix):
         assert (store is None) == (want is None)
         if store is not None:
             assert store.Q.tobytes() == want.Q.tobytes()
-            assert store.absq.tobytes() == want.absq.tobytes()
 
 
 @st.composite
@@ -661,7 +652,6 @@ def test_deferred_sync_matches_fresh(copy_paths, case, quantize, float32):
     kwargs = {"quantize": quantize, "float32": float32}
     for _ in copy_paths():
         engine = ScoreEngine(matrix, **kwargs)
-        engine._rank_float_columns = engine._rank_float_fallbacks = 10**9  # rank screen on
         _warm(engine)
         reference = matrix
         for ops, read in events + [([], True)]:
@@ -677,7 +667,6 @@ def test_deferred_sync_matches_fresh(copy_paths, case, quantize, float32):
                 continue
             k_eff, subset = min(k, reference.shape[0]), [0, reference.shape[0] - 1]
             fresh = ScoreEngine(reference, **kwargs)
-            fresh._rank_float_columns = fresh._rank_float_fallbacks = 10**9
             got = engine.topk_orders(weights, k_eff)
             assert np.array_equal(got, fresh.topk_orders(weights, k_eff))
             for i, w in enumerate(weights[:3]):
@@ -702,7 +691,7 @@ class TestDeferredSync:
         level = engine._quantizer._state
         arrays = [getattr(o, name) for o in orderings for name in _ORDERING_ARRAYS]
         snapshot = [None if a is None else a.copy() for a in arrays]
-        stores = [(s.Q, s.absq) for s in level._stores.values()]
+        stores = [s.Q for s in level._stores.values()]
         syncs = engine.stats["ordering_syncs"]
         for step in range(3):
             engine.insert_rows(rng.random((7, 4)) * 0.5)
@@ -716,7 +705,7 @@ class TestDeferredSync:
         for a, saved in zip(after, snapshot):
             assert a is None or a.tobytes() == saved.tobytes()
         assert engine._quantizer._state is level
-        assert [(s.Q, s.absq) for s in level._stores.values()] == stores
+        assert [s.Q for s in level._stores.values()] == stores
         # One ladder read merges all three writes at once.
         engine.topk_orders(rng.random((3, 4)), 5)
         assert engine.stats["ordering_syncs"] == syncs + 1
@@ -757,7 +746,7 @@ class TestDeferredSync:
         matrix = rng.random((400, 4))
         weights = sample_functions(4, 48, 3)
         threaded = ScoreEngine(
-            matrix, n_jobs=2, backend="thread", parallel_min_work=0, quantize="int8"
+            matrix, n_jobs=2, parallel_min_work=0, quantize="int8"
         )
         serial = ScoreEngine(matrix, quantize="int8")
         for engine in (threaded, serial):

@@ -1,11 +1,11 @@
 """Bit-identity and lifecycle tests for the thread fan-out layer.
 
-The contract under test: for every work split — function chunks, row
-chunks, any worker count — the parallel engine returns *bit-identical*
-results to the serial tiered path, including on tie-dense and
-duplicate-row data that exercises the scalar fallback tier.  Pool
-lifecycle (lazy creation, n_jobs=1 degradation, close) is covered
-alongside.
+The contract under test: for every function-chunk split and any worker
+count, the parallel engine returns *bit-identical* results to the
+serial tiered path, including on tie-dense and duplicate-row data that
+exercises the scalar fallback tier; calls too small to split run
+serially.  Pool lifecycle (lazy creation, n_jobs=1 degradation, close)
+is covered alongside.
 """
 
 import numpy as np
@@ -76,8 +76,11 @@ class TestFunctionChunkIdentity:
 
 
 class TestRowChunkIdentity:
+    """Fewer than ``2·n_jobs`` functions over a larger matrix: too few to
+    split into function chunks, so the fan-out engine answers them in
+    the caller's thread, bit-identical to the serial engine."""
+
     def test_topk_bit_identical(self):
-        # m < 2 * n_jobs with a large-enough n selects the row-chunk plan.
         rng = np.random.default_rng(6)
         values = rng.random((400, 3))
         weights = sample_functions(3, 3, 6)
@@ -87,6 +90,7 @@ class TestRowChunkIdentity:
                 a = serial.topk_batch(weights, k)
                 b = fanout.topk_batch(weights, k)
                 assert np.array_equal(a.order, b.order)
+            assert fanout.stats["parallel_calls"] == 0
 
     def test_topk_duplicate_rows(self):
         values = np.full((120, 3), 0.873046875)
@@ -96,6 +100,7 @@ class TestRowChunkIdentity:
             a = serial.topk_batch(weights, 5)
             b = fanout.topk_batch(weights, 5)
             assert np.array_equal(a.order, b.order)
+            assert fanout.stats["parallel_calls"] == 0
 
     def test_rank_bit_identical(self):
         rng = np.random.default_rng(7)
@@ -107,6 +112,7 @@ class TestRowChunkIdentity:
                 serial.rank_of_best_batch(weights, [2, 250]),
                 fanout.rank_of_best_batch(weights, [2, 250]),
             )
+            assert fanout.stats["parallel_calls"] == 0
 
 
 class TestPlanning:
@@ -175,13 +181,10 @@ class TestPrunedRankCounting:
             subset = [0, n // 3, n - 1]
             engine = ScoreEngine(values)
             got = engine.rank_of_best_batch(weights, subset)
-            # Row-chunk counting is the pre-pruning full scan; summing it
-            # over one full-range slice reproduces the legacy path.
-            above, contested = engine.rank_count_slice(weights, subset, 0, n)
-            for j in np.flatnonzero(contested):
-                exact = values @ weights[j]
-                above[j] = int((exact > exact[subset].max()).sum())
-            assert np.array_equal(got, above + 1)
+            # The pre-pruning full scan: every row scored in float64.
+            for j, w in enumerate(weights):
+                exact = values @ w
+                assert got[j] == int((exact > exact[subset].max()).sum()) + 1
 
     def test_cancellation_heavy_scores_stay_exact(self):
         # Float32 counting noise scales with ||w||*||x||, not with the
@@ -216,16 +219,14 @@ class TestPrunedRankCounting:
 
 
 class TestBackends:
-    """Thread-vs-serial bit-identity and the auto policy."""
+    """Thread-vs-serial bit-identity; ``jobs`` alone picks the pool."""
 
-    @pytest.mark.parametrize("backend", ["thread"])
+    @pytest.mark.parametrize("jobs", [2], ids=["thread"])
     @pytest.mark.parametrize("case", range(len(_instances())))
-    def test_topk_bit_identical_per_backend(self, backend, case):
+    def test_topk_bit_identical_per_backend(self, jobs, case):
         values, weights = _instances()[case]
-        serial = ScoreEngine(values, backend="serial")
-        fanout = ScoreEngine(
-            values, n_jobs=2, parallel_min_work=0, backend=backend
-        )
+        serial = ScoreEngine(values)
+        fanout = ScoreEngine(values, n_jobs=jobs, parallel_min_work=0)
         with fanout:
             k = max(1, values.shape[0] // 4)
             a = serial.topk_batch(weights, k)
@@ -233,13 +234,11 @@ class TestBackends:
             assert np.array_equal(a.order, b.order)
             assert np.array_equal(a.members, b.members)
 
-    @pytest.mark.parametrize("backend", ["thread"])
-    def test_rank_and_score_bit_identical_per_backend(self, backend):
+    @pytest.mark.parametrize("jobs", [2], ids=["thread"])
+    def test_rank_and_score_bit_identical_per_backend(self, jobs):
         values, weights = _instances()[2]
-        serial = ScoreEngine(values, chunk_bytes=1, backend="serial")
-        fanout = ScoreEngine(
-            values, chunk_bytes=1, n_jobs=2, parallel_min_work=0, backend=backend
-        )
+        serial = ScoreEngine(values, chunk_bytes=1)
+        fanout = ScoreEngine(values, chunk_bytes=1, n_jobs=jobs, parallel_min_work=0)
         with fanout:
             subset = [0, values.shape[0] // 2, values.shape[0] - 1]
             assert np.array_equal(
@@ -251,11 +250,23 @@ class TestBackends:
             )
 
     def test_serial_backend_never_pools(self):
+        # Fewer than 2·n_jobs functions cannot be split, so they run
+        # serially even at a zero cutover, and build no pool.
         values = np.random.default_rng(21).random((60, 3))
-        engine = ScoreEngine(values, n_jobs=4, parallel_min_work=0, backend="serial")
-        engine.topk_batch(sample_functions(3, 40, 21), 5)
-        assert engine._parallel is None
-        assert engine.stats["parallel_calls"] == 0
+        serial = ScoreEngine(values)
+        few = sample_functions(3, 7, 21)
+        with ScoreEngine(values, n_jobs=4, parallel_min_work=0) as engine:
+            assert np.array_equal(
+                engine.topk_batch(few, 5).order, serial.topk_batch(few, 5).order
+            )
+            assert np.array_equal(
+                engine.rank_of_best_batch(few, [0, 59]),
+                serial.rank_of_best_batch(few, [0, 59]),
+            )
+            assert engine._parallel is None
+            assert engine.stats["parallel_calls"] == 0
+            engine.topk_batch(sample_functions(3, 8, 21), 5)
+            assert engine.stats["parallel_calls"] == 1
 
     def test_auto_starts_with_threads(self):
         from repro.engine import ThreadExecutor
@@ -263,7 +274,6 @@ class TestBackends:
         values = np.random.default_rng(22).random((60, 3))
         engine = ScoreEngine(values, n_jobs=2, parallel_min_work=0)
         with engine:
-            assert engine.backend == "auto"
             engine.topk_batch(sample_functions(3, 40, 22), 5)
             assert isinstance(engine._parallel, ThreadExecutor)
 
@@ -272,10 +282,10 @@ class TestBackends:
 
         values = np.random.default_rng(23).random((60, 3))
         weights = sample_functions(3, 40, 23)
-        serial = ScoreEngine(values, backend="serial")
+        serial = ScoreEngine(values)
         with ScoreEngine(values, n_jobs=2, parallel_min_work=0) as engine:
-            # A scalar-fallback-heavy history does not move auto off the
-            # thread pool.
+            # A scalar-fallback-heavy history does not move the engine
+            # off the thread pool.
             engine.stats["gemm_columns"] = 100_000
             engine.stats["verified_columns"] = 50_000
             got = engine.topk_batch(weights, 5)
@@ -283,11 +293,12 @@ class TestBackends:
         assert np.array_equal(got.order, serial.topk_batch(weights, 5).order)
 
     def test_invalid_backend_rejected(self):
-        for backend in ("gpu", "process"):
-            with pytest.raises(ValidationError):
+        # ``jobs`` alone picks serial or threads: no backend keyword.
+        for backend in ("thread", "process"):
+            with pytest.raises(TypeError, match="backend"):
                 ScoreEngine(np.ones((3, 2)), backend=backend)
-        with pytest.raises(ValidationError):
-            Session(np.ones((3, 2)), backend="process")
+            with pytest.raises(TypeError, match="backend"):
+                Session(np.ones((3, 2)), backend=backend)
 
     def test_thread_clone_shares_heavy_state(self):
         values = np.random.default_rng(24).random((200, 3))
@@ -300,18 +311,17 @@ class TestBackends:
         assert clone._quantizer is engine._quantizer
         assert clone.stats is not engine.stats
         assert clone._memo is not engine._memo
-        assert clone.n_jobs == 1 and clone.backend == "serial"
+        assert clone.n_jobs == 1
         w = sample_functions(3, 6, 25)
         assert np.array_equal(
             clone.topk_order_batch(w, 9), engine.topk_order_batch(w, 9)
         )
 
     def test_thread_worker_stats_fold_back_into_parent(self):
-        # The stats and the adaptive rank-quant policy read the parent's
-        # counters, so fanned-out work must land there, not die with the
-        # clones.
+        # The stats read the parent's counters, so fanned-out work must
+        # land there, not die with the clones.
         values = np.random.default_rng(26).random((80, 3))
-        engine = ScoreEngine(values, n_jobs=2, parallel_min_work=0, backend="thread")
+        engine = ScoreEngine(values, n_jobs=2, parallel_min_work=0)
         with engine:
             engine.topk_batch(sample_functions(3, 60, 26), 6)
             assert engine.stats["gemm_columns"] >= 60

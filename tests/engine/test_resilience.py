@@ -44,11 +44,10 @@ def _data(n=300, d=4, m=48, seed=0):
     return rng.random((n, d)), sample_functions(d, m, rng)
 
 
-def _pair(values, backend, n_jobs=2, policy=FAST, **kwargs):
+def _pair(values, n_jobs=2, policy=FAST, **kwargs):
     serial = ScoreEngine(values)
     fanout = ScoreEngine(
-        values, n_jobs=n_jobs, parallel_min_work=0, backend=backend,
-        resilience=policy, **kwargs,
+        values, n_jobs=n_jobs, parallel_min_work=0, resilience=policy, **kwargs
     )
     return serial, fanout
 
@@ -107,11 +106,11 @@ class TestFaultInjector:
 # ----------------------------------------------------------------------
 # bit-identity under every failure mode
 class TestRecoveryBitIdentity:
-    @pytest.mark.parametrize("backend", ["thread"])
+    @pytest.mark.parametrize("jobs", [2], ids=["thread"])
     @pytest.mark.parametrize("kind", ["crash", "hang"])
-    def test_topk_and_rank_recover(self, backend, kind):
+    def test_topk_and_rank_recover(self, jobs, kind):
         values, weights = _data()
-        serial, fanout = _pair(values, backend)
+        serial, fanout = _pair(values, jobs)
         injector = FaultInjector(seed=1, **{kind: 0.5}, max_faults=3, hang_s=20.0)
         with fanout, faults.injected(injector):
             a = serial.topk_batch(weights, 7)
@@ -125,13 +124,12 @@ class TestRecoveryBitIdentity:
         counter = {"crash": "worker_crashes", "hang": "timeouts"}[kind]
         assert fanout._supervisor.stats[counter] > 0
 
-    @pytest.mark.parametrize("backend", ["thread"])
-    def test_score_batch_recovers(self, backend):
+    @pytest.mark.parametrize("jobs", [2], ids=["thread"])
+    def test_score_batch_recovers(self, jobs):
         values, weights = _data()
         serial = ScoreEngine(values, chunk_bytes=1)
         fanout = ScoreEngine(
-            values, n_jobs=2, parallel_min_work=0, chunk_bytes=1,
-            backend=backend, resilience=FAST,
+            values, n_jobs=jobs, parallel_min_work=0, chunk_bytes=1, resilience=FAST
         )
         injector = FaultInjector(seed=2, crash=0.5, max_faults=3)
         with fanout, faults.injected(injector):
@@ -140,17 +138,6 @@ class TestRecoveryBitIdentity:
             )
         assert injector.injected["crash"] > 0
 
-    def test_row_chunk_plan_recovers(self):
-        # m < 2 * n_jobs forces the "rows" plan (rank_rows work units).
-        values, _ = _data(n=900)
-        weights = sample_functions(4, 2, 3)
-        serial, fanout = _pair(values, "thread")
-        injector = FaultInjector(seed=3, crash=0.5, max_faults=2)
-        with fanout, faults.injected(injector):
-            a = serial.topk_batch(weights, 5)
-            b = fanout.topk_batch(weights, 5)
-        assert injector.injected["crash"] > 0
-        assert np.array_equal(a.order, b.order)
 
 # ----------------------------------------------------------------------
 # retry bounds, backoff bounds, fail-fast mode
@@ -158,7 +145,7 @@ class TestRetryAndBackoff:
     def test_fail_fast_raises_typed_crash_error(self):
         values, weights = _data()
         policy = RetryPolicy(max_retries=1, backoff_base_s=0.0, degrade=False)
-        _, fanout = _pair(values, "thread", policy=policy)
+        _, fanout = _pair(values, policy=policy)
         with fanout, faults.injected(FaultInjector(crash=1.0)):
             with pytest.raises(WorkerCrashError):
                 fanout.topk_batch(weights, 7)
@@ -170,7 +157,7 @@ class TestRetryAndBackoff:
         policy = RetryPolicy(
             timeout_s=0.2, max_retries=0, backoff_base_s=0.0, degrade=False
         )
-        _, fanout = _pair(values, "thread", policy=policy)
+        _, fanout = _pair(values, policy=policy)
         with fanout, faults.injected(FaultInjector(hang=1.0, hang_s=30.0)):
             with pytest.raises(ExecutionTimeoutError):
                 fanout.topk_batch(weights, 7)
@@ -182,7 +169,7 @@ class TestRetryAndBackoff:
             max_retries=2, backoff_base_s=0.01, backoff_max_s=0.04,
             backoff_jitter=0.5, seed=3,
         )
-        _, fanout = _pair(values, "thread", policy=policy)
+        _, fanout = _pair(values, policy=policy)
         with fanout, faults.injected(FaultInjector(seed=4, crash=0.5, max_faults=4)):
             fanout.topk_batch(weights, 7)
         sup = fanout._supervisor
@@ -221,7 +208,7 @@ class TestRetryAndBackoff:
 class TestDegradation:
     def test_thread_backend_degrades_straight_to_serial(self):
         values, weights = _data()
-        serial, fanout = _pair(values, "thread", policy=FAST)
+        serial, fanout = _pair(values, policy=FAST)
         with fanout, faults.injected(FaultInjector(crash=1.0)):
             # Unbounded crashes: the thread pool fails out and the
             # serial rung — never injected — finishes the call.
@@ -237,12 +224,12 @@ class TestDegradation:
 
     def test_degradation_survives_close(self):
         values, weights = _data()
-        _, fanout = _pair(values, "thread", policy=FAST)
+        _, fanout = _pair(values, policy=FAST)
         with fanout, faults.injected(FaultInjector(crash=1.0)):
             fanout.topk_batch(weights, 7)
         fanout.close()
         assert fanout._degraded == "serial"
-        assert fanout._parallel_plan(weights.shape[0]) is None
+        assert not fanout._fans_out(weights.shape[0])
 
     def test_n_jobs_1_is_a_noop(self):
         values, weights = _data()
@@ -263,7 +250,7 @@ class TestSeededFaultSweep:
     @settings(max_examples=15, deadline=None)
     def test_any_fault_schedule_is_bit_identical(self, seed, crash):
         values, weights = _data(n=120, d=3, m=24, seed=11)
-        serial, fanout = _pair(values, "thread", policy=FAST)
+        serial, fanout = _pair(values, policy=FAST)
         injector = FaultInjector(seed=seed, crash=crash, max_faults=4)
         try:
             with faults.injected(injector):

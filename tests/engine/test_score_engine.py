@@ -7,6 +7,7 @@ and duplicate-row degeneracies that trip blocked-BLAS kernels.
 """
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -378,6 +379,46 @@ class TestCancellation:
         assert not np.array_equal(narrow.topk_orders(w[None], 5)[0], expected)
 
 
+    def test_band_covers_the_rounding_bound_at_every_d(self):
+        # Two tier scores a band apart keep their order in the scalar
+        # float64 kernel: each errs by γ_d·noise in its tier and again in
+        # the scalar kernel, with γ_{d+2} in float32, whose casts of w and
+        # x round once more.  Exact rationals.  A fixed 64-ulp width
+        # falls short from d = 32 in float64 and d = 62 in float32.
+        u64 = Fraction(float(np.finfo(np.float64).eps)) / 2
+        u32 = Fraction(float(np.finfo(np.float32).eps)) / 2
+
+        def gamma(n, u):
+            return n * u / (1 - n * u)
+
+        for d in range(1, 4097):
+            assert Fraction(bands.tol(1.0, d)) >= 4 * gamma(d, u64), d
+            f32_bound = 2 * (gamma(d + 2, u32) + gamma(d, u64))
+            assert Fraction(bands.tol(1.0, d, f32=True)) >= f32_bound, d
+
+    def test_near_equal_columns_at_d_48(self, kernel_paths):
+        # Past the 31 attributes a fixed 64-ulp float64 band covers: the
+        # pair b, b + 1e-9·r under (a, −a, tiny...) cancels as above.
+        rng = np.random.default_rng(48)
+        n, d, m = 400, 48, 8
+        b, r = rng.random(n), rng.random(n)
+        values = np.column_stack([b, b + 1e-9 * r, rng.random((n, d - 2))])
+        a = rng.uniform(0.5, 2.0, m)
+        tiny = 10.0 ** rng.uniform(-16, -8, (m, d - 2)) * rng.choice([-1.0, 1.0], (m, d - 2))
+        weights = np.column_stack([a, -a, tiny])
+        members = rng.choice(n, 3, replace=False)
+        expected = [top_k(values, w, 5) for w in weights]
+        ranks = [_gemv_rank_of_best(values, w, members) for w in weights]
+        for _ in kernel_paths():
+            for float32 in (False, True):
+                for quantize in (None, "auto"):
+                    engine = ScoreEngine(values, float32=float32, quantize=quantize)
+                    got = engine.topk_orders(weights, 5)
+                    for i in range(m):
+                        assert np.array_equal(got[i], expected[i]), (float32, quantize, i)
+                    assert engine.rank_of_best_batch(weights, members).tolist() == ranks
+
+
 class TestSmallCalls:
     """The small-call route at the shipped cutover."""
 
@@ -429,14 +470,15 @@ class TestSmallCalls:
             assert ranks[j] == _gemv_rank_of_best(values, w, members)
 
     def test_fan_out_keeps_the_ladder(self, values):
-        # A zero-cutover fan-out plans every call: one function takes the
-        # row plan, four take function chunks whose units never route.
+        # A zero-cutover fan-out splits calls of four or more functions
+        # into function chunks, whose units never route; one function is
+        # too few to split and takes the small-call route.
         profile = TuningProfile(parallel_min_work=0)
         w = np.array([[0.4, 0.3, 0.2, 0.1]])
         with ScoreEngine(values, n_jobs=2, tune=profile) as engine:
             order = engine.topk_orders(w, 15)
-            assert engine.stats["parallel_calls"] > 0
-            assert engine.stats["scalar_columns"] == 0
+            assert engine.stats["parallel_calls"] == 0
+            assert engine.stats["scalar_columns"] == 1
         assert np.array_equal(order[0], top_k(values, w[0], 15))
         small = values[:1_000]
         W = sample_functions(4, 4, 20)
@@ -469,10 +511,11 @@ class TestSmallCalls:
         engine.compact()
         assert engine.small_call(1)
         with ScoreEngine(values, n_jobs=2, tune=TuningProfile()) as engine:
-            assert engine.small_call(1)  # two workers, no plan at this size
+            assert engine.small_call(1)  # two workers, no fan-out at this size
         profile = TuningProfile(parallel_min_work=0)
-        with ScoreEngine(values, n_jobs=2, tune=profile) as engine:
-            assert not engine.small_call(1)  # a fan-out plan
+        with ScoreEngine(values[:1_000], n_jobs=2, tune=profile) as engine:
+            assert engine.small_call(1) and engine.small_call(3)  # too few to split
+            assert not engine.small_call(4)  # a fan-out
 
     def test_candidate_child_never_routes(self, values):
         # The child answers 256 nonnegative functions over 222 band rows,

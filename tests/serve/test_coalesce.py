@@ -3,11 +3,12 @@
 The load-bearing claim of :mod:`repro.serve.coalesce`: any mix of
 concurrent top-k / rank queries, coalesced into shared engine calls,
 yields responses bit-identical to direct engine calls over the same
-matrix at the same revision — under every backend, and with faults
-firing inside the serving engine.  The fan-out tests pin
+matrix at the same revision — serial or on the thread pool, and with
+faults firing inside the serving engine.  The fan-out tests pin
 ``parallel_min_work=0`` through the server's ``tuning_profile``: a
 3000-row matrix under a few functions sits far below the default work
-cutover, so without it the pool would never run.
+cutover, so without it the pool would never run.  Their requests carry
+four functions each, enough for every one to split over two workers.
 """
 
 import asyncio
@@ -60,18 +61,15 @@ def _storm(url, jobs, k=5, m=3, seed=0):
     return results
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread"])
-def test_concurrent_distinct_queries_bit_identical(matrix, backend, fanout_profile):
+@pytest.mark.parametrize("jobs", [None, 2], ids=["serial", "thread"])
+def test_concurrent_distinct_queries_bit_identical(matrix, jobs, fanout_profile):
     """Distinct concurrent queries coalesce; every response is exact."""
-    jobs = 2 if backend != "serial" else None
-    config = ServerConfig(
-        port=0, jobs=jobs, backend=backend, tuning_profile=fanout_profile
-    )
+    config = ServerConfig(port=0, jobs=jobs, tuning_profile=fanout_profile)
     server = ServerThread(matrix, config)
     with server as url:
-        results = _storm(url, jobs=6, seed=100)
+        results = _storm(url, jobs=6, m=4, seed=100)
     parallel_calls = server.server.session.engine.stats["parallel_calls"]
-    assert (parallel_calls > 0) == (backend != "serial")
+    assert (parallel_calls > 0) == (jobs is not None)
     with ScoreEngine(matrix, float32=True) as direct:
         for weights, response in results:
             reference = direct.topk_batch(weights, 5)
@@ -254,12 +252,11 @@ def test_serving_with_fault_injection_stays_exact(matrix, fanout_profile):
         config = ServerConfig(
             port=0,
             jobs=2,
-            backend="thread",
             tuning_profile=fanout_profile,
             policy=RetryPolicy(max_retries=3, backoff_base_s=0.0),
         )
         with ServerThread(matrix, config) as url:
-            results = _storm(url, jobs=4, seed=500)
+            results = _storm(url, jobs=4, m=4, seed=500)
     finally:
         faults.uninstall()
     assert injector.total_injected > 0

@@ -20,6 +20,8 @@ import sys
 import numpy as np
 import pytest
 
+from repro.engine import DurableStore, ScoreEngine, TuningProfile
+from repro.engine.autotune import _payload_checksum
 from repro.exceptions import CorruptStateError, DataDirLockedError
 from repro.serve import (
     ServerConfig,
@@ -129,6 +131,51 @@ def test_durable_health_reports_wal_state(matrix, tmp_path):
         stats = client.stats()
         assert stats["durability"]["wal_bytes_since_snapshot"] > 0
         assert stats["durability"]["idempotency_keys"] == 1
+
+
+def test_boots_on_snapshot_pinning_retired_profile_fields(matrix, tmp_path):
+    # A data dir whose snapshot pins a profile saved while rank counting
+    # still had a quantized screen: 11 fields, three of them since
+    # retired, under a valid checksum.  The server boots on that profile.
+    pinned = {
+        "schema": 1,
+        "chunk_bytes": 1 << 24,
+        "parallel_min_work": 12345,
+        "units_per_worker": 3,
+        "rank_buffer_bytes": 1 << 21,
+        "rank_grid_base": 64,
+        "quant_rank_cap": 256,
+        "quant_scalar_promote": 8,
+        "rank_quant_fallback_ratio": 0.02,
+        "rank_quant_min_sample": 64,
+        "quant_promote_window": 256,
+        "quant_promote_limit": 0.5,
+        "meta": {},
+    }
+    pinned["checksum"] = _payload_checksum(pinned)
+    with DurableStore(tmp_path).open() as store:
+        store.snapshot(matrix, 4, profile=pinned)
+    durable = ServerThread(matrix, _config(tmp_path)).start()
+    try:
+        engine = durable.server.session.engine
+        assert engine.tuning == TuningProfile(
+            chunk_bytes=1 << 24,
+            parallel_min_work=12345,
+            units_per_worker=3,
+            rank_buffer_bytes=1 << 21,
+            rank_grid_base=64,
+            quant_scalar_promote=8,
+            quant_promote_window=256,
+            quant_promote_limit=0.5,
+        )
+        assert engine._parallel_min_work == 12345
+        client = ServiceClient(durable.url)
+        assert client.health()["revision"] == 4
+        w = np.random.default_rng(5).random((2, 3))
+        assert np.array_equal(client.topk(w, 5)["order"], ScoreEngine(matrix).topk_orders(w, 5))
+        client.close()
+    finally:
+        durable.stop()
 
 
 def test_duplicate_key_without_data_dir(matrix):

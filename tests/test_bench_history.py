@@ -2,7 +2,9 @@
 
 Older BENCH files predate newer ops, and an interrupted run can leave a
 row without ``median_s``/``speedup``.  The cross-PR table renders an
-em-dash cell for those instead of KeyError-ing the whole report.
+em-dash cell for those instead of KeyError-ing the whole report.  The
+timing gate reads the same-run speedups of such files, skipping what
+they lack.
 """
 
 import importlib.util
@@ -60,6 +62,34 @@ def test_output_name_follows_changes_log(tmp_path, monkeypatch):
         "  - PR 99: nested, not an entry\n"
     )
     assert gate._default_pr() == 11
+
+
+def test_gate_compares_same_run_speedups():
+    gate = _load_perf_gate()
+    old = [
+        {"op": "mdrc", "median_s": 1.0, "baseline_median_s": 6.0, "speedup": 6.0},
+        {"op": "ksetr", "median_s": 2.0, "baseline_median_s": 10.0, "speedup": 5.0},
+    ]
+
+    def run(op, median_s, baseline_median_s):
+        return {
+            "op": op,
+            "median_s": median_s,
+            "baseline_median_s": baseline_median_s,
+            "speedup": baseline_median_s / median_s,
+        }
+
+    # A host 1.3x slower on both columns: the ratio holds, so it passes
+    # (gated on absolute median_s, this run read as a 30% regression).
+    slower_host = [run("mdrc", 1.3, 7.8), run("ksetr", 2.6, 13.0)]
+    assert gate.gate_failures(slower_host, old) == []
+    # The implementation alone 1.3x slower: the ratio falls 23%, a failure.
+    slower_code = [run("mdrc", 1.3, 6.0), run("ksetr", 2.0, 10.0)]
+    (failure,) = gate.gate_failures(slower_code, old)
+    assert failure.startswith("mdrc: speedup 4.62x vs 6.00x")
+    # An op the old file lacks (or a partial row) is skipped.
+    new_op = [run("recovery", 9.0, 1.0), run("ksetr", 2.0, 10.0)]
+    assert gate.gate_failures(new_op, old + [{"op": "recovery"}]) == []
 
 
 def test_ab_verdict_rules():

@@ -62,10 +62,12 @@ class TestRepresent:
         assert "k            : 10" in out.getvalue()
 
     def test_process_backend_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["represent", "--n", "50", "--backend", "process"], out=io.StringIO())
-        assert exc.value.code == 2
-        assert "invalid choice: 'process'" in capsys.readouterr().err
+        # ``--jobs`` alone picks serial or threads: there is no --backend.
+        for value in ("process", "thread"):
+            with pytest.raises(SystemExit) as exc:
+                main(["represent", "--n", "50", "--backend", value], out=io.StringIO())
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_missing_csv_is_clean_error(self, capsys):
         code = main(["represent", "--csv", "/nope/missing.csv"], out=io.StringIO())

@@ -78,12 +78,11 @@ serial-vs-parallel bit-identity of the fan-out layer, and skip the timing
 gate entirely — noisy shared runners can never flake it.  No JSON is
 written in this mode; the timing gate stays a local/dev concern.
 
-``--faults`` additionally runs the deterministic fault-injection probe
-(:mod:`repro.engine.faults` + :mod:`repro.engine.resilience`): injected
-worker crashes and hangs on the thread pool and a torn tuning profile
-must all recover without process death, bit-identical to the fault-free
-serial run.  It also
-runs the kill-9 chaos drill: a real ``repro serve --data-dir`` process is
+``--faults`` additionally runs the failure probes: a torn tuning profile
+must load as a typed error while the loader falls back to the defaults
+and leaves the file alone, and maintained views on a fanned-out engine
+must stay bit-identical to a from-scratch recompute.  It also runs the
+kill-9 chaos drill: a real ``repro serve --data-dir`` process is
 SIGKILLed mid-churn, restarted on the same data dir, handed a keyed retry
 of the in-flight mutation (which must apply exactly once), and asserted
 bit-identical — top-k, rank and representative — against an in-process
@@ -706,57 +705,27 @@ def _smoke_parallel_identity(jobs: int | None) -> None:
 
 
 def _smoke_fault_identity(jobs: int | None) -> None:
-    """Chaos probe: every injected failure mode must recover bit-identically.
+    """Failure probes: a torn tuning profile, and maintained views on the
+    thread pool.
 
-    Drives the deterministic fault harness (:mod:`repro.engine.faults`)
-    through the supervision layer (:mod:`repro.engine.resilience`):
-    worker crashes and hangs past the per-unit timeout on the thread
-    pool, and a torn tuning profile.  Each scenario must finish without
-    process death and yield results bit-identical to a fault-free
-    serial run.
+    The torn profile must fail typed and leave the loader on the
+    defaults with the file untouched; the maintained views must stay
+    bit-identical to a from-scratch recompute at every revision while
+    their engine fans out.
     """
-    from repro.engine import FaultInjector, RetryPolicy, ScoreEngine, TuningProfile
-    from repro.engine import faults, load_profile
+    import tempfile
+
+    from repro.core import mdrc
+    from repro.engine import MDRCView, RankRegretView, ScoreEngine, TuningProfile, load_profile
+    from repro.evaluation import rank_regret_sampled
     from repro.exceptions import CorruptStateError
-    from repro.ranking.sampling import sample_functions
 
     jobs = jobs if jobs and jobs != 1 else 2
-    rng = np.random.default_rng(7)
-    values = rng.random((600, 4))
-    weights = sample_functions(4, 120, 0)
-    subset = [1, 300, 599]
-    serial = ScoreEngine(values, chunk_bytes=1)
-    ref_topk = serial.topk_batch(weights, 9)
-    ref_rank = serial.rank_of_best_batch(weights, subset)
-    policy = RetryPolicy(timeout_s=5.0, max_retries=2, backoff_base_s=0.0)
-
-    for kind in ("crash", "hang"):
-        injector = FaultInjector(seed=0, **{kind: 0.4}, max_faults=3, hang_s=20.0)
-        with ScoreEngine(
-            values, n_jobs=jobs, parallel_min_work=0, chunk_bytes=1,
-            resilience=policy,
-        ) as fanout:
-            with faults.injected(injector):
-                got_topk = fanout.topk_batch(weights, 9)
-                got_rank = fanout.rank_of_best_batch(weights, subset)
-            assert injector.total_injected > 0, f"thread/{kind}: harness injected nothing"
-            assert np.array_equal(ref_topk.order, got_topk.order), (
-                f"thread/{kind}: topk diverged after recovery"
-            )
-            assert np.array_equal(ref_rank, got_rank), (
-                f"thread/{kind}: rank counting diverged after recovery"
-            )
-        print(
-            f"fault probe [thread/{kind}]: recovered, bit-identical "
-            f"(injected={injector.total_injected})"
-        )
 
     # Torn tuning-profile JSON: load must fail with the typed error, the
     # loader behind --tuning-profile and the server must fall back to the
     # defaults and leave the file's bytes alone, and the atomic save must
     # round-trip.
-    import tempfile
-
     with tempfile.TemporaryDirectory() as tmpdir:
         path = Path(tmpdir) / "profile.json"
         profile = TuningProfile()
@@ -777,53 +746,37 @@ def _smoke_fault_identity(jobs: int | None) -> None:
         "to the defaults, file untouched, save atomic"
     )
 
-    # Maintained views under chaos: the view repair path fans work
-    # through the same supervised executors, so injected crashes must
-    # leave the maintained representative (and its patched regret
-    # estimate) bit-identical to a from-scratch recompute at every
-    # revision.
-    from repro.core import mdrc
-    from repro.engine import MDRCView, RankRegretView
-    from repro.evaluation import rank_regret_sampled
-
+    # Maintained views on the thread pool: the view repair path fans
+    # work out like any other call, and the maintained representative
+    # (and its patched regret estimate) must stay bit-identical to a
+    # from-scratch recompute at every revision.
     view_rng = np.random.default_rng(3)
     view_engine = ScoreEngine(
-        view_rng.random((1_500, 4)), n_jobs=jobs, parallel_min_work=0,
-        chunk_bytes=1, resilience=policy,
+        view_rng.random((1_500, 4)), n_jobs=jobs, parallel_min_work=0, chunk_bytes=1
     )
     view = MDRCView(view_engine, 8)
-    rview = RankRegretView(
-        view_engine, view.refresh().indices, num_functions=96, rng=0
-    )
+    rview = RankRegretView(view_engine, view.refresh().indices, num_functions=96, rng=0)
     rview.refresh()
-    injector = FaultInjector(seed=1, crash=0.4, max_faults=8)
-    with faults.injected(injector):
-        for revision in range(3):
-            view_engine.delete_rows(
-                view_rng.choice(view_engine.n, 15, replace=False)
-            )
-            view_engine.insert_rows(view_rng.random((15, 4)))
-            rep = view.refresh().indices
-            rview.set_subset(rep)
-            regret = rview.refresh()
-            fresh_rep = mdrc(view_engine.values, 8, engine=view_engine).indices
-            fresh_regret = rank_regret_sampled(
-                view_engine.values, fresh_rep, num_functions=96, rng=0,
-                engine=view_engine,
-            )
-            assert rep == fresh_rep, (
-                f"maintained view diverged under faults (rev {revision})"
-            )
-            assert regret == fresh_regret, (
-                f"maintained regret diverged under faults (rev {revision})"
-            )
+    for revision in range(3):
+        view_engine.delete_rows(view_rng.choice(view_engine.n, 15, replace=False))
+        view_engine.insert_rows(view_rng.random((15, 4)))
+        rep = view.refresh().indices
+        rview.set_subset(rep)
+        regret = rview.refresh()
+        fresh_rep = mdrc(view_engine.values, 8, engine=view_engine).indices
+        fresh_regret = rank_regret_sampled(
+            view_engine.values, fresh_rep, num_functions=96, rng=0, engine=view_engine
+        )
+        assert rep == fresh_rep, f"maintained view diverged (rev {revision})"
+        assert regret == fresh_regret, f"maintained regret diverged (rev {revision})"
     view.close()
     rview.close()
     view_engine.close()
-    assert injector.total_injected > 0, "maintained views: harness injected nothing"
+    fanned = view_engine.stats["parallel_calls"]
+    assert fanned > 0, "maintained views: the engine never fanned out"
     print(
-        "fault probe [maintained-views]: 3 revisions under chaos, "
-        f"bit-identical (injected={injector.total_injected})"
+        f"fault probe [maintained-views]: 3 revisions on {jobs} threads, "
+        f"bit-identical ({fanned} fanned-out calls)"
     )
 
 
@@ -1253,8 +1206,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--faults", action="store_true",
-        help="with --smoke: also run the deterministic fault-injection "
-        "probe (crash/hang + torn profile) and the kill-9 durability "
+        help="with --smoke: also run the failure probes (torn profile, "
+        "maintained views on the thread pool) and the kill-9 durability "
         "drill, asserting every recovery path is bit-identical",
     )
     parser.add_argument(

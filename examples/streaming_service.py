@@ -1,13 +1,12 @@
 """Streaming service demo: a thin client of the real ``repro.serve``.
 
 Earlier revisions of this example hand-rolled the serving loop — engine
-lifecycle, churn absorption, view refreshes, fault drills — in ~200
-lines of bespoke plumbing.  All of that now lives in the service itself
+lifecycle, churn absorption, view refreshes — in ~200 lines of bespoke
+plumbing.  All of that now lives in the service itself
 (:mod:`repro.serve`, ``repro serve`` on the command line): one
-long-lived engine, request coalescing, journaled mutations
-feeding the maintained views, admission control and the resilience
-ladder.  What remains here is what a *user* of that service writes: an
-HTTP client.
+long-lived engine, request coalescing, journaled mutations feeding the
+maintained views and admission control.  What remains here is what a
+*user* of that service writes: an HTTP client.
 
 The demo spins up a local server in-process (or targets ``--url``),
 then exercises the full serving surface:
@@ -26,14 +25,7 @@ then exercises the full serving surface:
    the mirrored matrix.
 3. **Overload.**  A request burst against a paused dispatcher shows
    typed 429 admission control.
-4. **Faults.**  With ``--faults`` a deterministic injector
-   (:mod:`repro.engine.faults`) fires worker crashes inside the serving
-   engine while queries keep answering bit-identically.  The server
-   loads a tuning profile with a zero work cutover, so every engine
-   call of four or more functions (the storm's reads) fans out over the
-   thread pool and the crashes hit real work units; the drill fails if
-   none was injected.
-5. **Durability.**  With ``--durability`` a second server boots on a
+4. **Durability.**  With ``--durability`` a second server boots on a
    ``data_dir``, acknowledges a keyed mutation, dies without warning
    (the in-process ``kill -9``), restarts from its write-ahead log, and
    answers the retried mutation from the stored response — exactly
@@ -42,12 +34,10 @@ then exercises the full serving surface:
 Run:  python examples/streaming_service.py
       python examples/streaming_service.py --smoke   # bounded CI run
       python examples/streaming_service.py --smoke --durability
-      python examples/streaming_service.py --smoke --faults
       python examples/streaming_service.py --url http://127.0.0.1:8472
 """
 
 import argparse
-import os
 import tempfile
 import threading
 import time
@@ -55,7 +45,7 @@ import time
 import numpy as np
 
 from repro import mdrc, synthetic_dot
-from repro.engine import FaultInjector, ScoreEngine, TuningProfile, faults
+from repro.engine import ScoreEngine
 from repro.serve import (
     ServerConfig,
     ServerThread,
@@ -115,10 +105,6 @@ def main(argv=None) -> None:
         "in-process)",
     )
     parser.add_argument(
-        "--faults", action="store_true",
-        help="install a deterministic fault injector in the local server",
-    )
-    parser.add_argument(
         "--durability", action="store_true",
         help="run the crash-recovery drill: kill a durable server "
         "without warning, restart it from its WAL, retry the in-flight "
@@ -135,35 +121,9 @@ def main(argv=None) -> None:
     data = synthetic_dot(n=n, d=d, seed=seed)
     rng = np.random.default_rng(seed)
 
-    injector = None
-    profile_dir = None
-    tuning_profile = None
-    if args.faults:
-        if args.url is not None:
-            raise SystemExit("--faults needs the in-process server (no --url)")
-        # Installed before the server boots so the serving engine's
-        # fan-out draws from the injected schedule; the resilience
-        # ladder absorbs every crash without a wrong answer.
-        injector = FaultInjector(seed=seed, crash=0.05, max_faults=10)
-        faults.install(injector)
-        # The demo's calls sit far below the default work cutover, so
-        # without a zero cutover the pool (and the injector) never run;
-        # with it, every call of 2·jobs = 4 functions or more fans out.
-        profile_dir = tempfile.TemporaryDirectory()
-        tuning_profile = os.path.join(profile_dir.name, "profile.json")
-        TuningProfile(parallel_min_work=0).save(tuning_profile)
-        print(
-            "fault injector installed (crash=5%, bounded; "
-            "every call of 4+ functions fans out)"
-        )
-
     local = None
     if args.url is None:
-        config = ServerConfig(
-            port=0, jobs=2,
-            tuning_profile=tuning_profile,
-            max_pending=8 if args.smoke else 32,
-        )
+        config = ServerConfig(port=0, jobs=2, max_pending=8 if args.smoke else 32)
         local = ServerThread(data.values, config).start()
         url = local.url
         print(f"started local server at {url}")
@@ -198,9 +158,7 @@ def main(argv=None) -> None:
         print(f"    {lone} lone reads; {inline} reads answered at admission so far")
         if local is not None:
             assert stats["coalesced"] >= 2, "the storm never coalesced"
-            # One function is too few to fan out, even at the fault
-            # drill's zero cutover, so an idle server answers lone reads
-            # at admission in every mode.
+            # An idle server answers a lone one-function read at admission.
             assert inline > 0, "no lone read was answered at admission"
 
         print(f"\n[2] churn: {ticks} ticks of ~1% insert+delete")
@@ -304,20 +262,11 @@ def main(argv=None) -> None:
             f"\nfinal: n={final['n']} rev={final['revision']} — every served "
             f"response bit-identical to a direct engine call"
         )
-        if injector is not None:
-            assert injector.total_injected > 0, "the fault drill injected nothing"
-            print(
-                f"faults: {injector.injected['crash']} crashes injected over "
-                f"{injector.draws} work units, all absorbed"
-            )
         reference.close()
     finally:
         client.close()
         if local is not None:
             local.stop()
-        if injector is not None:
-            faults.uninstall()
-            profile_dir.cleanup()
     print("OK")
 
 

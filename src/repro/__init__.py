@@ -36,9 +36,8 @@ and ``repro.serve`` (``repro serve`` on the command line) exposes a
 Session over asyncio HTTP with request coalescing.
 
 Every public free function shares one keyword vocabulary: ``jobs``
-(worker count; more than one fans large calls out over a thread pool),
-``tune`` (a :class:`~repro.engine.TuningProfile` or ``None``) and
-``policy`` (a :class:`~repro.engine.RetryPolicy`).
+(worker count; more than one fans large calls out over a thread pool)
+and ``tune`` (a :class:`~repro.engine.TuningProfile` or ``None``).
 """
 
 from repro.baselines import (
@@ -62,7 +61,7 @@ from repro.core import (
     resolve_k,
     two_d_rrr,
 )
-from repro.engine import BitsetTable, RetryPolicy, ScoreEngine, TuningProfile
+from repro.engine import BitsetTable, ScoreEngine, TuningProfile
 from repro.datasets import (
     Dataset,
     anticorrelated,
@@ -87,14 +86,11 @@ from repro.exceptions import (
     ConvergenceError,
     CorruptStateError,
     DatasetError,
-    ExecutionError,
-    ExecutionTimeoutError,
     GeometryError,
     InfeasibleError,
     InvalidDataError,
     ReproError,
     ValidationError,
-    WorkerCrashError,
 )
 from repro.geometry import (
     convex_hull,
@@ -140,7 +136,6 @@ __all__ = [
     # engine
     "ScoreEngine",
     "TuningProfile",
-    "RetryPolicy",
     "BitsetTable",
     # ranking / geometry
     "LinearFunction",
@@ -172,8 +167,5 @@ __all__ = [
     "GeometryError",
     "InfeasibleError",
     "ConvergenceError",
-    "ExecutionError",
-    "WorkerCrashError",
-    "ExecutionTimeoutError",
     "CorruptStateError",
 ]

@@ -77,19 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
         "warning and the command runs on the default tuning, leaving the "
         "file as it is; results are bit-identical either way",
     )
-    common.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-work-unit deadline for parallel execution: a unit "
-        "that exceeds it is retried on a fresh thread pool, and serially "
-        "once retries run out (repro.engine.resilience; default: no "
-        "deadline)",
-    )
-    common.add_argument(
-        "--max-retries", type=int, default=None, metavar="N",
-        help="failed attempts per work unit on the thread pool before the "
-        "engine falls back to serial (default: 2); results stay "
-        "bit-identical either way",
-    )
 
     rep = sub.add_parser(
         "represent", help="compute a rank-regret representative", parents=[common]
@@ -380,30 +367,6 @@ def _maintain_ksets(args: argparse.Namespace, data, k: int, tune, out) -> int:
     return 0
 
 
-def _apply_resilience_flags(args: argparse.Namespace) -> None:
-    """Install ``--timeout`` / ``--max-retries`` as the default policy.
-
-    The algorithms build engines internally (mdrc corner batches, K-SETr
-    samplers, the Monte-Carlo evaluator), so the knobs go through
-    :func:`repro.engine.resilience.set_default_policy` rather than being
-    threaded through every constructor signature.
-    """
-    timeout = getattr(args, "timeout", None)
-    max_retries = getattr(args, "max_retries", None)
-    if timeout is None and max_retries is None:
-        return
-    from dataclasses import replace
-
-    from repro.engine.resilience import get_default_policy, set_default_policy
-
-    policy = get_default_policy()
-    if timeout is not None:
-        policy = replace(policy, timeout_s=timeout)
-    if max_retries is not None:
-        policy = replace(policy, max_retries=max_retries)
-    set_default_policy(policy)
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ServerConfig, serve
 
@@ -432,7 +395,6 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_resilience_flags(args)
         if args.command == "represent":
             return _cmd_represent(args, out)
         if args.command == "experiment":

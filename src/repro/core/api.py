@@ -86,7 +86,6 @@ def rank_regret_representative(
     rng: int | np.random.Generator | None = None,
     jobs: int | None = None,
     tune=None,
-    policy=None,
     **options: object,
 ) -> RRRResult:
     """Compute a k-RRR of ``data`` (the paper's headline operation).
@@ -111,13 +110,9 @@ def rank_regret_representative(
         bit-identical to the serial path; 2DRRR's sweep is inherently
         sequential and ignores it.
     tune:
-        Engine runtime tuning (``None`` | ``"auto"`` | a
+        Engine runtime tuning (``None`` or a
         :class:`~repro.engine.TuningProfile`, e.g. loaded from the CLI's
         ``--tuning-profile`` JSON).  Bit-identical results either way.
-    policy:
-        Failure handling for the engine-backed scoring (a
-        :class:`~repro.engine.RetryPolicy`, or ``None`` for the
-        process-wide default policy).
     options:
         Forwarded to the chosen algorithm (e.g. ``enumerator=`` and
         ``hitting=`` for MDRRR, ``max_depth=`` / ``choice=`` for MDRC,
@@ -134,16 +129,11 @@ def rank_regret_representative(
         indices = two_d_rrr(matrix, level, **options)
         return RRRResult(tuple(indices), "2drrr", level, guarantee=2 * level)
     if method == "mdrrr":
-        outcome = md_rrr(
-            matrix, level, rng=rng, jobs=jobs, tune=tune, policy=policy,
-            **options,
-        )
+        outcome = md_rrr(matrix, level, rng=rng, jobs=jobs, tune=tune, **options)
         return RRRResult(tuple(outcome.indices), "mdrrr", level, guarantee=level)
     if method == "mdrc":
         if d < 2:
             raise ValidationError("mdrc requires d >= 2")
-        outcome = mdrc(
-            matrix, level, jobs=jobs, tune=tune, policy=policy, **options,
-        )
+        outcome = mdrc(matrix, level, jobs=jobs, tune=tune, **options)
         return RRRResult(tuple(outcome.indices), "mdrc", level, guarantee=d * level)
     raise ValidationError(f"unknown method {method!r}")

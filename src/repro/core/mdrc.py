@@ -356,7 +356,6 @@ def mdrc(
     engine: ScoreEngine | None = None,
     jobs: int | None = None,
     tune=None,
-    policy=None,
     corner_cache: CornerCache | None = None,
 ) -> MDRCResult:
     """MDRC (Algorithm 5): frontier-batched function-space partitioning.
@@ -389,14 +388,9 @@ def mdrc(
         ``engine`` is passed — the caller's engine keeps its own
         configuration.
     tune:
-        Runtime tuning for the engine built here (``None`` | ``"auto"``
-        | a :class:`~repro.engine.TuningProfile`); ignored when
-        ``engine`` is passed.  Results are bit-identical either way.
-    policy:
-        Failure handling for the engine built here (a
-        :class:`~repro.engine.RetryPolicy`, or ``None`` for the
-        process-wide default); likewise ignored when ``engine`` is
-        passed.
+        Runtime tuning for the engine built here (``None`` or a
+        :class:`~repro.engine.TuningProfile`); ignored when ``engine``
+        is passed.  Results are bit-identical either way.
     corner_cache:
         Optional :class:`CornerCache` carrying corner evaluations across
         calls (the maintained-view replay path).  Requires ``use_cache``;
@@ -432,7 +426,7 @@ def mdrc(
         raise ValidationError(f"unknown choice policy {choice!r}")
     own_engine = engine is None
     if engine is None:
-        engine = ScoreEngine(matrix, n_jobs=jobs, tune=tune, resilience=policy)
+        engine = ScoreEngine(matrix, n_jobs=jobs, tune=tune)
     else:
         # Settle any journaled row mutations before reading the engine's
         # matrix: a caller who mutated and then passed ``engine.values``

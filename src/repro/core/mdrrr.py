@@ -60,7 +60,6 @@ def collect_ksets(
     rng: int | np.random.Generator | None = None,
     jobs: int | None = None,
     tune=None,
-    policy=None,
     engine=None,
     kset_state=None,
 ) -> tuple[list[frozenset[int]], str, int]:
@@ -91,7 +90,7 @@ def collect_ksets(
     if enumerator == "sample":
         outcome = sample_ksets(
             matrix, k, patience=patience, rng=rng, jobs=jobs, tune=tune,
-            policy=policy, engine=engine, state=kset_state,
+            engine=engine, state=kset_state,
         )
         return outcome.ksets, "sample", outcome.draws
     raise ValidationError(f"unknown enumerator {enumerator!r}")
@@ -109,7 +108,6 @@ def md_rrr(
     max_repair_rounds: int = 10,
     jobs: int | None = None,
     tune=None,
-    policy=None,
     engine=None,
     kset_state=None,
 ) -> MDRRRResult:
@@ -163,8 +161,7 @@ def md_rrr(
     if ksets is None:
         collection, used, draws = collect_ksets(
             matrix, k, enumerator=enumerator, patience=patience, rng=rng,
-            jobs=jobs, tune=tune, policy=policy,
-            engine=engine, kset_state=kset_state,
+            jobs=jobs, tune=tune, engine=engine, kset_state=kset_state,
         )
     else:
         collection, used = list(ksets), "provided"

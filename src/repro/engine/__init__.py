@@ -29,7 +29,8 @@ GEMV as its fallback.  Results are always bit-identical to the scalar
 ``2·N`` functions above a work cutover is split into function-chunk
 work units, run over a persistent thread pool (zero-copy clones,
 GIL-free GEMM), and merged deterministically — bit-identical to the
-serial path.  Every other call, and every call with ``N = 1``, runs
+serial path.  A work unit's exception reaches the caller as it was
+raised.  Every other call, and every call with ``N = 1``, runs
 serially.
 
 :mod:`repro.engine.autotune` holds the tuning: every perf constant
@@ -41,14 +42,6 @@ hand-tuned values), set by hand or loaded from checksummed JSON
 journaled mutations compact lazily by merge-repairing the orderings and
 quantized stores instead of rebuilding them, bit-identical to a fresh
 engine on the mutated matrix.
-
-:mod:`repro.engine.resilience` is the supervision layer around the
-fan-out: failed work units are re-executed under bounded retry with
-backoff, hung units are abandoned on a per-unit timeout, and a thread
-pool that keeps failing falls back to serial (sticky) — always
-bit-identical, because merges key on unit index, not completion.
-:mod:`repro.engine.faults` is the matching deterministic fault-injection
-harness the chaos tests and ``perf_gate.py --faults`` drive.
 
 :mod:`repro.engine.views` is the materialized-view layer on top of the
 delta journal: :class:`MDRCView` / :class:`KSetView` / :class:`MDRRRView`
@@ -72,7 +65,6 @@ implementations that the equivalence tests and the perf-regression gate
 """
 
 from repro.engine.autotune import TuningProfile, load_profile
-from repro.engine.faults import FaultInjector
 from repro.engine.bitset import (
     BitsetTable,
     intersect_all,
@@ -84,12 +76,6 @@ from repro.engine.bitset import (
 )
 from repro.engine.parallel import ThreadExecutor, resolve_n_jobs
 from repro.engine.quantize import Quantizer
-from repro.engine.resilience import (
-    RetryPolicy,
-    Supervisor,
-    get_default_policy,
-    set_default_policy,
-)
 from repro.engine.score_engine import ScoreEngine, TopKBatch
 from repro.engine.wal import (
     Commit,
@@ -118,11 +104,6 @@ __all__ = [
     "RankRegretView",
     "TuningProfile",
     "load_profile",
-    "RetryPolicy",
-    "Supervisor",
-    "get_default_policy",
-    "set_default_policy",
-    "FaultInjector",
     "Commit",
     "DurableStore",
     "Snapshot",

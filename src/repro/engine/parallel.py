@@ -25,15 +25,15 @@ serial tiered path for any split.
 
 Determinism note: worker scheduling order never matters — futures are
 collected in submission order and every merge is order-preserving.
+A unit that raises fails the call with its own exception, once every
+unit of the call has finished; nothing retries it.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 
 __all__ = [
     "DEFAULT_MIN_PARALLEL_WORK",
@@ -100,36 +100,19 @@ def _dispatch(engine, kind: str, *args):
     raise ValueError(f"unknown work-unit kind {kind!r}")  # pragma: no cover
 
 
-def _run_on_clone(parent, clone, kind: str, *args, lock=None):
-    """Run one work unit on a serial clone of ``parent``.
-
-    The unit's counter deltas fold back into the parent (under ``lock``
-    when clones run concurrently), so the stats keep seeing fanned-out
-    work, not just serial calls.
-    """
-    before = dict(clone.stats)
-    try:
-        return _dispatch(clone, kind, *args)
-    finally:
-        with lock or nullcontext():
-            for key, value in clone.stats.items():
-                parent.stats[key] += value - before[key]
-
-
 class ThreadExecutor:
     """In-process thread pool over serial clones of one engine.
 
     Owns no scoring semantics: the parent engine decides which calls fan
-    out (the supervision layer computes the chunk bounds and submits one
-    work unit per chunk); this class only
-    runs units and hands back futures.  A work unit crosses a queue as a
-    tuple of references — nothing is copied or pickled.  Each pool
-    thread lazily builds one serial clone of the parent engine
-    (:meth:`ScoreEngine._thread_clone`) sharing the matrix, orderings
-    and quantized stores by reference and owning its mutable small
-    state, so concurrent units never write to shared objects.  The
-    parent's orderings are completed eagerly up front — clones only ever
-    read them.
+    out, computes the chunk bounds and submits one work unit per chunk;
+    this class only runs units and hands back futures.  A work unit
+    crosses a queue as a tuple of references — nothing is copied or
+    pickled.  Each pool thread lazily builds one serial clone of the
+    parent engine (:meth:`ScoreEngine._thread_clone`) sharing the
+    matrix, orderings and quantized stores by reference and owning its
+    mutable small state, so concurrent units never write to shared
+    objects.  The parent's orderings are completed eagerly up front —
+    clones only ever read them.
     """
 
     # Eager attribute-ordering build cap: clones never extend the shared
@@ -155,25 +138,27 @@ class ThreadExecutor:
         )
         self.tasks_dispatched = 0
 
-    def _run(self, kind: str, *args, _fault=None):
-        if _fault is not None:
-            # Injected faults (repro.engine.faults): a thread cannot be
-            # killed, so the crash token raises the typed error the
-            # supervisor maps a dead worker to; a hang token sleeps.
-            if _fault == "crash":
-                from repro.exceptions import WorkerCrashError
+    def _run(self, kind: str, *args):
+        """Run one work unit on this thread's clone.
 
-                raise WorkerCrashError("injected worker crash")
-            if isinstance(_fault, tuple) and _fault[0] == "hang":
-                time.sleep(float(_fault[1]))
+        The unit's counter deltas fold back into the parent, so the
+        stats keep seeing fanned-out work, not just serial calls.
+        """
         clone = getattr(self._local, "engine", None)
         if clone is None:
             clone = self._engine._thread_clone()
             self._local.engine = clone
-        return _run_on_clone(self._engine, clone, kind, *args, lock=self._stats_lock)
+        before = dict(clone.stats)
+        try:
+            return _dispatch(clone, kind, *args)
+        finally:
+            with self._stats_lock:
+                for key, value in clone.stats.items():
+                    self._engine.stats[key] += value - before[key]
 
-    def _submit(self, kind: str, *args, fault=None):
-        return self._pool.submit(self._run, kind, *args, _fault=fault)
+    def _submit(self, kind: str, *args):
+        self.tasks_dispatched += 1
+        return self._pool.submit(self._run, kind, *args)
 
     def close(self) -> None:
         """Shut the thread pool down (clones die with their threads)."""

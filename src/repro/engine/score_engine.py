@@ -25,7 +25,8 @@ With ``n_jobs > 1`` a bulk call of at least ``2·n_jobs`` functions
 above a work cutover is split into function-chunk work units and fanned
 out over an in-process thread pool of zero-copy engine clones
 (:mod:`repro.engine.parallel`); the exactness contract makes any split
-bit-identical to the serial path.  Every other call runs serially.
+bit-identical to the serial path, and a unit's exception reaches the
+caller as it was raised.  Every other call runs serially.
 
 Exactness
 ---------
@@ -103,7 +104,7 @@ import numpy as np
 from repro.engine import bands
 from repro.engine.autotune import TuningProfile
 from repro.engine.bitset import pack_membership, packed_width
-from repro.engine.parallel import resolve_n_jobs
+from repro.engine.parallel import _chunk_bounds, resolve_n_jobs
 from repro.engine.quantize import Quantizer
 from repro.exceptions import InvalidDataError, ValidationError
 
@@ -290,14 +291,6 @@ class ScoreEngine:
         constants), and a profile instance is adopted as-is (e.g. one
         loaded from JSON via :meth:`TuningProfile.load`).  Any profile
         yields bit-identical results; only the speed changes.
-    resilience:
-        Failure handling for the fan-out layer
-        (:mod:`repro.engine.resilience`): a :class:`RetryPolicy` sets
-        the per-work-unit timeout, the retry budget and the backoff
-        shape; ``None`` (default) snapshots the process-wide default
-        policy (see :func:`repro.engine.resilience.set_default_policy`).
-        Supervision never changes results — failed units re-execute
-        bit-identically, possibly on the serial fall-back.
     """
 
     def __init__(
@@ -311,7 +304,6 @@ class ScoreEngine:
         quantize: str | None = "auto",
         parallel_min_work: int | None = None,
         tune: TuningProfile | None = None,
-        resilience: "RetryPolicy | None" = None,
     ) -> None:
         try:
             matrix = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
@@ -382,20 +374,6 @@ class ScoreEngine:
         self._parallel_min_work = int(parallel_min_work)
         # The lazy thread pool (see repro.engine.parallel).
         self._parallel = None
-        # Supervision (see repro.engine.resilience): the retry/timeout/
-        # degradation policy, the lazy Supervisor facade, and the sticky
-        # degradation state (None, or "serial" once the pool kept failing).
-        from repro.engine.resilience import RetryPolicy, get_default_policy
-
-        if resilience is None:
-            resilience = get_default_policy()
-        elif not isinstance(resilience, RetryPolicy):
-            raise ValidationError(
-                f"resilience must be a RetryPolicy or None, got {resilience!r}"
-            )
-        self._resilience_policy = resilience
-        self._supervisor = None
-        self._degraded: str | None = None
         # Async submission seam (see ``submit``): one lazily-created
         # dispatch thread that serializes queries and mutations so an
         # asyncio caller can await engine work without blocking its loop.
@@ -578,11 +556,7 @@ class ScoreEngine:
         the thread pool: enough functions to go around (``2·n_jobs``)
         and work above ``parallel_min_work``.  Every other call runs
         serially."""
-        if self.n_jobs <= 1 or self._degraded == "serial":
-            # One worker, or the thread pool kept failing for this
-            # engine and the supervisor pinned it serial (sticky for the
-            # engine's lifetime — a host that broke the pool stays
-            # suspect).
+        if self.n_jobs <= 1:
             return False
         return m >= 2 * self.n_jobs and m * self.n >= self._parallel_min_work
 
@@ -612,17 +586,22 @@ class ScoreEngine:
         self._parallel = ThreadExecutor(self, self.n_jobs)
         return self._parallel
 
-    def _supervised(self):
-        """The supervision facade every fan-out call site goes through.
+    def _fan_out(self, kind: str, W: np.ndarray, args=(), align: int = 1) -> list:
+        """Run ``W`` as function-chunk work units on the thread pool;
+        return the units' results in chunk order.
 
-        ``run_function_chunks`` with crash recovery, timeouts and the
-        fall-back to serial (see :mod:`repro.engine.resilience`).
+        Every unit runs to completion before this returns.  A unit that
+        raised fails the call with its own exception (the first in
+        chunk order), so no unit outlives the call that submitted it.
         """
-        if self._supervisor is None:
-            from repro.engine.resilience import Supervisor
+        from concurrent.futures import wait
 
-            self._supervisor = Supervisor(self, self._resilience_policy)
-        return self._supervisor
+        executor = self._parallel or self._build_executor()
+        self.stats["parallel_calls"] += 1
+        bounds = _chunk_bounds(W.shape[0], self.n_jobs, align, self._tuning.units_per_worker)
+        futures = [executor._submit(kind, W[lo:hi], *args) for lo, hi in bounds]
+        wait(futures)
+        return [future.result() for future in futures]
 
     def submit(self, method: str, /, *args, inline: bool = False, **kwargs):
         """Run ``self.<method>(*args, **kwargs)`` (or a bare callable)
@@ -683,16 +662,9 @@ class ScoreEngine:
         executor, self._parallel = self._parallel, None
         if executor is not None:
             executor.close()
-        if self._supervisor is not None:
-            self._supervisor.reset()
 
     def close(self) -> None:
-        """Shut down the thread pool and the dispatch thread.
-
-        Degradation state (``_degraded``) survives close(): the pool is
-        rebuilt routinely (tuning changes, row mutations), but a host
-        that broke it stays suspect for this engine's life.
-        """
+        """Shut down the thread pool and the dispatch thread."""
         pool, self._submit_pool = self._submit_pool, None
         if pool is not None:
             # A submitted call may itself close the engine; the dispatch
@@ -732,7 +704,6 @@ class ScoreEngine:
         clone.__dict__.update(self.__dict__)
         clone.n_jobs = 1
         clone._parallel = None
-        clone._supervisor = None
         clone._submit_pool = None
         clone._submit_lock = threading.Lock()
         clone._memo = OrderedDict()
@@ -767,9 +738,7 @@ class ScoreEngine:
         # output stays bit-identical to the serial path, not merely
         # ulp-close).
         if self._fans_out(m) and m > self._chunk_cols:
-            parts = self._supervised().run_function_chunks(
-                "score", W, align=self._chunk_cols
-            )
+            parts = self._fan_out("score", W, align=self._chunk_cols)
             return np.concatenate(parts, axis=1)
         out = np.empty((self.n, m), dtype=np.float64)
         for lo in range(0, m, self._chunk_cols):
@@ -820,7 +789,7 @@ class ScoreEngine:
     def _topk_orders_full(self, W: np.ndarray, k: int) -> np.ndarray:
         """:meth:`topk_orders` over the whole matrix, fan-out included."""
         if self._fans_out(W.shape[0]):
-            parts = self._supervised().run_function_chunks("topk", W, args=(k,))
+            parts = self._fan_out("topk", W, args=(k,))
             return np.concatenate(parts, axis=0)
         if self._scalar_route(W.shape[0]):
             # Small-call route (module docstring): scored, never contested.
@@ -1504,7 +1473,7 @@ class ScoreEngine:
         members = self._check_subset(subset)
         m = W.shape[0]
         if self._fans_out(m):
-            parts = self._supervised().run_function_chunks("rank", W, args=(members,))
+            parts = self._fan_out("rank", W, args=(members,))
             return np.concatenate(parts)
         if self._scalar_route(m):
             # Small-call route (module docstring): every row is read.

@@ -1024,13 +1024,13 @@ class KSetView(MaterializedView):
         )
 
 
-class MDRRRView(MaterializedView):
+class MDRRRView(KSetView):
     """Maintained MDRRR representative (hitting set over maintained k-sets).
 
     The expensive half of MDRRR is the K-SETr collection; the hitting
     set itself is a cheap deterministic solve over the collected sets.
-    This view therefore maintains a :class:`~repro.geometry.ksets.KSetDrawState`
-    exactly like :class:`KSetView` and replays the *real*
+    This view therefore maintains the :class:`KSetView` draw state (it
+    is one, with another ``_compute``) and replays the *real*
     :func:`~repro.core.mdrrr.md_rrr` (sampled enumerator) against it on
     refresh — solver, optional verification panel and repair rounds all
     included, so the result is the one a fresh ``md_rrr`` call with the
@@ -1049,37 +1049,13 @@ class MDRRRView(MaterializedView):
         verify_functions: int = 0,
         max_repair_rounds: int = 10,
     ) -> None:
-        from repro.geometry.ksets import KSetDrawState
-
-        if isinstance(rng, np.random.Generator):
-            raise ValidationError(
-                "maintained views need a reproducible seed (int or None), "
-                "not a live Generator"
-            )
-        super().__init__(engine)
-        self.k = int(k)
+        super().__init__(
+            engine, k, patience=patience, rng=rng, max_draws=max_draws, batch_size=batch_size
+        )
         self.hitting = hitting
-        self.patience = patience
         self.rng = rng
         self.verify_functions = verify_functions
         self.max_repair_rounds = max_repair_rounds
-        self._state = KSetDrawState(
-            engine.d, self.k, max_draws=max_draws, batch_size=batch_size, rng=rng
-        )
-        self.stats.update(draws_invalidated=0, draws_kept=0)
-
-    def _apply(self, event) -> None:
-        state = self._state
-        for i in range(len(state.orders)):
-            valid = ~state.stale[i]
-            stale = _screen_topk_orders(
-                state.orders[i], state.weights[i], valid, event, self._engine
-            )
-            rows = np.flatnonzero(stale)
-            if rows.size:
-                state.mark_stale(i, rows)
-            self.stats["draws_invalidated"] += int(rows.size)
-            self.stats["draws_kept"] += int((valid & ~stale).sum())
 
     def _compute(self):
         from repro.core.mdrrr import md_rrr

@@ -59,7 +59,6 @@ def evaluate_representative(
     rng: int | np.random.Generator | None = 0,
     jobs: int | None = None,
     tune=None,
-    policy=None,
     engine: ScoreEngine | None = None,
 ) -> RepresentativeReport:
     """Measure a representative set the way the paper's §6 does.
@@ -83,7 +82,7 @@ def evaluate_representative(
     # (or once per Session, when the caller shares a long-lived engine).
     own_engine = engine is None
     if engine is None:
-        engine = ScoreEngine(matrix, n_jobs=jobs, tune=tune, resilience=policy)
+        engine = ScoreEngine(matrix, n_jobs=jobs, tune=tune)
     else:
         engine.compact()  # settle journaled row mutations before validating
         if engine.n != matrix.shape[0]:

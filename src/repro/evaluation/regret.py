@@ -103,7 +103,6 @@ def rank_regret_sampled(
     return_distribution: bool = False,
     jobs: int | None = None,
     tune=None,
-    policy=None,
     engine: ScoreEngine | None = None,
 ) -> int | np.ndarray:
     """Monte-Carlo estimate of RR_L(X) over uniformly sampled functions.
@@ -142,7 +141,7 @@ def rank_regret_sampled(
             raise ValidationError("engine was built over a different matrix")
         regrets = engine.rank_of_best_batch(weights, members)
     else:
-        with ScoreEngine(matrix, n_jobs=jobs, tune=tune, resilience=policy) as own:
+        with ScoreEngine(matrix, n_jobs=jobs, tune=tune) as own:
             regrets = own.rank_of_best_batch(weights, members)
     if return_distribution:
         return regrets
@@ -171,7 +170,6 @@ def regret_ratio_sampled(
     rng: int | np.random.Generator | None = None,
     jobs: int | None = None,
     tune=None,
-    policy=None,
     engine: ScoreEngine | None = None,
 ) -> float:
     """Monte-Carlo maximum regret-ratio of ``subset`` over sampled functions.
@@ -191,7 +189,7 @@ def regret_ratio_sampled(
             raise ValidationError("engine was built over a different matrix")
         score_matrix = engine.score_batch(weights)
     else:
-        with ScoreEngine(matrix, n_jobs=jobs, tune=tune, resilience=policy) as own:
+        with ScoreEngine(matrix, n_jobs=jobs, tune=tune) as own:
             score_matrix = own.score_batch(weights)
     top = score_matrix.max(axis=0)
     achieved = score_matrix[members].max(axis=0)

@@ -29,25 +29,6 @@ class DatasetError(ReproError):
     """A dataset could not be constructed, loaded, or normalized."""
 
 
-class ExecutionError(ReproError):
-    """Base class for failures of the parallel execution layer.
-
-    Subclasses cover dead and hung workers.  The supervision layer
-    (:mod:`repro.engine.resilience`) catches these internally and
-    recovers (retry, pool rebuild, fall-back to serial);
-    callers only see one when every recovery path is exhausted.
-    """
-
-
-class WorkerCrashError(ExecutionError):
-    """A pool worker failed mid-task (raised by the fault injector's
-    ``crash`` token)."""
-
-
-class ExecutionTimeoutError(ExecutionError, TimeoutError):
-    """A work unit exceeded its per-unit timeout (hung worker)."""
-
-
 class CorruptStateError(ReproError):
     """Persisted or transported state failed an integrity check.
 

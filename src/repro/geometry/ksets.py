@@ -198,7 +198,6 @@ def sample_ksets(
     batch_size: int = 1024,
     jobs: int | None = None,
     tune=None,
-    policy=None,
     engine: ScoreEngine | None = None,
     state: KSetDrawState | None = None,
 ) -> KSetSampleResult:
@@ -250,9 +249,7 @@ def sample_ksets(
     # while clean draws run at twice the GEMM/selection throughput.
     own_engine = engine is None
     if engine is None:
-        engine = ScoreEngine(
-            matrix, float32=True, n_jobs=jobs, tune=tune, resilience=policy,
-        )
+        engine = ScoreEngine(matrix, float32=True, n_jobs=jobs, tune=tune)
     else:
         engine.compact()
         if engine.values.shape != matrix.shape or not np.array_equal(engine.values, matrix):

@@ -83,13 +83,18 @@ def skyline_bnl(values: np.ndarray) -> np.ndarray:
 def skyline_sfs(values: np.ndarray) -> np.ndarray:
     """Skyline via Sort-Filter-Skyline, returned sorted.
 
-    Pre-sorts by descending attribute sum so that a tuple can only be
-    dominated by tuples seen earlier; each survivor needs one pass over the
-    current skyline.  Same output as :func:`skyline_bnl`.
+    Pre-sorts so that a tuple can only be dominated by tuples seen
+    earlier; each survivor needs one pass over the current skyline.  Same
+    output as :func:`skyline_bnl`.  The sort key is the descending
+    attribute sum, then the attributes in descending lexicographic order,
+    then the row index.  A rounded sum never drops under dominance but
+    can tie (``1 + 1e-58`` rounds to ``1``), and the lexicographic
+    tie-break puts a dominating row first where the index would not.
     """
     points = _as_points(values)
     n = points.shape[0]
-    order = np.lexsort((np.arange(n), -points.sum(axis=1)))
+    # lexsort's last key is the primary one.
+    order = np.lexsort((np.arange(n), *-points.T[::-1], -points.sum(axis=1)))
     result: list[int] = []
     for idx in order:
         candidate = points[idx]

@@ -24,11 +24,8 @@ revision, so its size follows the answer, not the data; the client
 (:meth:`~repro.serve.ServiceClient.topk`) rebuilds the packed member
 bitset from them.  Admission control is typed: **429** (queue full,
 ``Retry-After`` hint) under overload, **503** while draining for
-shutdown; any exception no handler maps answers **500** on a
-connection that stays open.  Failure handling inside the engine is the
-resilience ladder (:mod:`repro.engine.resilience`), configured by the
-same ``policy`` knob as everywhere else; a crashed worker degrades the
-thread pool to serial, never the response.
+shutdown; any exception no handler maps, a fanned-out work unit's
+included, answers **500** on a connection that stays open.
 
 On boot the server loads a checksummed
 :class:`~repro.engine.TuningProfile` if configured, through the CLI's
@@ -89,7 +86,6 @@ class ServerConfig:
     port: int = 8472
     jobs: int | None = None
     tuning_profile: str | None = None  # checksummed JSON path; None = defaults
-    policy: object = None  # RetryPolicy | None
     max_pending: int = 256  # admission bound: queued requests before 429
     max_batch: int = 1024  # coalescing cap per engine call
     max_body_bytes: int = 32 * 2**20
@@ -147,10 +143,7 @@ class Server:
         else:
             boot_values = values
         self.session = Session(
-            boot_values,
-            jobs=self.config.jobs,
-            tune=self._boot_tuning(snapshot),
-            policy=self.config.policy,
+            boot_values, jobs=self.config.jobs, tune=self._boot_tuning(snapshot)
         )
         stack.callback(self.session.close)
         engine = self.session.engine

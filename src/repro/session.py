@@ -11,10 +11,10 @@ pruning-ordering builds on every call and leaves the caller to thread
 the shared engine through by hand.
 
 :class:`Session` owns that engine.  It is constructed once over a
-matrix with the unified knob vocabulary (``jobs``, ``tune``,
-``policy``), and every method scores through the same
-engine: algorithms (:meth:`mdrc`, :meth:`sample_ksets`, :meth:`md_rrr`),
-evaluation (:meth:`rank_regret`, :meth:`evaluate`), raw batch queries
+matrix with the unified knob vocabulary (``jobs``, ``tune``), and
+every method scores through the same engine: algorithms
+(:meth:`mdrc`, :meth:`sample_ksets`, :meth:`md_rrr`), evaluation
+(:meth:`rank_regret`, :meth:`evaluate`), raw batch queries
 (:meth:`topk`, :meth:`rank_of_best`) and journaled mutations
 (:meth:`insert_rows`, :meth:`delete_rows`).  Results are
 bit-identical to the free functions over the same matrix — the engine
@@ -57,9 +57,6 @@ class Session:
         ``None`` (defaults) or a :class:`~repro.engine.TuningProfile`
         (e.g. loaded with :meth:`~repro.engine.TuningProfile.load` from
         checksummed JSON written by :meth:`~repro.engine.TuningProfile.save`).
-    policy:
-        A :class:`~repro.engine.RetryPolicy` for fault handling, or
-        ``None`` for the process-wide default.
     float32:
         Enable the float32 tier (bit-identical by the exactness ladder;
         on by default because a shared engine amortizes its setup).
@@ -71,16 +68,9 @@ class Session:
         *,
         jobs: int | None = None,
         tune=None,
-        policy=None,
         float32: bool = True,
     ) -> None:
-        self._engine = ScoreEngine(
-            values,
-            float32=float32,
-            n_jobs=jobs,
-            tune=tune,
-            resilience=policy,
-        )
+        self._engine = ScoreEngine(values, float32=float32, n_jobs=jobs, tune=tune)
 
     # ------------------------------------------------------------------
     # introspection

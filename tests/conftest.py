@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -130,3 +132,30 @@ def kernel_paths():
     checks both.  Stateless, hence session-scoped.
     """
     return _each_kernel_path
+
+
+@contextmanager
+def _hooked_units(hook):
+    from repro.engine import parallel
+
+    dispatch = parallel._dispatch
+
+    def hooked(engine, kind, *args):
+        hook(kind, args[0])
+        return dispatch(engine, kind, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parallel, "_dispatch", hooked)
+        yield
+
+
+@pytest.fixture(scope="session")
+def unit_hook():
+    """``with unit_hook(hook):`` calls ``hook(kind, weights)`` before
+    every fanned-out work unit, on the pool thread that runs it.
+
+    ``weights`` is the unit's function chunk.  A hook that raises fails
+    its unit the way a bug in a kernel would.  Stateless, hence
+    session-scoped (usable inside hypothesis examples).
+    """
+    return _hooked_units

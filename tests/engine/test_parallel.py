@@ -293,12 +293,17 @@ class TestBackends:
         assert np.array_equal(got.order, serial.topk_batch(weights, 5).order)
 
     def test_invalid_backend_rejected(self):
-        # ``jobs`` alone picks serial or threads: no backend keyword.
+        # ``jobs`` alone picks serial or threads: no backend keyword, and
+        # no supervision policy for the fan-out either.
         for backend in ("thread", "process"):
             with pytest.raises(TypeError, match="backend"):
                 ScoreEngine(np.ones((3, 2)), backend=backend)
             with pytest.raises(TypeError, match="backend"):
                 Session(np.ones((3, 2)), backend=backend)
+        with pytest.raises(TypeError, match="resilience"):
+            ScoreEngine(np.ones((3, 2)), resilience=None)
+        with pytest.raises(TypeError, match="policy"):
+            Session(np.ones((3, 2)), policy=None)
 
     def test_thread_clone_shares_heavy_state(self):
         values = np.random.default_rng(24).random((200, 3))

@@ -1,42 +1,37 @@
-"""Chaos tests for the supervision layer (repro.engine.resilience).
+"""Failure behaviour at the engine's boundaries.
 
-The contract under test: under every injected failure mode — worker
-crash, hang past the per-unit timeout — a supervised engine recovers
-without process death and returns results *bit-identical* to a
-fault-free serial run, on the thread pool and on the serial fall-back.
-The fault harness (repro.engine.faults) is deterministic and seeded, so
-every scenario here replays exactly.
+A fanned-out work unit that raises fails its call with its own
+exception once every unit of the call has finished; nothing retries
+it, the engine does not fall back to serial, and its next call is
+bit-identical to a serial engine's.  A slow unit delays the call, not
+the merge order.  Alongside: persisted tuning profiles are checksummed
+and saved atomically, the mutation journal's invariants fail typed,
+and unusable input data raises ``InvalidDataError`` at every public
+boundary.  Units are failed or delayed through the ``unit_hook``
+fixture (``tests/conftest.py``).
 """
 
 import json
 import os
+import threading
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import (
-    FaultInjector,
-    RetryPolicy,
-    ScoreEngine,
-    TuningProfile,
-    get_default_policy,
-    set_default_policy,
-)
-from repro.engine import faults
-from repro.exceptions import (
-    CorruptStateError,
-    ExecutionTimeoutError,
-    InvalidDataError,
-    ValidationError,
-    WorkerCrashError,
-)
+import repro
+from repro.engine import ScoreEngine, TuningProfile
+from repro.engine.parallel import _chunk_bounds
+from repro.exceptions import CorruptStateError, InvalidDataError, ValidationError
 from repro.ranking import sample_functions
+from repro.serve import ServerConfig
 
-# Backoff disabled in most scenarios: the retry *logic* is under test,
-# not the sleeping, and CI minutes are precious.
-FAST = RetryPolicy(timeout_s=5.0, max_retries=2, backoff_base_s=0.0)
+
+class UnitFailure(RuntimeError):
+    """What a work unit failed by ``_Units`` raises."""
 
 
 def _data(n=300, d=4, m=48, seed=0):
@@ -44,222 +39,151 @@ def _data(n=300, d=4, m=48, seed=0):
     return rng.random((n, d)), sample_functions(d, m, rng)
 
 
-def _pair(values, n_jobs=2, policy=FAST, **kwargs):
+def _pair(values, n_jobs=2, **kwargs):
     serial = ScoreEngine(values)
-    fanout = ScoreEngine(
-        values, n_jobs=n_jobs, parallel_min_work=0, resilience=policy, **kwargs
-    )
+    fanout = ScoreEngine(values, n_jobs=n_jobs, parallel_min_work=0, **kwargs)
     return serial, fanout
 
 
-@pytest.fixture(autouse=True)
-def _no_leaked_injector():
-    yield
-    faults.uninstall()
+class _Units:
+    """A ``unit_hook`` that fails or delays chosen work units.
+
+    A unit is named by the row of ``W`` its function chunk starts at;
+    ``runs`` counts how often each one ran.
+    """
+
+    def __init__(self, W, fail=(), delay=()):
+        self.W, self.fail, self.delay = W, set(fail), set(delay)
+        self.runs = Counter()
+        self._lock = threading.Lock()
+
+    def __call__(self, kind, weights):
+        start = int(np.flatnonzero((self.W == weights[0]).all(axis=1))[0])
+        with self._lock:
+            self.runs[start] += 1
+        if start in self.delay:
+            time.sleep(0.2)
+        if start in self.fail:
+            raise UnitFailure(f"{kind} unit at row {start}")
 
 
 # ----------------------------------------------------------------------
-# the harness itself
-class TestFaultInjector:
-    def test_same_seed_same_schedule(self):
-        a = FaultInjector(seed=7, crash=0.3, hang=0.2)
-        b = FaultInjector(seed=7, crash=0.3, hang=0.2)
-        assert [a.draw_unit() for _ in range(64)] == [
-            b.draw_unit() for _ in range(64)
-        ]
-
-    def test_plan_targets_exact_submissions(self):
-        inj = FaultInjector(plan={0: "crash", 2: "hang"})
-        assert inj.draw_unit() == "crash"
-        assert inj.draw_unit() is None
-        assert inj.draw_unit() == ("hang", 0.25)
-        assert inj.draw_unit() is None
-        assert inj.injected == {"crash": 1, "hang": 1}
-
-    def test_max_faults_bounds_injection(self):
-        inj = FaultInjector(seed=0, crash=1.0, max_faults=3)
-        tokens = [inj.draw_unit() for _ in range(50)]
-        assert tokens.count("crash") == 3
-        assert all(t is None for t in tokens[3:])
-
-    def test_hang_token_carries_duration(self):
-        inj = FaultInjector(plan={0: "hang"}, hang_s=1.5)
-        assert inj.draw_unit() == ("hang", 1.5)
-
-    def test_rate_validation(self):
-        with pytest.raises(ValueError):
-            FaultInjector(crash=1.5)
-        with pytest.raises(ValueError):
-            FaultInjector(crash=0.6, hang=0.6)
-        with pytest.raises(ValueError):
-            FaultInjector(plan={0: "lunch"})
-        with pytest.raises(ValueError):
-            FaultInjector(plan={0: "corrupt"})
-
-    def test_module_install_scope(self):
-        assert faults.active() is None
-        with faults.injected(FaultInjector()) as inj:
-            assert faults.active() is inj
-        assert faults.active() is None
-
-
-# ----------------------------------------------------------------------
-# bit-identity under every failure mode
+# a failed or slow unit, then the next call
 class TestRecoveryBitIdentity:
     @pytest.mark.parametrize("jobs", [2], ids=["thread"])
     @pytest.mark.parametrize("kind", ["crash", "hang"])
-    def test_topk_and_rank_recover(self, jobs, kind):
+    def test_topk_and_rank_recover(self, jobs, kind, unit_hook):
+        """``crash``: a raising unit fails top-k and rank with its own
+        exception, and the engine's next calls still fan out and match
+        the serial engine.  ``hang``: the first unit is held back while
+        later ones finish, and the merge still puts its functions
+        first."""
         values, weights = _data()
         serial, fanout = _pair(values, jobs)
-        injector = FaultInjector(seed=1, **{kind: 0.5}, max_faults=3, hang_s=20.0)
-        with fanout, faults.injected(injector):
-            a = serial.topk_batch(weights, 7)
+        members = [0, 150, 299]
+        units = _Units(weights, **{"fail" if kind == "crash" else "delay": {0}})
+        with fanout, unit_hook(units):
+            if kind == "crash":
+                with pytest.raises(UnitFailure, match="topk unit at row 0"):
+                    fanout.topk_batch(weights, 7)
+                with pytest.raises(UnitFailure, match="rank unit at row 0"):
+                    fanout.rank_of_best_batch(weights, members)
+                units.fail.clear()
             b = fanout.topk_batch(weights, 7)
-            ra = serial.rank_of_best_batch(weights, [0, 150, 299])
-            rb = fanout.rank_of_best_batch(weights, [0, 150, 299])
-        assert injector.total_injected > 0
+            rb = fanout.rank_of_best_batch(weights, members)
+        a = serial.topk_batch(weights, 7)
         assert np.array_equal(a.order, b.order)
         assert np.array_equal(a.members, b.members)
-        assert np.array_equal(ra, rb)
-        counter = {"crash": "worker_crashes", "hang": "timeouts"}[kind]
-        assert fanout._supervisor.stats[counter] > 0
+        assert np.array_equal(serial.rank_of_best_batch(weights, members), rb)
+        assert fanout.stats["parallel_calls"] == (4 if kind == "crash" else 2)
+        assert units.runs[0] == fanout.stats["parallel_calls"]
 
     @pytest.mark.parametrize("jobs", [2], ids=["thread"])
-    def test_score_batch_recovers(self, jobs):
+    def test_score_batch_recovers(self, jobs, unit_hook):
         values, weights = _data()
         serial = ScoreEngine(values, chunk_bytes=1)
-        fanout = ScoreEngine(
-            values, n_jobs=jobs, parallel_min_work=0, chunk_bytes=1, resilience=FAST
-        )
-        injector = FaultInjector(seed=2, crash=0.5, max_faults=3)
-        with fanout, faults.injected(injector):
-            assert np.array_equal(
-                serial.score_batch(weights), fanout.score_batch(weights)
-            )
-        assert injector.injected["crash"] > 0
+        fanout = ScoreEngine(values, n_jobs=jobs, parallel_min_work=0, chunk_bytes=1)
+        units = _Units(weights, fail={0})
+        with fanout, unit_hook(units):
+            with pytest.raises(UnitFailure, match="score unit at row 0"):
+                fanout.score_batch(weights)
+            units.fail.clear()
+            assert np.array_equal(serial.score_batch(weights), fanout.score_batch(weights))
+        assert fanout.stats["parallel_calls"] == 2
 
 
 # ----------------------------------------------------------------------
-# retry bounds, backoff bounds, fail-fast mode
+# no retry, no backoff, no policy
 class TestRetryAndBackoff:
-    def test_fail_fast_raises_typed_crash_error(self):
+    def test_fail_fast_raises_typed_crash_error(self, unit_hook):
+        """Every unit fails: each ran once, none was retried, and the
+        call raises the first failure in chunk order, unwrapped."""
         values, weights = _data()
-        policy = RetryPolicy(max_retries=1, backoff_base_s=0.0, degrade=False)
-        _, fanout = _pair(values, policy=policy)
-        with fanout, faults.injected(FaultInjector(crash=1.0)):
-            with pytest.raises(WorkerCrashError):
+        _, fanout = _pair(values)
+        starts = [lo for lo, _ in _chunk_bounds(len(weights), 2)]
+        units = _Units(weights, fail=starts)
+        with fanout, unit_hook(units):
+            with pytest.raises(UnitFailure, match="topk unit at row 0$"):
                 fanout.topk_batch(weights, 7)
-        # max_retries=1 -> exactly 2 attempts before raising.
-        assert fanout._supervisor.stats["worker_crashes"] >= 2
-
-    def test_fail_fast_raises_typed_timeout_error(self):
-        values, weights = _data()
-        policy = RetryPolicy(
-            timeout_s=0.2, max_retries=0, backoff_base_s=0.0, degrade=False
-        )
-        _, fanout = _pair(values, policy=policy)
-        with fanout, faults.injected(FaultInjector(hang=1.0, hang_s=30.0)):
-            with pytest.raises(ExecutionTimeoutError):
-                fanout.topk_batch(weights, 7)
-        assert fanout._supervisor.stats["timeouts"] >= 1
-
-    def test_backoff_is_bounded_and_recorded(self):
-        values, weights = _data()
-        policy = RetryPolicy(
-            max_retries=2, backoff_base_s=0.01, backoff_max_s=0.04,
-            backoff_jitter=0.5, seed=3,
-        )
-        _, fanout = _pair(values, policy=policy)
-        with fanout, faults.injected(FaultInjector(seed=4, crash=0.5, max_faults=4)):
-            fanout.topk_batch(weights, 7)
-        sup = fanout._supervisor
-        assert sup.stats["retries"] > 0
-        assert sup.stats["backoff_s"] > 0.0
-        # Every sleep is capped at backoff_max_s * (1 + jitter); far
-        # fewer sleeps than retries can occur, so this bound is loose.
-        cap = policy.backoff_max_s * (1.0 + policy.backoff_jitter)
-        assert sup.stats["backoff_s"] <= sup.stats["retries"] * cap
+        assert units.runs == Counter(dict.fromkeys(starts, 1))
 
     def test_policy_validation(self):
-        with pytest.raises(ValidationError):
-            RetryPolicy(timeout_s=0.0)
-        with pytest.raises(ValidationError):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(ValidationError):
-            RetryPolicy(backoff_jitter=1.5)
-        with pytest.raises(ValidationError):
-            ScoreEngine(np.eye(3), resilience="retry hard")
-
-    def test_default_policy_install(self):
-        previous = get_default_policy()
-        try:
-            set_default_policy(RetryPolicy(timeout_s=9.0, max_retries=5))
-            engine = ScoreEngine(np.eye(3))
-            assert engine._resilience_policy.timeout_s == 9.0
-            assert engine._resilience_policy.max_retries == 5
-            with pytest.raises(ValidationError):
-                set_default_policy("nope")
-        finally:
-            set_default_policy(previous)
+        """The fan-out takes no supervision policy: every function that
+        used to accept ``policy=`` refuses it."""
+        values = np.random.default_rng(1).random((30, 3))
+        subset = [0, 1, 2]
+        calls = [
+            lambda: repro.mdrc(values, 3, policy=None),
+            lambda: repro.md_rrr(values, 3, rng=0, policy=None),
+            lambda: repro.collect_ksets(values, 3, rng=0, policy=None),
+            lambda: repro.sample_ksets(values, 3, rng=0, policy=None),
+            lambda: repro.rank_regret_sampled(values, subset, policy=None),
+            lambda: repro.regret_ratio_sampled(values, subset, policy=None),
+            lambda: repro.evaluate_representative(values, subset, 3, policy=None),
+            lambda: repro.rank_regret_representative(values, 3, policy=None),
+            lambda: ServerConfig(policy=None),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match="policy"):
+                call()
 
 
 # ----------------------------------------------------------------------
-# the fall-back to serial
+# a serial engine stays serial
 class TestDegradation:
-    def test_thread_backend_degrades_straight_to_serial(self):
+    def test_n_jobs_1_is_a_noop(self, unit_hook):
         values, weights = _data()
-        serial, fanout = _pair(values, policy=FAST)
-        with fanout, faults.injected(FaultInjector(crash=1.0)):
-            # Unbounded crashes: the thread pool fails out and the
-            # serial rung — never injected — finishes the call.
-            a = fanout.topk_batch(weights, 7)
-            assert np.array_equal(serial.topk_batch(weights, 7).order, a.order)
-            assert fanout._degraded == "serial"
-            assert fanout._supervisor.stats["degradations"] == 1
-            assert fanout._supervisor.stats["serial_units"] > 0
-            # Sticky: the next call must not touch a pool.
-            b = fanout.topk_batch(weights, 7)
-        assert np.array_equal(a.order, b.order)
-        assert fanout._parallel is None
-
-    def test_degradation_survives_close(self):
-        values, weights = _data()
-        _, fanout = _pair(values, policy=FAST)
-        with fanout, faults.injected(FaultInjector(crash=1.0)):
-            fanout.topk_batch(weights, 7)
-        fanout.close()
-        assert fanout._degraded == "serial"
-        assert not fanout._fans_out(weights.shape[0])
-
-    def test_n_jobs_1_is_a_noop(self):
-        values, weights = _data()
-        engine = ScoreEngine(values, parallel_min_work=0, resilience=FAST)
-        injector = FaultInjector(crash=1.0)
-        with faults.injected(injector):
+        engine = ScoreEngine(values, parallel_min_work=0)
+        units = _Units(weights, fail={0})
+        with unit_hook(units):
             engine.topk_batch(weights, 7)
-        # Serial engines never fan out, so the harness never fires.
-        assert injector.draws == 0
-        assert engine._supervisor is None
+        # Serial engines never fan out, so no unit runs.
+        assert not units.runs
+        assert engine._parallel is None
         assert engine.stats["parallel_calls"] == 0
 
 
 # ----------------------------------------------------------------------
-# seeded-fault hypothesis sweep: any schedule, still bit-identical
+# seeded sweep: any set of failing units, then an exact next call
 class TestSeededFaultSweep:
-    @given(seed=st.integers(0, 2**16), crash=st.floats(0.0, 0.8))
+    @given(data=st.data())
     @settings(max_examples=15, deadline=None)
-    def test_any_fault_schedule_is_bit_identical(self, seed, crash):
+    def test_any_fault_schedule_is_bit_identical(self, data, unit_hook):
         values, weights = _data(n=120, d=3, m=24, seed=11)
-        serial, fanout = _pair(values, policy=FAST)
-        injector = FaultInjector(seed=seed, crash=crash, max_faults=4)
-        try:
-            with faults.injected(injector):
-                a = serial.topk_batch(weights, 5)
-                b = fanout.topk_batch(weights, 5)
-            assert np.array_equal(a.order, b.order)
-            assert np.array_equal(a.members, b.members)
-        finally:
-            fanout.close()
+        serial, fanout = _pair(values)
+        starts = [lo for lo, _ in _chunk_bounds(len(weights), 2)]
+        fail = data.draw(st.sets(st.sampled_from(starts)))
+        units = _Units(weights, fail=fail)
+        a = serial.topk_batch(weights, 5)
+        with fanout, unit_hook(units):
+            if fail:
+                with pytest.raises(UnitFailure, match=f"row {min(fail)}$"):
+                    fanout.topk_batch(weights, 5)
+                units.fail.clear()
+            b = fanout.topk_batch(weights, 5)
+        assert np.array_equal(a.order, b.order)
+        assert np.array_equal(a.members, b.members)
+        assert all(units.runs[lo] == (2 if fail else 1) for lo in starts)
 
 
 # ----------------------------------------------------------------------
@@ -390,31 +314,3 @@ class TestInvalidDataError:
     def test_invalid_data_error_is_a_validation_error(self):
         # Back-compat: callers catching ValidationError keep working.
         assert issubclass(InvalidDataError, ValidationError)
-
-
-# ----------------------------------------------------------------------
-# CLI flags
-class TestCliResilienceFlags:
-    def test_flags_parse_and_install_policy(self):
-        from repro.cli import _apply_resilience_flags, build_parser
-
-        parser = build_parser()
-        args = parser.parse_args(
-            ["represent", "--n", "50", "--timeout", "3.5", "--max-retries", "4"]
-        )
-        previous = get_default_policy()
-        try:
-            _apply_resilience_flags(args)
-            policy = get_default_policy()
-            assert policy.timeout_s == 3.5
-            assert policy.max_retries == 4
-        finally:
-            set_default_policy(previous)
-
-    def test_flags_default_to_noop(self):
-        from repro.cli import _apply_resilience_flags, build_parser
-
-        args = build_parser().parse_args(["represent", "--n", "50"])
-        previous = get_default_policy()
-        _apply_resilience_flags(args)
-        assert get_default_policy() is previous

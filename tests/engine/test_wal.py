@@ -7,8 +7,8 @@ sequence (ties, duplicate rows, denormal scales), any crash point
 (including torn record tails), and with maintained views driven by the
 replay.  Alongside: unit coverage for record framing, torn-tail
 truncation vs bit-flip rejection, snapshot integrity and fallback,
-revision monotonicity, the pid lock, and replay under an installed
-``FaultInjector``.
+revision monotonicity, the pid lock, and a recovered engine whose
+fanned-out query lost a work unit.
 """
 
 import base64
@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 from repro.engine import (
     Commit,
     DurableStore,
-    FaultInjector,
     MDRCView,
     ScoreEngine,
     WriteAheadLog,
@@ -35,7 +34,6 @@ from repro.engine import (
     replay_commits,
     write_snapshot,
 )
-from repro.engine.faults import injected
 from repro.exceptions import (
     CorruptStateError,
     DataDirLockedError,
@@ -407,11 +405,10 @@ def test_replay_detects_revision_gap(tmp_path):
     engine.close()
 
 
-def test_recovery_under_fault_injector(tmp_path):
-    """An installed injector (crash faults in the engine's parallel
-    layer) must not break recovery: replay never fans out, and the
-    recovered engine's fanned-out queries absorb the injected crashes
-    and answer bit-identically."""
+def test_recovery_under_fault_injector(tmp_path, unit_hook):
+    """Replay never fans out, so a failing work unit cannot touch it: the
+    recovered engine's first fanned-out query raises the unit's error,
+    and its next one answers bit-identically."""
     rng = np.random.default_rng(3)
     matrix = rng.random((60, 3))
     store = DurableStore(tmp_path).open()
@@ -426,8 +423,14 @@ def test_recovery_under_fault_injector(tmp_path):
     store.abandon()
 
     weights = rng.random((16, 3))
-    injector = FaultInjector(seed=5, crash=0.3, max_faults=4)
-    with injected(injector):
+    failed = []
+
+    def fail_first(kind, chunk):
+        if not failed:
+            failed.append(kind)
+            raise RuntimeError("work unit failed")
+
+    with unit_hook(fail_first):
         store = DurableStore(tmp_path).open()
         snap, commits = store.load()
         recovered = ScoreEngine(
@@ -436,13 +439,15 @@ def test_recovery_under_fault_injector(tmp_path):
         if snap is not None:
             recovered.revision = snap.revision
         replay_commits(recovered, commits)
+        assert recovered.stats["parallel_calls"] == 0 and not failed
+        with pytest.raises(RuntimeError, match="work unit failed"):
+            recovered.topk_batch(weights, 5)
         got = recovered.topk_batch(weights, 5)
         assert recovered.values.tobytes() == final.tobytes()
         assert recovered.revision == 4
         store.close()
         recovered.close()
-    assert recovered.stats["parallel_calls"] > 0
-    assert injector.total_injected > 0
+    assert recovered.stats["parallel_calls"] == 2
     want = ScoreEngine(final).topk_batch(weights, 5)
     assert np.array_equal(got.order, want.order)
     assert np.array_equal(got.members, want.members)

@@ -62,6 +62,11 @@ class TestSkylineAlgorithms:
         for trial in range(5):
             values = rng.random((60, 3))
             assert list(algorithm(values)) == sorted(brute_force_skyline(values))
+        # Tie-dense with values far below an ulp of 1, where attribute
+        # sums round to ties between a row and one that dominates it.
+        levels = np.array([0.0, 1.0, 0.5, 1e-58, 5e-324])
+        values = np.random.default_rng(0).choice(levels, size=(40, 4))
+        assert list(algorithm(values)) == sorted(brute_force_skyline(values))
 
     def test_bnl_and_sfs_agree(self):
         rng = np.random.default_rng(1)

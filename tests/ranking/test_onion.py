@@ -5,7 +5,7 @@ import pytest
 
 from repro.datasets import anticorrelated, correlated, independent
 from repro.exceptions import ValidationError
-from repro.geometry import skyline
+from repro.geometry import skyline, skyline_bnl
 from repro.ranking import OnionIndex, sample_functions, top_k
 
 
@@ -14,6 +14,21 @@ class TestConstruction:
         values = independent(60, 3, seed=0).values
         index = OnionIndex(values)
         assert np.array_equal(np.sort(index.layers[0]), skyline(values))
+
+    def test_layers_match_bnl_peeling_on_ties_and_denormals(self):
+        # Sums round to ties between a row and one that dominates it.
+        levels = np.array([0.0, 1.0, 0.5, 1e-58, 5e-324])
+        for seed in range(4):
+            values = np.random.default_rng(seed).choice(levels, size=(40, 4))
+            remaining, expected = np.arange(40), []
+            while remaining.size:
+                local = skyline_bnl(values[remaining])
+                expected.append(remaining[local])
+                remaining = np.delete(remaining, local)
+            layers = OnionIndex(values).layers
+            assert len(layers) == len(expected)
+            for got, want in zip(layers, expected):
+                assert np.array_equal(got, want)
 
     def test_layers_partition_dataset(self):
         values = independent(80, 3, seed=1).values

@@ -3,8 +3,8 @@
 The load-bearing claim of :mod:`repro.serve.coalesce`: any mix of
 concurrent top-k / rank queries, coalesced into shared engine calls,
 yields responses bit-identical to direct engine calls over the same
-matrix at the same revision — serial or on the thread pool, and with
-faults firing inside the serving engine.  The fan-out tests pin
+matrix at the same revision — serial or on the thread pool, and after
+a work unit failed inside the serving engine.  The fan-out tests pin
 ``parallel_min_work=0`` through the server's ``tuning_profile``: a
 3000-row matrix under a few functions sits far below the default work
 cutover, so without it the pool would never run.  Their requests carry
@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.engine import FaultInjector, RetryPolicy, ScoreEngine, TuningProfile, faults
+from repro.engine import ScoreEngine, TuningProfile
 from repro.ranking.topk import top_k
 from repro.serve import (
     ServerConfig,
@@ -244,22 +244,29 @@ def test_topk_reply_n_is_the_row_count_at_its_revision(matrix):
         assert np.array_equal(reply["order"], reference.order)
 
 
-def test_serving_with_fault_injection_stays_exact(matrix, fanout_profile):
-    """Worker crashes inside the serving engine never corrupt a response."""
-    injector = FaultInjector(seed=3, crash=0.2, max_faults=6)
-    faults.install(injector)
-    try:
-        config = ServerConfig(
-            port=0,
-            jobs=2,
-            tuning_profile=fanout_profile,
-            policy=RetryPolicy(max_retries=3, backoff_base_s=0.0),
-        )
-        with ServerThread(matrix, config) as url:
-            results = _storm(url, jobs=4, m=4, seed=500)
-    finally:
-        faults.uninstall()
-    assert injector.total_injected > 0
+def test_serving_with_fault_injection_stays_exact(matrix, fanout_profile, unit_hook):
+    """A work unit that raises inside the serving engine fails its own
+    request with a 500; the fanned-out replies around it stay exact."""
+    failed = []
+    lock = threading.Lock()
+
+    def fail_first(kind, weights):
+        with lock:
+            if failed:
+                return
+            failed.append(kind)
+        raise RuntimeError("work unit failed")
+
+    w = np.random.default_rng(499).random((4, 4))
+    server = ServerThread(matrix, ServerConfig(port=0, jobs=2, tuning_profile=fanout_profile))
+    with unit_hook(fail_first), server as url:
+        with ServiceClient(url, timeout=60, max_retries=0) as client:
+            with pytest.raises(ServiceError) as err:
+                client.topk(w, 5)
+            assert err.value.status == 500 and failed == ["topk"]
+            results = [(w, client.topk(w, 5))]
+        results += _storm(url, jobs=4, m=4, seed=500)
+    assert server.server.session.engine.stats["parallel_calls"] >= 2
     with ScoreEngine(matrix, float32=True) as direct:
         for weights, response in results:
             reference = direct.topk_batch(weights, 5)

@@ -62,12 +62,18 @@ class TestRepresent:
         assert "k            : 10" in out.getvalue()
 
     def test_process_backend_exits_2(self, capsys):
-        # ``--jobs`` alone picks serial or threads: there is no --backend.
-        for value in ("process", "thread"):
+        # ``--jobs`` alone picks serial or threads: there is no --backend,
+        # and no --timeout or --max-retries for the fan-out either.
+        for flag, value in (
+            ("--backend", "process"),
+            ("--backend", "thread"),
+            ("--timeout", "3"),
+            ("--max-retries", "2"),
+        ):
             with pytest.raises(SystemExit) as exc:
-                main(["represent", "--n", "50", "--backend", value], out=io.StringIO())
+                main(["represent", "--n", "50", flag, value], out=io.StringIO())
             assert exc.value.code == 2
-            assert "unrecognized arguments: --backend" in capsys.readouterr().err
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_missing_csv_is_clean_error(self, capsys):
         code = main(["represent", "--csv", "/nope/missing.csv"], out=io.StringIO())

@@ -108,7 +108,7 @@ def test_session_rejects_bad_matrix():
 
 def test_session_exported_in_all():
     assert "Session" in repro.__all__
-    assert "RetryPolicy" in repro.__all__
+    assert "RetryPolicy" not in repro.__all__
 
 
 # -- keyword vocabulary ------------------------------------------------

@@ -38,69 +38,80 @@ Session over asyncio HTTP with request coalescing.
 Every public free function shares one keyword vocabulary: ``jobs``
 (worker count; more than one fans large calls out over a thread pool)
 and ``tune`` (a :class:`~repro.engine.TuningProfile` or ``None``).
+
+Exports load on first use (:mod:`repro._lazy`): ``import repro`` runs
+this file and nothing else of the package, and the first read of a name
+such as ``repro.mdrc`` or ``repro.geometry`` imports the modules behind
+it.  A :class:`Session` loads the engine alone; the algorithms, the
+evaluation and the datasets load when first called.
 """
 
-from repro.baselines import (
-    convex_hull_representative,
-    cube,
-    greedy_regret,
-    hd_rrms,
-    skyline_representative,
-)
-from repro.core import (
-    MDRCResult,
-    MDRRRResult,
-    RRRResult,
-    SizeBudgetResult,
-    collect_ksets,
-    find_ranges,
-    md_rrr,
-    mdrc,
-    min_rank_regret_of_size,
-    rank_regret_representative,
-    resolve_k,
-    two_d_rrr,
-)
-from repro.engine import BitsetTable, ScoreEngine, TuningProfile
-from repro.datasets import (
-    Dataset,
-    anticorrelated,
-    clustered,
-    correlated,
-    independent,
-    load_csv,
-    on_sphere,
-    paper_example,
-    save_csv,
-    synthetic_bluenile,
-    synthetic_dot,
-)
-from repro.evaluation import (
-    evaluate_representative,
-    kset_upper_bound,
-    rank_regret_exact_2d,
-    rank_regret_sampled,
-    regret_ratio_sampled,
-)
-from repro.exceptions import (
-    ConvergenceError,
-    CorruptStateError,
-    DatasetError,
-    GeometryError,
-    InfeasibleError,
-    InvalidDataError,
-    ReproError,
-    ValidationError,
-)
-from repro.geometry import (
-    convex_hull,
-    enumerate_ksets_2d,
-    enumerate_ksets_bfs,
-    sample_ksets,
-    skyline,
-)
-from repro.ranking import LinearFunction, sample_functions, top_k, top_k_set
-from repro.session import Session
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.baselines import (
+        convex_hull_representative,
+        cube,
+        greedy_regret,
+        hd_rrms,
+        skyline_representative,
+    )
+    from repro.core import (
+        MDRCResult,
+        MDRRRResult,
+        RRRResult,
+        SizeBudgetResult,
+        collect_ksets,
+        find_ranges,
+        md_rrr,
+        mdrc,
+        min_rank_regret_of_size,
+        rank_regret_representative,
+        resolve_k,
+        two_d_rrr,
+    )
+    from repro.engine import BitsetTable, ScoreEngine, TuningProfile
+    from repro.datasets import (
+        Dataset,
+        anticorrelated,
+        clustered,
+        correlated,
+        independent,
+        load_csv,
+        on_sphere,
+        paper_example,
+        save_csv,
+        synthetic_bluenile,
+        synthetic_dot,
+    )
+    from repro.evaluation import (
+        evaluate_representative,
+        kset_upper_bound,
+        rank_regret_exact_2d,
+        rank_regret_sampled,
+        regret_ratio_sampled,
+    )
+    from repro.exceptions import (
+        ConvergenceError,
+        CorruptStateError,
+        DatasetError,
+        GeometryError,
+        InfeasibleError,
+        InvalidDataError,
+        ReproError,
+        ValidationError,
+    )
+    from repro.geometry import (
+        convex_hull,
+        enumerate_ksets_2d,
+        enumerate_ksets_bfs,
+        sample_ksets,
+        skyline,
+    )
+    from repro.ranking import LinearFunction, sample_functions, top_k, top_k_set
+    from repro.session import Session
 
 __version__ = "1.0.0"
 
@@ -169,3 +180,5 @@ __all__ = [
     "ConvergenceError",
     "CorruptStateError",
 ]
+
+lazy_exports(__name__)

@@ -1,10 +1,18 @@
 """Baselines the paper compares against: HD-RRMS, Cube, greedy regret,
-and the order-1 maxima representations."""
+and the order-1 maxima representations.
 
-from repro.baselines.cube import cube
-from repro.baselines.greedy_regret import greedy_regret
-from repro.baselines.hd_rrms import HDRRMSResult, hd_rrms
-from repro.baselines.maxima import convex_hull_representative, skyline_representative
+Each export loads its module on first use (:mod:`repro._lazy`).
+"""
+
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.baselines.cube import cube
+    from repro.baselines.greedy_regret import greedy_regret
+    from repro.baselines.hd_rrms import HDRRMSResult, hd_rrms
+    from repro.baselines.maxima import convex_hull_representative, skyline_representative
 
 __all__ = [
     "hd_rrms",
@@ -14,3 +22,5 @@ __all__ = [
     "convex_hull_representative",
     "skyline_representative",
 ]
+
+lazy_exports(__name__)

@@ -39,19 +39,11 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.core.api import rank_regret_representative
+# Each command imports what it runs, so ``repro serve --csv`` loads no
+# algorithm, dataset generator or experiment module.  ``load_csv`` stays a
+# module global: perfbench's tracer wraps ``repro.cli.load_csv``.
 from repro.datasets.io import load_csv
-from repro.engine import load_profile
-from repro.evaluation.metrics import evaluate_representative
 from repro.exceptions import ReproError
-from repro.experiments.config import BENCH_EXPERIMENTS, PAPER_EXPERIMENTS, KSetCountConfig
-from repro.experiments.report import (
-    format_experiment_table,
-    format_kset_table,
-    summarize_shapes,
-)
-from repro.experiments.runner import make_dataset, run_experiment, run_kset_count
-from repro.geometry.ksets import enumerate_ksets_2d, sample_ksets
 
 __all__ = ["main", "build_parser"]
 
@@ -115,7 +107,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     exp = sub.add_parser("experiment", help="run a paper experiment", parents=[common])
-    exp.add_argument("figure", choices=sorted(PAPER_EXPERIMENTS))
+    exp.add_argument(
+        "figure",
+        type=_paper_figure,
+        metavar="FIGURE",
+        help="a figure of the paper's evaluation, fig09_10 to fig27_28 "
+        "(repro.experiments.config)",
+    )
     exp.add_argument("--scale", choices=("bench", "paper"), default="bench")
 
     rall = sub.add_parser(
@@ -190,15 +188,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _paper_figure(name: str) -> str:
+    """``experiment FIGURE``: a key of the paper's experiment table, read
+    only when that command is parsed."""
+    from repro.experiments.config import PAPER_EXPERIMENTS
+
+    if name not in PAPER_EXPERIMENTS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {', '.join(sorted(PAPER_EXPERIMENTS))})"
+        )
+    return name
+
+
+def _load_data(args: argparse.Namespace):
+    """``--csv`` or the built-in synthetic dataset (``represent``, ``serve``)."""
+    if args.csv:
+        return load_csv(args.csv).normalized()
+    from repro.experiments.runner import make_dataset
+
+    return make_dataset(args.dataset, args.n, args.d, seed=args.seed)
+
+
 def _resolve_level(k: float, n: int) -> int | float:
     return k if 0 < k < 1 else int(k)
 
 
 def _cmd_represent(args: argparse.Namespace, out) -> int:
-    if args.csv:
-        data = load_csv(args.csv).normalized()
-    else:
-        data = make_dataset(args.dataset, args.n, args.d, seed=args.seed)
+    from repro.core.api import rank_regret_representative
+    from repro.engine import load_profile
+    from repro.evaluation.metrics import evaluate_representative
+
+    data = _load_data(args)
     tune = load_profile(args.tuning_profile)
     if args.maintain > 0:
         return _maintain_represent(args, data, tune, out)
@@ -225,6 +245,15 @@ def _cmd_represent(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace, out) -> int:
+    from repro.engine import load_profile
+    from repro.experiments.config import BENCH_EXPERIMENTS, PAPER_EXPERIMENTS, KSetCountConfig
+    from repro.experiments.report import (
+        format_experiment_table,
+        format_kset_table,
+        summarize_shapes,
+    )
+    from repro.experiments.runner import run_experiment, run_kset_count
+
     configs = BENCH_EXPERIMENTS if args.scale == "bench" else PAPER_EXPERIMENTS
     config = configs[args.figure]
     tune = load_profile(args.tuning_profile)
@@ -249,7 +278,7 @@ def _cmd_experiment(args: argparse.Namespace, out) -> int:
 
 def _maintain_represent(args: argparse.Namespace, data, tune, out) -> int:
     """``represent --maintain``: serve maintained representatives per tick."""
-    from repro.core.api import resolve_k
+    from repro.core.levels import resolve_k
     from repro.experiments.runner import run_maintenance
 
     method = args.method
@@ -296,6 +325,10 @@ def _maintain_represent(args: argparse.Namespace, data, tune, out) -> int:
 
 
 def _cmd_ksets(args: argparse.Namespace, out) -> int:
+    from repro.engine import load_profile
+    from repro.experiments.runner import make_dataset
+    from repro.geometry.ksets import enumerate_ksets_2d, sample_ksets
+
     data = make_dataset(args.dataset, args.n, args.d, seed=args.seed)
     k = max(1, round(args.k * data.n)) if 0 < args.k < 1 else int(args.k)
     tune = load_profile(args.tuning_profile)
@@ -325,6 +358,7 @@ def _maintain_ksets(args: argparse.Namespace, data, k: int, tune, out) -> int:
     import numpy as np
 
     from repro.engine import KSetView, ScoreEngine
+    from repro.geometry.ksets import sample_ksets
 
     if data.d == 2:
         raise ReproError("--maintain uses K-SETr; 2-D exact enumeration has no view")
@@ -370,10 +404,7 @@ def _maintain_ksets(args: argparse.Namespace, data, k: int, tune, out) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ServerConfig, serve
 
-    if args.csv:
-        data = load_csv(args.csv).normalized()
-    else:
-        data = make_dataset(args.dataset, args.n, args.d, seed=args.seed)
+    data = _load_data(args)
     config = ServerConfig(
         host=args.host,
         port=args.port,
@@ -404,6 +435,7 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
         if args.command == "serve":
             return _cmd_serve(args)
         if args.command == "reproduce":
+            from repro.engine import load_profile
             from repro.experiments.reproduce import reproduce_all
 
             report = reproduce_all(

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.levels import resolve_k
 from repro.core.mdrc import mdrc
 from repro.core.mdrrr import md_rrr
 from repro.core.rrr2d import two_d_rrr
@@ -47,25 +48,6 @@ class RRRResult:
     def size(self) -> int:
         """Number of representative tuples."""
         return len(self.indices)
-
-
-def resolve_k(k: int | float, n: int) -> int:
-    """Interpret ``k``: an int is absolute; a float in (0, 1) is a fraction.
-
-    The paper quotes k as "top-1%" style percentages throughout §6; this
-    helper makes that convention available everywhere.  Fractional values
-    round to at least 1.
-    """
-    if isinstance(k, float) and not k.is_integer():
-        if not 0.0 < k < 1.0:
-            raise ValidationError(
-                f"fractional k must be in (0, 1), got {k}"
-            )
-        return max(1, int(round(k * n)))
-    k = int(k)
-    if not 1 <= k <= n:
-        raise ValidationError(f"k must be in [1, n]={n}, got {k}")
-    return k
 
 
 def _extract(data: Dataset | np.ndarray) -> np.ndarray:

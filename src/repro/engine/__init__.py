@@ -62,37 +62,46 @@ bit-identical to one that never crashed, idempotency table included.
 :mod:`repro.engine.reference` keeps the frozen pre-engine
 implementations that the equivalence tests and the perf-regression gate
 (``benchmarks/perf_gate.py``) compare against.
+
+Each export loads its module on first use (:mod:`repro._lazy`): a
+:class:`ScoreEngine` loads the scoring modules, and the views, the delta
+journal, the WAL and the references load when first used.
 """
 
-from repro.engine.autotune import TuningProfile, load_profile
-from repro.engine.bitset import (
-    BitsetTable,
-    intersect_all,
-    pack_indices,
-    pack_membership,
-    packed_width,
-    popcount,
-    unpack_indices,
-)
-from repro.engine.parallel import ThreadExecutor, resolve_n_jobs
-from repro.engine.quantize import Quantizer
-from repro.engine.score_engine import ScoreEngine, TopKBatch
-from repro.engine.wal import (
-    Commit,
-    DurableStore,
-    Snapshot,
-    WriteAheadLog,
-    load_snapshot,
-    replay_commits,
-    write_snapshot,
-)
-from repro.engine.views import (
-    KSetView,
-    MaterializedView,
-    MDRCView,
-    MDRRRView,
-    RankRegretView,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.engine.autotune import TuningProfile, load_profile
+    from repro.engine.bitset import (
+        BitsetTable,
+        intersect_all,
+        pack_indices,
+        pack_membership,
+        packed_width,
+        popcount,
+        unpack_indices,
+    )
+    from repro.engine.parallel import ThreadExecutor, resolve_n_jobs
+    from repro.engine.quantize import Quantizer
+    from repro.engine.score_engine import ScoreEngine, TopKBatch
+    from repro.engine.wal import (
+        Commit,
+        DurableStore,
+        Snapshot,
+        WriteAheadLog,
+        load_snapshot,
+        replay_commits,
+        write_snapshot,
+    )
+    from repro.engine.views import (
+        KSetView,
+        MaterializedView,
+        MDRCView,
+        MDRRRView,
+        RankRegretView,
+    )
 
 __all__ = [
     "ScoreEngine",
@@ -122,3 +131,5 @@ __all__ = [
     "popcount",
     "intersect_all",
 ]
+
+lazy_exports(__name__)

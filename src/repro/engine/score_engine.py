@@ -1013,7 +1013,12 @@ class ScoreEngine:
                 promoted_parts.append(rows)
                 continue
             c = min(n, max(int(needs[rows, o].max()), k))
-            S = Wq[rows] @ store.Q[:c].T  # shifted integer sums, exact
+            # OpenBLAS's float32 GEMM can leave a spurious "invalid" flag on
+            # these finite integer carriers (2 of 4 warmed runs), which numpy
+            # reports as a NaN that is not there.  Only the product ignores
+            # it; the comparisons below keep the caller's error state.
+            with np.errstate(invalid="ignore"):
+                S = Wq[rows] @ store.Q[:c].T  # shifted integer sums, exact
             rhs = state.upper_rhs(thr[rows], b[rows], usum[rows])
             flat = np.flatnonzero((S >= rhs[:, None]).ravel())
             local = flat // c

@@ -1,26 +1,34 @@
-"""Experiment harness reproducing the paper's evaluation (§6)."""
+"""Experiment harness reproducing the paper's evaluation (§6).
 
-from repro.experiments.config import (
-    BENCH_EXPERIMENTS,
-    PAPER_EXPERIMENTS,
-    ExperimentConfig,
-    KSetCountConfig,
-    bench_scale,
-    paper_scale,
-)
-from repro.experiments.reproduce import PAPER_CLAIMS, reproduce_all
-from repro.experiments.report import (
-    format_experiment_table,
-    format_kset_table,
-    summarize_shapes,
-)
-from repro.experiments.runner import (
-    ExperimentRow,
-    KSetCountRow,
-    make_dataset,
-    run_experiment,
-    run_kset_count,
-)
+Each export loads its module on first use (:mod:`repro._lazy`).
+"""
+
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.experiments.config import (
+        BENCH_EXPERIMENTS,
+        PAPER_EXPERIMENTS,
+        ExperimentConfig,
+        KSetCountConfig,
+        bench_scale,
+        paper_scale,
+    )
+    from repro.experiments.reproduce import PAPER_CLAIMS, reproduce_all
+    from repro.experiments.report import (
+        format_experiment_table,
+        format_kset_table,
+        summarize_shapes,
+    )
+    from repro.experiments.runner import (
+        ExperimentRow,
+        KSetCountRow,
+        make_dataset,
+        run_experiment,
+        run_kset_count,
+    )
 
 __all__ = [
     "ExperimentConfig",
@@ -40,3 +48,5 @@ __all__ = [
     "reproduce_all",
     "PAPER_CLAIMS",
 ]
+
+lazy_exports(__name__)

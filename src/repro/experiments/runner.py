@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from repro.baselines.hd_rrms import hd_rrms
-from repro.core.api import resolve_k
+from repro.core.levels import resolve_k
 from repro.core.mdrc import mdrc
 from repro.core.mdrrr import md_rrr
 from repro.core.rrr2d import two_d_rrr

@@ -33,15 +33,23 @@ write-ahead log before its response is sent, snapshots are cut on a
 size/age policy and on graceful drain, and a restart — even after
 SIGKILL — recovers a bit-identical serving state
 (:mod:`repro.engine.wal`).
+
+Each export loads its module on first use (:mod:`repro._lazy`), so a
+client process never imports the server.
 """
 
-from repro.serve.app import Server, ServerConfig, ServerThread, serve
-from repro.serve.client import (
-    ServiceClient,
-    ServiceError,
-    ServiceOverloadedError,
-    ServiceRetryExhaustedError,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.serve.app import Server, ServerConfig, ServerThread, serve
+    from repro.serve.client import (
+        ServiceClient,
+        ServiceError,
+        ServiceOverloadedError,
+        ServiceRetryExhaustedError,
+    )
 
 __all__ = [
     "Server",
@@ -53,3 +61,5 @@ __all__ = [
     "ServiceOverloadedError",
     "ServiceRetryExhaustedError",
 ]
+
+lazy_exports(__name__)

@@ -186,6 +186,6 @@ class Session:
 
     def _level(self, k: int | float) -> int:
         """Resolve fractional ``k`` (top-1% style) against the live n."""
-        from repro.core.api import resolve_k
+        from repro.core.levels import resolve_k
 
         return resolve_k(k, self._engine.n)

@@ -1,12 +1,20 @@
-"""Covering substrate: 1-D interval covering and hitting-set solvers."""
+"""Covering substrate: 1-D interval covering and hitting-set solvers.
 
-from repro.setcover.epsnet import epsnet_hitting_set
-from repro.setcover.hitting_set import (
-    exact_hitting_set,
-    greedy_hitting_set,
-    is_hitting_set,
-)
-from repro.setcover.intervals import cover_segment, cover_segment_max_coverage
+Each export loads its module on first use (:mod:`repro._lazy`).
+"""
+
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.setcover.epsnet import epsnet_hitting_set
+    from repro.setcover.hitting_set import (
+        exact_hitting_set,
+        greedy_hitting_set,
+        is_hitting_set,
+    )
+    from repro.setcover.intervals import cover_segment, cover_segment_max_coverage
 
 __all__ = [
     "cover_segment",
@@ -16,3 +24,5 @@ __all__ = [
     "is_hitting_set",
     "epsnet_hitting_set",
 ]
+
+lazy_exports(__name__)

@@ -319,6 +319,26 @@ class TestTierIntegration:
         assert engine.stats["quant_columns"] == 512
         assert engine.stats["quant_resolved"] >= 0.8 * 512
 
+    @pytest.mark.parametrize("mode", ["int8", "int16"])
+    def test_batches_run_with_every_float_error_raising(self, mode):
+        # Only the carrier GEMM ignores the spurious "invalid" flag that
+        # OpenBLAS can leave on finite inputs; every other step of a
+        # quantized top-k and of a rank count runs under the caller's
+        # error state, here one that raises on any floating-point error.
+        rng = np.random.default_rng(11)
+        values = rng.random((3000, 4))
+        members = [5, 17, 400]
+        engine = ScoreEngine(values, quantize=mode, float32=True)
+        for seed in range(4):
+            weights = sample_functions(4, 128, seed)
+            with np.errstate(all="raise"):
+                order = engine.topk_orders(weights, 15)
+                ranks = engine.rank_of_best_batch(weights, members)
+            for j, w in enumerate(weights):
+                assert np.array_equal(order[j], top_k(values, w, 15))
+                assert ranks[j] == _scalar_rank_of_best(values, w, members)
+        assert engine.stats["quant_resolved"] > 0
+
     def test_quantize_none_disables_tier(self):
         values = np.random.default_rng(8).random((500, 3))
         engine = ScoreEngine(values, quantize=None)

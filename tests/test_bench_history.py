@@ -90,6 +90,21 @@ def test_gate_compares_same_run_speedups():
     # An op the old file lacks (or a partial row) is skipped.
     new_op = [run("recovery", 9.0, 1.0), run("ksetr", 2.0, 10.0)]
     assert gate.gate_failures(new_op, old + [{"op": "recovery"}]) == []
+    # So is an op timed against other code than the old file's.
+    rebased = [{**run("mdrc", 1.0, 2.0), "baseline": "reference_top_k + GEMV rank"}]
+    assert gate.gate_failures(rebased, old) == []
+
+
+def test_gate_reads_the_median_run():
+    gate = _load_perf_gate()
+    runs = [
+        {"op": "mdrc", "median_s": 0.10, "speedup": 5.6},
+        {"op": "mdrc", "median_s": 0.14, "speedup": 2.8},
+        {"op": "mdrc", "median_s": 0.11, "speedup": 5.0},
+    ]
+    row = gate._median_run(runs)
+    assert (row["median_s"], row["speedup"]) == (0.11, 5.0)
+    assert row["speedup_runs"] == [5.6, 2.8, 5.0]
 
 
 def test_ab_verdict_rules():

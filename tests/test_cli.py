@@ -1,9 +1,14 @@
 """Unit tests for the command-line interface."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.datasets import save_csv, synthetic_dot
 
@@ -23,6 +28,27 @@ class TestParser:
         assert args.figure == "fig17_18"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
+
+    def test_every_help_exits_zero(self, capsys):
+        commands = ("represent", "experiment", "reproduce", "ksets", "serve")
+        for argv in (["--help"], *([command, "--help"] for command in commands)):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 0, argv
+            assert capsys.readouterr().out.startswith("usage: repro"), argv
+
+    def test_python_dash_m_help(self):
+        src = Path(repro.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "--help"],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("usage: repro")
 
 
 class TestRepresent:
@@ -112,7 +138,6 @@ class TestExperiment:
 
         small["fig13"] = replace(small["fig13"], n=60, values=(0.05,))
         monkeypatch.setattr(config_module, "BENCH_EXPERIMENTS", small)
-        monkeypatch.setattr("repro.cli.BENCH_EXPERIMENTS", small)
         out = io.StringIO()
         code = main(["experiment", "fig13", "--scale", "bench"], out=out)
         assert code == 0

@@ -39,7 +39,10 @@ class MDRRRResult:
     indices:
         The representative (sorted row indices).
     ksets:
-        The k-set collection the hitting set was solved over.
+        The k-set collection the hitting set was solved over: K-SETr's
+        :class:`~repro.geometry.ksets.KSetCollection` as it came, or a
+        list of frozensets (exact enumerators, provided k-sets, or a
+        verification pass that added k-sets).
     enumerator:
         Which k-set collection strategy produced them.
     sample_draws:
@@ -47,7 +50,7 @@ class MDRRRResult:
     """
 
     indices: list[int]
-    ksets: list[frozenset[int]] = field(repr=False, default_factory=list)
+    ksets: Sequence[frozenset[int]] = field(repr=False, default_factory=list)
     enumerator: str = "sample"
     sample_draws: int = 0
 
@@ -62,7 +65,7 @@ def collect_ksets(
     tune=None,
     engine=None,
     kset_state=None,
-) -> tuple[list[frozenset[int]], str, int]:
+) -> tuple[Sequence[frozenset[int]], str, int]:
     """Collect the k-sets of ``values`` with the requested strategy.
 
     ``"auto"`` uses the exact 2-D sweep when d = 2 and K-SETr otherwise —
@@ -168,7 +171,7 @@ def md_rrr(
     if hitting not in ("greedy", "epsnet"):
         raise ValidationError(f"unknown hitting strategy {hitting!r}")
 
-    def solve(family: list[frozenset[int]]) -> list[int]:
+    def solve(family: Sequence[frozenset[int]]) -> list[int]:
         if hitting == "greedy":
             return greedy_hitting_set(family)
         return epsnet_hitting_set(family, vc_dimension=matrix.shape[1], rng=rng)

@@ -132,6 +132,12 @@ _CANDIDATE_CACHE_SIZE = 4
 # single functions up to 65,536 rows, inside both break-evens.
 _SCALAR_MAX_WORK = 1 << 16
 
+# Rank counting runs in blocks of this many functions, so its planning
+# arrays (thresholds, prefix needs, bound temporaries, group keys) are
+# block-sized however many functions one call counts.  At 20k x 4 with
+# 100k functions, blocks of 2,048 to 16,384 all timed within noise.
+_RANK_BLOCK = 8192
+
 # Every performance constant that used to live here — chunk sizes, the
 # fan-out cutover, the quantized/scalar routing caps, the adaptive
 # policy thresholds — is now a field of
@@ -446,6 +452,11 @@ class ScoreEngine:
     def packed_width(self) -> int:
         """Bytes per packed member bitset row."""
         return packed_width(self.n)
+
+    @property
+    def chunk_columns(self) -> int:
+        """Functions per column chunk of :meth:`score_batch`."""
+        return self._chunk_cols
 
     # ------------------------------------------------------------------
     # runtime tuning (see repro.engine.autotune)
@@ -1466,12 +1477,13 @@ class ScoreEngine:
         lower bound no counted row may miss, so each function is routed
         to the norm/attribute ordering with the smallest sufficient
         prefix and counted over that prefix only, in float32, in
-        cache-sized fused chunks.  Any function with a non-member row
-        inside the float32 ulp band around the bound is recomputed with
-        the deterministic scalar float64 kernel — so GEMM noise (e.g.
-        between identical rows) can never inflate a rank, and the result
-        is bit-identical to the pre-pruning full-scan path for every
-        input.
+        cache-sized fused chunks, ``_RANK_BLOCK`` functions at a time (so
+        peak memory beyond the ``(m,)`` result is flat in m).  Any
+        function with a non-member row inside the float32 ulp band
+        around the bound is recomputed with the deterministic scalar
+        float64 kernel — so GEMM noise (e.g. between identical rows) can
+        never inflate a rank, and the result is bit-identical to the
+        pre-pruning full-scan path for every input.
         """
         self.compact()
         W = self._check_weights(weight_matrix)
@@ -1488,31 +1500,39 @@ class ScoreEngine:
             return np.array([self._verified_rank(w, members) for w in W], np.int64)
         return self._rank_functions(W, members)
 
-    def _rank_functions(
-        self, W: np.ndarray, members: np.ndarray, best: np.ndarray | None = None
-    ) -> np.ndarray:
+    def _rank_functions(self, W: np.ndarray, members: np.ndarray) -> np.ndarray:
         """Serial pruned rank counting (also the function-chunk work unit).
+
+        Counts ``_RANK_BLOCK`` functions at a time (:meth:`_rank_block`),
+        so the working set beyond the ``(m,)`` result does not grow with
+        the number of functions.
+        """
+        m = W.shape[0]
+        ranks = np.empty(m, dtype=np.int64)
+        member_values = self.values[members]
+        for lo in range(0, m, _RANK_BLOCK):
+            Wb = W[lo : lo + _RANK_BLOCK]
+            # The exactness anchor: each function's best member score,
+            # from a dedicated float64 GEMM over the s << n member rows.
+            best = np.empty(Wb.shape[0])
+            for clo in range(0, Wb.shape[0], self._chunk_cols):
+                chi = clo + self._chunk_cols
+                best[clo:chi] = (Wb[clo:chi] @ member_values.T).max(axis=1)
+            ranks[lo : lo + Wb.shape[0]] = self._rank_block(Wb, members, best)
+        return ranks
+
+    def _rank_block(self, W: np.ndarray, members: np.ndarray, best: np.ndarray) -> np.ndarray:
+        """Rank counting for one block of functions.
 
         One float32 banded count per function over its routed prefix,
         with the exact scalar kernel as the fallback: a non-member row
-        inside the band around the subset's best score, or a function
-        the float32 range guard flags, is counted by
-        :meth:`_verified_rank` instead.  ``best`` holds each function's
-        best member score when the caller has it already.
+        inside the band around the subset's best score ``best``, or a
+        function the float32 range guard flags, is counted by
+        :meth:`_verified_rank` instead.
         """
         n = self.n
         m = W.shape[0]
         ranks = np.empty(m, dtype=np.int64)
-        if m == 0:
-            return ranks
-        if best is None:
-            # The exactness anchor: each function's best member score,
-            # from a dedicated float64 GEMM over the s << n member rows.
-            member_values = self.values[members]
-            best = np.empty(m)
-            for lo in range(0, m, self._chunk_cols):
-                hi = min(m, lo + self._chunk_cols)
-                best[lo:hi] = (W[lo:hi] @ member_values.T).max(axis=1)
         # Functions the float32 range guard flags count with the exact
         # float64 kernel (see repro.engine.bands).
         w_norms = np.linalg.norm(W, axis=1)
@@ -1523,7 +1543,7 @@ class ScoreEngine:
                 self.stats["verified_columns"] += 1
             safe = np.flatnonzero(~unsafe)
             if safe.size:
-                ranks[safe] = self._rank_functions(
+                ranks[safe] = self._rank_block(
                     np.ascontiguousarray(W[safe]), members, best[safe]
                 )
             return ranks

@@ -111,13 +111,16 @@ def rank_regret_sampled(
     ``return_distribution`` the per-function rank-regrets are returned
     instead of their maximum — useful for percentile reporting.
 
-    Counting runs through
-    :meth:`repro.engine.ScoreEngine.rank_of_best_batch`: pruned float32
-    counting over a provably sufficient prefix of the norm/attribute
-    orderings (flat peak memory however many functions are requested)
-    with an ulp band around the subset's best score that is re-verified
-    in exact float64, so blocked-BLAS noise between (near-)identical
-    rows cannot inflate a rank.  A rank is ``1 +`` the rows scoring
+    Counting runs through one
+    :meth:`repro.engine.ScoreEngine.rank_of_best_batch` call: pruned
+    float32 counting over a provably sufficient prefix of the
+    norm/attribute orderings with an ulp band around the subset's best
+    score that is re-verified in exact float64, so blocked-BLAS noise
+    between (near-)identical rows cannot inflate a rank.  Memory grows
+    with the number of functions only by the ``(m, d)`` weights and the
+    ``(m,)`` ranks: the draws and the counting run in fixed-size blocks
+    of functions.  The engine's orderings are built once per engine and
+    do not depend on m.  A rank is ``1 +`` the rows scoring
     strictly above the subset's best member
     (:meth:`repro.engine.ScoreEngine._verified_rank`): it agrees with
     the scalar :func:`repro.ranking.topk.rank_of` except on exact ties,
@@ -174,7 +177,11 @@ def regret_ratio_sampled(
 ) -> float:
     """Monte-Carlo maximum regret-ratio of ``subset`` over sampled functions.
 
-    ``engine`` as in :func:`rank_regret_sampled`.
+    ``engine`` as in :func:`rank_regret_sampled`.  Scores are computed in
+    the column chunks of :meth:`repro.engine.ScoreEngine.score_batch`,
+    and each chunk is reduced to its per-function top score and best
+    member score before the next is scored, so no ``(n, m)`` matrix is
+    held.
     """
     matrix = np.asarray(values, dtype=np.float64)
     if matrix.ndim != 2:
@@ -183,16 +190,25 @@ def regret_ratio_sampled(
         raise ValidationError("num_functions must be >= 1")
     members = _validate_subset(matrix.shape[0], subset)
     weights = sample_functions(matrix.shape[1], num_functions, rng)
-    if engine is not None:
+    own = engine is None
+    if own:
+        engine = ScoreEngine(matrix, n_jobs=jobs, tune=tune)
+    else:
         engine.compact()  # settle journaled row mutations before validating
         if engine.n != matrix.shape[0]:
             raise ValidationError("engine was built over a different matrix")
-        score_matrix = engine.score_batch(weights)
-    else:
-        with ScoreEngine(matrix, n_jobs=jobs, tune=tune) as own:
-            score_matrix = own.score_batch(weights)
-    top = score_matrix.max(axis=0)
-    achieved = score_matrix[members].max(axis=0)
+    top = np.empty(num_functions)
+    achieved = np.empty(num_functions)
+    try:
+        step = engine.chunk_columns
+        for lo in range(0, num_functions, step):
+            scores = engine.score_batch(weights[lo : lo + step])  # (n, <= step)
+            top[lo : lo + step] = scores.max(axis=0)
+            achieved[lo : lo + step] = scores[members].max(axis=0)
+            del scores  # free this chunk before the next one is scored
+    finally:
+        if own:
+            engine.close()
     safe_top = np.where(top > 0, top, 1.0)
     ratios = np.clip((top - achieved) / safe_top, 0.0, None)
     return float(ratios.max())

@@ -29,6 +29,7 @@ if TYPE_CHECKING:
     )
     from repro.geometry.hull import convex_hull, convex_hull_2d, maxima_representation
     from repro.geometry.ksets import (
+        KSetCollection,
         KSetDrawState,
         KSetSampleResult,
         enumerate_ksets_2d,
@@ -72,6 +73,7 @@ __all__ = [
     "dominance_count",
     "enumerate_ksets_2d",
     "sample_ksets",
+    "KSetCollection",
     "KSetDrawState",
     "KSetSampleResult",
     "enumerate_ksets_bfs",

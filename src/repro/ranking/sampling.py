@@ -22,6 +22,10 @@ from repro.ranking.functions import weights_from_angles
 
 __all__ = ["FunctionStream", "sample_functions", "grid_functions"]
 
+# Functions are drawn and normalized this many at a time, so the
+# temporaries of a draw are block-sized however many functions it asks for.
+_DRAW_BLOCK = 8192
+
 
 def sample_functions(
     d: int,
@@ -32,21 +36,26 @@ def sample_functions(
 
     Returns an array of shape ``(count, d)`` of unit weight vectors.
     Implements lines 4–6 of Algorithm 4 (Marsaglia sphere sampling with
-    absolute values).
+    absolute values).  The rows are filled ``_DRAW_BLOCK`` at a time; each
+    row takes the generator's next ``d`` normals, so the result does not
+    depend on the block size.
     """
     if d < 1:
         raise ValidationError(f"need d >= 1, got {d}")
     if count < 1:
         raise ValidationError(f"need count >= 1, got {count}")
     generator = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    raw = np.abs(generator.normal(size=(count, d)))
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    # A row of all zeros has probability zero but would divide by zero.
-    degenerate = norms[:, 0] == 0.0
-    if np.any(degenerate):  # pragma: no cover - probability zero
-        raw[degenerate] = 1.0
-        norms[degenerate] = np.sqrt(d)
-    return raw / norms
+    out = np.empty((count, d))
+    for lo in range(0, count, _DRAW_BLOCK):
+        raw = np.abs(generator.normal(size=(min(_DRAW_BLOCK, count - lo), d)))
+        norms = np.linalg.norm(raw, axis=1, keepdims=True)
+        # A row of all zeros has probability zero but would divide by zero.
+        degenerate = norms[:, 0] == 0.0
+        if np.any(degenerate):  # pragma: no cover - probability zero
+            raw[degenerate] = 1.0
+            norms[degenerate] = np.sqrt(d)
+        np.divide(raw, norms, out=out[lo : lo + raw.shape[0]])
+    return out
 
 
 class FunctionStream:
@@ -61,8 +70,8 @@ class FunctionStream:
     the data, so repairs re-evaluate cached draws instead of redrawing
     them, and only genuinely new draws advance the stream.
 
-    The generator state depends only on the sequence of block sizes
-    requested; identical block sequences yield bit-identical weights.
+    Draws of any block sizes concatenate to one :func:`sample_functions`
+    draw of their total from the same seed.
     """
 
     __slots__ = ("d", "drawn", "_generator")

@@ -36,9 +36,15 @@ def _normalize(sets: Iterable[Iterable[int]]) -> list[frozenset[int]]:
 def _flatten(sets: Iterable[Iterable[int]]) -> tuple[np.ndarray, np.ndarray]:
     """Every member of every set once, and the index of its set.
 
-    Sets and frozensets (what K-SETr returns) are read as they are;
-    other iterables are deduplicated first.
+    A family that holds its sets as one ``(K, k)`` array ``rows`` of
+    distinct members per row (K-SETr's
+    :class:`~repro.geometry.ksets.KSetCollection`) is read from that
+    array.  Sets and frozensets are read as they are; other iterables
+    are deduplicated first.
     """
+    rows = getattr(sets, "rows", None)
+    if isinstance(rows, np.ndarray):
+        return rows.ravel(), np.repeat(np.arange(rows.shape[0]), rows.shape[1])
     family = [s if isinstance(s, (set, frozenset)) else frozenset(s) for s in sets]
     sizes = np.fromiter(map(len, family), dtype=np.int64, count=len(family))
     if (sizes == 0).any():

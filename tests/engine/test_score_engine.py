@@ -542,3 +542,51 @@ def test_attribute_orderings_are_built_once():
     assert len(engine._orderings) == values.shape[1] + 1
     assert np.array_equal(engine.topk_orders(W, 5), order)
     assert np.array_equal(engine.rank_of_best_batch(W, [3, 77]), ranks)
+
+
+class TestRankBlocks:
+    """Rank counting runs ``_RANK_BLOCK`` functions at a time: the same
+    ranks as one unblocked count, in memory that does not grow with m."""
+
+    B = score_engine._RANK_BLOCK
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        rng = np.random.default_rng(31)
+        values = rng.random((3_000, 4))
+        # A copy of member 41 ties it inside the band wherever it is the
+        # best member: about 60% of the functions take the exact
+        # fallback and the rest the banded count.
+        values = np.vstack([values, values[[41]]])
+        return values, [5, 40, 41, 900, 2_999]
+
+    @pytest.mark.parametrize("m", [1, B - 1, B, B + 1, 3 * B + 17])
+    def test_block_edges_match_the_unblocked_count(self, case, m, monkeypatch):
+        values, subset = case
+        W = sample_functions(4, m, m)
+        got = ScoreEngine(values).rank_of_best_batch(W, subset)
+        monkeypatch.setattr(score_engine, "_RANK_BLOCK", m)
+        assert np.array_equal(got, ScoreEngine(values).rank_of_best_batch(W, subset))
+        exact = [_gemv_rank_of_best(values, w, subset) for w in W]
+        assert got.tolist() == exact
+
+    def test_peak_memory_is_flat_in_the_number_of_functions(self):
+        import tracemalloc
+
+        from repro.evaluation import rank_regret_sampled
+
+        values = np.random.default_rng(32).random((20_000, 4))
+        subset = np.argsort(-values.sum(axis=1))[:40]
+        engine = ScoreEngine(values)
+        rank_regret_sampled(values, subset, self.B, rng=0, engine=engine)  # builds orderings
+
+        def traced_peak(m: int) -> int:
+            tracemalloc.start()
+            try:
+                rank_regret_sampled(values, subset, m, rng=1, engine=engine)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, eight = traced_peak(self.B), traced_peak(8 * self.B)
+        assert eight <= 1.5 * one, (one, eight)

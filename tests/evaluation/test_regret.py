@@ -11,8 +11,9 @@ from repro.evaluation import (
     regret_ratio_for_function,
     regret_ratio_sampled,
 )
+from repro.engine import ScoreEngine, score_engine
 from repro.exceptions import ValidationError
-from repro.ranking import ranks, weights_from_angles
+from repro.ranking import ranks, sample_functions, weights_from_angles
 
 
 class TestRankRegretForFunction:
@@ -126,3 +127,55 @@ class TestRegretRatio:
     def test_sampled_zero_for_full_set(self):
         values = independent(50, 3, seed=11).values
         assert regret_ratio_sampled(values, range(50), 500, rng=5) == 0.0
+
+
+class TestBlockedEstimators:
+    """The estimators draw, count and score in fixed blocks of functions
+    and answer exactly what one unblocked pass would."""
+
+    B = score_engine._RANK_BLOCK
+
+    @pytest.mark.parametrize("m", [1, B - 1, B, B + 1, 3 * B + 17])
+    def test_rank_distribution_matches_the_unblocked_count(self, m):
+        values = independent(2_000, 4, seed=12).values
+        subset = [3, 250, 1_999]
+        got = rank_regret_sampled(values, subset, m, rng=m, return_distribution=True)
+        raw = np.abs(np.random.default_rng(m).normal(size=(m, 4)))
+        weights = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        expected = []
+        for w in weights:
+            exact = values @ w
+            expected.append(int((exact > exact[subset].max()).sum()) + 1)
+        assert got.tolist() == expected
+
+    @pytest.mark.parametrize("chunk_functions", [None, 64])
+    def test_regret_ratio_equals_the_whole_score_matrix(self, chunk_functions):
+        values = independent(3_000, 4, seed=13).values
+        subset = [7, 80, 2_500]
+        chunk_bytes = None if chunk_functions is None else 8 * 3_000 * chunk_functions
+        engine = ScoreEngine(values, chunk_bytes=chunk_bytes)
+        # The formula before chunk-wise reduction, over score_batch's matrix.
+        scores = engine.score_batch(sample_functions(4, 1_000, 14))
+        top = scores.max(axis=0)
+        achieved = scores[subset].max(axis=0)
+        expected = float(np.clip((top - achieved) / np.where(top > 0, top, 1.0), 0.0, None).max())
+        assert regret_ratio_sampled(values, subset, 1_000, rng=14, engine=engine) == expected
+        if chunk_functions is None:
+            assert regret_ratio_sampled(values, subset, 1_000, rng=14) == expected
+
+    def test_regret_ratio_holds_one_score_chunk_at_a_time(self):
+        import tracemalloc
+
+        values = independent(3_000, 4, seed=15).values
+        engine = ScoreEngine(values, chunk_bytes=8 * 3_000 * 64)  # 64 functions a chunk
+
+        def traced_peak(m: int) -> int:
+            tracemalloc.start()
+            try:
+                regret_ratio_sampled(values, [7, 80], m, rng=1, engine=engine)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, eight = traced_peak(64), traced_peak(8 * 64)
+        assert eight <= 1.5 * one, (one, eight)

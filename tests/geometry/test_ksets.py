@@ -6,6 +6,7 @@ import pytest
 from repro.datasets import independent, paper_example
 from repro.exceptions import ValidationError
 from repro.geometry import (
+    KSetCollection,
     enumerate_ksets_2d,
     enumerate_ksets_bfs,
     is_separable,
@@ -146,3 +147,45 @@ class TestKsetGraph:
         graph.add_nodes_from(range(len(ksets)))
         graph.add_edges_from(kset_graph_edges(ksets))
         assert nx.is_connected(graph)
+
+
+class TestKSetCollection:
+    """K-SETr's k-sets live in one (K, k) array and read as frozensets."""
+
+    @pytest.fixture(scope="class")
+    def outcome(self):
+        values = independent(300, 3, seed=21).values
+        return sample_ksets(values, 4, patience=80, rng=6, batch_size=64)
+
+    def test_sequence_of_frozensets(self, outcome):
+        ksets = outcome.ksets
+        assert isinstance(ksets, KSetCollection)
+        family = list(ksets)
+        assert len(ksets) == len(family) == len(outcome.functions) > 64
+        assert all(type(kset) is frozenset and len(kset) == 4 for kset in family)
+        assert ksets[0] == family[0] and ksets[-1] == family[-1]
+        assert ksets[3:7] == family[3:7]
+        assert family.index(ksets[5]) == 5 and ksets[5] in ksets
+        with pytest.raises(IndexError):
+            ksets[len(ksets)]
+        assert ksets.rows.shape == (len(ksets), 4)
+        assert (np.diff(ksets.rows, axis=1) > 0).all()
+
+    def test_equality_in_order(self, outcome):
+        ksets = outcome.ksets
+        family = list(ksets)
+        assert ksets == ksets and not ksets != ksets
+        assert ksets == family and family == ksets and not ksets != family
+        assert ksets != family[::-1] and ksets != family[:-1]
+        assert ksets != family[:-1] + [frozenset({0, 1, 2, 3})]
+        assert ksets != set(family)
+        values = independent(300, 3, seed=21).values
+        again = sample_ksets(values, 4, patience=80, rng=6, batch_size=1024).ksets
+        assert again == ksets and not again != ksets
+        other = sample_ksets(values, 4, patience=80, rng=7).ksets
+        assert other != ksets
+
+    def test_empty(self):
+        empty = KSetCollection(np.empty((0, 3), dtype=np.int64))
+        assert len(empty) == 0 and list(empty) == [] and not empty
+        assert empty == [] and empty == KSetCollection(np.empty((0, 3), dtype=np.int64))

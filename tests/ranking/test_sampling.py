@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.ranking import grid_functions, sample_functions
+from repro.ranking import FunctionStream, grid_functions, sample_functions
+from repro.ranking.sampling import _DRAW_BLOCK as B
 
 
 class TestSampleFunctions:
@@ -28,6 +29,19 @@ class TestSampleFunctions:
         # Every attribute should dominate in some sample.
         w = sample_functions(3, 5000, rng=1)
         assert set(np.argmax(w, axis=1)) == {0, 1, 2}
+
+    @pytest.mark.parametrize("count", [1, B - 1, B, B + 1, 3 * B + 17])
+    def test_blocked_draw_equals_one_unblocked_draw(self, count):
+        raw = np.abs(np.random.default_rng(count).normal(size=(count, 4)))
+        expected = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        assert np.array_equal(sample_functions(4, count, rng=count), expected)
+
+    def test_stream_blocks_concatenate_to_one_draw(self):
+        sizes = [1, B - 1, B, B + 1, 17]
+        stream = FunctionStream(3, rng=5)
+        blocks = [stream.draw(size) for size in sizes]
+        assert stream.drawn == sum(sizes)
+        assert np.array_equal(np.vstack(blocks), sample_functions(3, sum(sizes), rng=5))
 
     def test_validation(self):
         with pytest.raises(ValidationError):

@@ -104,11 +104,16 @@ class TestGreedy:
         assert greedy_hitting_set(as_sets) == _greedy_loop(as_sets)
 
     def test_matches_loop_oracle_on_kset_family(self):
+        # greedy_hitting_set reads a KSetCollection's (K, k) rows; the
+        # frozensets of the same K-SETr run must give the same picks.
         from repro.geometry.ksets import sample_ksets
 
         values = np.random.default_rng(3).random((400, 3))
-        family = sample_ksets(values, 6, rng=3).ksets
-        assert greedy_hitting_set(family) == _greedy_loop(family)
+        collection = sample_ksets(values, 6, rng=3).ksets
+        family = list(collection)
+        picks = greedy_hitting_set(collection)
+        assert picks == greedy_hitting_set(family) == _greedy_loop(family)
+        assert is_hitting_set(family, picks)
 
     def test_rejects_empty_member_set_among_others(self):
         with pytest.raises(InfeasibleError):

@@ -183,15 +183,28 @@ class TestLazyExports:
         assert versions == [repro.__version__]
 
 
+def _run_after_importing_every_module(code: str) -> subprocess.CompletedProcess:
+    """``_run_child(code)`` after importing every module of the package
+    (the ``python -m repro`` entry point aside), so that a top-level
+    import anywhere in it reaches the check."""
+    prelude = """
+    import importlib, pkgutil, sys
+    import repro
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name != "repro.__main__":
+            importlib.import_module(info.name)
+    assert sum(m.startswith("repro.") for m in sys.modules) > 60
+    """
+    return _run_child(textwrap.dedent(prelude) + textwrap.dedent(code))
+
+
 class TestColdImport:
     def test_scipy_loads_on_first_lp_solve(self):
-        """Importing the library, CLI and server must not load scipy; the
-        first separability LP does."""
-        result = _run_child(
+        """Importing every module of the library, CLI and server included,
+        must not load scipy; the first separability LP does."""
+        result = _run_after_importing_every_module(
             """
-            import sys
             import numpy as np
-            import repro, repro.cli, repro.serve
             assert "scipy" not in sys.modules, "scipy loaded at import"
             values = np.array([[1.0, 0.0], [0.0, 1.0], [0.4, 0.4]])
             assert repro.geometry.is_separable(values, [0])
@@ -202,12 +215,10 @@ class TestColdImport:
         assert result.returncode == 0, result.stderr
 
     def test_no_process_pool_modules_at_import(self):
-        """The engine fans out over threads only, so importing the
-        library, CLI and server loads no process-pool machinery."""
-        result = _run_child(
+        """The engine fans out over threads only, so importing every
+        module of the library loads no process-pool machinery."""
+        result = _run_after_importing_every_module(
             """
-            import sys
-            import repro, repro.cli, repro.serve
             loaded = {"multiprocessing", "concurrent.futures.process"} & set(sys.modules)
             assert not loaded, sorted(loaded)
             """

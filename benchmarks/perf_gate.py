@@ -195,7 +195,7 @@ def _bench_ksetr(repeats: int, quick: bool, jobs: int | None, backend_jobs: int)
     # K-SETr's batches are nonnegative-weight top-k calls, which the
     # engine answers from its k-skyband candidate set; an engine kept
     # outside the sampler shows that the path really ran.
-    with ScoreEngine(values, float32=True, n_jobs=jobs) as engine:
+    with ScoreEngine(values, n_jobs=jobs) as engine:
         probed = sample_ksets(values, k, patience=100, rng=0, engine=engine)
         candidate_columns = engine.stats["candidate_columns"]
     assert probed.ksets == base.ksets and probed.draws == base.draws, (
@@ -477,7 +477,7 @@ def _bench_serving_load(repeats: int, quick: bool) -> dict:
         [rng.random((m, d)) for _ in range(per_client)] for _ in range(clients)
     ]
 
-    with ScoreEngine(values, float32=True) as direct:
+    with ScoreEngine(values) as direct:
         references = [
             [direct.topk_batch(weights, k) for weights in chunk]
             for chunk in requests
@@ -660,7 +660,7 @@ def _quant_hit_rates(quick: bool) -> dict:
     from repro.ranking.sampling import sample_functions
 
     n, d, k, m = (2000, 4, 10, 1024) if quick else (5000, 4, 25, 4096)
-    topk_engine = ScoreEngine(independent(n, d, seed=0).values, float32=True)
+    topk_engine = ScoreEngine(independent(n, d, seed=0).values)
     topk_engine.topk_batch(sample_functions(d, m, 0), k)
     return {
         "topk": {

@@ -138,7 +138,7 @@ def main(argv=None) -> None:
 
         # The client-side oracle mirrors the server's matrix so every
         # response can be checked bit-identical to a direct engine call.
-        reference = ScoreEngine(data.values, float32=True)
+        reference = ScoreEngine(data.values)
 
         print(f"\n[1] coalescing: {storm} concurrent top-{k} clients")
         stormed = query_storm(url, k, d, threads=storm, seed=100, local=local)
@@ -176,7 +176,7 @@ def main(argv=None) -> None:
             keep[doomed] = False
             matrix = matrix[keep]
             reference.close()
-            reference = ScoreEngine(matrix, float32=True)
+            reference = ScoreEngine(matrix)
             check_bit_identity(client, reference, rng.random((3, d)), k)
             rep = client.representative(k)
             # The maintained view shares mdrc's defaults (max_depth 48,
@@ -242,7 +242,7 @@ def main(argv=None) -> None:
                     retried = dclient.insert(fresh, idempotency_key="demo-ambiguous")
                     assert np.array_equal(retried["indices"], acked["indices"])
                     assert retried["revision"] == acked["revision"]
-                    oracle = ScoreEngine(np.vstack([matrix, fresh]), float32=True)
+                    oracle = ScoreEngine(np.vstack([matrix, fresh]))
                     check_bit_identity(dclient, oracle, rng.random((3, d)), k)
                     oracle.close()
                     recovered = dclient.stats()["durability"]["recovery"]

@@ -138,8 +138,11 @@ def md_rrr(
     verify_functions:
         When > 0, run a verification pass after the hitting set: draw this
         many fresh random functions and, for every one whose top-k the
-        output misses, add that function's k-set to the collection and
-        re-solve (repeat up to ``max_repair_rounds``).  K-SETr can miss
+        output misses (its rank, counted by the engine's
+        :meth:`~repro.engine.ScoreEngine.rank_of_best_batch`, exceeds k),
+        add that function's k-set to the collection and re-solve (repeat
+        up to ``max_repair_rounds``).  The count runs on ``engine`` when
+        one is given, else on one built here.  K-SETr can miss
         k-sets whose angular region is tiny — the paper notes this is
         "very unlikely" (§5.2.1), but tie-dense data makes it likelier;
         verification restores the observed always-≤-k behaviour of §6.2.
@@ -150,7 +153,8 @@ def md_rrr(
         ``-1`` = all cores); draws are bit-identical either way.
     engine / kset_state:
         Passed through to :func:`~repro.geometry.ksets.sample_ksets`
-        when the sampled enumerator runs — the maintained-view replay
+        when the sampled enumerator runs (``engine`` also counts the
+        verification ranks) — the maintained-view replay
         path (:class:`repro.engine.views.MDRRRView`); bit-identical to a
         fresh run by the draw-state replay contract.
     """
@@ -178,6 +182,7 @@ def md_rrr(
 
     chosen = solve(collection)
     if verify_functions > 0:
+        from repro.engine import ScoreEngine
         from repro.ranking.sampling import sample_functions
         from repro.ranking.topk import top_k_set
 
@@ -186,21 +191,30 @@ def md_rrr(
         # same functions, so re-solving cannot silently reintroduce a
         # violation caught earlier.
         weights = sample_functions(matrix.shape[1], verify_functions, rng)
-        score_matrix = matrix @ weights.T
+        if engine is not None:
+            engine.compact()  # settle journaled row mutations before validating
+            if engine.n != matrix.shape[0]:
+                raise ValidationError("engine was built over a different matrix")
+        checker = engine if engine is not None else ScoreEngine(matrix, n_jobs=jobs, tune=tune)
         known: set[frozenset[int]] = set(collection)
-        for _ in range(max_repair_rounds):
-            member_best = score_matrix[sorted(chosen)].max(axis=0)
-            violated = np.flatnonzero(
-                (score_matrix > member_best[None, :]).sum(axis=0) >= k
-            )
-            if violated.size == 0:
-                break
-            for column in violated:
-                kset = top_k_set(matrix, weights[column], k)
-                if kset not in known:
-                    known.add(kset)
-                    collection.append(kset)
-            chosen = solve(collection)
+        try:
+            for _ in range(max_repair_rounds):
+                # The engine's exact, blocked rank count: no (n, N) score
+                # matrix, however large the panel.  A function is violated
+                # when the representative's best row ranks past k.
+                ranks = checker.rank_of_best_batch(weights, sorted(chosen))
+                violated = np.flatnonzero(ranks > k)
+                if violated.size == 0:
+                    break
+                for column in violated:
+                    kset = top_k_set(matrix, weights[column], k)
+                    if kset not in known:
+                        known.add(kset)
+                        collection.append(kset)
+                chosen = solve(collection)
+        finally:
+            if checker is not engine:
+                checker.close()
     return MDRRRResult(
         indices=sorted(int(i) for i in chosen),
         ksets=collection,

@@ -17,12 +17,12 @@ Consumers (all refactored onto this engine):
 * the :mod:`repro.baselines` regret-ratio algorithms — shared chunked
   scoring.
 
-Top-k decisions climb a four-tier exactness ladder — int8/int16
-quantized screening (:mod:`repro.engine.quantize`), float32 batch,
-float64 batch, scalar GEMV fallback — each tier resolving only what it
-can prove; rank counting is one float32 banded count with the scalar
-GEMV as its fallback.  Results are always bit-identical to the scalar
-``top_k``/``rank_of`` path.
+Top-k decisions climb a three-tier exactness ladder — int16 quantized
+screening (:mod:`repro.engine.quantize`), float64 batch, scalar GEMV
+fallback — each tier resolving only what it can prove; rank counting
+is one float32 banded count with the scalar GEMV as its fallback.
+Results are always bit-identical to the scalar ``top_k``/``rank_of``
+path.
 
 :mod:`repro.engine.parallel` is the fan-out layer: with
 ``ScoreEngine(..., n_jobs=N)``, ``N > 1``, every bulk call of at least

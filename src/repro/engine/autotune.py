@@ -2,8 +2,8 @@
 
 Every perf-relevant constant of the engine — GEMM chunk sizes, the
 serial/parallel cutover, fan-out granularity, the rank-count buffer and
-grid, the top-k scalar promotion cap, the quantizer's adaptive level
-policy — lives in one per-engine :class:`TuningProfile`.  Its defaults
+grid, the top-k scalar promotion cap, the quantizer's adaptive
+switch-off — lives in one per-engine :class:`TuningProfile`.  Its defaults
 are the hand-tuned values the engine has always used; a caller who
 wants other numbers sets them by hand or loads a saved profile
 (``tune=profile``).
@@ -112,12 +112,12 @@ class TuningProfile:
         Base of the doubling prefix-size grid used to group rank-count
         functions onto shared GEMMs.
     quant_scalar_promote:
-        Top-k: promoted sets at or below this size skip the batch tiers
-        for the scalar kernel directly.
+        Top-k: promoted sets at or below this size skip the float64
+        batch tier for the scalar kernel directly.
     quant_promote_window / quant_promote_limit:
-        The quantizer's adaptive level policy: after ``window`` screened
-        columns, a promote rate above ``limit`` upgrades
-        int8 → int16 → off.
+        The quantizer's adaptive switch-off: after ``window`` screened
+        columns, a promote rate above ``limit`` turns the int16 screen
+        off for the engine's lifetime.
     meta:
         Free-form provenance (a dict: who set the values, on which
         machine).  Never read by the engine; survives JSON round-trips.

@@ -28,8 +28,8 @@ exactly those cases.
   only while ``‖w‖``, ``max‖x‖`` and their product are normal and finite
   in float32.  Below that range a cast or product underflows by more
   than the band (which may itself flush to zero); above it a score
-  overflows to inf, and ``inf > inf`` is False.  Flagged functions are
-  scored in float64.
+  overflows to inf, and ``inf > inf`` is False.  The rank count is the
+  one float32 tier; it counts flagged functions with the scalar kernel.
 * :func:`robust_margin` and :func:`robust_eligible` serve the k-skyband.
   Row q robustly dominates p when ``q_j > fl(p_j + δ)`` in every
   coordinate, ``δ = ROBUST_MARGIN·d·eps·max|x|``.  For ``w ≥ 0`` the

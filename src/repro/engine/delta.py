@@ -411,7 +411,7 @@ def flush_mutations(engine) -> None:
         held = np.flatnonzero(mask)
         mask[held] = keep[: held.size]
     if engine._quantizer is not None:
-        engine._quantizer = engine._quantizer.apply_mutation(engine.values, new_rows)
+        engine._quantizer.apply_mutation(new_rows)
 
     max_norm = _carried_max_norm(engine._max_row_norm, deleted_rows, new_rows)
     engine._invalidate_derived()

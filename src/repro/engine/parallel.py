@@ -12,7 +12,8 @@ concatenate.  Every other call runs in the caller's thread.
 :class:`ThreadExecutor`: an in-process
 :class:`~concurrent.futures.ThreadPoolExecutor` whose workers run serial
 *clones* of the parent engine sharing the matrix, the pruning orderings
-(float32 copies included) and the quantized stores by reference.  NumPy
+(the rank count's float32 copies included) and the quantized stores by
+reference.  NumPy
 releases the GIL inside BLAS and the large ufunc/selection kernels, so
 the GEMM-dominated tiers scale across threads; only the scalar fallback
 tier serializes on the GIL.

@@ -2,16 +2,14 @@
 
 The engine's top-k ladder resolves every decision with the cheapest
 arithmetic that can *prove* its answer.  This module adds the bottom
-rung: scores are screened with small-integer arithmetic —
-int8 by default, int16 when the data's dynamic range demands it — whose
-error envelope is rigorous, so a candidate set provably containing every
-row that can matter drops out of one integer GEMM plus one vectorized
-threshold pass.  Only the candidates are re-scored exactly; only
-functions whose decision boundary falls *inside* the quantization
-envelope are promoted to the float32 / float64 / scalar tiers above.
-Results therefore stay bit-identical to the scalar ``top_k`` path —
-quantization changes who does the work, never the answer.  Rank
-counting does not use this tier.
+rung: scores are screened with int16 arithmetic whose error envelope is
+rigorous, so a candidate set provably containing every row that can
+matter drops out of one integer GEMM plus one vectorized threshold
+pass.  Only the candidates are re-scored exactly; only functions whose
+decision boundary falls *inside* the quantization envelope are promoted
+to the float64 and scalar tiers above.  Results therefore stay
+bit-identical to the scalar ``top_k`` path — quantization changes who
+does the work, never the answer.  Rank counting does not use this tier.
 
 Representation
 --------------
@@ -32,39 +30,33 @@ is a single broadcast::
 
     upper_i = b S'_i + usum/2
 
-with ``usum = Σ_j |u_j|``.  Everything above is *exact* in the carrier
-dtype: products and partial sums are multiples of 1/2 and stay below
-2**23 (float32 carrier) resp. 2**52 (float64 carrier) — the ranges where
-the carrier still represents half-integers exactly — both checked at
-construction, so the GEMM result is the true value, not an
-approximation of it.
+with ``usum = Σ_j |u_j|``.  Everything above is *exact* in the float64
+carrier: products and partial sums are multiples of 1/2 and stay below
+2**52, the range where the carrier still represents half-integers
+exactly — checked at construction — so the GEMM result is the true
+value, not an approximation of it.
 The only inexactness is the float64 arithmetic *forming* the thresholds
-the carriers are compared against; every comparison therefore concedes
-``_QUANT_SLACK`` integer quanta — orders of magnitude more than any such
-rounding — on top of the envelope, and the engine's usual ulp-band
-margins sit above that again.
+the carrier sums are compared against; every comparison therefore
+concedes ``_QUANT_SLACK`` integer quanta — orders of magnitude more
+than any such rounding — on top of the envelope, and the engine's usual
+ulp-band margins sit above that again.
 
 Level selection
 ---------------
-``mode="auto"`` starts at int8 and adapts to the data twice over:
+``mode="auto"`` screens at int16 from the first call.  The engine
+reports how many screened columns had to be promoted; a sustained
+promote rate above ``_PROMOTE_LIMIT`` switches the tier off for the
+engine's lifetime, since the float64 tier then does the work anyway.
+``mode=None`` disables the tier from the start.  Data whose
+per-attribute scales leave ``[_SCALE_MIN, _SCALE_MAX]`` is never
+screened.
 
-* a one-off *dynamic-range probe* at first use counts how many distinct
-  rows collapse onto the same int8 vector; when quantization destroys
-  most of the data's resolution, int8 envelopes would pass everything
-  and the tier starts at int16 directly;
-* at runtime the engine reports how many screened columns had to be
-  promoted; a sustained promote rate above ``_PROMOTE_LIMIT`` upgrades
-  int8 → int16, and int16 → disabled, each at most once per engine.
-
-Explicit ``mode="int8"``/``"int16"`` pins the level; ``mode=None``
-disables the tier.
-
-Each level is one immutable :class:`QuantLevel` — scales, carrier dtype
-and per-ordering stores live together, so a reader (the engine itself,
-or a thread-pool clone sharing the quantizer) grabs one
-:meth:`Quantizer.state` snapshot per call and can never pair old stores
-with new scales; level changes swap the snapshot wholesale under a
-lock.
+The level is one immutable :class:`QuantLevel` — scales and
+per-ordering stores live together, so a reader (the engine itself, or
+a thread-pool clone sharing the quantizer) grabs one
+:attr:`Quantizer.state` snapshot per call and can never pair old stores
+with new scales; a re-scale or the switch-off swaps the snapshot
+wholesale under a lock.
 """
 
 from __future__ import annotations
@@ -75,15 +67,16 @@ import numpy as np
 
 __all__ = ["QuantLevel", "QuantStore", "Quantizer"]
 
-_LEVELS = {"int8": 127, "int16": 32767}
+# The int16 range: data and weights quantize to integers in [-QMAX, QMAX].
+QMAX = 32767
 
 # Integer quanta conceded per comparison, covering float64 threshold
-# rounding and the float32 cast of a float64 right-hand side.
+# rounding.
 _QUANT_SLACK = 2.0
 
-# Adaptive upgrade defaults: once this many columns have been screened,
-# a promote rate above the limit means the envelope is too wide for the
-# data.  Per-engine values come from the TuningProfile
+# Adaptive switch-off defaults: once this many columns have been
+# screened, a promote rate above the limit means the envelope is too
+# wide for the data.  Per-engine values come from the TuningProfile
 # (:mod:`repro.engine.autotune`).
 _PROMOTE_WINDOW = 512
 _PROMOTE_LIMIT = 0.25
@@ -93,10 +86,6 @@ _PROMOTE_LIMIT = 0.25
 # stops being airtight; such data is left to the exact tiers.
 _SCALE_MIN = 2.0**-950
 _SCALE_MAX = 2.0**950
-
-# Dynamic-range probe: fraction of distinct rows that must survive int8
-# quantization as distinct vectors, else start at int16.
-_COLLAPSE_LIMIT = 0.5
 
 
 class QuantStore:
@@ -108,40 +97,31 @@ class QuantStore:
     directly.
     """
 
-    __slots__ = ("Q", "qmax")
+    __slots__ = ("Q",)
 
-    def __init__(self, Q: np.ndarray, qmax: int) -> None:
+    def __init__(self, Q: np.ndarray) -> None:
         self.Q = Q
-        self.qmax = qmax
 
 
 class QuantLevel:
-    """One quantization level: scales, carrier, and its ordering stores.
+    """The int16 level: scales, the float64 carrier and its ordering stores.
 
     Immutable except for the internally-locked store cache, so any
     reference to a level is self-consistent forever — weight scales and
     data stores always belong to the same level.
     """
 
-    def __init__(self, name: str, maxabs: np.ndarray) -> None:
-        self.name = name
-        self.qmax = _LEVELS[name]
-        self.scales = np.where(maxabs > 0.0, maxabs / self.qmax, 1.0)
-        d = maxabs.size
+    name = "int16"
+    qmax = QMAX
+    carrier = np.float64
+
+    def __init__(self, maxabs: np.ndarray) -> None:
+        self.scales = np.where(maxabs > 0.0, maxabs / QMAX, 1.0)
         # Worst-case |S'| with every partial sum below it.  S' and its
         # partial sums are multiples of 1/2 (the A/2 column), and the
-        # carrier represents half-integers exactly only while ulp <= 1/2
-        # — below 2**23 for float32, 2**52 for float64 — so exactness of
-        # the carrier GEMM requires the peak to fit THOSE ranges, not
-        # the integer ones.
-        peak = (self.qmax * self.qmax + self.qmax) * d
-        self.peak = float(peak)
-        if peak <= 2**23:
-            self.carrier: type | None = np.float32
-        elif peak <= 2**52:
-            self.carrier = np.float64
-        else:  # pragma: no cover - needs d > ~4e6
-            self.carrier = None
+        # float64 carrier represents half-integers exactly only while
+        # ulp <= 1/2, below 2**52 (``Quantizer`` checks the fit).
+        self.peak = float((QMAX * QMAX + QMAX) * maxabs.size)
         self._stores: dict[int, QuantStore | None] = {}
         self._lock = threading.Lock()
 
@@ -166,7 +146,7 @@ class QuantLevel:
                 Q = np.empty((n, d + 1), dtype=self.carrier)
                 Q[:, :d] = q
                 Q[:, d] = 0.5 * np.abs(q).sum(axis=1)
-                store = QuantStore(Q, self.qmax)
+                store = QuantStore(Q)
             self._stores[ordering_index] = store
             return store
 
@@ -213,7 +193,7 @@ class QuantLevel:
             inserted[:, :-1] = q_new
             inserted[:, -1] = 0.5 * np.abs(q_new).sum(axis=1)
             Q = plan.apply(store.Q, inserted)
-            self._stores[ordering_index] = QuantStore(Q, self.qmax)
+            self._stores[ordering_index] = QuantStore(Q)
 
     def quantize_weights(
         self, W: np.ndarray
@@ -259,29 +239,27 @@ class QuantLevel:
 class Quantizer:
     """Per-matrix quantization state shared by an engine and its clones.
 
-    Holds the adaptive level policy; all screening arithmetic lives on
-    the immutable :class:`QuantLevel` snapshots it hands out.
+    Holds the adaptive switch-off; all screening arithmetic lives on the
+    immutable :class:`QuantLevel` snapshots it hands out.
     """
 
     def __init__(
         self,
         values: np.ndarray,
-        mode: str | None = "auto",
+        mode: str = "auto",
         promote_window: int = _PROMOTE_WINDOW,
         promote_limit: float = _PROMOTE_LIMIT,
     ) -> None:
-        if mode is not None and mode not in ("auto", "int8", "int16"):
-            raise ValueError(f"quantize must be 'auto', 'int8', 'int16' or None, got {mode!r}")
+        if mode != "auto":
+            raise ValueError(f"quantize must be 'auto' or None, got {mode!r}")
         self.mode = mode
         self.promote_window = int(promote_window)
         self.promote_limit = float(promote_limit)
-        self._maxabs = np.abs(values).max(axis=0) if mode is not None else None
-        self._probed = mode is None
-        self._state: QuantLevel | None = None
+        self._maxabs = np.abs(values).max(axis=0)
         self._screened = 0
         self._promoted = 0
         self._lock = threading.Lock()
-        self._probe_values = values if mode == "auto" else None
+        self._state = self._new_level()
 
     # ------------------------------------------------------------------
     @property
@@ -289,126 +267,65 @@ class Quantizer:
         """The current level snapshot (``None`` = tier disabled).
 
         Callers must grab this once per bulk call and use it for both
-        weight quantization and store lookups, so a concurrent level
-        change can never mix scales and stores.
+        weight quantization and store lookups, so a concurrent re-scale
+        can never mix scales and stores.
         """
-        if not self._probed:
-            with self._lock:
-                if not self._probed:
-                    self._set_level(self._initial_level())
-                    self._probed = True
         return self._state
 
     @property
     def active(self) -> bool:
         """Whether the quantized tier should be attempted at all."""
-        return self.state is not None
+        return self._state is not None
 
     @property
     def level(self) -> str | None:
         """The current level name (``None`` when disabled)."""
-        state = self.state
-        return state.name if state is not None else None
+        return self._state.name if self._state is not None else None
 
-    def _initial_level(self) -> str | None:
-        """Pick the starting level from the data's dynamic range."""
+    def _new_level(self) -> QuantLevel | None:
+        """A level over the current scales, or ``None`` when the data's
+        range leaves the safe scales or the carrier's exact range."""
         maxabs = self._maxabs
         if not np.all(np.isfinite(maxabs)):
             return None
         nonzero = maxabs[maxabs > 0.0]
         if nonzero.size and (nonzero.min() < _SCALE_MIN or nonzero.max() > _SCALE_MAX):
             return None
-        if self.mode in ("int8", "int16"):
-            return self.mode
-        values = self._probe_values
-        if values is not None and values.shape[0] > 1:
-            distinct = self._distinct_rows(values)
-            scales = np.where(maxabs > 0.0, maxabs / _LEVELS["int8"], 1.0)
-            q = np.rint(values / scales)
-            if self._distinct_rows(q.astype(np.int16)) < _COLLAPSE_LIMIT * distinct:
-                return "int16"
-        return "int8"
-
-    @staticmethod
-    def _distinct_rows(matrix: np.ndarray) -> int:
-        """Rows distinct under ``==`` (so ``-0.0`` equals ``0.0``).
-
-        A lexsort groups equal rows next to each other; counting the
-        boundaries is several times cheaper than ``np.unique`` over a
-        structured view, which also imports ``numpy.ma`` on first use.
-        """
-        ordered = matrix[np.lexsort(matrix.T[::-1])]
-        return 1 + int(np.count_nonzero((ordered[1:] != ordered[:-1]).any(axis=1)))
-
-    def _set_level(self, name: str | None) -> None:
-        """Swap to level ``name`` (caller holds the lock)."""
-        self._probe_values = None
-        if name is None:
-            self._state = None
-            return
-        level = QuantLevel(name, self._maxabs)
-        self._state = level if level.carrier is not None else None
+        level = QuantLevel(maxabs)
+        return level if level.peak <= 2**52 else None  # d past ~4e6 does not fit
 
     # ------------------------------------------------------------------
-    def apply_mutation(self, values: np.ndarray, new_rows: np.ndarray):
+    def apply_mutation(self, new_rows: np.ndarray) -> None:
         """Maintain quantization state across an engine row mutation.
 
-        ``values`` is the post-mutation matrix and ``new_rows`` the
-        inserted rows (possibly empty).  Returns the quantizer to use
-        afterwards — usually ``self``, or a fresh replacement when no
-        derived state exists yet (nothing to maintain, so restarting the
-        probe is cheapest).
-
-        The re-scale rule: a level's stores survive as long as the new
-        rows' dynamic range stays inside the existing per-attribute
-        envelope (``|x| <= scale * qmax`` — rigorous for any scale); they
-        take the write at the engine's next ordering sync
+        ``new_rows`` are the inserted rows (possibly empty).  The
+        re-scale rule: a level's stores survive as long as the new rows'
+        dynamic range stays inside the existing per-attribute envelope
+        (``|x| <= scale * qmax`` — rigorous for any scale); they take the
+        write at the engine's next ordering sync
         (:func:`repro.engine.delta.sync_orderings`, through
         :meth:`QuantLevel.mutate_store`).  An escape swaps in a fresh
-        level at the same name with widened scales; its stores
-        requantize lazily on next use.  Deletions
-        never escape — the old (now possibly wider-than-necessary)
-        scales remain valid, and the exactness contract makes the
-        difference unobservable.
+        level with widened scales; its stores requantize lazily on next
+        use.  Deletions never escape — the old (now possibly
+        wider-than-necessary) scales remain valid, and the exactness
+        contract makes the difference unobservable.
         """
-        if self.mode is None:
-            return self
         with self._lock:
-            if not self._probed:
-                # Level never chosen: no scales, no stores — restart over
-                # the mutated matrix; the probe runs at first use.
-                return Quantizer(
-                    values, self.mode, self.promote_window, self.promote_limit
-                )
             if new_rows.size:
-                self._maxabs = np.maximum(
-                    self._maxabs, np.abs(new_rows).max(axis=0)
-                )
+                self._maxabs = np.maximum(self._maxabs, np.abs(new_rows).max(axis=0))
             level = self._state
-            if level is None:
-                return self  # tier disabled (adaptively or by range); stays off
-            if not level.in_envelope(new_rows):
-                nonzero = self._maxabs[self._maxabs > 0.0]
-                if nonzero.size and (
-                    nonzero.min() < _SCALE_MIN or nonzero.max() > _SCALE_MAX
-                ):
-                    self._state = None  # widened range left the safe zone
-                    return self
-                fresh = QuantLevel(level.name, self._maxabs)
-                self._state = fresh if fresh.carrier is not None else None
-            return self
+            if level is not None and not level.in_envelope(new_rows):
+                self._state = self._new_level()
+            # A disabled tier (adaptively or by range) stays off.
 
     def observe(self, screened: int, promoted: int) -> None:
-        """Feed the adaptive level policy one call's screen/promote counts."""
-        if self.mode != "auto":
-            return
+        """Feed the adaptive switch-off one call's screen/promote counts."""
         with self._lock:
             self._screened += screened
             self._promoted += promoted
             if self._screened < self.promote_window:
                 return
             if self._promoted > self.promote_limit * self._screened:
-                current = self._state.name if self._state is not None else None
-                self._set_level("int16" if current == "int8" else None)
+                self._state = None
             self._screened = 0
             self._promoted = 0

@@ -32,19 +32,20 @@ Exactness
 ---------
 Tie-breaking follows the library-wide rule (score descending, row index
 ascending), and the contract is *bit-identical results to the scalar*
-``top_k``/``rank_of`` *path*.  Top-k decisions climb a four-tier
-ladder — ``int8 → float32 → float64 → scalar`` — in which each tier
-resolves only the columns it can prove and promotes the rest; rank
-counting takes the float32 tier and the scalar fallback only:
+``top_k``/``rank_of`` *path*.  Top-k decisions climb a three-tier
+ladder — ``int16 → float64 → scalar`` — in which each tier resolves
+only the columns it can prove and promotes the rest; rank counting is
+one float32 banded count with the scalar fallback:
 
 * the **quantized tier** (:mod:`repro.engine.quantize`) bounds every
-  score from above with exact small-integer arithmetic; functions
-  whose candidate set it isolates are finished from a tiny exact
-  rescore, and functions whose k boundary falls inside the
-  quantization envelope are promoted;
-* the **float batch tiers** trust the GEMM scores except where a score
-  sits inside the contested band of a decision boundary or of a ranked
-  neighbour (possible even for identical rows);
+  score from above with exact integer arithmetic; functions whose
+  candidate set it isolates are finished from a tiny exact float64
+  score of the candidates, and functions whose k boundary falls inside
+  the quantization envelope are promoted;
+* the **float64 batch tier** (and rank's float32 count) trusts the
+  GEMM scores except where a score sits inside the contested band of a
+  decision boundary or of a ranked neighbour (possible even for
+  identical rows);
 * contested columns fall back to the **scalar algorithm verbatim** (one
   float64 GEMV plus the seed's over-select / lexsort), so they match
   the scalar path by construction, and uncontested columns match it
@@ -67,10 +68,10 @@ guard and the k-skyband margin — comes from one model in
 :mod:`repro.engine.bands`: a width of ``64·eps(tier)·‖w‖·max‖x‖``
 (widened in proportion to d past 31 attributes, 61 in float32), which
 bounds the rounding error of any summation order however much the
-scores cancel.  With ``float32=True`` the batch tier runs in single
-precision (≈2× GEMM throughput, half the memory traffic) with the
-float32 band, block ordering is recomputed in float64, and functions
-whose magnitudes leave the float32 range are scored in float64.
+scores cancel.  Rank counting runs its batch count in float32 over
+per-ordering float32 copies (``V32``, built on the first count); a
+function whose magnitudes leave the float32 range is counted by the
+scalar kernel.
 
 **The k-skyband candidate set.**  For weights ``w ≥ 0`` only rows with
 fewer than k dominators can reach a top-k, and K-SETr's batches are all
@@ -262,9 +263,6 @@ class ScoreEngine:
         Long-lived engines can mutate it afterwards through
         :meth:`insert_rows` / :meth:`delete_rows`, which maintain every
         derived structure incrementally (see :mod:`repro.engine.delta`).
-    float32:
-        Score in single precision with float64 tie/order verification
-        (see module docstring).  Off by default.
     chunk_bytes:
         Target size of one score chunk; the weight batch is processed in
         column chunks of ``chunk_bytes / (8n)`` so peak memory stays flat
@@ -283,10 +281,10 @@ class ScoreEngine:
         Results are bit-identical for any worker count.
     quantize:
         Quantized screening tier (:mod:`repro.engine.quantize`):
-        ``"auto"`` (default) picks int8/int16 from the data's dynamic
-        range and adapts to the observed promote rate, ``"int8"`` /
-        ``"int16"`` pin the level, ``None`` disables the tier.  Results
-        are bit-identical either way.
+        ``"auto"`` (default) screens top-k calls at int16 and switches
+        the tier off for good once it promotes more than the tuning
+        profile's ``quant_promote_limit`` of what it screens; ``None``
+        disables the tier.  Results are bit-identical either way.
     parallel_min_work:
         Serial fast-path cutover in score-matrix entries (``n * m``);
         calls below it never touch a pool.  ``None`` (default) takes the
@@ -303,7 +301,6 @@ class ScoreEngine:
         self,
         values: np.ndarray,
         *,
-        float32: bool = False,
         chunk_bytes: int | None = None,
         memo_size: int = 4096,
         n_jobs: int | None = None,
@@ -327,7 +324,6 @@ class ScoreEngine:
             )
         self.values = matrix
         self.n, self.d = matrix.shape
-        self.float32 = bool(float32)
         if tune is None:
             tune = TuningProfile()
         elif not isinstance(tune, TuningProfile):
@@ -554,7 +550,6 @@ class ScoreEngine:
         """Constructor kwargs for a serial engine with this engine's
         settings (the k-skyband child engines are built from it)."""
         return {
-            "float32": self.float32,
             "chunk_bytes": self._chunk_bytes,
             "memo_size": self._memo_size,
             "n_jobs": 1,
@@ -896,68 +891,41 @@ class ScoreEngine:
 
         Tiered resolution, cheapest first:
 
-        0. int8/int16 quantized screening (when enabled): one integer
-           GEMM bounds every score rigorously; functions whose candidate
-           set resolves inside the envelope are finished with one tiny
-           exact rescore, the rest are promoted;
-        1. float32 norm-pruned batch (when ``float32=True``);
-        2. float64 norm-pruned batch for the rows tier 1 left contested;
-        3. the scalar float64 GEMV algorithm, verbatim, for rows with
-           genuine (near-)ties at a decision boundary.
+        0. int16 quantized screening (when enabled): one integer GEMM
+           bounds every score rigorously; functions whose candidate set
+           resolves inside the envelope are finished from the
+           candidates' exact float64 scores, the rest are promoted;
+        1. the float64 norm-pruned batch for the promoted functions;
+        2. the scalar float64 GEMV algorithm, verbatim, for functions
+           with genuine (near-)ties at a decision boundary.
 
-        Each tier only sees the rows the previous tier could not decide,
-        so clean data runs almost entirely in the bottom tier while
-        degenerate data degrades gracefully to the seed's exact
+        Each tier only sees the functions the previous tier could not
+        decide, so clean data runs almost entirely in the bottom tier
+        while degenerate data degrades gracefully to the seed's exact
         per-probe cost.
         """
         w_norms = np.linalg.norm(Wc, axis=1)
         if self._quantizer is not None and self._quantizer.active:
             promoted = self._quant_topk_chunk(Wc, k, out_order, w_norms)
-            if promoted.size == 0:
-                return
             if promoted.size <= self._tuning.quant_scalar_promote:
                 # A handful of stragglers: the scalar kernel per function
-                # is cheaper than spinning up the batch-tier machinery,
-                # and identical by the exactness contract.
-                for j in promoted:
-                    out_order[j] = self._verified_topk_column(Wc[j], k)
-                    self.stats["verified_columns"] += 1
-                return
-            if promoted.size < Wc.shape[0]:
+                # is cheaper than spinning up the batch tier, and
+                # identical by the exactness contract.
+                contested = promoted
+            elif promoted.size < Wc.shape[0]:
                 sub_order = np.empty((promoted.size, k), dtype=np.int64)
-                self._float_tiers(
+                sub = self._topk_tier(
                     np.ascontiguousarray(Wc[promoted]), k, sub_order, w_norms[promoted]
                 )
                 out_order[promoted] = sub_order
-                return
-        self._float_tiers(Wc, k, out_order, w_norms)
-
-    def _f32_ok(self, w_norms: np.ndarray) -> bool:
-        """Whether a chunk may be scored in float32: the engine runs a
-        float32 tier and the range guard flags none of its functions."""
-        return self.float32 and not bands.f32_unsafe(w_norms, self._max_norm()).any()
-
-    def _float_tiers(
-        self, Wc: np.ndarray, k: int, out_order: np.ndarray, w_norms: np.ndarray
-    ) -> None:
-        """Tiers 1-3: the float32/float64 batch passes + scalar fallback.
-
-        A chunk holding any function the float32 range guard flags skips
-        the float32 pass.
-        """
-        contested = None
-        out = out_order
-        if self._f32_ok(w_norms):
-            contested = self._topk_tier(Wc, k, out_order, w_norms, use_f32=True)
-            if not contested.size:
-                return
-            Wc, w_norms = np.ascontiguousarray(Wc[contested]), w_norms[contested]
-            out = np.empty((contested.size, k), dtype=np.int64)
-        for j in self._topk_tier(Wc, k, out, w_norms, use_f32=False):
-            out[j] = self._verified_topk_column(Wc[j], k)
+                contested = promoted[sub]
+            else:
+                contested = self._topk_tier(Wc, k, out_order, w_norms)
+        else:
+            contested = self._topk_tier(Wc, k, out_order, w_norms)
+        for j in contested:
+            out_order[j] = self._verified_topk_column(Wc[j], k)
             self.stats["verified_columns"] += 1
-        if contested is not None:
-            out_order[contested] = out
 
     def _quant_topk_chunk(
         self, Wc: np.ndarray, k: int, out_order: np.ndarray, w_norms: np.ndarray
@@ -975,9 +943,9 @@ class ScoreEngine:
         :meth:`_finalize` (near-ties fall to the scalar kernel verbatim),
         so the result is bit-identical to the scalar path.
         Functions whose k-boundary sits inside the quantization envelope
-        — candidate counts past the cap — are promoted to the float
-        tiers, and the promote rate feeds the quantizer's adaptive
-        int8 → int16 → off policy.
+        — candidate counts past the cap — are promoted to the float64
+        tier, and the promote rate feeds the quantizer's adaptive
+        switch-off.
         """
         n = self.n
         mc = Wc.shape[0]
@@ -997,10 +965,9 @@ class ScoreEngine:
         # for the whole matrix — and it is tighter than a quantized probe
         # by the width of the quantization envelope.
         c0 = min(n, max(4 * k, 64))
-        use_f32 = self._f32_ok(w_norms)
         noise = w_norms * self._max_norm()
-        _, _, block_scores = self._prefix_eval(orderings[0], Wc, k, c0, use_f32)
-        thr = bands.floor(block_scores.min(axis=1), noise, self.d, use_f32)
+        _, _, block_scores = self._prefix_eval(orderings[0], Wc, k, c0)
+        thr = bands.floor(block_scores.min(axis=1), noise, self.d)
         self._accumulate_probe_demand(w_norms, thr)
         needs = self._prefix_needs(Wc, w_norms, thr, k)
         best_o = np.argmin(needs, axis=1)
@@ -1024,10 +991,10 @@ class ScoreEngine:
                 promoted_parts.append(rows)
                 continue
             c = min(n, max(int(needs[rows, o].max()), k))
-            # OpenBLAS's float32 GEMM can leave a spurious "invalid" flag on
-            # these finite integer carriers (2 of 4 warmed runs), which numpy
-            # reports as a NaN that is not there.  Only the product ignores
-            # it; the comparisons below keep the caller's error state.
+            # OpenBLAS's GEMM has left a spurious "invalid" flag on finite
+            # integer carriers (2 of 4 warmed runs), which numpy reports
+            # as a NaN that is not there.  Only the product ignores it;
+            # the comparisons below keep the caller's error state.
             with np.errstate(invalid="ignore"):
                 S = Wq[rows] @ store.Q[:c].T  # shifted integer sums, exact
             rhs = state.upper_rhs(thr[rows], b[rows], usum[rows])
@@ -1062,7 +1029,7 @@ class ScoreEngine:
             scores = padded_scores[resolved, :used_cap]
             for j in self._finalize(
                 resolved, padded_ids[resolved, :used_cap], scores, *_top_block(scores, k),
-                Wc, k, out_order, thr, bands.tol(noise, self.d),
+                k, out_order, thr, bands.tol(noise, self.d),
             ):
                 out_order[j] = self._verified_topk_column(Wc[j], k)
                 self.stats["verified_columns"] += 1
@@ -1224,14 +1191,9 @@ class ScoreEngine:
         return self._max_abs_value
 
     def _topk_tier(
-        self,
-        Wc: np.ndarray,
-        k: int,
-        out_order: np.ndarray,
-        w_norms: np.ndarray,
-        use_f32: bool,
+        self, Wc: np.ndarray, k: int, out_order: np.ndarray, w_norms: np.ndarray
     ) -> np.ndarray:
-        """One batched top-k attempt; returns the still-contested row ids.
+        """The float64 batched top-k pass; returns the still-contested row ids.
 
         A small norm-ordered probe establishes each function's k-th-best
         score L; the per-ordering bounds then give a *sufficient* prefix
@@ -1242,23 +1204,23 @@ class ScoreEngine:
         selection cost tracks the candidate count instead of n.
         Uncontested rows are written to ``out_order``; rows with any
         (near-)tie at the k boundary or between ranked neighbours are
-        returned for the next tier.
+        returned for the scalar kernel.
         """
         n = self.n
         mc = Wc.shape[0]
         norm_ord = self._ensure_orderings()[0]
         noise = w_norms * self._max_norm()
-        tol = bands.tol(noise, self.d, use_f32)
+        tol = bands.tol(noise, self.d)
 
         c0 = n if 4 * k >= n else min(n, max(4 * k, 64))
-        S, blk, block_scores = self._prefix_eval(norm_ord, Wc, k, c0, use_f32)
+        S, blk, block_scores = self._prefix_eval(norm_ord, Wc, k, c0)
         if c0 == n:
             # No pruning happened, so no pruning floor applies.
             return self._finalize(
-                np.arange(mc), norm_ord.perm, S, blk, block_scores, Wc, k,
-                out_order, np.full(mc, -np.inf), tol, use_f32,
+                np.arange(mc), norm_ord.perm, S, blk, block_scores, k,
+                out_order, np.full(mc, -np.inf), tol,
             )
-        thr = bands.floor(block_scores.min(axis=1), noise, self.d, use_f32)
+        thr = bands.floor(block_scores.min(axis=1), noise, self.d)
         contested_parts: list[np.ndarray] = []
 
         # Exact need under the norm ordering, grid-quantized need under
@@ -1276,7 +1238,7 @@ class ScoreEngine:
             contested_parts.append(
                 self._finalize(
                     done, norm_ord.perm, S[done], blk[done], block_scores[done],
-                    Wc, k, out_order, thr, tol, use_f32,
+                    k, out_order, thr, tol,
                 )
             )
         rest = np.setdiff1d(np.arange(mc), done, assume_unique=True)
@@ -1286,12 +1248,9 @@ class ScoreEngine:
                 continue
             c = min(n, max(int(needs[rows, o].max()), k + 1))
             Wrows = np.ascontiguousarray(Wc[rows])
-            So, blko, bso = self._prefix_eval(ordering, Wrows, k, c, use_f32)
+            So, blko, bso = self._prefix_eval(ordering, Wrows, k, c)
             contested_parts.append(
-                self._finalize(
-                    rows, ordering.perm, So, blko, bso, Wc, k, out_order, thr,
-                    tol, use_f32,
-                )
+                self._finalize(rows, ordering.perm, So, blko, bso, k, out_order, thr, tol)
             )
         parts = [p for p in contested_parts if p.size]
         if not parts:
@@ -1299,17 +1258,11 @@ class ScoreEngine:
         return np.sort(np.concatenate(parts))
 
     def _prefix_eval(
-        self,
-        ordering: "_Ordering",
-        Wc: np.ndarray,
-        k: int,
-        c: int,
-        use_f32: bool,
+        self, ordering: "_Ordering", Wc: np.ndarray, k: int, c: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Score a prefix and select its top-k block (prefix-local ids)."""
-        V = self._ordering_v32(ordering) if use_f32 else ordering.V
-        Wgemm = Wc.astype(np.float32) if use_f32 else Wc
-        S = Wgemm @ V[:c].T  # (mc, c)
+        """Score a prefix in float64 and select its top-k block
+        (prefix-local ids)."""
+        S = Wc @ ordering.V[:c].T  # (mc, c)
         return (S, *_top_block(S, k))
 
     def _finalize(
@@ -1319,12 +1272,10 @@ class ScoreEngine:
         S: np.ndarray,
         blk: np.ndarray,
         block_scores: np.ndarray,
-        Wc: np.ndarray,
         k: int,
         out_order: np.ndarray,
         thr: np.ndarray,
         tol: np.ndarray,
-        rescore: bool = False,
     ) -> np.ndarray:
         """Accept or contest one group's top-k blocks; return contested ids.
 
@@ -1333,10 +1284,10 @@ class ScoreEngine:
         ``ids`` maps candidate positions to row ids, either one vector
         for the group (an ordering's ``perm``) or one row per function;
         ``blk`` and ``block_scores`` hold the positions and scores of
-        each function's k best candidates.  ``thr`` and ``tol`` hold, per chunk function, the
-        floor every non-candidate row scores below and the contested
-        half-width (:mod:`repro.engine.bands`).  With ``rescore`` (float32
-        scores) the block is ordered by float64 scores recomputed per row.
+        each function's k best candidates, all float64.  ``thr`` and
+        ``tol`` hold, per chunk function, the floor every non-candidate
+        row scores below and the contested half-width
+        (:mod:`repro.engine.bands`).
         """
         kth = block_scores.min(axis=1)
         tol = tol[rows]
@@ -1355,14 +1306,7 @@ class ScoreEngine:
                 fblk = ids[blk[fast]]  # global row ids
             else:
                 fblk = np.take_along_axis(ids[fast], blk[fast], axis=1)
-            if rescore:
-                # Order by float64 scores recomputed per row (batched
-                # matvec: no einsum path search on the hot loop).
-                scr = np.matmul(
-                    self.values[fblk], Wc[rows[fast], :, None]
-                )[:, :, 0]
-            else:
-                scr = block_scores[fast]
+            scr = block_scores[fast]
             if k > 1:
                 order_in_blk = np.lexsort((fblk, -scr), axis=-1)  # (f, k)
                 out_order[rows[fast]] = np.take_along_axis(
@@ -1601,7 +1545,7 @@ class _CandidateEngine(ScoreEngine):
     """A serial engine over a parent's robust k-skyband rows.
 
     Runs the parent's tier ladder unchanged over ``parent.values[rows]``
-    with the parent's float32/quantize/tuning settings.  The one
+    with the parent's quantize and tuning settings.  The one
     difference is the scalar fallback: a contested column is resolved by
     the *parent's* full-matrix kernel and mapped to child row ids, so it
     equals the scalar path over the whole matrix by construction.

@@ -284,13 +284,9 @@ def sample_ksets(
             f"state was built for (d={state.stream.d}, k={state.k}), "
             f"got (d={matrix.shape[1]}, k={k})"
         )
-    # float32 scoring: every contested draw (any tie or near-tie within
-    # the float32 noise band) is re-resolved by the engine on the exact
-    # float64 scalar path, so results stay identical to float64 scoring
-    # while clean draws run at twice the GEMM/selection throughput.
     own_engine = engine is None
     if engine is None:
-        engine = ScoreEngine(matrix, float32=True, n_jobs=jobs, tune=tune)
+        engine = ScoreEngine(matrix, n_jobs=jobs, tune=tune)
     else:
         engine.compact()
         if engine.values.shape != matrix.shape or not np.array_equal(engine.values, matrix):

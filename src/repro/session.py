@@ -57,9 +57,10 @@ class Session:
         ``None`` (defaults) or a :class:`~repro.engine.TuningProfile`
         (e.g. loaded with :meth:`~repro.engine.TuningProfile.load` from
         checksummed JSON written by :meth:`~repro.engine.TuningProfile.save`).
-    float32:
-        Enable the float32 tier (bit-identical by the exactness ladder;
-        on by default because a shared engine amortizes its setup).
+
+    The engine runs the default tier ladder, the same one
+    ``ScoreEngine(values)`` and the free functions build, so a Session
+    and a free function do the same work for the same answer.
     """
 
     def __init__(
@@ -68,9 +69,8 @@ class Session:
         *,
         jobs: int | None = None,
         tune=None,
-        float32: bool = True,
     ) -> None:
-        self._engine = ScoreEngine(values, float32=float32, n_jobs=jobs, tune=tune)
+        self._engine = ScoreEngine(values, n_jobs=jobs, tune=tune)
 
     # ------------------------------------------------------------------
     # introspection

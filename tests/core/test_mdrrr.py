@@ -100,3 +100,58 @@ class TestMDRRR:
         values = independent(8, 3, seed=8).values
         result = md_rrr(values, 8, rng=0)
         assert len(result.indices) == 1
+
+
+class TestVerification:
+    """The repair pass counts each panel function's rank with the engine's
+    exact, blocked count: no ``(n, N)`` score matrix."""
+
+    def test_repaired_output_meets_k_on_the_panel(self):
+        from repro.engine import ScoreEngine
+        from repro.ranking import sample_functions
+
+        values = independent(2_000, 3, seed=4).values
+        # Too few k-sets: the hitting set misses panel functions, and the
+        # repair adds their k-sets until none is missed.
+        sparse, _, _ = collect_ksets(values, 10, enumerator="sample", patience=5, rng=0)
+        result = md_rrr(values, 10, ksets=sparse, verify_functions=500, rng=1)
+        assert len(result.ksets) > len(sparse)
+        with ScoreEngine(values) as engine:
+            ranks = engine.rank_of_best_batch(sample_functions(3, 500, 1), result.indices)
+        assert ranks.max() <= 10
+
+    def test_a_passed_engine_counts_the_panel(self):
+        from repro.engine import ScoreEngine
+
+        values = independent(1_500, 4, seed=6).values
+        ksets = md_rrr(values, 10, rng=0).ksets
+        own = md_rrr(values, 10, ksets=ksets, verify_functions=3_000, rng=2)
+        with ScoreEngine(values) as engine:
+            shared = md_rrr(values, 10, ksets=ksets, verify_functions=3_000, rng=2, engine=engine)
+            assert engine.stats["rank_prefix_rows"] > 0
+        assert shared.indices == own.indices
+        assert list(shared.ksets) == list(own.ksets)
+        with pytest.raises(ValidationError):
+            md_rrr(values, 10, ksets=ksets, verify_functions=10, engine=ScoreEngine(values[:-1]))
+
+    def test_peak_memory_is_flat_in_the_panel_size(self):
+        import tracemalloc
+
+        from repro.engine import ScoreEngine, score_engine
+
+        B = score_engine._RANK_BLOCK
+        values = independent(1_000, 4, seed=5).values
+        ksets = md_rrr(values, 10, rng=0).ksets
+        engine = ScoreEngine(values)
+        md_rrr(values, 10, ksets=ksets, verify_functions=B, rng=1, engine=engine)  # warm
+
+        def traced_peak(panel: int) -> int:
+            tracemalloc.start()
+            try:
+                md_rrr(values, 10, ksets=ksets, verify_functions=panel, rng=1, engine=engine)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, four = traced_peak(B), traced_peak(4 * B)
+        assert four <= 1.5 * one, (one, four)

@@ -81,7 +81,7 @@ def _assert_profile_exact(values, weights, k, subset, profile, **kwargs):
 
 class TestProfileExactness:
     @pytest.mark.parametrize("profile", PATHOLOGICAL_PROFILES)
-    @pytest.mark.parametrize("quantize", [None, "int8"])
+    @pytest.mark.parametrize("quantize", [None, "auto"])
     def test_pathological_profiles_bit_identical(self, rng, profile, quantize):
         values = rng.random((150, 3))
         weights = sample_functions(3, 60, 0)

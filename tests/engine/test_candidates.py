@@ -82,15 +82,15 @@ def _cases(draw):
 
 
 class TestBitIdentity:
-    @given(case=_cases(), float32=st.booleans())
+    @given(case=_cases())
     @settings(
         max_examples=150,
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    def test_matches_scalar_path(self, forced, case, float32):
+    def test_matches_scalar_path(self, forced, case):
         values, W, k = case
-        engine = ScoreEngine(values, float32=float32)
+        engine = ScoreEngine(values)
         got = engine.topk_orders(W, k)
         assert np.array_equal(got, _expected(values, W, k))
         assert engine.stats["candidate_columns"] == W.shape[0]
@@ -107,7 +107,7 @@ class TestBitIdentity:
         rng = np.random.default_rng(W.shape[0])
         signed = rng.standard_normal((W.shape[0], W.shape[1]))
         both = np.vstack([W, signed])[rng.permutation(2 * W.shape[0])]
-        engine = ScoreEngine(values, float32=True)
+        engine = ScoreEngine(values)
         assert np.array_equal(engine.topk_orders(both, k), _expected(values, both, k))
         eligible = int((both >= 0.0).all(axis=1).sum())
         assert engine.stats["candidate_columns"] == eligible
@@ -154,7 +154,7 @@ class TestLifecycle:
         rng = np.random.default_rng(4)
         values = rng.random((60, 3))
         W = rng.random((25, 3))
-        engine = ScoreEngine(values, float32=True)
+        engine = ScoreEngine(values)
         engine.topk_orders(W, 3)
         engine.topk_orders(W, 3)
         engine.topk_orders(W, 2)
@@ -195,7 +195,7 @@ class TestLifecycle:
 
     def test_serving_batches_never_engage(self):
         values = independent(2000, 4, seed=2).values
-        engine = ScoreEngine(values, float32=True)
+        engine = ScoreEngine(values)
         W = np.random.default_rng(9).random((64, 4))
         engine.topk_orders(W, 15)
         assert engine.stats["candidate_builds"] == 0

@@ -109,7 +109,7 @@ _CUTOVER_OK = [HealthCheck.function_scoped_fixture]
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=_CUTOVER_OK)
-@given(case=mutation_case(), quantize=st.sampled_from([None, "auto", "int8"]))
+@given(case=mutation_case(), quantize=st.sampled_from([None, "auto"]))
 def test_mutation_sequence_bit_identical(copy_paths, case, quantize):
     matrix, ops, query_between, k = case
     weights = sample_functions(matrix.shape[1], 12, 3)
@@ -142,8 +142,8 @@ def test_mutation_sequence_float32_engine(copy_paths, case):
     matrix, ops, _, k = case
     weights = sample_functions(matrix.shape[1], 8, 11)
     for _ in copy_paths():
-        engine = ScoreEngine(matrix, float32=True)
-        engine.topk_batch(weights, min(k, matrix.shape[0]))  # build V32 state
+        engine = ScoreEngine(matrix)
+        engine.rank_of_best_batch(weights, [0])  # build the rank count's V32 state
         reference = matrix
         for op in ops:
             kind, payload = op
@@ -153,9 +153,7 @@ def test_mutation_sequence_float32_engine(copy_paths, case):
                 engine.delete_rows(payload)
             reference = _reference_apply(reference, [op])
         k_eff = min(k, reference.shape[0])
-        _assert_engine_matches_fresh(
-            engine, reference, weights, k_eff, [0], float32=True
-        )
+        _assert_engine_matches_fresh(engine, reference, weights, k_eff, [0])
 
 
 # ----------------------------------------------------------------------
@@ -298,8 +296,8 @@ class TestMutationEquivalence:
     def test_quantized_envelope_escape_rescales(self, rng):
         matrix = rng.random((400, 4))
         weights = sample_functions(4, 64, 0)
-        engine = ScoreEngine(matrix, quantize="int8")
-        engine.topk_orders(weights, 5)  # builds int8 stores
+        engine = ScoreEngine(matrix)
+        engine.topk_orders(weights, 5)  # builds int16 stores
         level_before = engine._quantizer._state
         big = rng.random((10, 4)) * 100.0  # far outside the [0,1) envelope
         engine.insert_rows(big)
@@ -310,7 +308,7 @@ class TestMutationEquivalence:
         assert np.allclose(
             level_after.scales * level_after.qmax, np.abs(reference).max(axis=0)
         )
-        fresh = ScoreEngine(reference, quantize="int8")
+        fresh = ScoreEngine(reference)
         assert np.array_equal(got, fresh.topk_orders(weights, 5))
         for j in range(8):
             assert np.array_equal(got[j], top_k(reference, weights[j], 5))
@@ -318,7 +316,7 @@ class TestMutationEquivalence:
     def test_in_envelope_insert_keeps_level_and_stores(self, rng):
         matrix = rng.random((400, 4))
         weights = sample_functions(4, 64, 0)
-        engine = ScoreEngine(matrix, quantize="int8")
+        engine = ScoreEngine(matrix)
         engine.topk_orders(weights, 5)
         level_before = engine._quantizer._state
         engine.insert_rows(rng.random((10, 4)) * 0.5)  # safely inside
@@ -326,7 +324,7 @@ class TestMutationEquivalence:
         engine.compact()
         assert engine._quantizer._state is level_before, "level needlessly rebuilt"
         reference = np.delete(np.vstack([matrix, engine.values[-10:]]), [0, 100], axis=0)
-        fresh = ScoreEngine(reference, quantize="int8")
+        fresh = ScoreEngine(reference)
         assert np.array_equal(engine.topk_orders(weights, 5), fresh.topk_orders(weights, 5))
         assert np.array_equal(
             engine.rank_of_best_batch(weights, [3, 7]),
@@ -643,8 +641,7 @@ def deferred_sync_case(draw):
 @settings(max_examples=60, deadline=None, suppress_health_check=_CUTOVER_OK)
 @given(
     case=deferred_sync_case(),
-    quantize=st.sampled_from([None, "int8", "int16"]),
-    float32=st.booleans(),
+    quantize=st.sampled_from([None, "auto"]),
 )
 # Every read of this case is answered by the scalar kernel (4k >= n with
 # few promoted top-k functions; every rank function past the float32
@@ -655,13 +652,12 @@ def deferred_sync_case(draw):
         [([("insert", np.zeros((1, 2)))], False)],
         3,
     ),
-    quantize="int8",
-    float32=False,
+    quantize="auto",
 )
-def test_deferred_sync_matches_fresh(copy_paths, case, quantize, float32):
+def test_deferred_sync_matches_fresh(copy_paths, case, quantize):
     matrix, events, k = case
     weights = sample_functions(matrix.shape[1], 6, 4)
-    kwargs = {"quantize": quantize, "float32": float32}
+    kwargs = {"quantize": quantize}
     for _ in copy_paths():
         engine = ScoreEngine(matrix, **kwargs)
         _warm(engine)
@@ -696,7 +692,7 @@ def test_deferred_sync_matches_fresh(copy_paths, case, quantize, float32):
 class TestDeferredSync:
     @pytest.fixture
     def warmed(self, rng):
-        engine = ScoreEngine(rng.random((500, 4)), float32=True, quantize="int8")
+        engine = ScoreEngine(rng.random((500, 4)))
         _warm(engine)
         return engine
 
@@ -746,7 +742,7 @@ class TestDeferredSync:
 
     def test_build_attribute_orderings_syncs_first(self, rng):
         matrix = rng.random((300, 3))
-        engine = ScoreEngine(matrix, quantize="int16")
+        engine = ScoreEngine(matrix)
         engine.topk_orders(sample_functions(3, 8, 1), 5)  # norm ordering only
         assert not engine._attr_orderings_built
         engine.insert_rows(rng.random((9, 3)))
@@ -760,10 +756,8 @@ class TestDeferredSync:
     def test_thread_fan_out_after_unsynced_writes(self, rng):
         matrix = rng.random((400, 4))
         weights = sample_functions(4, 48, 3)
-        threaded = ScoreEngine(
-            matrix, n_jobs=2, parallel_min_work=0, quantize="int8"
-        )
-        serial = ScoreEngine(matrix, quantize="int8")
+        threaded = ScoreEngine(matrix, n_jobs=2, parallel_min_work=0)
+        serial = ScoreEngine(matrix)
         for engine in (threaded, serial):
             engine.topk_batch(weights, 7)
             _warm(engine)

@@ -82,14 +82,6 @@ class TestTopKBatchEquivalence:
         assert np.array_equal(big.order, small.order)
         assert np.array_equal(big.members, small.members)
 
-    def test_float32_mode_matches_float64(self):
-        rng = np.random.default_rng(4)
-        values = rng.random((200, 4))
-        weights = sample_functions(4, 100, 4)
-        exact = ScoreEngine(values).topk_batch(weights, 9)
-        fast = ScoreEngine(values, float32=True).topk_batch(weights, 9)
-        assert np.array_equal(exact.order, fast.order)
-
     def test_full_ranking_when_k_equals_n(self):
         rng = np.random.default_rng(5)
         values = rng.random((30, 3))
@@ -194,7 +186,7 @@ class TestRankOfBestBatch:
         w = np.array([[0.2, 0.4, 0.1, 0.3]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            engine = ScoreEngine(values, float32=True)
+            engine = ScoreEngine(values)
             order = engine.topk_orders(w, 5)
             ranks = engine.rank_of_best_batch(w, [7, 9])
         assert np.array_equal(order[0], top_k(values, w[0], 5))
@@ -204,12 +196,12 @@ class TestRankOfBestBatch:
     def test_float32_subnormal_weights_stay_exact(self):
         # Weights below float32's normal range keep only a few bits in
         # the float32 cast while ‖w‖·max‖x‖ looks in range; the range
-        # guard must send them to float64 in both the rank and top-k paths.
+        # guard must send them to the scalar kernel in the rank count.
         rng = np.random.default_rng(0)
         values = rng.random((500, 3)) * 1e20
         weights = rng.random((32, 3)) * 1e-42
         members = [3, 100, 400]
-        engine = ScoreEngine(values, float32=True, quantize=None)
+        engine = ScoreEngine(values, quantize=None)
         ranks = engine.rank_of_best_batch(weights, members)
         orders = engine.topk_orders(weights, 5)
         for j, w in enumerate(weights):
@@ -299,7 +291,7 @@ def _cancellation_case(seed, mirror, rho_exp, n, m=8):
 
     The scores cancel down to ``±a·ρ·r + ε·x₃ + ε′·x₄``, far below their
     rounding error ``‖w‖·max‖x‖·eps``, and a float32 copy of the pair
-    loses ``ρ·r`` entirely.
+    (the rank count's) loses ``ρ·r`` entirely.
     """
     rng = np.random.default_rng(seed)
     b, r = rng.random(n), rng.random(n)
@@ -312,14 +304,10 @@ def _cancellation_case(seed, mirror, rho_exp, n, m=8):
 
 
 def _cancellation_engines(values):
-    """Every float32/quantize setting, plus a default Session whose
-    adaptive quantizer has switched itself off."""
-    for float32 in (False, True):
-        for quantize in (None, "auto"):
-            yield (
-                f"float32={float32}, quantize={quantize}",
-                ScoreEngine(values, float32=float32, quantize=quantize),
-            )
+    """Every quantize setting, plus a default Session whose adaptive
+    quantizer has switched itself off."""
+    for quantize in (None, "auto"):
+        yield f"quantize={quantize}", ScoreEngine(values, quantize=quantize)
     engine = Session(values).engine
     warm = np.random.default_rng(1)
     for _ in range(40):
@@ -362,21 +350,46 @@ class TestCancellation:
                 assert engine.rank_of_best_batch(weights, members).tolist() == ranks, name
 
     def test_band_is_load_bearing(self, monkeypatch):
-        # The float32 copy rounds b + 1e-9·r to b, so float32 scores miss
-        # the term that decides the order.  Only the band sends this
-        # function on to float64; without it the float32 order stands.
-        rng = np.random.default_rng(0)
-        b = rng.random(1000)
-        values = np.column_stack(
-            [b, b + 1e-9 * rng.random(1000), rng.random(1000), rng.random(1000)]
-        )
-        w = np.array([1.0, -1.0, 1e-12, 0.0])
-        expected = top_k(values, w, 5)
-        engine = ScoreEngine(values, float32=True, quantize=None)
-        assert np.array_equal(engine.topk_orders(w[None], 5)[0], expected)
+        # At ρ = 1e-15 the pair's scores cancel below their rounding
+        # error, so the float64 GEMM and the scalar GEMV can order them
+        # differently.  Only the band sends such functions on from the
+        # float64 pass to the scalar kernel; without it the GEMM order
+        # stands for some of them.
+        cases = [
+            _cancellation_case(seed, mirror, -15.0, 500)
+            for seed in range(4)
+            for mirror in (False, True)
+        ]
+
+        def all_exact():
+            for values, weights in cases:
+                got = ScoreEngine(values, quantize=None).topk_orders(weights, 5)
+                for i, w in enumerate(weights):
+                    if not np.array_equal(got[i], top_k(values, w, 5)):
+                        return False
+            return True
+
+        assert all_exact()
         monkeypatch.setattr(bands, "ULPS", 0.0)
-        narrow = ScoreEngine(values, float32=True, quantize=None)
-        assert not np.array_equal(narrow.topk_orders(w[None], 5)[0], expected)
+        assert not all_exact()
+
+    def test_rank_band_is_load_bearing(self, monkeypatch):
+        # The float32 count's copy rounds a + δ to a (δ < 2⁻²⁵, half an
+        # ulp of a float32 in [0.5, 1)), so every row but the member
+        # scores 0 > −2⁻³⁰ in float32, while exactly each scores −δ below
+        # the member's −2⁻³⁰.  Only the band sends the function on to the
+        # scalar kernel; without it the float32 count (rank n) stands.
+        rng = np.random.default_rng(0)
+        n = 1000
+        a = rng.uniform(0.5, 1.0, n).astype(np.float32).astype(np.float64)
+        delta = rng.uniform(2.0**-28, 2.0**-26, n)
+        values = np.column_stack([a, a + delta, rng.random(n), rng.random(n)])
+        values[0] = [0.0, 2.0**-30, 0.0, 0.0]
+        w = np.array([[1.0, -1.0, 0.0, 0.0]])
+        assert _gemv_rank_of_best(values, w[0], [0]) == 1
+        assert ScoreEngine(values).rank_of_best_batch(w, [0]).tolist() == [1]
+        monkeypatch.setattr(bands, "ULPS", 0.0)
+        assert ScoreEngine(values).rank_of_best_batch(w, [0]).tolist() == [n]
 
 
     def test_band_covers_the_rounding_bound_at_every_d(self):
@@ -410,13 +423,12 @@ class TestCancellation:
         expected = [top_k(values, w, 5) for w in weights]
         ranks = [_gemv_rank_of_best(values, w, members) for w in weights]
         for _ in kernel_paths():
-            for float32 in (False, True):
-                for quantize in (None, "auto"):
-                    engine = ScoreEngine(values, float32=float32, quantize=quantize)
-                    got = engine.topk_orders(weights, 5)
-                    for i in range(m):
-                        assert np.array_equal(got[i], expected[i]), (float32, quantize, i)
-                    assert engine.rank_of_best_batch(weights, members).tolist() == ranks
+            for quantize in (None, "auto"):
+                engine = ScoreEngine(values, quantize=quantize)
+                got = engine.topk_orders(weights, 5)
+                for i in range(m):
+                    assert np.array_equal(got[i], expected[i]), (quantize, i)
+                assert engine.rank_of_best_batch(weights, members).tolist() == ranks
 
 
 class TestSmallCalls:

@@ -243,7 +243,7 @@ class TestMDRCViewEdgeCases:
         # re-walk from the first touched level.  Both must match mdrc.
         values = independent(n=3000, d=4, seed=5).normalized().values
         rng = np.random.default_rng(11)
-        with ScoreEngine(values, float32=True) as engine, MDRCView(engine, 15) as view:
+        with ScoreEngine(values) as engine, MDRCView(engine, 15) as view:
             _assert_mdrc_identical(view, engine)
             quiet = busy = 0
             for step in range(60):

@@ -70,7 +70,7 @@ def test_concurrent_distinct_queries_bit_identical(matrix, jobs, fanout_profile)
         results = _storm(url, jobs=6, m=4, seed=100)
     parallel_calls = server.server.session.engine.stats["parallel_calls"]
     assert (parallel_calls > 0) == (jobs is not None)
-    with ScoreEngine(matrix, float32=True) as direct:
+    with ScoreEngine(matrix) as direct:
         for weights, response in results:
             reference = direct.topk_batch(weights, 5)
             assert np.array_equal(response["members"], reference.members)
@@ -94,7 +94,7 @@ def test_concurrent_identical_queries_bit_identical(matrix):
             t.start()
         for t in threads:
             t.join()
-    with ScoreEngine(matrix, float32=True) as direct:
+    with ScoreEngine(matrix) as direct:
         reference = direct.topk_batch(weights, 5)
         for response in identical:
             assert np.array_equal(response["members"], reference.members)
@@ -172,7 +172,7 @@ def test_backlogged_mixed_queries_coalesce_and_match(matrix):
         stats = probe.stats()["coalescing"]
         probe.close()
     assert stats["coalesced"] >= 2, stats
-    with ScoreEngine(matrix, float32=True) as direct:
+    with ScoreEngine(matrix) as direct:
         for (kind, i), (w, response) in outputs.items():
             if kind == "topk":
                 ref = direct.topk_batch(w, 5)
@@ -238,7 +238,7 @@ def test_topk_reply_n_is_the_row_count_at_its_revision(matrix):
     assert before["revision"] < out["insert"]["revision"] == after["revision"]
     assert (before["n"], after["n"]) == (3000, 3005)
     for reply, values in [(before, matrix), (after, np.vstack([matrix, rows]))]:
-        with ScoreEngine(values, float32=True) as direct:
+        with ScoreEngine(values) as direct:
             reference = direct.topk_batch(w, 5)
         assert np.array_equal(reply["members"], reference.members)
         assert np.array_equal(reply["order"], reference.order)
@@ -267,7 +267,7 @@ def test_serving_with_fault_injection_stays_exact(matrix, fanout_profile, unit_h
             results = [(w, client.topk(w, 5))]
         results += _storm(url, jobs=4, m=4, seed=500)
     assert server.server.session.engine.stats["parallel_calls"] >= 2
-    with ScoreEngine(matrix, float32=True) as direct:
+    with ScoreEngine(matrix) as direct:
         for weights, response in results:
             reference = direct.topk_batch(weights, 5)
             assert np.array_equal(response["members"], reference.members)
@@ -401,7 +401,7 @@ def test_idle_server_answers_lone_reads_at_admission(matrix):
     assert stats["inline"] == 12 and stats["batches"] == 13
     assert stats["requests"] == 13 and stats["coalesced"] == 0
     for revision, values in [(0, matrix), (1, np.vstack([matrix, rows]))]:
-        with ScoreEngine(values, float32=True) as direct:
+        with ScoreEngine(values) as direct:
             for w, reply in replies:
                 if reply["revision"] != revision:
                     continue
@@ -454,7 +454,7 @@ def test_read_offered_while_a_barrier_runs_waits_for_it(matrix):
         stats = coalescer.stats.as_dict()
     assert out["read"]["revision"] == out["insert"]["revision"] == 1
     assert stats["inline"] == 0
-    with ScoreEngine(np.vstack([matrix, rows]), float32=True) as direct:
+    with ScoreEngine(np.vstack([matrix, rows])) as direct:
         assert np.array_equal(out["read"]["order"], direct.topk_orders(w, 5))
 
 

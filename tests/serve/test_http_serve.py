@@ -205,7 +205,7 @@ def test_client_members_match_topk_batch():
     states = [matrix, inserted, np.delete(inserted, [0, 5, 400], axis=0)]
     assert [r["n"] for r in replies] == [803, 809, 806]
     for reply, values in zip(replies, states):
-        with ScoreEngine(values, float32=True) as engine:
+        with ScoreEngine(values) as engine:
             reference = engine.topk_batch(weights, 6)
         assert reply["members"].dtype == np.int64
         assert reply["members"].shape == reference.members.shape == (3, -(-reply["n"] // 8))
@@ -400,7 +400,7 @@ def test_mutations_update_views_and_queries():
             # Served top-k == direct engine over the mutated matrix.
             weights = np.random.default_rng(7).random((4, 3))
             served = client.topk(weights, 5)
-            with ScoreEngine(mutated, float32=True) as engine:
+            with ScoreEngine(mutated) as engine:
                 reference = engine.topk_batch(weights, 5)
             assert np.array_equal(served["members"], reference.members)
             assert np.array_equal(served["order"], reference.order)
@@ -414,7 +414,7 @@ def test_rank_endpoint_matches_direct(served):
     subset = [3, 44, 199]
     with ServiceClient(server.url, timeout=30) as client:
         served_ranks = client.rank(weights, subset)["ranks"]
-    with ScoreEngine(matrix, float32=True) as engine:
+    with ScoreEngine(matrix) as engine:
         reference = engine.rank_of_best_batch(weights, subset)
     assert np.array_equal(served_ranks, reference)
 
@@ -440,7 +440,7 @@ def test_unexpected_error_answers_500(caplog):
         assert len(calls) == 1
         assert client._sock is not None  # kept alive
         reply = client.topk(weights, 4)
-    with ScoreEngine(matrix, float32=True) as engine:
+    with ScoreEngine(matrix) as engine:
         assert np.array_equal(reply["order"], engine.topk_batch(weights, 4).order)
     logged = [r for r in caplog.records if r.name == "repro.serve" and r.exc_info]
     assert logged and "engine fault" in str(logged[0].exc_info[1])

@@ -86,12 +86,39 @@ def test_session_topk_and_rank_passthrough(matrix):
     with Session(matrix) as session:
         batch = session.topk(weights, 4)
         ranks = session.rank_of_best(weights, [1, 2, 3])
-    with ScoreEngine(matrix, float32=True) as engine:
+    with ScoreEngine(matrix) as engine:
         reference = engine.topk_batch(weights, 4)
         rank_ref = engine.rank_of_best_batch(weights, [1, 2, 3])
     assert np.array_equal(batch.members, reference.members)
     assert np.array_equal(batch.order, reference.order)
     assert np.array_equal(ranks, rank_ref)
+
+
+def test_session_and_free_function_run_the_same_tiers():
+    # One module owns the tier choice: a Session's engine is the engine
+    # ScoreEngine(values) builds, so MDRC does the same work on either.
+    from repro.datasets import independent
+    from repro.engine import ScoreEngine
+
+    values = independent(n=20_000, d=4, seed=0).normalized().values
+    keys = ("gemm_columns", "quant_columns", "quant_resolved", "verified_columns")
+    with ScoreEngine(values) as engine, Session(values) as session:
+        free = repro.mdrc(values, 15, engine=engine)
+        ours = session.mdrc(15)
+        assert list(ours.indices) == list(free.indices)
+        assert {key: session.stats[key] for key in keys} == {
+            key: engine.stats[key] for key in keys
+        }
+
+
+def test_removed_keywords_are_a_type_error(matrix):
+    # The float32 top-k pass is gone; its keyword fails loudly.
+    from repro.engine import ScoreEngine
+
+    with pytest.raises(TypeError):
+        Session(matrix, float32=True)
+    with pytest.raises(TypeError):
+        ScoreEngine(matrix, float32=True)
 
 
 def test_session_close_is_idempotent_and_context_manager(matrix):

@@ -483,34 +483,7 @@ def mdrc(
                 corner_rows.reshape(num_cells * corners_per_cell, d - 1)
             )
             if use_cache:
-                # Vectorized within-level dedup first (sibling cells share
-                # faces), then a byte-keyed registry lookup per *unique*
-                # corner for the cross-level memo (the angle floats are exact
-                # box midpoints, so byte equality is exact corner equality).
-                void_keys = corner_rows.view(
-                    np.dtype((np.void, corner_rows.dtype.itemsize * (d - 1)))
-                ).ravel()
-                uniq_keys, first_rows, inverse = np.unique(
-                    void_keys, return_index=True, return_inverse=True
-                )
-                uniq_ids = np.empty(len(uniq_keys), dtype=np.intp)
-                next_id = store.count
-                pending: list[int] = []
-                # One bytes buffer sliced per key beats a np.void.tobytes()
-                # call per corner, and setdefault folds lookup + insert into
-                # a single dict operation.
-                buffer = uniq_keys.tobytes()
-                key_size = uniq_keys.dtype.itemsize
-                for u in range(len(uniq_keys)):
-                    gid = registry.setdefault(
-                        buffer[u * key_size : (u + 1) * key_size], next_id
-                    )
-                    if gid == next_id:
-                        next_id += 1
-                        pending.append(u)
-                    uniq_ids[u] = gid
-                ids = uniq_ids[inverse]
-                pending_rows = first_rows[pending]
+                ids, pending_rows = _register_corners(registry, corner_rows, store.count)
             else:
                 # Ablation mode mirrors the uncached recursion: every corner
                 # visit is a fresh evaluation (duplicates included), but they
@@ -672,6 +645,52 @@ def mdrc(
     return result
 
 
+def _register_corners(
+    registry: dict[bytes, int], corner_rows: np.ndarray, next_id: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense corner ids for angle rows through a byte-keyed registry.
+
+    Returns ``(ids, new_rows)``: one id per row, and the rows (first
+    occurrences) of the corners the registry did not hold, which were
+    given the ids from ``next_id`` on and must be evaluated.  Rows are
+    deduplicated vectorized first (sibling cells share faces), then each
+    *unique* corner costs one ``setdefault``.  The angle floats are
+    exact box midpoints, so byte equality is exact corner equality.
+    """
+    void_keys = corner_rows.view(
+        np.dtype((np.void, corner_rows.dtype.itemsize * corner_rows.shape[1]))
+    ).ravel()
+    uniq_keys, first_rows, inverse = np.unique(
+        void_keys, return_index=True, return_inverse=True
+    )
+    uniq_ids = np.empty(len(uniq_keys), dtype=np.intp)
+    pending: list[int] = []
+    # One bytes buffer sliced per key beats a np.void.tobytes() call per
+    # corner, and setdefault folds lookup + insert into a single dict
+    # operation.
+    buffer = uniq_keys.tobytes()
+    key_size = uniq_keys.dtype.itemsize
+    for u in range(len(uniq_keys)):
+        gid = registry.setdefault(buffer[u * key_size : (u + 1) * key_size], next_id)
+        if gid == next_id:
+            next_id += 1
+            pending.append(u)
+        uniq_ids[u] = gid
+    return uniq_ids[inverse], first_rows[pending]
+
+
+def _best_rank_item(members: np.ndarray, orders: np.ndarray) -> int:
+    """The ``"best-rank"`` pick of one resolved cell.
+
+    ``members`` are the cell's common items in ascending order and
+    ``orders`` its corners' best-first top-k rows, each holding every
+    member.  The pick is the member whose worst position over the
+    corners is smallest, the smallest id on ties.
+    """
+    positions = np.argmax(orders[:, :, None] == members[None, None, :], axis=1)
+    return int(members[np.argmin(positions.max(axis=0))])
+
+
 def _pick_batch(
     common: np.ndarray,
     id_matrix: np.ndarray,
@@ -692,16 +711,5 @@ def _pick_batch(
     n_bits = common.shape[1] * 8
     for row in range(common.shape[0]):
         members = np.flatnonzero(np.unpackbits(common[row], count=n_bits))
-        orders = store.orders[id_matrix[row]]  # (corners, k)
-        best_item = -1
-        best_worst = None
-        for item in members:
-            worst = 0
-            for ordered in orders:
-                position = int(np.flatnonzero(ordered == item)[0])
-                worst = max(worst, position)
-            if best_worst is None or worst < best_worst:
-                best_worst = worst
-                best_item = int(item)
-        items[row] = best_item
+        items[row] = _best_rank_item(members, store.orders[id_matrix[row]])
     return items

@@ -35,7 +35,12 @@ ascending), and the contract is *bit-identical results to the scalar*
 ``top_k``/``rank_of`` *path*.  Top-k decisions climb a three-tier
 ladder — ``int16 → float64 → scalar`` — in which each tier resolves
 only the columns it can prove and promotes the rest; rank counting is
-one float32 banded count with the scalar fallback:
+one float32 banded count with the scalar fallback.  Both prune by one
+**prefix plan** (:meth:`ScoreEngine._plan`): a floor under each
+function's k-th score, or under the subset's best score for rank, fixes
+how long a prefix of which pruning ordering can still hold an answer.
+A top-k chunk scores one float64 probe of the norm ordering's head,
+plans once from its floor, and every tier reads that plan:
 
 * the **quantized tier** (:mod:`repro.engine.quantize`) bounds every
   score from above with exact integer arithmetic; functions whose
@@ -98,7 +103,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -106,7 +111,7 @@ from repro.engine import bands
 from repro.engine.autotune import TuningProfile
 from repro.engine.bitset import pack_membership, packed_width
 from repro.engine.parallel import _chunk_bounds, resolve_n_jobs
-from repro.engine.quantize import Quantizer
+from repro.engine.quantize import QuantLevel, Quantizer
 from repro.exceptions import InvalidDataError, ValidationError
 
 __all__ = ["ScoreEngine", "TopKBatch"]
@@ -382,7 +387,7 @@ class ScoreEngine:
         self._submit_pool = None
         self._submit_lock = threading.Lock()
         # (k, ordering count) -> per-attribute-ordering grid gathers,
-        # reused across batches by _prefix_needs.
+        # reused across batches by _plan.
         self._grid_cache: dict[tuple[int, int], list] = {}
         # The data magnitudes behind every band (see _max_norm/_max_abs).
         self._max_row_norm: float | None = None
@@ -889,88 +894,124 @@ class ScoreEngine:
     def _topk_chunk(self, Wc: np.ndarray, k: int, out_order: np.ndarray) -> None:
         """Fill ``out_order`` (mc, k) with the top-k of one column chunk.
 
-        Tiered resolution, cheapest first:
+        One probe and one plan per chunk, then tiered resolution,
+        cheapest first.  The **probe** scores the norm ordering's first
+        ``max(4k, 64)`` rows in float64; one pruning floor below each
+        function's k-th probe score is its floor ``thr``, and
+        :meth:`_plan` turns the floors into a prefix per (function,
+        ordering).  Every tier reads that one plan:
 
-        0. int16 quantized screening (when enabled): one integer GEMM
+        0. int16 quantized screening (when enabled,
+           :meth:`_quant_screen`): one integer GEMM per planned ordering
            bounds every score rigorously; functions whose candidate set
            resolves inside the envelope are finished from the
            candidates' exact float64 scores, the rest are promoted;
-        1. the float64 norm-pruned batch for the promoted functions;
-        2. the scalar float64 GEMV algorithm, verbatim, for functions
-           with genuine (near-)ties at a decision boundary.
+        1. the float64 pass for the promoted functions: those whose
+           norm-ordering prefix fits inside the probe are finished from
+           it, the rest are scored over their planned prefix;
+        2. the scalar float64 GEMV algorithm, verbatim, in one loop for
+           every function a tier contested (genuine (near-)ties at a
+           decision boundary), and for all the promoted functions when
+           there are at most ``quant_scalar_promote`` of them.
 
         Each tier only sees the functions the previous tier could not
         decide, so clean data runs almost entirely in the bottom tier
         while degenerate data degrades gracefully to the seed's exact
-        per-probe cost.
-        """
-        w_norms = np.linalg.norm(Wc, axis=1)
-        if self._quantizer is not None and self._quantizer.active:
-            promoted = self._quant_topk_chunk(Wc, k, out_order, w_norms)
-            if promoted.size <= self._tuning.quant_scalar_promote:
-                # A handful of stragglers: the scalar kernel per function
-                # is cheaper than spinning up the batch tier, and
-                # identical by the exactness contract.
-                contested = promoted
-            elif promoted.size < Wc.shape[0]:
-                sub_order = np.empty((promoted.size, k), dtype=np.int64)
-                sub = self._topk_tier(
-                    np.ascontiguousarray(Wc[promoted]), k, sub_order, w_norms[promoted]
-                )
-                out_order[promoted] = sub_order
-                contested = promoted[sub]
-            else:
-                contested = self._topk_tier(Wc, k, out_order, w_norms)
-        else:
-            contested = self._topk_tier(Wc, k, out_order, w_norms)
-        for j in contested:
-            out_order[j] = self._verified_topk_column(Wc[j], k)
-            self.stats["verified_columns"] += 1
-
-    def _quant_topk_chunk(
-        self, Wc: np.ndarray, k: int, out_order: np.ndarray, w_norms: np.ndarray
-    ) -> np.ndarray:
-        """Tier 0: integer-envelope top-k screening; returns promoted rows.
-
-        One integer GEMM over a routed prefix bounds every score from
-        above (:mod:`repro.engine.quantize`).  A probe over the top
-        of the norm ordering yields a rigorous lower bound ``thr`` on
-        each function's k-th score; every row whose upper bound reaches
-        ``thr`` is a candidate, and the candidate set provably contains
-        the whole top-k *including any boundary ties*.  Functions whose
-        candidate count stays within the cap are finished here: the few
-        candidates are re-scored exactly in float64 and accepted by
-        :meth:`_finalize` (near-ties fall to the scalar kernel verbatim),
-        so the result is bit-identical to the scalar path.
-        Functions whose k-boundary sits inside the quantization envelope
-        — candidate counts past the cap — are promoted to the float64
-        tier, and the promote rate feeds the quantizer's adaptive
-        switch-off.
+        per-probe cost.  With ``4k ≥ n`` nothing can be pruned: there is
+        no probe, plan or screen, and the float64 pass scores the whole
+        matrix.
         """
         n = self.n
         mc = Wc.shape[0]
-        if 4 * k >= n:
-            # The probe would cover (most of) the matrix; the float tiers
-            # resolve such shapes directly from their own probe.
-            return np.arange(mc)
-        state = self._quantizer.state
-        if state is None:
-            return np.arange(mc)
-        Wq, b, usum, degenerate = state.quantize_weights(Wc)
-        orderings = self._ensure_orderings()
-        self.stats["quant_columns"] += mc
-        # Probe: each function's k-th best *exact* score over the head of
-        # the norm ordering cannot exceed its true k-th score, so (one
-        # pruning floor below it) it is a rigorous screening threshold
-        # for the whole matrix — and it is tighter than a quantized probe
-        # by the width of the quantization envelope.
-        c0 = min(n, max(4 * k, 64))
+        w_norms = np.linalg.norm(Wc, axis=1)
         noise = w_norms * self._max_norm()
-        _, _, block_scores = self._prefix_eval(orderings[0], Wc, k, c0)
-        thr = bands.floor(block_scores.min(axis=1), noise, self.d)
-        self._accumulate_probe_demand(w_norms, thr)
-        needs = self._prefix_needs(Wc, w_norms, thr, k)
-        best_o = np.argmin(needs, axis=1)
+        tol = bands.tol(noise, self.d)
+        state = self._quantizer.state if self._quantizer is not None else None
+        everyone = np.arange(mc)
+        promoted, contested = everyone, [everyone[:0]]
+        if 4 * k < n:
+            norm_ord = self._ensure_orderings()[0]
+            # Probe: each function's k-th best *exact* score over the head
+            # of the norm ordering cannot exceed its true k-th score, so
+            # (one pruning floor below it) it is a rigorous threshold for
+            # the whole matrix — and it is tighter than a quantized probe
+            # by the width of the quantization envelope.
+            c0 = min(n, max(4 * k, 64))
+            S, blk, block_scores = self._prefix_eval(norm_ord, Wc, k, c0)
+            thr = bands.floor(block_scores.min(axis=1), noise, self.d)
+            needs, best_o = self._plan(Wc, w_norms, thr, k)
+            if state is not None:
+                promoted, screened = self._quant_screen(
+                    state, Wc, k, out_order, thr, tol, needs, best_o
+                )
+                contested.append(screened)
+        if state is not None and promoted.size <= self._tuning.quant_scalar_promote:
+            # A handful of stragglers: the scalar kernel per function is
+            # cheaper than spinning up the batch pass, and identical by
+            # the exactness contract.
+            contested.append(promoted)
+        elif 4 * k >= n:
+            # Nothing can be pruned: score the whole matrix, with no floor.
+            norm_ord = self._ensure_orderings()[0]
+            S, blk, block_scores = self._prefix_eval(norm_ord, Wc, k, n)
+            contested.append(
+                self._finalize(
+                    everyone, norm_ord.perm, S, blk, block_scores, k,
+                    out_order, np.full(mc, -np.inf), tol,
+                )
+            )
+        else:
+            # The probe already holds the full answer for functions whose
+            # norm-ordering need fits inside it.
+            fits = needs[promoted, 0] <= c0
+            done = promoted[fits]
+            if done.size:
+                contested.append(
+                    self._finalize(
+                        done, norm_ord.perm, S[done], blk[done], block_scores[done],
+                        k, out_order, thr, tol,
+                    )
+                )
+            for _, ordering, rows, c in self._groups(needs, best_o, promoted[~fits], k + 1):
+                So, blko, bso = self._prefix_eval(ordering, np.ascontiguousarray(Wc[rows]), k, c)
+                contested.append(
+                    self._finalize(rows, ordering.perm, So, blko, bso, k, out_order, thr, tol)
+                )
+        for j in np.concatenate(contested):
+            out_order[j] = self._verified_topk_column(Wc[j], k)
+            self.stats["verified_columns"] += 1
+
+    def _quant_screen(
+        self,
+        state: QuantLevel,
+        Wc: np.ndarray,
+        k: int,
+        out_order: np.ndarray,
+        thr: np.ndarray,
+        tol: np.ndarray,
+        needs: np.ndarray,
+        best_o: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Tier 0: integer-envelope top-k screening over the chunk's plan.
+
+        Returns ``(promoted, contested)`` chunk-level function ids.  One
+        integer GEMM per planned ordering bounds every score of the
+        planned prefix from above (:mod:`repro.engine.quantize`); every
+        row whose upper bound reaches the floor ``thr`` is a candidate,
+        and the candidate set provably contains the whole top-k
+        *including any boundary ties*.  Functions whose candidate count
+        stays within the cap are finished here: the few candidates are
+        re-scored exactly in float64 and accepted by :meth:`_finalize`,
+        which contests near-ties for the scalar kernel, so the result is
+        bit-identical to the scalar path.  Functions whose k-boundary
+        sits inside the quantization envelope — candidate counts past
+        the cap — are promoted to the float64 pass, and the promote rate
+        feeds the quantizer's adaptive switch-off.
+        """
+        n = self.n
+        mc = Wc.shape[0]
+        Wq, b, usum, degenerate = state.quantize_weights(Wc)
+        self.stats["quant_columns"] += mc
         cap = int(min(n, max(3 * k, 24)))
         # Candidate ids and exact scores for the whole chunk, scattered
         # into one rectangle (-1 / -inf pads): groups only screen and
@@ -981,16 +1022,13 @@ class ScoreEngine:
         used_cap = k
         resolved_parts: list[np.ndarray] = []
         promoted_parts = [np.flatnonzero(degenerate)]
-        rest = np.flatnonzero(~degenerate)
-        for o, ordering in enumerate(self._orderings):
-            rows = rest[best_o[rest] == o]
-            if not rows.size:
-                continue
+        for o, ordering, rows, c in self._groups(
+            needs, best_o, np.flatnonzero(~degenerate), k
+        ):
             store = state.store(o, ordering.V)
             if store is None:
                 promoted_parts.append(rows)
                 continue
-            c = min(n, max(int(needs[rows, o].max()), k))
             # OpenBLAS's GEMM has left a spurious "invalid" flag on finite
             # integer carriers (2 of 4 warmed runs), which numpy reports
             # as a NaN that is not there.  Only the product ignores it;
@@ -1024,19 +1062,18 @@ class ScoreEngine:
                 "ij,ij->i", self.values[gids], Wc[func]
             )
             resolved_parts.append(rows[good])
+        contested = np.empty(0, dtype=np.intp)
         if resolved_parts:
             resolved = np.sort(np.concatenate(resolved_parts))
             scores = padded_scores[resolved, :used_cap]
-            for j in self._finalize(
+            contested = self._finalize(
                 resolved, padded_ids[resolved, :used_cap], scores, *_top_block(scores, k),
-                k, out_order, thr, bands.tol(noise, self.d),
-            ):
-                out_order[j] = self._verified_topk_column(Wc[j], k)
-                self.stats["verified_columns"] += 1
+                k, out_order, thr, tol,
+            )
         promoted = np.sort(np.concatenate(promoted_parts))
         self.stats["quant_resolved"] += mc - promoted.size
         self._quantizer.observe(mc, promoted.size)
-        return promoted
+        return promoted, contested
 
     def _build_orderings(self) -> list["_Ordering"]:
         """Candidate row orders with per-position score upper bounds.
@@ -1082,87 +1119,76 @@ class ScoreEngine:
             )
             self._orderings.append(ordering)
 
-    def _bound_coeffs(
-        self, Wc: np.ndarray, w_norms: np.ndarray
+    def _plan(
+        self, W: np.ndarray, w_norms: np.ndarray, thr: np.ndarray, grid_base: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Per (function, ordering) bound coefficients ``a·u(p) + b·v(p)``.
+        """The prefix plan of one batch: ``(needs, best_o)``.
 
-        Entries are NaN for ineligible pairs (an attribute ordering's
-        first term only bounds when that weight component is ≥ 0).
-        """
-        mc = Wc.shape[0]
-        A = np.empty((mc, len(self._orderings)))
-        B = np.zeros((mc, len(self._orderings)))
-        A[:, 0] = w_norms
-        for o, ordering in enumerate(self._orderings[1:], start=1):
-            wj = Wc[:, ordering.attribute]
-            A[:, o] = np.where(wj >= 0.0, wj, np.nan)
-            B[:, o] = np.sqrt(np.maximum(w_norms**2 - wj**2, 0.0))
-        return A, B
-
-    def _accumulate_probe_demand(self, w_norms: np.ndarray, thr: np.ndarray) -> None:
-        """Build the attribute orderings once probe volume justifies them.
-
-        Charged with each batch's norm-ordering needs: when the
+        ``needs[i, o]`` is a sufficient prefix of ordering ``o`` for
+        function ``i``: every row beyond it provably scores below the
+        floor ``thr[i]``.  ``best_o[i]`` is the ordering with the
+        shortest.  Exact (searchsorted) under the norm ordering; those
+        needs are also the batch's **ordering demand**, charged to
+        ``_excess_work`` until the attribute orderings exist: once the
         accumulated prefix work exceeds a few full passes over the
         matrix, the sharper per-attribute orders pay for their argsorts
-        and copies.
-        """
-        if self._attr_orderings_built:
-            return
-        with np.errstate(divide="ignore"):
-            first_need = np.searchsorted(
-                -self._orderings[0].u,
-                -(thr / np.where(w_norms > 0.0, w_norms, np.inf)),
-                side="right",
-            )
-        self._excess_work += int(first_need.sum())
-        if self._excess_work > 8 * self.n * (self.d + 1):
-            self._build_attribute_orderings()
-
-    def _prefix_needs(
-        self, Wc: np.ndarray, w_norms: np.ndarray, thr: np.ndarray, k: int
-    ) -> np.ndarray:
-        """Sufficient prefix sizes, one per (function, ordering).
-
-        Every row beyond position ``needs[i, o]`` of ordering ``o``
-        provably scores below ``thr[i]``.  Exact (searchsorted) under the
-        norm ordering; quantized to a doubling grid under the attribute
-        orderings, whose two-term bounds are only evaluated at grid
-        positions.
+        and copies and are built here.  Under the attribute orderings
+        the needs are quantized to a doubling grid from ``grid_base``,
+        whose two-term bounds ``w_j·u(p) + ‖w_{−j}‖·v(p)`` are only
+        evaluated at grid positions.
         """
         n = self.n
-        A, B = self._bound_coeffs(Wc, w_norms)
-        needs = np.empty((Wc.shape[0], len(self._orderings)), dtype=np.int64)
-        needs[:, 0] = np.searchsorted(
+        norm_need = np.searchsorted(
             -self._orderings[0].u,
-            -(thr / np.where(A[:, 0] > 0.0, A[:, 0], np.inf)),
+            -(thr / np.where(w_norms > 0.0, w_norms, np.inf)),
             side="right",
         )
-        grid = _geometric_grid(k, n)
-        # The per-ordering grid gathers are probe-invariant; cache them
-        # per (k, ordering count) so repeated batches skip the fancy
-        # indexing (the cache is tiny: one grid-length pair per entry).
-        cache_key = (int(k), len(self._orderings))
+        if not self._attr_orderings_built:
+            self._excess_work += int(norm_need.sum())
+            if self._excess_work > 8 * n * (self.d + 1):
+                self._build_attribute_orderings()
+        orderings = self._orderings
+        needs = np.empty((W.shape[0], len(orderings)), dtype=np.int64)
+        needs[:, 0] = norm_need
+        grid = _geometric_grid(grid_base, n)
+        # The per-ordering grid gathers are batch-invariant; cache them
+        # per (grid base, ordering count) so repeated batches skip the
+        # fancy indexing (the cache is tiny: one grid-length pair per
+        # entry).
+        cache_key = (int(grid_base), len(orderings))
         cached = self._grid_cache.get(cache_key)
         if cached is None:
-            cached = [
-                (ordering.u[grid], ordering.v[grid])
-                for ordering in self._orderings[1:]
-            ]
+            cached = [(ordering.u[grid], ordering.v[grid]) for ordering in orderings[1:]]
             self._grid_cache[cache_key] = cached
+        sizes = np.append(grid, n)
+        w_sq = w_norms**2
         for o, (u_grid, v_grid) in enumerate(cached, start=1):
-            bound = A[:, o, None] * u_grid[None, :] + B[:, o, None] * (
-                v_grid[None, :]
-            )
+            wj = W[:, orderings[o].attribute]
+            # The first term bounds only when w_j ≥ 0; NaN marks the
+            # pairs that can never prune.
+            a = np.where(wj >= 0.0, wj, np.nan)
+            b = np.sqrt(np.maximum(w_sq - wj**2, 0.0))
+            bound = a[:, None] * u_grid[None, :] + b[:, None] * v_grid[None, :]
             # The bound is non-increasing along the grid, so the count of
             # still-live positions is the index of the first prunable one.
             with np.errstate(invalid="ignore"):
                 first_dead = (bound >= thr[:, None]).sum(axis=1)
-            needs[:, o] = np.append(grid, n)[first_dead]
-            # Ineligible (negative-weight) pairs can never prune.
-            needs[np.isnan(A[:, o]), o] = n
-        return needs
+            needs[:, o] = np.where(np.isnan(a), n, sizes[first_dead])
+        return needs, np.argmin(needs, axis=1)
+
+    def _groups(
+        self, needs: np.ndarray, best_o: np.ndarray, rows: np.ndarray, least: int
+    ) -> Iterator[tuple[int, "_Ordering", np.ndarray, int]]:
+        """Per planned ordering, the functions of ``rows`` routed to it.
+
+        Yields ``(o, ordering, group, c)``: the ordering's index, the
+        ordering, its functions and their largest planned prefix, at
+        least ``least`` and at most n rows.
+        """
+        for o, ordering in enumerate(self._orderings):
+            group = rows[best_o[rows] == o]
+            if group.size:
+                yield o, ordering, group, min(self.n, max(int(needs[group, o].max()), least))
 
     def _ordering_v32(self, ordering: "_Ordering") -> np.ndarray:
         """The ordering's float32 matrix copy, built once on demand."""
@@ -1189,73 +1215,6 @@ class ScoreEngine:
         if self._max_abs_value is None:
             self._max_abs_value = float(np.abs(self.values).max())
         return self._max_abs_value
-
-    def _topk_tier(
-        self, Wc: np.ndarray, k: int, out_order: np.ndarray, w_norms: np.ndarray
-    ) -> np.ndarray:
-        """The float64 batched top-k pass; returns the still-contested row ids.
-
-        A small norm-ordered probe establishes each function's k-th-best
-        score L; the per-ordering bounds then give a *sufficient* prefix
-        size per (function, ordering) — every row outside that prefix
-        provably scores below the pruning floor under L.  ``w_norms``
-        holds each function's ``‖w‖``.  Each function is routed to
-        its cheapest ordering and evaluated once at that size, so
-        selection cost tracks the candidate count instead of n.
-        Uncontested rows are written to ``out_order``; rows with any
-        (near-)tie at the k boundary or between ranked neighbours are
-        returned for the scalar kernel.
-        """
-        n = self.n
-        mc = Wc.shape[0]
-        norm_ord = self._ensure_orderings()[0]
-        noise = w_norms * self._max_norm()
-        tol = bands.tol(noise, self.d)
-
-        c0 = n if 4 * k >= n else min(n, max(4 * k, 64))
-        S, blk, block_scores = self._prefix_eval(norm_ord, Wc, k, c0)
-        if c0 == n:
-            # No pruning happened, so no pruning floor applies.
-            return self._finalize(
-                np.arange(mc), norm_ord.perm, S, blk, block_scores, k,
-                out_order, np.full(mc, -np.inf), tol,
-            )
-        thr = bands.floor(block_scores.min(axis=1), noise, self.d)
-        contested_parts: list[np.ndarray] = []
-
-        # Exact need under the norm ordering, grid-quantized need under
-        # the attribute orderings; route each function to the cheapest.
-        # The attribute orderings are only constructed once enough probe
-        # demand has accumulated to amortize their argsorts and copies.
-        self._accumulate_probe_demand(w_norms, thr)
-        needs = self._prefix_needs(Wc, w_norms, thr, k)
-        best_o = np.argmin(needs, axis=1)
-
-        # The probe already holds the full answer for functions whose
-        # norm-ordering need fits inside it.
-        done = np.flatnonzero(needs[:, 0] <= c0)
-        if done.size:
-            contested_parts.append(
-                self._finalize(
-                    done, norm_ord.perm, S[done], blk[done], block_scores[done],
-                    k, out_order, thr, tol,
-                )
-            )
-        rest = np.setdiff1d(np.arange(mc), done, assume_unique=True)
-        for o, ordering in enumerate(self._orderings):
-            rows = rest[best_o[rest] == o]
-            if not rows.size:
-                continue
-            c = min(n, max(int(needs[rows, o].max()), k + 1))
-            Wrows = np.ascontiguousarray(Wc[rows])
-            So, blko, bso = self._prefix_eval(ordering, Wrows, k, c)
-            contested_parts.append(
-                self._finalize(rows, ordering.perm, So, blko, bso, k, out_order, thr, tol)
-            )
-        parts = [p for p in contested_parts if p.size]
-        if not parts:
-            return np.empty(0, dtype=np.intp)
-        return np.sort(np.concatenate(parts))
 
     def _prefix_eval(
         self, ordering: "_Ordering", Wc: np.ndarray, k: int, c: int
@@ -1495,9 +1454,7 @@ class ScoreEngine:
         tol = bands.tol(noise, self.d, f32=True)
         thr = bands.floor(best, noise, self.d, f32=True)
         self._ensure_orderings()
-        self._accumulate_probe_demand(w_norms, thr)
-        needs = self._prefix_needs(W, w_norms, thr, self._tuning.rank_grid_base)
-        best_o = np.argmin(needs, axis=1)
+        needs, best_o = self._plan(W, w_norms, thr, self._tuning.rank_grid_base)
         need = np.clip(needs[np.arange(m), best_o], 1, n)
         # Quantize prefix sizes to a doubling grid so one GEMM serves a
         # whole group of similarly-needy functions.

@@ -855,40 +855,20 @@ class MDRCView(MaterializedView):
     def _eval_corners(self, corner_rows: np.ndarray) -> np.ndarray:
         """Dense corner ids for angle rows, via the cache's byte-keyed memo.
 
-        Mirrors the registry discipline of :func:`~repro.core.mdrc.mdrc`
-        phase A: vectorized within-batch dedup, then one ``setdefault``
-        per unique corner; misses are evaluated through the engine in a
-        single batch and appended to the cache.
+        The registry lookup of :func:`~repro.core.mdrc.mdrc` phase A;
+        misses are evaluated through the engine in a single batch and
+        appended to the cache.
         """
+        from repro.core.mdrc import _register_corners
+
         cache = self._cache
-        registry = cache.registry
-        d1 = corner_rows.shape[1]
-        void_keys = corner_rows.view(
-            np.dtype((np.void, corner_rows.dtype.itemsize * d1))
-        ).ravel()
-        uniq_keys, first_rows, inverse = np.unique(
-            void_keys, return_index=True, return_inverse=True
-        )
-        uniq_ids = np.empty(len(uniq_keys), dtype=np.intp)
-        next_id = cache.count
-        pending: list[int] = []
-        buffer = uniq_keys.tobytes()
-        key_size = uniq_keys.dtype.itemsize
-        for u in range(len(uniq_keys)):
-            gid = registry.setdefault(
-                buffer[u * key_size : (u + 1) * key_size], next_id
-            )
-            if gid == next_id:
-                next_id += 1
-                pending.append(u)
-            uniq_ids[u] = gid
-        if pending:
-            rows = first_rows[pending]
+        ids, rows = _register_corners(cache.registry, corner_rows, cache.count)
+        if rows.size:
             weights = weights_from_angles_batch(corner_rows[rows])
             fresh = self._engine.topk_orders(weights, cache.k_eval)
             cache.append(fresh, corner_rows[rows], weights)
-            self.stats["corner_evaluations"] += len(pending)
-        return uniq_ids[inverse]
+            self.stats["corner_evaluations"] += int(rows.size)
+        return ids
 
     def _decide(self, corner_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Resolve cells from their corners' current top-k sets.
@@ -898,9 +878,11 @@ class MDRCView(MaterializedView):
         sorted concatenation (members are distinct within a corner) —
         detected with one sorted-window comparison.  ``"first"`` picks
         the smallest common item (what ``argmax`` over the unpacked
-        intersection bitmap yields); ``"best-rank"`` replays the stored
-        corner orders exactly like the recursion's ``_pick_batch``.
+        intersection bitmap yields); ``"best-rank"`` applies the
+        recursion's rule (:func:`repro.core.mdrc._best_rank_item`).
         """
+        from repro.core.mdrc import _best_rank_item
+
         cache = self._cache
         num, P = corner_ids.shape
         sets = cache.orders[corner_ids][:, :, : self.k]  # (num, P, k)
@@ -912,23 +894,12 @@ class MDRCView(MaterializedView):
         if rows.size:
             first = np.argmax(window[rows], axis=1)
             item[rows] = flat[rows, first]
-        if self.choice == "best-rank" and rows.size:
+        if self.choice == "best-rank":
             for cell in rows:
-                values = flat[cell]
-                starts = np.flatnonzero(values[P - 1 :] == values[: values.size - P + 1])
-                members = np.unique(values[starts])
-                orders = cache.orders[corner_ids[cell]][:, : self.k]
-                best_item = -1
-                best_worst = None
-                for candidate in members:
-                    worst = 0
-                    for ordered in orders:
-                        position = int(np.flatnonzero(ordered == candidate)[0])
-                        worst = max(worst, position)
-                    if best_worst is None or worst < best_worst:
-                        best_worst = worst
-                        best_item = int(candidate)
-                item[cell] = best_item
+                members = np.unique(flat[cell, : flat.shape[1] - P + 1][window[cell]])
+                item[cell] = _best_rank_item(
+                    members, cache.orders[corner_ids[cell]][:, : self.k]
+                )
         return has_common, item
 
     def _result_from_tree(self):

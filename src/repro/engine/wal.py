@@ -23,11 +23,12 @@ into the exact state it died in*:
   suffix after it is acknowledged state that can no longer be trusted,
   and serving a silently wrong matrix is the one unacceptable outcome.
 * **Atomic snapshots** (:func:`write_snapshot` / :func:`load_snapshot`).
-  The committed matrix, its revision (the WAL watermark), the
-  idempotency table and the engine's tuning profile, written with the
-  same mkstemp + fsync + ``os.replace`` discipline as the checksummed
-  tuning profile (PR 6): readers see either the previous snapshot or
-  the complete new one, never a torn file.  The header is CRC-framed
+  The committed matrix, its revision (the WAL watermark) and the
+  idempotency table, written with the same mkstemp + fsync +
+  ``os.replace`` discipline as the checksummed tuning profile: readers
+  see either the previous snapshot or the complete new one, never a
+  torn file.  A snapshot holds no tuning profile; each boot reads the
+  one it is configured with.  The header is CRC-framed
   and the matrix bytes carry a sha256, so a corrupted snapshot is
   detected and *skipped* (recovery falls back to the previous one plus
   a longer WAL suffix).
@@ -343,7 +344,6 @@ class Snapshot:
     values: np.ndarray
     revision: int
     idempotency: dict[str, dict] = field(default_factory=dict)
-    profile: dict | None = None  # TuningProfile JSON payload, if captured
 
 
 def write_snapshot(
@@ -352,13 +352,12 @@ def write_snapshot(
     revision: int,
     *,
     idempotency: dict[str, dict] | None = None,
-    profile: dict | None = None,
 ) -> None:
     """Atomically persist a snapshot (mkstemp + fsync + ``os.replace``).
 
     Layout: 8-byte magic, CRC-framed JSON header (shape/dtype, the
-    revision watermark, the idempotency table, the tuning profile and
-    the matrix sha256), then the raw C-contiguous float64 matrix bytes.
+    revision watermark, the idempotency table and the matrix sha256),
+    then the raw C-contiguous float64 matrix bytes.
     A crash mid-write leaves only the temp file; readers never see a
     torn snapshot.
     """
@@ -373,7 +372,6 @@ def write_snapshot(
             "dtype": matrix.dtype.str,
             "matrix_sha256": hashlib.sha256(body).hexdigest(),
             "idempotency": idempotency or {},
-            "profile": profile,
         },
         separators=(",", ":"),
     ).encode("utf-8")
@@ -403,7 +401,8 @@ def load_snapshot(path) -> Snapshot:
     Raises :class:`CorruptStateError` on any mismatch (magic, header
     CRC, matrix checksum, truncated body) — the caller falls back to an
     older snapshot rather than serving doubtful state.  Header keys not
-    modelled here (older files carry an ``"extra"`` field) are ignored.
+    modelled here are ignored: older files carry an ``"extra"`` field
+    and a pinned tuning ``"profile"``.
     """
     path = os.fspath(path)
     with open(path, "rb") as handle:
@@ -424,7 +423,6 @@ def load_snapshot(path) -> Snapshot:
         dtype = np.dtype(header["dtype"])
         revision = int(header["revision"])
         idempotency = dict(header.get("idempotency") or {})
-        profile = header.get("profile")
     except (KeyError, TypeError, ValueError, UnicodeDecodeError) as exc:
         raise CorruptStateError(f"{path}: snapshot header is malformed: {exc}") from None
     body = raw[offset + _FRAME.size + length :]
@@ -436,7 +434,7 @@ def load_snapshot(path) -> Snapshot:
     if hashlib.sha256(body).hexdigest() != header.get("matrix_sha256"):
         raise CorruptStateError(f"{path}: snapshot matrix failed its sha256")
     values = np.frombuffer(body, dtype=dtype).reshape(shape).copy()
-    return Snapshot(values=values, revision=revision, idempotency=idempotency, profile=profile)
+    return Snapshot(values=values, revision=revision, idempotency=idempotency)
 
 
 # ----------------------------------------------------------------------
@@ -834,7 +832,6 @@ class DurableStore:
         revision: int,
         *,
         idempotency: dict[str, dict] | None = None,
-        profile: dict | None = None,
     ) -> str:
         """Write a snapshot at ``revision``, truncate the WAL, prune old files."""
         if self._wal is None:
@@ -843,7 +840,7 @@ class DurableStore:
             self.data_dir,
             f"{self.SNAPSHOT_PREFIX}{int(revision):016d}{self.SNAPSHOT_SUFFIX}",
         )
-        write_snapshot(path, values, revision, idempotency=idempotency, profile=profile)
+        write_snapshot(path, values, revision, idempotency=idempotency)
         # Only after the snapshot is durable may the WAL records it
         # covers be dropped; a crash in between replays them harmlessly
         # (their revisions sit at or below the new watermark).

@@ -30,7 +30,9 @@ included, answers **500** on a connection that stays open.
 On boot the server loads a checksummed
 :class:`~repro.engine.TuningProfile` if configured, through the CLI's
 loader (:func:`~repro.engine.load_profile`): a missing or torn file
-warns and boots on the defaults, and is never written.
+warns and boots on the defaults, and is never written.  A durable
+restart does the same: snapshots carry no profile, so a data dir boots
+on whatever profile its server is given.
 
 **Durability** (``ServerConfig.data_dir``, :mod:`repro.engine.wal`):
 with a data directory configured, boot recovers the newest valid
@@ -56,7 +58,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
 import logging
 import signal
 import sys
@@ -65,8 +66,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine import DurableStore, TuningProfile, load_profile, replay_commits
-from repro.exceptions import CorruptStateError, ReproError, ValidationError
+from repro.engine import DurableStore, load_profile, replay_commits
+from repro.exceptions import ReproError, ValidationError
 from repro.serve import http
 from repro.serve.coalesce import Coalescer, WorkItem
 from repro.session import Session
@@ -143,7 +144,7 @@ class Server:
         else:
             boot_values = values
         self.session = Session(
-            boot_values, jobs=self.config.jobs, tune=self._boot_tuning(snapshot)
+            boot_values, jobs=self.config.jobs, tune=load_profile(self.config.tuning_profile)
         )
         stack.callback(self.session.close)
         engine = self.session.engine
@@ -165,19 +166,6 @@ class Server:
                 # so recovery never depends on the caller re-supplying
                 # the exact boot matrix.
                 self._snapshot_now()
-
-    def _boot_tuning(self, snapshot):
-        """Tuning for the recovered engine: snapshot-pinned, else configured."""
-        if snapshot is not None and snapshot.profile is not None:
-            try:
-                return TuningProfile.from_json(json.dumps(snapshot.profile))
-            except (CorruptStateError, ValueError, TypeError) as exc:
-                print(
-                    f"warning: snapshot tuning profile unusable ({exc}); "
-                    "falling back to the configured profile",
-                    file=sys.stderr,
-                )
-        return load_profile(self.config.tuning_profile)
 
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> None:
@@ -519,7 +507,6 @@ class Server:
             engine.values,
             engine.revision,
             idempotency=dict(self._idempotency),
-            profile=json.loads(engine.tuning.to_json()),
         )
 
     def _final_snapshot(self) -> None:

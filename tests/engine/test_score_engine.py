@@ -556,6 +556,36 @@ def test_attribute_orderings_are_built_once():
     assert np.array_equal(engine.rank_of_best_batch(W, [3, 77]), ranks)
 
 
+def test_screen_and_float64_pass_read_one_plan(monkeypatch):
+    """A chunk probes and plans once, whichever tiers then read the plan.
+
+    Mixed-sign functions fit one chunk, and the int16 screen promotes
+    most of them to the float64 pass.  The norm probe (the first
+    ``max(4k, 64)`` rows) is still scored once, and the ordering demand
+    charged is what an engine without the screen charges."""
+    rng = np.random.default_rng(0)
+    values = rng.random((5_000, 4))
+    W = rng.standard_normal((32, 4))
+    probes = []
+    prefix_eval = ScoreEngine._prefix_eval
+
+    def counted(self, ordering, Wc, k, c):
+        if ordering is self._orderings[0] and c == 64:
+            probes.append(Wc.shape[0])
+        return prefix_eval(self, ordering, Wc, k, c)
+
+    monkeypatch.setattr(ScoreEngine, "_prefix_eval", counted)
+    screened, plain = ScoreEngine(values), ScoreEngine(values, quantize=None)
+    order = screened.topk_orders(W, 10)
+    assert screened.stats["quant_columns"] == 32
+    assert screened.stats["quant_resolved"] < 16
+    assert probes == [32]
+    plain.topk_orders(W, 10)
+    assert screened._excess_work == plain._excess_work > 0
+    for j, w in enumerate(W):
+        assert np.array_equal(order[j], top_k(values, w, 10))
+
+
 class TestRankBlocks:
     """Rank counting runs ``_RANK_BLOCK`` functions at a time: the same
     ranks as one unblocked count, in memory that does not grow with m."""

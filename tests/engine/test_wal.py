@@ -161,13 +161,24 @@ def test_snapshot_roundtrip(tmp_path):
     path = tmp_path / "snap"
     values = np.array([[5e-324, 1.0], [1.0, 1.0], [0.25, -0.25]])
     idem = {"key-1": {"indices": [3], "revision": 7}}
-    profile = {"schema": 1, "chunk_bytes": 12345}
-    write_snapshot(path, values, 7, idempotency=idem, profile=profile)
+    write_snapshot(path, values, 7, idempotency=idem)
     snap = load_snapshot(path)
     assert snap.revision == 7
     assert snap.values.tobytes() == values.tobytes()
     assert snap.idempotency == idem
-    assert snap.profile == profile
+    # Older writers pinned the server's tuning profile in the header.  The
+    # key is ignored like any other this reader does not model.
+    raw = path.read_bytes()
+    length, _ = struct.unpack_from("<II", raw, 8)
+    header = json.loads(raw[16 : 16 + length])
+    assert "profile" not in header
+    header["profile"] = {"schema": 1, "chunk_bytes": 12345}
+    pinned = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    frame = struct.pack("<II", len(pinned), zlib.crc32(pinned))
+    path.write_bytes(raw[:8] + frame + pinned + raw[16 + length :])
+    old = load_snapshot(path)
+    assert old.revision == 7 and old.idempotency == idem
+    assert old.values.tobytes() == values.tobytes()
 
 
 @pytest.mark.parametrize("where", ["magic", "header", "body", "truncate"])

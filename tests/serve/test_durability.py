@@ -12,10 +12,13 @@ drains, snapshots and exits 0; the client's overload backoff honors
 (unrecoverable data dir) releases the lock it took.
 """
 
+import json
 import os
 import signal
+import struct
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -133,10 +136,54 @@ def test_durable_health_reports_wal_state(matrix, tmp_path):
         assert stats["durability"]["idempotency_keys"] == 1
 
 
+def _pin_profile(snapshot_path, profile):
+    """Rewrite a snapshot's header with the ``"profile"`` key that older
+    servers pinned into every snapshot (a valid CRC, the matrix as it was)."""
+    with open(snapshot_path, "rb") as handle:
+        raw = handle.read()
+    length, _ = struct.unpack_from("<II", raw, 8)
+    header = json.loads(raw[16 : 16 + length])
+    header["profile"] = profile
+    pinned = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    with open(snapshot_path, "wb") as handle:
+        handle.write(raw[:8] + struct.pack("<II", len(pinned), zlib.crc32(pinned)))
+        handle.write(pinned + raw[16 + length :])
+
+
+def test_restart_boots_on_the_configured_profile(matrix, tmp_path):
+    """A data dir holds no tuning: a durable server restarted with another
+    ``tuning_profile`` runs that profile, not the one it first booted on."""
+    data_dir = tmp_path / "data"
+    first = ServerThread(matrix, _config(data_dir)).start()
+    client = ServiceClient(first.url)
+    client.insert([[0.1, 0.2, 0.3]], idempotency_key="k")
+    w = np.random.default_rng(6).random((2, 3))
+    before = client.topk(w, 5)
+    client.close()
+    first.stop()
+    profile = TuningProfile(chunk_bytes=1 << 24, quant_scalar_promote=8)
+    profile.save(tmp_path / "tuning.json")
+    second = ServerThread(
+        matrix, _config(data_dir, tuning_profile=str(tmp_path / "tuning.json"))
+    ).start()
+    try:
+        engine = second.server.session.engine
+        assert engine.tuning == profile
+        assert engine.tuning != TuningProfile()
+        client = ServiceClient(second.url)
+        after = client.topk(w, 5)
+        assert np.array_equal(after["order"], before["order"])
+        assert after["revision"] == before["revision"]
+        client.close()
+    finally:
+        second.stop()
+
+
 def test_boots_on_snapshot_pinning_retired_profile_fields(matrix, tmp_path):
     # A data dir whose snapshot pins a profile saved while rank counting
     # still had a quantized screen: 11 fields, three of them since
-    # retired, under a valid checksum.  The server boots on that profile.
+    # retired, under a valid checksum.  The pin is ignored: the server
+    # boots on the profile it is configured with (the defaults here).
     pinned = {
         "schema": 1,
         "chunk_bytes": 1 << 24,
@@ -154,21 +201,12 @@ def test_boots_on_snapshot_pinning_retired_profile_fields(matrix, tmp_path):
     }
     pinned["checksum"] = _payload_checksum(pinned)
     with DurableStore(tmp_path).open() as store:
-        store.snapshot(matrix, 4, profile=pinned)
+        _pin_profile(store.snapshot(matrix, 4), pinned)
     durable = ServerThread(matrix, _config(tmp_path)).start()
     try:
         engine = durable.server.session.engine
-        assert engine.tuning == TuningProfile(
-            chunk_bytes=1 << 24,
-            parallel_min_work=12345,
-            units_per_worker=3,
-            rank_buffer_bytes=1 << 21,
-            rank_grid_base=64,
-            quant_scalar_promote=8,
-            quant_promote_window=256,
-            quant_promote_limit=0.5,
-        )
-        assert engine._parallel_min_work == 12345
+        assert engine.tuning == TuningProfile()
+        assert engine._parallel_min_work == TuningProfile().parallel_min_work
         client = ServiceClient(durable.url)
         assert client.health()["revision"] == 4
         w = np.random.default_rng(5).random((2, 3))
